@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write experiments
+.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write bench-e2e experiments
 
 ci: vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write
 
@@ -121,6 +121,16 @@ bench-overhead:
 #   go run ./cmd/dexa-bench -baseline BENCH_<date>.json
 bench:
 	$(GO) run ./cmd/dexa-bench -o BENCH_$$(date +%Y-%m-%d).json
+
+# End-to-end benchmark: the e2ebench harness's own tests, then ten runs
+# of one workload (seeds 1..10) reported as each end-to-end metric's
+# median and quartiles. Pick the workload with WORKLOAD=lookup|plan|
+# churn|scatter. Ten runs of the default length plus their set-ups take
+# about five minutes, so ci does not run it.
+WORKLOAD ?= plan
+bench-e2e:
+	cd e2ebench && $(GO) test ./...
+	bash e2ebench/run.sh --workload $(WORKLOAD) --spread 10
 
 experiments:
 	$(GO) run ./cmd/dexa-experiments

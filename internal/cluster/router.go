@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,9 +128,29 @@ func (rt *Router) call(ctx context.Context, method, base, path string, in, out a
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s%s answered %s: %s", base, path, resp.Status, strings.TrimSpace(string(msg)))
+		return &StatusError{Endpoint: base + path, Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// StatusError is a shard's non-200 answer to an intra-cluster call.
+// Classify it with errors.As on Code, never by matching the message: the
+// message carries the shard's URL and the module ID, either of which may
+// contain any digits.
+type StatusError struct {
+	Endpoint string // shard base URL plus path
+	Code     int
+	Body     string // start of the response body, trimmed
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("%s answered %d %s: %s", e.Endpoint, e.Code, http.StatusText(e.Code), e.Body)
+}
+
+// IsNotFound reports whether err carries a shard's 404 answer.
+func IsNotFound(err error) bool {
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == http.StatusNotFound
 }
 
 // shardResult pairs one shard with its fan-out outcome.

@@ -25,6 +25,11 @@ import (
 // emits one plan per behavior, not one plan treating them as
 // interchangeable. Every plan is checked with workflow.Verify (validate +
 // enact on a stored data example).
+//
+// All behavior comparisons run over keyed example sets
+// (dataexample.KeyedSet, match.CompareKeyedSets): canonical keys are
+// computed once per set — at write time for store-interned sets — and
+// never per compared pair.
 
 // Constraints scopes a planning request.
 type Constraints struct {
@@ -82,15 +87,23 @@ func (p Plan) Chain() string {
 	return strings.Join(ids, " -> ")
 }
 
-// ExampleFunc resolves a module's stored data-example set. The serve
-// layer backs it with the store (and, in cluster mode, the owner shard);
-// the CLI backs it with an on-demand generator.
+// ExampleFunc resolves a module's stored data-example set. The CLI backs
+// it with an on-demand generator.
 type ExampleFunc func(id string) (dataexample.Set, bool)
+
+// KeyedFunc resolves a module's stored data-example set in keyed form.
+// The serve layer backs it with the store's write-time interned sets
+// (and, in cluster mode, owner-shard fetches keyed once per request).
+type KeyedFunc func(id string) (*dataexample.KeyedSet, bool)
 
 // Planner synthesizes workflows from the annotated catalog.
 type Planner struct {
-	Ont      *ontology.Ontology
-	Reg      *registry.Registry
+	Ont *ontology.Ontology
+	Reg *registry.Registry
+	// Keyed resolves each module's keyed example set. When nil, the
+	// planner keys what Examples returns, once per module per Plan call.
+	// Either way the comparisons are the same keyed ones.
+	Keyed    KeyedFunc
 	Examples ExampleFunc
 	// MaxDepth bounds chain length in steps (default 4); MaxPlans the
 	// ranked plans returned (default 5).
@@ -109,12 +122,17 @@ const (
 // same primary output. Members are task-identical *candidates*; behavior
 // classes split them further.
 type sigGroup struct {
+	// key renders the signature; groups are ordered by it.
 	key       string
 	inSem     string
 	inStruct  typesys.Type
 	outSem    string
 	outStruct typesys.Type
 	members   []*module.Module // sorted by ID
+	size      int              // member count, while grouping
+	// next links the groups sharing this one's concept pair but not its
+	// structural types.
+	next *sigGroup
 }
 
 // behaviorClass is a set of group members whose stored example sets are
@@ -122,7 +140,7 @@ type sigGroup struct {
 type behaviorClass struct {
 	rep       *module.Module
 	members   []*module.Module // sorted by ID; rep is members[0]
-	repSet    dataexample.Set
+	repSet    *dataexample.KeyedSet
 	class     string  // fingerprint of the representative's set
 	likeScore float64 // agreement with Constraints.Like, when set
 }
@@ -141,11 +159,34 @@ func (p *Planner) maxPlans() int {
 	return 5
 }
 
-func (p *Planner) examples(id string) dataexample.Set {
-	if p.Examples == nil {
-		return nil
+// planSets is one Plan call's view of the stored annotations: each
+// module's keyed set, resolved at most once, plus the comparison scratch
+// every partition reuses.
+type planSets struct {
+	p       *Planner
+	memo    map[string]*dataexample.KeyedSet
+	scratch match.CompareScratch
+}
+
+// get returns the module's keyed example set, or nil when it has none
+// (an empty set counts as none).
+func (s *planSets) get(id string) *dataexample.KeyedSet {
+	if set, ok := s.memo[id]; ok {
+		return set
 	}
-	set, _ := p.Examples(id)
+	var set *dataexample.KeyedSet
+	switch {
+	case s.p.Keyed != nil:
+		set, _ = s.p.Keyed(id)
+	case s.p.Examples != nil:
+		if raw, _ := s.p.Examples(id); len(raw) > 0 {
+			set = raw.Keyed()
+		}
+	}
+	if set != nil && set.Len() == 0 {
+		set = nil
+	}
+	s.memo[id] = set
 	return set
 }
 
@@ -174,13 +215,14 @@ func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
 	groups := p.groups(cs)
 	chains := p.findChains(cs, groups)
 
-	classCache := map[string][]*behaviorClass{}
+	sets := &planSets{p: p, memo: map[string]*dataexample.KeyedSet{}}
+	classCache := map[*sigGroup][]*behaviorClass{}
 	classesOf := func(g *sigGroup) []*behaviorClass {
-		if cls, ok := classCache[g.key]; ok {
+		if cls, ok := classCache[g]; ok {
 			return cls
 		}
-		cls := p.partition(g, cs)
-		classCache[g.key] = cls
+		cls := p.partition(g, cs, sets)
+		classCache[g] = cls
 		return cls
 	}
 
@@ -222,39 +264,57 @@ func sum(xs []int) int {
 }
 
 // groups buckets the available catalog by primary signature, honouring
-// MustAvoid.
+// MustAvoid: modules are bucketed by their (input, output) concept pair,
+// each bucket is split by structural type equality, and the groups are
+// ordered by their rendered signature. Available lists modules in ID
+// order, so every group's members are too.
 func (p *Planner) groups(cs Constraints) []*sigGroup {
+	type semPair struct{ in, out string }
+	type placement struct {
+		m *module.Module
+		g *sigGroup
+	}
 	mods := p.Reg.Available()
-	sort.Slice(mods, func(i, j int) bool { return mods[i].ID < mods[j].ID })
-	byKey := map[string]*sigGroup{}
+	placed := make([]placement, 0, len(mods))
+	buckets := make(map[semPair]*sigGroup, len(mods))
+	var out []*sigGroup
 	for _, m := range mods {
 		if !m.Bound() || len(m.Inputs) == 0 || len(m.Outputs) == 0 {
 			continue
 		}
-		in, out := primaryInput(m), primaryOutput(m)
-		if in.Semantic == "" || out.Semantic == "" {
+		in, outp := &m.Inputs[0], &m.Outputs[0]
+		if in.Semantic == "" || outp.Semantic == "" {
 			continue
 		}
 		if p.avoided(cs, m) {
 			continue
 		}
-		key := in.Struct.String() + "|" + in.Semantic + "->" + out.Struct.String() + "|" + out.Semantic
-		g := byKey[key]
-		if g == nil {
-			g = &sigGroup{key: key, inSem: in.Semantic, inStruct: in.Struct, outSem: out.Semantic, outStruct: out.Struct}
-			byKey[key] = g
+		sp := semPair{in.Semantic, outp.Semantic}
+		g := buckets[sp]
+		for g != nil && !(g.inStruct.Equal(in.Struct) && g.outStruct.Equal(outp.Struct)) {
+			g = g.next
 		}
-		g.members = append(g.members, m)
+		if g == nil {
+			g = &sigGroup{
+				key:   in.Struct.String() + "|" + in.Semantic + "->" + outp.Struct.String() + "|" + outp.Semantic,
+				inSem: in.Semantic, inStruct: in.Struct, outSem: outp.Semantic, outStruct: outp.Struct,
+				next: buckets[sp],
+			}
+			buckets[sp] = g
+			out = append(out, g)
+		}
+		g.size++
+		placed = append(placed, placement{m, g})
 	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	// Carve every group's member list out of one backing array.
+	pool := make([]*module.Module, len(placed))
+	for _, g := range out {
+		g.members, pool = pool[:0:g.size], pool[g.size:]
 	}
-	sort.Strings(keys)
-	out := make([]*sigGroup, len(keys))
-	for i, k := range keys {
-		out[i] = byKey[k]
+	for _, pl := range placed {
+		pl.g.members = append(pl.g.members, pl.m)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
@@ -262,8 +322,19 @@ func (p *Planner) groups(cs Constraints) []*sigGroup {
 // concept.
 func (p *Planner) avoided(cs Constraints, m *module.Module) bool {
 	for _, avoid := range cs.MustAvoid {
-		for _, param := range append(append([]module.Parameter{}, m.Inputs...), m.Outputs...) {
-			if param.Semantic != "" && p.Ont.Subsumes(avoid, param.Semantic) {
+		if p.carries(m, avoid) {
+			return true
+		}
+	}
+	return false
+}
+
+// carries reports whether some parameter of m has a concept subsumed by
+// concept.
+func (p *Planner) carries(m *module.Module, concept string) bool {
+	for _, params := range [2][]module.Parameter{m.Inputs, m.Outputs} {
+		for _, param := range params {
+			if param.Semantic != "" && p.Ont.Subsumes(concept, param.Semantic) {
 				return true
 			}
 		}
@@ -310,7 +381,7 @@ func (p *Planner) findChains(cs Constraints, groups []*sigGroup) [][]*sigGroup {
 
 func containsGroup(acc []*sigGroup, g *sigGroup) bool {
 	for _, a := range acc {
-		if a.key == g.key {
+		if a == g {
 			return true
 		}
 	}
@@ -319,14 +390,14 @@ func containsGroup(acc []*sigGroup, g *sigGroup) bool {
 
 // partition splits a signature group into behavior classes: two members
 // land in the same class when an exact parameter mapping exists and
-// their stored example sets are equivalent under it — the data-example
+// their keyed example sets are equivalent under it — the data-example
 // "behaves identically" test. Members without stored examples stay in
 // singleton classes (nothing is known about their behavior).
-func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
+func (p *Planner) partition(g *sigGroup, cs Constraints, ks *planSets) []*behaviorClass {
 	n := len(g.members)
-	sets := make([]dataexample.Set, n)
+	sets := make([]*dataexample.KeyedSet, n)
 	for i, m := range g.members {
-		sets[i] = p.examples(m.ID)
+		sets[i] = ks.get(m.ID)
 	}
 	parent := make([]int, n)
 	for i := range parent {
@@ -350,14 +421,14 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if len(sets[i]) == 0 || len(sets[j]) == 0 {
+			if sets[i] == nil || sets[j] == nil {
 				continue
 			}
 			mapping, ok := match.MapParameters(p.Ont, g.members[i], g.members[j], match.ModeExact)
 			if !ok {
 				continue
 			}
-			res := match.CompareExampleSets(g.members[i].ID, g.members[j].ID, sets[i], sets[j], mapping)
+			res := match.CompareKeyedSetsScratch(&ks.scratch, g.members[i].ID, g.members[j].ID, sets[i], sets[j], mapping)
 			if res.Verdict == match.Equivalent {
 				union(i, j)
 			}
@@ -380,10 +451,10 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 	for _, r := range roots {
 		bc := byRoot[r]
 		bc.rep = bc.members[0]
-		bc.repSet = p.examples(bc.rep.ID)
-		bc.class = search.Fingerprint(bc.repSet)
+		bc.repSet = sets[r]
+		bc.class = search.FingerprintKeyed(bc.repSet)
 		if cs.Like != "" {
-			bc.likeScore = p.likeAgreement(cs.Like, bc)
+			bc.likeScore = p.likeAgreement(cs.Like, bc, ks)
 		}
 		classes = append(classes, bc)
 	}
@@ -402,21 +473,20 @@ func (p *Planner) partition(g *sigGroup, cs Constraints) []*behaviorClass {
 
 // likeAgreement scores a behavior class against the Like module's stored
 // examples (0 when incomparable).
-func (p *Planner) likeAgreement(likeID string, bc *behaviorClass) float64 {
+func (p *Planner) likeAgreement(likeID string, bc *behaviorClass, ks *planSets) float64 {
 	e, ok := p.Reg.Get(likeID)
-	if !ok || len(bc.repSet) == 0 {
+	if !ok || bc.repSet == nil {
 		return 0
 	}
-	likeSet := p.examples(likeID)
-	if len(likeSet) == 0 {
+	likeSet := ks.get(likeID)
+	if likeSet == nil {
 		return 0
 	}
 	mapping, ok := match.MapParameters(p.Ont, e.Module, bc.rep, match.ModeExact)
 	if !ok {
 		return 0
 	}
-	res := match.CompareExampleSets(likeID, bc.rep.ID, likeSet, bc.repSet, mapping)
-	return res.Score()
+	return match.CompareKeyedSetsScratch(&ks.scratch, likeID, bc.rep.ID, likeSet, bc.repSet, mapping).Score()
 }
 
 // expand turns one signature chain into concrete plans: the cartesian
@@ -449,17 +519,17 @@ func (p *Planner) expand(cs Constraints, chain []*sigGroup, slots [][]*behaviorC
 
 // smallestExample picks the deterministic seed example of a set: the one
 // with the lexicographically smallest input key.
-func smallestExample(set dataexample.Set) (dataexample.Example, bool) {
-	if len(set) == 0 {
+func smallestExample(set *dataexample.KeyedSet) (dataexample.Example, bool) {
+	if set == nil {
 		return dataexample.Example{}, false
 	}
 	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].InputKey() < set[best].InputKey() {
+	for i := 1; i < set.Len(); i++ {
+		if set.InputKey(i) < set.InputKey(best) {
 			best = i
 		}
 	}
-	return set[best], true
+	return set.Example(best), true
 }
 
 // build constructs and verifies the workflow for one class combination.
@@ -598,14 +668,8 @@ func (p *Planner) filterMustUse(cs Constraints, plans []Plan) []Plan {
 
 func (p *Planner) planUses(plan Plan, concept string) bool {
 	for _, s := range plan.Steps {
-		e, ok := p.Reg.Get(s.Module)
-		if !ok {
-			continue
-		}
-		for _, param := range append(append([]module.Parameter{}, e.Module.Inputs...), e.Module.Outputs...) {
-			if param.Semantic != "" && p.Ont.Subsumes(concept, param.Semantic) {
-				return true
-			}
+		if e, ok := p.Reg.Get(s.Module); ok && p.carries(e.Module, concept) {
+			return true
 		}
 	}
 	return false

@@ -11,7 +11,7 @@ import (
 func mustAppend(t *testing.T, l *Log, module string, from, to State) Event {
 	t.Helper()
 	ev, err := l.Append(Event{
-		At: time.Date(2014, 3, 24, 12, 0, 0, 0, time.UTC),
+		At:     time.Date(2014, 3, 24, 12, 0, 0, 0, time.UTC),
 		Module: module, From: from, To: to, Probe: ProbeDrifted,
 	})
 	if err != nil {

@@ -144,21 +144,19 @@ func (c *Comparer) Compare(target, candidate *module.Module) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("match: generating for candidate %s: %w", candidate.ID, err)
 	}
-	return compareSets(target.ID, candidate.ID, tSet, cSet, mapping), nil
+	return CompareKeyedSets(target.ID, candidate.ID, tSet.Keyed(), cSet.Keyed(), mapping), nil
 }
 
 // CompareExampleSets aligns two raw example sets through the mapping
 // (map∆ of §6: pairs with identical input values) and contrasts outputs,
-// recomputing canonical keys on the fly. Prefer CompareKeyedSets when the
-// same sets participate in many comparisons — a catalog matrix, say.
+// recomputing canonical keys on the fly. It is the oracle for
+// CompareKeyedSets, which every comparison path uses: the keyed
+// comparison must agree with it on every verdict, count and agreeing
+// key. Outside tests only dexa-bench's gate modes call it. Duplicate
+// candidate input keys keep the first occurrence, matching
+// Set.ByInputKey (generation never produces duplicates; the tie-break
+// only matters for hand-built sets).
 func CompareExampleSets(targetID, candidateID string, tSet, cSet dataexample.Set, mapping Mapping) Result {
-	return compareSets(targetID, candidateID, tSet, cSet, mapping)
-}
-
-// compareSets is the unkeyed alignment. Duplicate candidate input keys
-// keep the first occurrence, matching Set.ByInputKey (generation never
-// produces duplicates; the tie-break only matters for hand-built sets).
-func compareSets(targetID, candidateID string, tSet, cSet dataexample.Set, mapping Mapping) Result {
 	res := Result{TargetID: targetID, CandidateID: candidateID, Mapping: mapping, AgreeingKeys: map[string]bool{}}
 	cIdx := make(map[string]dataexample.Example, len(cSet))
 	for _, e := range cSet {

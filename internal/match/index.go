@@ -70,23 +70,23 @@ type CatalogIndex struct {
 
 // paramClass is one fingerprint equivalence class of a module side.
 type paramClass struct {
-	strct   string // structural type, canonical string form
-	concept string // semantic concept ID ("" when unannotated)
-	count   int    // parameters in this class
-	required int   // non-optional members (meaningful for inputs)
+	strct    string // structural type, canonical string form
+	concept  string // semantic concept ID ("" when unannotated)
+	count    int    // parameters in this class
+	required int    // non-optional members (meaningful for inputs)
 }
 
 // moduleSig is the per-module signature snapshot the index matches on.
 type moduleSig struct {
-	id         string
-	numInputs  int
+	id          string
+	numInputs   int
 	numRequired int
-	numOutputs int
-	inClasses  map[string]paramClass // fingerprint -> class
-	outClasses map[string]paramClass
-	inStruct   map[string]int // struct string -> input count
-	reqStruct  map[string]int // struct string -> required input count
-	outStruct  map[string]int // struct string -> output count
+	numOutputs  int
+	inClasses   map[string]paramClass // fingerprint -> class
+	outClasses  map[string]paramClass
+	inStruct    map[string]int // struct string -> input count
+	reqStruct   map[string]int // struct string -> required input count
+	outStruct   map[string]int // struct string -> output count
 }
 
 func fingerprint(strct, concept string) string { return strct + "\x00" + concept }

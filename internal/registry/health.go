@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Health tracks a module's invocation outcomes as observed by the
@@ -99,16 +98,11 @@ func (r *Registry) HealthOf(id string) (Health, bool) {
 func (r *Registry) HealthSummary() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var ids []string
-	for id, e := range r.entries {
-		if e.Health.TotalFailures > 0 || e.Health.TotalSuccesses > 0 {
-			ids = append(ids, id)
+	var out []string
+	for _, e := range r.ordered {
+		if e.Health.TotalFailures == 0 && e.Health.TotalSuccesses == 0 {
+			continue
 		}
-	}
-	sort.Strings(ids)
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		e := r.entries[id]
 		state := "available"
 		if !e.Available {
 			state = "unavailable"
@@ -117,7 +111,7 @@ func (r *Registry) HealthSummary() []string {
 			}
 		}
 		out = append(out, fmt.Sprintf("%s: %d ok, %d failed (%d consecutive), %s",
-			id, e.Health.TotalSuccesses, e.Health.TotalFailures, e.Health.ConsecutiveFailures, state))
+			e.Module.ID, e.Health.TotalSuccesses, e.Health.TotalFailures, e.Health.ConsecutiveFailures, state))
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/module"
@@ -64,14 +63,8 @@ const persistVersion = 1
 // availability — not executors) as JSON.
 func (r *Registry) Save(w io.Writer) error {
 	r.mu.RLock()
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	doc := wireRegistry{Version: persistVersion}
-	for _, id := range ids {
-		e := r.entries[id]
+	for _, e := range r.ordered {
 		wm, err := moduleToWire(e.Module)
 		if err != nil {
 			r.mu.RUnlock()

@@ -35,8 +35,12 @@ type Entry struct {
 
 // Registry stores module entries keyed by module ID.
 type Registry struct {
-	mu               sync.RWMutex
-	entries          map[string]*Entry
+	mu      sync.RWMutex
+	entries map[string]*Entry
+	// ordered holds the same entries sorted by module ID, maintained by
+	// Register, so every ID-ordered listing is a walk instead of a
+	// collect-and-sort.
+	ordered          []*Entry
 	failureThreshold int
 	availWatchers    []func(id string, available bool)
 }
@@ -81,7 +85,12 @@ func (r *Registry) Register(m *module.Module) error {
 	if _, dup := r.entries[m.ID]; dup {
 		return fmt.Errorf("registry: duplicate module %q", m.ID)
 	}
-	r.entries[m.ID] = &Entry{Module: m, Available: true}
+	e := &Entry{Module: m, Available: true}
+	r.entries[m.ID] = e
+	i := sort.Search(len(r.ordered), func(i int) bool { return r.ordered[i].Module.ID > m.ID })
+	r.ordered = append(r.ordered, nil)
+	copy(r.ordered[i+1:], r.ordered[i:])
+	r.ordered[i] = e
 	return nil
 }
 
@@ -111,11 +120,10 @@ func (r *Registry) Len() int {
 func (r *Registry) IDs() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
+	ids := make([]string, len(r.ordered))
+	for i, e := range r.ordered {
+		ids[i] = e.Module.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -123,11 +131,10 @@ func (r *Registry) IDs() []string {
 func (r *Registry) Modules() []*module.Module {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*module.Module, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.Module)
+	out := make([]*module.Module, len(r.ordered))
+	for i, e := range r.ordered {
+		out[i] = e.Module
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -141,12 +148,11 @@ func (r *Registry) UnavailableIDs() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var ids []string
-	for id, e := range r.entries {
+	for _, e := range r.ordered {
 		if !e.Available {
-			ids = append(ids, id)
+			ids = append(ids, e.Module.ID)
 		}
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -154,12 +160,11 @@ func (r *Registry) filter(avail bool) []*module.Module {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*module.Module
-	for _, e := range r.entries {
+	for _, e := range r.ordered {
 		if e.Available == avail {
 			out = append(out, e.Module)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -232,12 +237,11 @@ func (r *Registry) ByKind(k module.Kind) []*module.Module {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*module.Module
-	for _, e := range r.entries {
+	for _, e := range r.ordered {
 		if e.Module.Kind == k {
 			out = append(out, e.Module)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -251,7 +255,7 @@ func (r *Registry) Search(query string) []*module.Module {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []*module.Module
-	for _, e := range r.entries {
+	for _, e := range r.ordered {
 		m := e.Module
 		if strings.Contains(strings.ToLower(m.ID), q) ||
 			strings.Contains(strings.ToLower(m.Name), q) ||
@@ -259,6 +263,5 @@ func (r *Registry) Search(query string) []*module.Module {
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -248,3 +248,61 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Errorf("Len = %d", r.Len())
 	}
 }
+
+// TestListingsStayInIDOrder: the ID-ordered listings walk the slice
+// Register maintains, so out-of-order registration, availability flips
+// and a Save/Load round trip must all leave IDs, Modules, Available and
+// UnavailableIDs sorted and current.
+func TestListingsStayInIDOrder(t *testing.T) {
+	r := New()
+	for _, id := range []string{"m", "c", "x", "a", "k", "b"} {
+		r.MustRegister(mod(id, "EBI", module.KindRetrieval))
+	}
+	check := func(r *Registry, wantAvail, wantUnavail []string) {
+		t.Helper()
+		all := []string{"a", "b", "c", "k", "m", "x"}
+		if got := r.IDs(); !reflect.DeepEqual(got, all) {
+			t.Errorf("IDs = %v, want %v", got, all)
+		}
+		var mods []string
+		for _, m := range r.Modules() {
+			mods = append(mods, m.ID)
+		}
+		if !reflect.DeepEqual(mods, all) {
+			t.Errorf("Modules = %v, want %v", mods, all)
+		}
+		var avail []string
+		for _, m := range r.Available() {
+			avail = append(avail, m.ID)
+		}
+		if !reflect.DeepEqual(avail, wantAvail) {
+			t.Errorf("Available = %v, want %v", avail, wantAvail)
+		}
+		if got := r.UnavailableIDs(); !reflect.DeepEqual(got, wantUnavail) {
+			t.Errorf("UnavailableIDs = %v, want %v", got, wantUnavail)
+		}
+	}
+	check(r, []string{"a", "b", "c", "k", "m", "x"}, nil)
+
+	for _, id := range []string{"x", "b"} {
+		if err := r.SetAvailable(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(r, []string{"a", "c", "k", "m"}, []string{"b", "x"})
+
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, []string{"a", "c", "k", "m"}, []string{"b", "x"})
+
+	if err := loaded.SetAvailable("b", true); err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, []string{"a", "b", "c", "k", "m"}, []string{"x"})
+}

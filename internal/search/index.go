@@ -89,20 +89,38 @@ func New(ont *ontology.Ontology) *Index {
 // same observed behavior — regardless of parameter names, providers or
 // generation order — fingerprint identically; an empty set has no class.
 func Fingerprint(set dataexample.Set) string {
-	if len(set) == 0 {
+	return fingerprint(len(set), func(i int) string { return set[i].InputKey() + " => " + set[i].OutputKey() })
+}
+
+// FingerprintKeyed is Fingerprint over a keyed set: it hashes the keys
+// the set already holds instead of re-canonicalising every example.
+func FingerprintKeyed(set *dataexample.KeyedSet) string {
+	if set == nil {
 		return ""
 	}
-	lines := make([]string, len(set))
-	for i, e := range set {
-		lines[i] = e.InputKey() + " => " + e.OutputKey()
+	return fingerprint(set.Len(), func(i int) string { return set.InputKey(i) + " => " + set.OutputKey(i) })
+}
+
+// fingerprint hashes the sorted lines of an n-example set.
+func fingerprint(n int, line func(i int) string) string {
+	if n == 0 {
+		return ""
+	}
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = line(i)
 	}
 	sort.Strings(lines)
-	h := sha256.New()
+	size := 0
 	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+		size += len(l) + 1
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	buf := make([]byte, 0, size)
+	for _, l := range lines {
+		buf = append(append(buf, l...), '\n')
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
 }
 
 // tokenize splits an identifier or prose fragment into lowercase terms:

@@ -53,6 +53,30 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintKeyedMatchesRaw: the keyed form hashes the keys a
+// KeyedSet already holds and must name the same class as the raw form,
+// for string-only and symbol-interned sets alike.
+func TestFingerprintKeyedMatchesRaw(t *testing.T) {
+	tab := dataexample.NewSymbolTable()
+	for _, set := range []dataexample.Set{
+		nil,
+		{ex("ACGT", "X:1")},
+		{ex("ACGT", "X:1"), ex("TTTT", "X:2")},
+		{ex("TTTT", "X:2"), ex("ACGT", "X:1"), ex("ACGT", "X:1")},
+	} {
+		want := Fingerprint(set)
+		if got := FingerprintKeyed(set.Keyed()); got != want {
+			t.Errorf("FingerprintKeyed(Keyed(%d examples)) = %q, want %q", len(set), got, want)
+		}
+		if got := FingerprintKeyed(set.KeyedInterned(tab)); got != want {
+			t.Errorf("FingerprintKeyed(KeyedInterned(%d examples)) = %q, want %q", len(set), got, want)
+		}
+	}
+	if got := FingerprintKeyed(nil); got != "" {
+		t.Errorf("nil keyed set fingerprint = %q, want empty", got)
+	}
+}
+
 // TestIncrementalEqualsFresh: an index maintained by surgical updates and
 // removals must be indistinguishable — stats and query results — from an
 // index built fresh over the final state.

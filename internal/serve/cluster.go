@@ -224,7 +224,7 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *r
 		ss, err := s.Cluster.Router.FetchExamples(r.Context(), id)
 		if err != nil {
 			status := http.StatusBadGateway
-			if strings.Contains(err.Error(), "404") {
+			if cluster.IsNotFound(err) {
 				status = http.StatusNotFound
 			}
 			writeError(w, status, "%v", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/url"
 	"testing"
 
 	"dexa/internal/cluster"
@@ -14,16 +15,19 @@ import (
 	"dexa/internal/store"
 )
 
-// TestClusterSmokeFullCatalog is the acceptance smoke for the serving
-// tier at catalog scale: the full simulated 252-module catalog sharded
-// three ways, byte-compared against a single-node oracle on the whole
-// match matrix and a sample of substitute queries. Gated behind -short
-// because seeding annotates every module on both sides; `make
-// cluster-smoke` drives it explicitly.
-func TestClusterSmokeFullCatalog(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-catalog cluster smoke skipped in -short mode")
-	}
+// fullCatalog is the full simulated 252-module catalog sharded three
+// ways plus a single-node oracle holding every annotation.
+type fullCatalog struct {
+	ids    []string
+	names  []string
+	nodes  map[string]*clusterNode
+	oracle *clusterNode
+}
+
+// newFullCatalog boots the three shards and the oracle on loopback and
+// annotates every module on its owner shard and on the oracle.
+func newFullCatalog(t *testing.T) *fullCatalog {
+	t.Helper()
 	u := simulation.NewUniverse()
 
 	newNode := func(name string) *clusterNode {
@@ -79,7 +83,7 @@ func TestClusterSmokeFullCatalog(t *testing.T) {
 	oracle.start(t, oln)
 
 	// Seed directly through each owner's source (and the oracle's) —
-	// driving 252 annotations over HTTP would only slow the smoke down.
+	// driving 252 annotations over HTTP would only slow the setup down.
 	ids := u.Registry.IDs()
 	perShard := map[string]int{}
 	for _, id := range ids {
@@ -99,6 +103,21 @@ func TestClusterSmokeFullCatalog(t *testing.T) {
 			t.Fatalf("shard %s owns no modules — ring placement degenerated", name)
 		}
 	}
+	return &fullCatalog{ids: ids, names: names, nodes: nodes, oracle: oracle}
+}
+
+// TestClusterSmokeFullCatalog is the acceptance smoke for the serving
+// tier at catalog scale: the full simulated 252-module catalog sharded
+// three ways, byte-compared against a single-node oracle on the whole
+// match matrix and a sample of substitute queries. Gated behind -short
+// because seeding annotates every module on both sides; `make
+// cluster-smoke` drives it explicitly.
+func TestClusterSmokeFullCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster smoke skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	ids, names, nodes, oracle := fc.ids, fc.names, fc.nodes, fc.oracle
 
 	// Whole-matrix byte equality: a query answered by scatter-gather over
 	// three partial stores must be indistinguishable from one answered by
@@ -150,5 +169,61 @@ func mustUnmarshal(t *testing.T, data []byte, into any) {
 	t.Helper()
 	if err := json.Unmarshal(data, into); err != nil {
 		t.Fatalf("decoding %.80s...: %v", data, err)
+	}
+}
+
+// TestComposeClusterMatchesSingleNode: /compose answered by any shard of
+// the three-way full catalog — which keys the sets it fetches from other
+// owners once per request — must be byte-identical to the single-node
+// answer over the same catalog, for plain, like=, use= and avoid=
+// queries at depth 2 and the default depth.
+func TestComposeClusterMatchesSingleNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster compose skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	base := url.Values{"in": {simulation.CDNASequence}, "out": {simulation.CAccList}}
+	var queries []string
+	for _, depth := range []string{"2", ""} {
+		for _, extra := range []url.Values{
+			{},
+			{"like": {"ssearch"}},
+			{"use": {simulation.CProtSequence}},
+			{"avoid": {simulation.CRNASequence}},
+		} {
+			q := url.Values{}
+			for k, v := range base {
+				q[k] = v
+			}
+			for k, v := range extra {
+				q[k] = v
+			}
+			if depth != "" {
+				q.Set("depth", depth)
+			}
+			queries = append(queries, "/api/compose?"+q.Encode())
+		}
+	}
+	for _, path := range queries {
+		status, want := fetch(t, fc.oracle.ts.URL+path)
+		if status != http.StatusOK {
+			t.Fatalf("oracle %s: status %d: %s", path, status, want)
+		}
+		var plans struct {
+			Count int `json:"count"`
+		}
+		mustUnmarshal(t, want, &plans)
+		if plans.Count == 0 {
+			t.Fatalf("oracle %s planned nothing", path)
+		}
+		for _, name := range fc.names {
+			status, got := fetch(t, fc.nodes[name].ts.URL+path)
+			if status != http.StatusOK {
+				t.Fatalf("%s via %s: status %d: %s", path, name, status, got)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%s via %s differs from the single node:\n got: %.600s\nwant: %.600s", path, name, got, want)
+			}
+		}
 	}
 }

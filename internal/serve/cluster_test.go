@@ -588,3 +588,63 @@ func TestWatchDrainReleasesWaiters(t *testing.T) {
 		t.Fatalf("post-drain watch: status %d after %v", resp.StatusCode, time.Since(before))
 	}
 }
+
+// TestClusterShardFailureNotFoundByStatus: a shard that fails with a 500
+// is a shard failure even when its URL contains "404". /substitutes for a
+// module it owns answers 502, not 404, and /compose lists its modules in
+// failedModules and flags the plan set partial.
+func TestClusterShardFailureNotFoundByStatus(t *testing.T) {
+	o, p, reg := clusterUniverse(t)
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "store unavailable", http.StatusInternalServerError)
+	}))
+	defer dead.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Config{Shards: []cluster.ShardConfig{
+		{Name: "s1", URL: "http://" + ln.Addr().String()},
+		{Name: "s2", URL: dead.URL + "/dead404"},
+	}}
+	cn := newServeNode(t, "s1", o, p, reg, 2)
+	node, err := cluster.NewShardNode(cfg, "s1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn.node, cn.srv.Cluster = node, node
+	cn.start(t, ln)
+
+	var foreign []string
+	for _, id := range reg.IDs() {
+		if node.Owns(id) {
+			e, _ := reg.Get(id)
+			if _, _, err := cn.source.Generate(e.Module); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			foreign = append(foreign, id)
+		}
+	}
+	if len(foreign) == 0 {
+		t.Skip("ring placed every module on s1")
+	}
+
+	status, body := fetch(t, cn.ts.URL+"/api/modules/"+foreign[0]+"/substitutes")
+	if status != http.StatusBadGateway {
+		t.Errorf("substitutes of %s on a failing owner: status %d, want 502: %s", foreign[0], status, body)
+	}
+
+	var resp struct {
+		Partial       bool     `json:"partial"`
+		FailedModules []string `json:"failedModules"`
+	}
+	status, body = fetch(t, cn.ts.URL+"/api/compose?in=Seq&out=Acc")
+	if status != http.StatusOK {
+		t.Fatalf("compose status %d: %s", status, body)
+	}
+	mustUnmarshal(t, body, &resp)
+	if !resp.Partial || strings.Join(resp.FailedModules, ",") != strings.Join(foreign, ",") {
+		t.Errorf("compose partial=%v failedModules=%v, want partial with %v", resp.Partial, resp.FailedModules, foreign)
+	}
+}

@@ -8,8 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	"dexa/internal/cluster"
 	"dexa/internal/compose"
 	"dexa/internal/dataexample"
 	"dexa/internal/telemetry"
@@ -102,11 +102,11 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	span.Annotate("out", out)
 	defer span.End()
 
-	examples, failed := s.exampleSource(r.Context())
+	keyed, failed := s.keyedSource(r.Context())
 	planner := &compose.Planner{
 		Ont:      s.Comparer.Ont,
 		Reg:      s.Registry,
-		Examples: examples,
+		Keyed:    keyed,
 		MaxDepth: depth,
 		MaxPlans: limit,
 	}
@@ -147,53 +147,34 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// exampleSource builds the planner's example resolver: the local store,
-// extended in cluster mode with owner-shard fetches for modules this
-// node does not store. The second return value reports (after planning)
-// which remote fetches failed — those modules planned without behavior
-// information rather than failing the whole synthesis.
-func (s *Server) exampleSource(ctx context.Context) (compose.ExampleFunc, func() []string) {
-	var (
-		mu     sync.Mutex
-		memo   = map[string]*dataexample.Set{}
-		failed = map[string]bool{}
-	)
-	fn := func(id string) (dataexample.Set, bool) {
-		if set, _, ok := s.Store.Get(id); ok {
+// keyedSource builds the planner's keyed-set resolver: the sets the
+// local store interned at write time, extended in cluster mode with
+// owner-shard fetches for modules this node does not store. The planner
+// resolves each module at most once per Plan call, so a remote set is
+// fetched and keyed once per request. The second return value reports
+// (after planning) which remote fetches failed — those modules planned
+// without behavior information rather than failing the whole synthesis.
+func (s *Server) keyedSource(ctx context.Context) (compose.KeyedFunc, func() []string) {
+	var failed []string
+	fn := func(id string) (*dataexample.KeyedSet, bool) {
+		if set, _, ok := s.Store.GetKeyed(id); ok {
 			return set, true
 		}
 		if !s.clusterMode() || s.Cluster.Owns(id) {
 			return nil, false
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if set, ok := memo[id]; ok {
-			if set == nil {
-				return nil, false
-			}
-			return *set, true
-		}
 		ss, err := s.Cluster.Router.FetchExamples(ctx, id)
 		if err != nil {
-			memo[id] = nil
-			if !strings.Contains(err.Error(), "404") {
-				failed[id] = true
+			if !cluster.IsNotFound(err) {
+				failed = append(failed, id)
 			}
 			return nil, false
 		}
-		set := ss.Examples
-		memo[id] = &set
-		return set, true
+		return ss.Examples.Keyed(), true
 	}
 	report := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		out := make([]string, 0, len(failed))
-		for id := range failed {
-			out = append(out, id)
-		}
-		sort.Strings(out)
-		return out
+		sort.Strings(failed)
+		return failed
 	}
 	return fn, report
 }

@@ -66,7 +66,7 @@ func TestSOAPHandlerMismatchedXMLIsValidationFault(t *testing.T) {
 	_, _, soapSrv := newServerFixture(t)
 	for _, body := range []string{
 		"<Envelope><Body><InvokeRequest></Body></Envelope>", // mismatched tags
-		"<Envelope><Body>",                                  // truncated
+		"<Envelope><Body>", // truncated
 		"not xml at all",
 	} {
 		resp, err := http.Post(soapSrv.URL, "text/xml", strings.NewReader(body))

@@ -157,6 +157,10 @@ func (t Type) Field(name string) (Type, bool) {
 // String renders the type in the grammar accepted by Parse, for example
 // "string", "list<record{id:string,score:float}>".
 func (t Type) String() string {
+	switch t.Kind {
+	case String, Int, Float, Bool:
+		return t.Kind.String() // a constant: no builder, no allocation
+	}
 	var b strings.Builder
 	t.write(&b)
 	return b.String()
