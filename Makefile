@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write bench-e2e experiments
+.PHONY: ci fmt vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-e2e experiments
 
-ci: vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead bench-match bench-columnar bench-search bench-write
+ci: fmt vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead
+
+# Fails when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -44,23 +48,6 @@ race-lifecycle:
 	$(GO) test -race -count=2 ./internal/lifecycle/
 	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop' ./internal/serve/
 
-# Match-equality gate: the index-pruned substitute search must return
-# results byte-identical to the exhaustive search in both mapping modes,
-# exact-mode pruning must cover every mapping-infeasible candidate, and
-# the sharded indexed matrix must equal the sequential sweep. Gates
-# results, not timings — safe on any host.
-bench-match:
-	$(GO) run ./cmd/dexa-bench -match-only
-
-# Columnar-core gate: interned-ID alignment must be byte-identical to
-# the string-keyed oracle over every mappable pair, the incremental
-# matrix must equal a fresh full build across catalog mutations, and the
-# scratch hot paths must hold their allocation budget (keyed compare at
-# 0 allocs/op, warm indexed matrix under 2000). Gates results and alloc
-# counts, not timings — safe on any host.
-bench-columnar:
-	$(GO) run ./cmd/dexa-bench -columnar-only
-
 # Columnar concurrency: the shared symbol table hammered from parallel
 # store writers, interning racing lookups, and incremental matrix
 # rebuilds racing index mutations.
@@ -92,23 +79,6 @@ cluster-smoke:
 race-search:
 	$(GO) test -race -count=2 ./internal/search/
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
-
-# Search-index gate: ranked queries must be deterministic, an index
-# maintained incrementally through Update/Remove churn must answer a
-# three-family query battery identically to a fresh build, and walking
-# small pages must reassemble exactly the full ranked list. Gates
-# results, not timings — safe on any host.
-bench-search:
-	$(GO) run ./cmd/dexa-bench -search-only
-
-# Write-path gate: the same concurrent workload through the group
-# committer and the pre-batching per-put-fsync path must converge to
-# identical state, survive close/reopen byte-identically, and mirror
-# byte-identically over the batched compressed feed; group commit at 8
-# writers must clear 2x over per-put fsync (remeasures once to absorb
-# scheduler noise).
-bench-write:
-	$(GO) run ./cmd/dexa-bench -write-only
 
 # Telemetry-overhead gate: generation with a live metrics registry must
 # stay within 5% of the no-op recorder. Remeasures once on failure to

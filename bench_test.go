@@ -7,6 +7,7 @@
 package dexa
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -309,24 +310,22 @@ func BenchmarkAlignmentAlgorithms(b *testing.B) {
 
 // BenchmarkHomologySearch measures a full database scan with
 // Smith-Waterman, the hottest operation behind the analysis modules:
-// the sequential reference scan and the sharded top-k scan.
+// the top-k scan as one shard (GOMAXPROCS=1) and sharded across
+// GOMAXPROCS.
 func BenchmarkHomologySearch(b *testing.B) {
 	db := bio.NewDatabase(bio.DefaultSize)
 	query := bio.ProteinSequence(7)
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if hits := db.HomologySearchSequential(query, bio.AlgoSmithWaterman, 5); len(hits) != 5 {
-				b.Fatal("bad hits")
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
+	scan := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if hits := db.HomologySearch(query, bio.AlgoSmithWaterman, 5); len(hits) != 5 {
 				b.Fatal("bad hits")
 			}
 		}
+	}
+	b.Run("one-shard", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		scan(b)
 	})
+	b.Run("sharded", scan)
 }

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/store"
+	"dexa/internal/telemetry"
 	"dexa/internal/typesys"
 )
 
@@ -114,6 +117,52 @@ func TestFeedFollowerReplicates(t *testing.T) {
 	}
 	if f.Status().Applied != before {
 		t.Error("quiet round applied records")
+	}
+}
+
+// TestFeedFollowerMirrorsConcurrentWriters: a follower catching up on
+// the history of 8 concurrent writers over the batched feed, with
+// deflate negotiated, mirrors the leader exactly, and the feed really
+// compressed what it sent.
+func TestFeedFollowerMirrorsConcurrentWriters(t *testing.T) {
+	leader := openStore(t, "")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for k := 0; k < 8; k++ {
+					id := fmt.Sprintf("w%d-%d", w, k)
+					if _, _, err := leader.Put(id, feedSet(fmt.Sprintf("%s-r%d", id, r))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	met := NewMetrics(telemetry.NewRegistry())
+	srv := httptest.NewServer(NewFeed(leader, met))
+	defer srv.Close()
+	mirror := openStore(t, "")
+	f := &Follower{Leader: srv.URL, Store: mirror, Client: srv.Client(), Wait: 50 * time.Millisecond}
+	for round := 0; mirror.Seq() < leader.Seq(); round++ {
+		if round > 100 {
+			t.Fatalf("follower stuck at seq %d of %d", mirror.Seq(), leader.Seq())
+		}
+		if err := f.TailOnce(context.Background(), f.Client); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertMirrored(t, leader, mirror)
+	if c, u := met.WalCompressedBytes.Value(), met.WalUncompressedBytes.Value(); c == 0 || c >= u {
+		t.Errorf("deflate never engaged: %d compressed bytes for %d frame bytes", c, u)
 	}
 }
 

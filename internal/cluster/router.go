@@ -289,7 +289,9 @@ type SearchResult struct {
 // holding everything; failed shards degrade it to a partial one.
 func (rt *Router) Search(ctx context.Context, rawQuery string, anchors []string) (*SearchResult, error) {
 	resolved := map[string]string{}
-	out := &SearchResult{}
+	// Hits starts empty, not nil, so a query nothing matches encodes as
+	// "hits": [] exactly like a single node's answer.
+	out := &SearchResult{Hits: []search.Hit{}}
 	if len(anchors) > 0 {
 		byShard := map[string][]string{}
 		for _, id := range anchors {

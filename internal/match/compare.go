@@ -147,41 +147,6 @@ func (c *Comparer) Compare(target, candidate *module.Module) (Result, error) {
 	return CompareKeyedSets(target.ID, candidate.ID, tSet.Keyed(), cSet.Keyed(), mapping), nil
 }
 
-// CompareExampleSets aligns two raw example sets through the mapping
-// (map∆ of §6: pairs with identical input values) and contrasts outputs,
-// recomputing canonical keys on the fly. It is the oracle for
-// CompareKeyedSets, which every comparison path uses: the keyed
-// comparison must agree with it on every verdict, count and agreeing
-// key. Outside tests only dexa-bench's gate modes call it. Duplicate
-// candidate input keys keep the first occurrence, matching
-// Set.ByInputKey (generation never produces duplicates; the tie-break
-// only matters for hand-built sets).
-func CompareExampleSets(targetID, candidateID string, tSet, cSet dataexample.Set, mapping Mapping) Result {
-	res := Result{TargetID: targetID, CandidateID: candidateID, Mapping: mapping, AgreeingKeys: map[string]bool{}}
-	cIdx := make(map[string]dataexample.Example, len(cSet))
-	for _, e := range cSet {
-		k := e.InputKey()
-		if _, dup := cIdx[k]; !dup {
-			cIdx[k] = e
-		}
-	}
-	for _, te := range tSet {
-		translated := translateInputs(te.Inputs, mapping.Inputs)
-		key := (dataexample.Example{Inputs: translated}).InputKey()
-		ce, ok := cIdx[key]
-		if !ok {
-			continue
-		}
-		res.Compared++
-		if outputsAgree(te.Outputs, ce.Outputs, mapping.Outputs) {
-			res.Agreeing++
-			res.AgreeingKeys[te.InputKey()] = true
-		}
-	}
-	res.Verdict = verdictFor(res.Compared, res.Agreeing)
-	return res
-}
-
 // CompareScratch holds the per-comparison buffers CompareKeyedSetsScratch
 // reuses across calls, so a warm caller — a matrix sweep visiting tens of
 // thousands of cells — allocates nothing per comparison. A scratch must
@@ -190,13 +155,16 @@ type CompareScratch struct {
 	agreeing map[string]bool
 }
 
-// CompareKeyedSets is CompareExampleSets over key-interned sets: the
-// alignment probes the candidate's precomputed input-key index, and under
-// an identity mapping (parameter names coincide, the common case inside a
-// single catalog) the target's interned keys are reused outright instead
-// of re-canonicalising translated assignments. Equal interned output keys
-// prove agreement without touching the value maps; unequal keys fall back
-// to the per-parameter check, which also covers non-identity mappings.
+// CompareKeyedSets aligns two key-interned example sets through the
+// mapping (map∆ of §6: pairs with identical input values) and contrasts
+// their outputs. The alignment probes the candidate's precomputed
+// input-key index, and under an identity mapping (parameter names
+// coincide, the common case inside a single catalog) the target's
+// interned keys are reused outright instead of re-canonicalising
+// translated assignments. Equal interned output keys prove agreement
+// without touching the value maps; unequal keys fall back to the
+// per-parameter check, which also covers non-identity mappings.
+// Duplicate candidate input keys keep the first occurrence.
 func CompareKeyedSets(targetID, candidateID string, tSet, cSet *dataexample.KeyedSet, mapping Mapping) Result {
 	return CompareKeyedSetsScratch(nil, targetID, candidateID, tSet, cSet, mapping)
 }

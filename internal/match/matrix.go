@@ -14,16 +14,12 @@ import (
 	"dexa/internal/telemetry"
 )
 
-// SetSource yields the example set annotating one module for a matrix
-// build: a generation cache, the persistent store, or any map. Returning
-// false marks the module as unannotated; it is listed in Missing and
-// excluded from the pair sweep.
-type SetSource func(id string) (set dataexample.Set, ok bool)
-
 // KeyedSource yields the key-interned example set annotating one module.
 // Sources that key (and intern) once per store write — *store.Store via
 // GetKeyed — let every matrix build skip canonicalisation entirely; the
-// sweep then compares interned symbol IDs end to end.
+// sweep then compares interned symbol IDs end to end. Returning false
+// marks the module as unannotated; it is listed in Missing and excluded
+// from the pair sweep.
 type KeyedSource func(id string) (set *dataexample.KeyedSet, ok bool)
 
 // MatrixCell is one non-incomparable verdict of the all-pairs sweep.
@@ -142,23 +138,6 @@ type matrixScratch struct {
 // pruneFunc reports whether the index prunes the ordered direction
 // (target index, candidate index) before any mapping or alignment.
 type pruneFunc func(ti, ci int) bool
-
-// MatchMatrixFromSets materialises the all-pairs verdict map over the
-// given modules, reading each module's example set from sets (the store,
-// a generation cache, …) and keying it into a build-local symbol table.
-// Prefer MatchMatrixFromKeyedSets with pre-interned sets when the caller
-// keeps them — a serving layer, say — so repeated builds skip the
-// canonicalisation pass entirely.
-func (c *Comparer) MatchMatrixFromSets(ctx context.Context, mods []*module.Module, sets SetSource) (*MatchMatrix, error) {
-	tab := dataexample.NewSymbolTable()
-	return c.MatchMatrixFromKeyedSets(ctx, mods, func(id string) (*dataexample.KeyedSet, bool) {
-		set, ok := sets(id)
-		if !ok {
-			return nil, false
-		}
-		return set.KeyedInterned(tab), true
-	})
-}
 
 // MatchMatrixFromKeyedSets materialises the all-pairs verdict map over
 // pre-keyed example sets. The sweep is pure set alignment — no module is

@@ -58,13 +58,6 @@ func matrixWorld(t testing.TB) (*fixture, []*module.Module, map[string]dataexamp
 	return f, mods, sets
 }
 
-func setSource(sets map[string]dataexample.Set) SetSource {
-	return func(id string) (dataexample.Set, bool) {
-		s, ok := sets[id]
-		return s, ok
-	}
-}
-
 // naiveMatrix is the oracle: the plain ordered double loop with no
 // index, no mirroring and no concurrency.
 func naiveMatrix(f *fixture, mods []*module.Module, mode Mode, sets map[string]dataexample.Set) []MatrixCell {
@@ -113,7 +106,7 @@ func TestMatchMatrixAgainstNaive(t *testing.T) {
 			if indexed {
 				f.cmp.Index = NewCatalogIndex(f.ont, mods)
 			}
-			mm, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+			mm, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 			if err != nil {
 				t.Fatalf("%s/indexed=%v: %v", mode, indexed, err)
 			}
@@ -153,13 +146,13 @@ func TestMatchMatrixDeterministicAcrossWorkers(t *testing.T) {
 	f, mods, sets := matrixWorld(t)
 	f.cmp.Index = NewCatalogIndex(f.ont, mods)
 	f.cmp.Workers = 1
-	want, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+	want, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
 		f.cmp.Workers = workers
-		got, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+		got, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +168,7 @@ func TestMatchMatrixCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f.cmp.Workers = 1
-	if _, err := f.cmp.MatchMatrixFromSets(ctx, mods, setSource(sets)); err == nil {
+	if _, err := f.cmp.MatchMatrixFromKeyedSets(ctx, mods, keyedSource(sets)); err == nil {
 		t.Error("cancelled sweep should error")
 	}
 }
@@ -187,7 +180,7 @@ func TestMatchMatrixGolden(t *testing.T) {
 	f, mods, sets := matrixWorld(t)
 	f.cmp.Index = NewCatalogIndex(f.ont, mods)
 	f.cmp.Workers = 1
-	mm, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+	mm, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +223,7 @@ func TestMatchMatrixTiny(t *testing.T) {
 			}
 			sets[m.ID] = set
 		}
-		mm, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+		mm, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +237,8 @@ func TestMatchMatrixTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := f.cmp.MatchMatrixFromSets(context.Background(),
-		[]*module.Module{dup, dup}, setSource(map[string]dataexample.Set{"dup": set}))
+	mm, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(),
+		[]*module.Module{dup, dup}, keyedSource(map[string]dataexample.Set{"dup": set}))
 	if err != nil {
 		t.Fatal(err)
 	}

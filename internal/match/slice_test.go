@@ -9,8 +9,8 @@ import (
 	"dexa/internal/dataexample"
 )
 
-// keyedSource wraps a plain set map with a shared symbol table, the way
-// MatchMatrixFromSets does internally.
+// keyedSource serves a plain set map as a KeyedSource, interning every
+// set into one symbol table on first use.
 func keyedSource(sets map[string]dataexample.Set) KeyedSource {
 	tab := dataexample.NewSymbolTable()
 	keyed := map[string]*dataexample.KeyedSet{}
@@ -42,7 +42,7 @@ func TestMatrixSliceMergeEqualsOracle(t *testing.T) {
 				f.cmp.Index = NewCatalogIndex(f.ont, mods)
 			}
 			f.cmp.Workers = 1
-			oracle, err := f.cmp.MatchMatrixFromSets(context.Background(), mods, setSource(sets))
+			oracle, err := f.cmp.MatchMatrixFromKeyedSets(context.Background(), mods, keyedSource(sets))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -279,17 +279,20 @@ func queryHash(key string) uint64 {
 	return h.Sum64()
 }
 
-func encodeCursor(gen uint64, key string, last Hit) string {
-	raw := fmt.Sprintf("%s|%d|%x|%x|%s",
-		cursorVersion, gen, queryHash(key), math.Float64bits(last.Score), last.ID)
-	return base64.RawURLEncoding.EncodeToString([]byte(raw))
-}
-
+// cursor is the decoded resume position: the index generation and query
+// hash it binds to, and the (score, id) of the last hit served.
 type cursor struct {
 	gen   uint64
 	query uint64
 	score float64
 	id    string
+}
+
+// encodeCursor is the inverse of decodeCursor.
+func encodeCursor(c cursor) string {
+	raw := fmt.Sprintf("%s|%d|%x|%x|%s",
+		cursorVersion, c.gen, c.query, math.Float64bits(c.score), c.id)
+	return base64.RawURLEncoding.EncodeToString([]byte(raw))
 }
 
 func decodeCursor(s string) (cursor, error) {
@@ -352,7 +355,8 @@ func PaginateHits(hits []Hit, gen uint64, queryKey string, limit int, cur string
 	}
 	page.Hits = hits[start:end]
 	if end < len(hits) && len(page.Hits) > 0 {
-		page.NextCursor = encodeCursor(gen, queryKey, page.Hits[len(page.Hits)-1])
+		last := page.Hits[len(page.Hits)-1]
+		page.NextCursor = encodeCursor(cursor{gen: gen, query: queryHash(queryKey), score: last.Score, id: last.ID})
 	}
 	return page, nil
 }

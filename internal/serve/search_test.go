@@ -223,14 +223,15 @@ func withClusterSearch(t *testing.T, w *clusterWorld) {
 }
 
 // TestClusterSearchEqualsOracle: the scattered ranking — including
-// behaves: anchors resolved on their owner shard — equals the
-// single-node ranking hit for hit, from every serving shard.
+// behaves: anchors resolved on their owner shard, and a query nothing
+// matches — equals the single-node ranking hit for hit, from every
+// serving shard.
 func TestClusterSearchEqualsOracle(t *testing.T) {
 	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
 	w.seed(t)
 	withClusterSearch(t, w)
 
-	for _, q := range []string{"module", "concept:Seq", "behaves:alpha", "module+behaves:gamma"} {
+	for _, q := range []string{"module", "concept:Seq", "behaves:alpha", "module+behaves:gamma", "nosuchterm"} {
 		path := "/api/search?q=" + q
 		status, oracleRaw := fetch(t, w.oracle.ts.URL+path)
 		if status != http.StatusOK {

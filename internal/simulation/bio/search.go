@@ -29,41 +29,41 @@ func better(a, b Hit) bool {
 // services wrapping different algorithms return different results for the
 // same query — the Example-4 situation.
 //
-// The scan is sharded across GOMAXPROCS goroutines, each keeping only a
-// top-k heap and reusing its alignment DP rows across entries; the merged
-// result is byte-identical to HomologySearchSequential (see the golden
-// test). Databases are immutable after construction, so concurrent
-// searches are safe.
+// The scan is sharded across up to GOMAXPROCS goroutines, each keeping
+// only a top-k heap and reusing its alignment DP rows across entries; the
+// merged result is byte-identical to a full sort of every score (see the
+// golden test). Databases are immutable after construction, so
+// concurrent searches are safe.
 func (db *Database) HomologySearch(query, algo string, k int) []Hit {
 	if k <= 0 || !ValidAlgorithm(algo) {
 		return nil
 	}
 	n := len(db.entries)
-	shards := runtime.GOMAXPROCS(0)
-	if shards > (n+topkMinShardSize-1)/topkMinShardSize {
-		shards = (n + topkMinShardSize - 1) / topkMinShardSize
-	}
-	if shards <= 1 {
-		return db.HomologySearchSequential(query, algo, k)
-	}
+	shards := max(1, min(runtime.GOMAXPROCS(0), (n+topkMinShardSize-1)/topkMinShardSize))
 
 	perShard := make([][]Hit, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo, hi := n*w/shards, n*(w+1)/shards
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var al aligner
-			top := newTopK(k)
-			for _, e := range db.entries[lo:hi] {
-				s, _ := al.score(algo, query, e.Protein)
-				top.offer(Hit{Accession: e.Accession, Score: s})
-			}
-			perShard[w] = top.drain()
-		}(w, lo, hi)
+	scan := func(w int) {
+		var al aligner
+		top := newTopK(k)
+		for _, e := range db.entries[n*w/shards : n*(w+1)/shards] {
+			s, _ := al.score(algo, query, e.Protein)
+			top.offer(Hit{Accession: e.Accession, Score: s})
+		}
+		perShard[w] = top.drain()
 	}
-	wg.Wait()
+	if shards == 1 {
+		scan(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < shards; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				scan(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 
 	merged := make([]Hit, 0, shards*k)
 	for _, hs := range perShard {
@@ -74,29 +74,6 @@ func (db *Database) HomologySearch(query, algo string, k int) []Hit {
 		merged = merged[:k]
 	}
 	return merged
-}
-
-// HomologySearchSequential is the single-threaded reference scan. It is
-// retained both as the oracle for the determinism golden test and as the
-// baseline side of the benchmark-regression harness.
-func (db *Database) HomologySearchSequential(query, algo string, k int) []Hit {
-	if k <= 0 {
-		return nil
-	}
-	var al aligner
-	hits := make([]Hit, 0, len(db.entries))
-	for _, e := range db.entries {
-		s, ok := al.score(algo, query, e.Protein)
-		if !ok {
-			return nil
-		}
-		hits = append(hits, Hit{Accession: e.Accession, Score: s})
-	}
-	sort.Slice(hits, func(i, j int) bool { return better(hits[i], hits[j]) })
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
 }
 
 // topkMinShardSize keeps shards from degenerating into per-goroutine

@@ -3,14 +3,39 @@ package bio
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
 
+// homologySearchSequential is the oracle for HomologySearch: score every
+// entry on one goroutine, sort all hits, keep the top k.
+func homologySearchSequential(db *Database, query, algo string, k int) []Hit {
+	if k <= 0 {
+		return nil
+	}
+	var al aligner
+	hits := make([]Hit, 0, len(db.entries))
+	for _, e := range db.entries {
+		s, ok := al.score(algo, query, e.Protein)
+		if !ok {
+			return nil
+		}
+		hits = append(hits, Hit{Accession: e.Accession, Score: s})
+	}
+	sort.Slice(hits, func(i, j int) bool { return better(hits[i], hits[j]) })
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
+
 // TestHomologySearchMatchesSequential is the golden determinism test: the
-// sharded scan must return byte-identical hit lists to the sequential
+// top-k scan must return byte-identical hit lists to the sequential
 // reference for every algorithm, a spread of k (including k larger than
-// the database), and many queries.
+// the database), and many queries. It runs at the default GOMAXPROCS
+// (sharded on a multi-core host) and at GOMAXPROCS=1, where the whole
+// database is one shard.
 func TestHomologySearchMatchesSequential(t *testing.T) {
 	db := NewDatabase(DefaultSize)
 	queries := []string{}
@@ -19,14 +44,18 @@ func TestHomologySearchMatchesSequential(t *testing.T) {
 		queries = append(queries, e.Protein)
 	}
 	queries = append(queries, "MKT", "")
-	for _, algo := range Algorithms() {
-		for _, k := range []int{1, 3, 5, 17, DefaultSize, DefaultSize + 50} {
-			for qi, q := range queries {
-				want := db.HomologySearchSequential(q, algo, k)
-				got := db.HomologySearch(q, algo, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s k=%d query %d: sharded result differs from sequential\n got %v\nwant %v",
-						algo, k, qi, got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, algo := range Algorithms() {
+			for _, k := range []int{1, 3, 5, 17, DefaultSize, DefaultSize + 50} {
+				for qi, q := range queries {
+					want := homologySearchSequential(db, q, algo, k)
+					got := db.HomologySearch(q, algo, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("GOMAXPROCS=%d %s k=%d query %d: top-k result differs from sequential\n got %v\nwant %v",
+							procs, algo, k, qi, got, want)
+					}
 				}
 			}
 		}
@@ -44,7 +73,7 @@ func TestHomologySearchDegenerateInputs(t *testing.T) {
 	if db.HomologySearch("MKT", AlgoKmer, -4) != nil {
 		t.Error("negative k must yield nil")
 	}
-	tiny := NewDatabase(3) // below the min shard size: sequential path
+	tiny := NewDatabase(3) // below the min shard size: one shard
 	if hits := tiny.HomologySearch("MKT", AlgoKmer, 2); len(hits) != 2 {
 		t.Errorf("tiny database: %v", hits)
 	}
@@ -102,7 +131,7 @@ func BenchmarkHomologySearchSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hits := db.HomologySearchSequential(e.Protein, AlgoSmithWaterman, 5); len(hits) != 5 {
+		if hits := homologySearchSequential(db, e.Protein, AlgoSmithWaterman, 5); len(hits) != 5 {
 			b.Fatal("bad hit count")
 		}
 	}

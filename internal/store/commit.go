@@ -65,8 +65,7 @@ type commitReq struct {
 	done chan struct{}
 }
 
-// startCommitter launches the committer goroutine. Called from Open
-// unless Options.DisableGroupCommit selected the inline path.
+// startCommitter launches the committer goroutine. Called from Open.
 func (s *Store) startCommitter() {
 	s.commitCh = make(chan *commitReq, maxCommitRequests)
 	s.commitDone = make(chan struct{})
@@ -74,17 +73,9 @@ func (s *Store) startCommitter() {
 }
 
 // submit hands a prepared batch to the committer and parks until it
-// commits. With group commit disabled the batch commits inline on the
-// caller's goroutine — the pre-batching write path, one fsync per
-// mutation under SyncOnPut.
+// commits.
 func (s *Store) submit(ops []commitOp) error {
 	req := &commitReq{ops: ops, done: make(chan struct{})}
-	if s.commitCh == nil {
-		s.logMu.Lock()
-		s.commitLocked([]*commitReq{req})
-		s.logMu.Unlock()
-		return req.err
-	}
 	s.commitMu.RLock()
 	if s.commitClosed {
 		s.commitMu.RUnlock()
@@ -307,9 +298,8 @@ func (s *Store) commitLocked(batch []*commitReq) {
 	if s.opts.CompactEvery > 0 && s.appends >= s.opts.CompactEvery {
 		if err := s.snapshotLocked(); err != nil {
 			// The mutations themselves committed; surface the compaction
-			// failure on every op that took part (matching the inline
-			// path, which returned the hash and changed=true with the
-			// error).
+			// failure on every op that took part, alongside its hash and
+			// changed=true.
 			for _, req := range batch {
 				for i := range req.ops {
 					if req.ops[i].res.Err == nil {

@@ -122,32 +122,103 @@ func TestPutBatchPersistsAndRecovers(t *testing.T) {
 	assertMirrors(t, s, re)
 }
 
-// TestGroupCommitMatchesInlinePath drives the same deterministic
-// write sequence through the committer and through the pre-batching
-// inline path; the surviving state must be identical.
-func TestGroupCommitMatchesInlinePath(t *testing.T) {
-	run := func(opts Options) *Store {
-		s, err := Open(t.TempDir(), opts)
+// TestGroupCommitMatchesSequentialPuts runs the same SyncOnPut puts and
+// deletes from 8 concurrent writers and from one goroutine. Each writer
+// owns its IDs, so the final state does not depend on interleaving: both
+// stores must hold the same IDs, hashes, versions and sequence, and the
+// concurrent one must recover exactly that state after close and reopen.
+func TestGroupCommitMatchesSequentialPuts(t *testing.T) {
+	const writers, ids, rounds = 8, 8, 5
+	write := func(s *Store, w int) error {
+		for r := 0; r < rounds; r++ {
+			for k := 0; k < ids; k++ {
+				id := fmt.Sprintf("w%d-%d", w, k)
+				if _, _, err := s.Put(id, replSet(fmt.Sprintf("%s-r%d", id, r))); err != nil {
+					return err
+				}
+			}
+			if err := s.Delete(fmt.Sprintf("w%d-%d", w, r)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	open := func(dir string) *Store {
+		s, err := Open(dir, Options{SyncOnPut: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 8; i++ {
-				id := fmt.Sprintf("mod-%d", i)
-				if _, _, err := s.Put(id, replSet(fmt.Sprintf("%s-r%d", id, round))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Delete(fmt.Sprintf("mod-%d", round)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		return s
 	}
-	grouped := run(Options{SyncOnPut: true})
-	inline := run(Options{SyncOnPut: true, DisableGroupCommit: true})
-	assertMirrors(t, inline, grouped)
+
+	sequential := open(t.TempDir())
+	for w := 0; w < writers; w++ {
+		if err := write(sequential, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	concurrent := open(dir)
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) { errs <- write(concurrent, w) }(w)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertMirrors(t, sequential, concurrent)
+
+	if err := concurrent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertMirrors(t, sequential, open(dir))
+}
+
+// TestGroupCommitAmortisesFsync: SyncOnPut puts that queue while the
+// committer is parked behind logMu commit in at most two fsyncs — one
+// for whatever the committer took off the queue before it parked, one
+// for everything queued behind it — instead of one fsync per put.
+func TestGroupCommitAmortisesFsync(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := Open(t.TempDir(), Options{SyncOnPut: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const puts = 8
+	reqs := make([]*commitReq, puts)
+	s.logMu.Lock()
+	for i := range reqs {
+		// The request Put would hand to submit, enqueued from here so
+		// that every put is known to be queued before logMu is released.
+		id := fmt.Sprintf("mod-%d", i)
+		set := replSet(id)
+		h, err := HashSet(set)
+		if err != nil {
+			s.logMu.Unlock()
+			t.Fatal(err)
+		}
+		op := commitOp{op: OpPut, id: id, hash: h, set: set, keyed: set.KeyedInterned(s.symtab), res: &PutResult{}}
+		reqs[i] = &commitReq{ops: []commitOp{op}, done: make(chan struct{})}
+		s.commitCh <- reqs[i]
+	}
+	s.logMu.Unlock()
+	for i, req := range reqs {
+		<-req.done
+		if res := req.ops[0].res; req.err != nil || res.Err != nil || !res.Changed {
+			t.Fatalf("put %d: request error %v, result %+v", i, req.err, res)
+		}
+	}
+	if got := s.Seq(); got != puts {
+		t.Fatalf("seq %d after %d puts", got, puts)
+	}
+	if syncs := reg.Counter("dexa_store_wal_syncs_total", "").Value(); syncs > 2 {
+		t.Errorf("%d queued SyncOnPut puts took %d fsyncs, want at most 2", puts, syncs)
+	}
 }
 
 // TestGroupCommitHammer races Put, PutBatch, Delete, Flush and

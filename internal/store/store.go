@@ -61,11 +61,6 @@ type Options struct {
 	// accepts losing unsynced tail records on a hard crash. Group commit
 	// amortises the fsync across every caller in the batch.
 	SyncOnPut bool
-	// DisableGroupCommit commits every mutation inline on the caller's
-	// goroutine instead of through the committer — the pre-batching
-	// write path, one fsync per record under SyncOnPut. Kept for
-	// benchmarking the baseline; production callers want the default.
-	DisableGroupCommit bool
 	// Metrics, when set, receives the store's operational metrics:
 	// dexa_store_wal_{appends,syncs}_total, dexa_store_wal_bytes,
 	// dexa_store_compactions_total, dexa_store_snapshot_bytes, and the
@@ -149,8 +144,7 @@ type Store struct {
 
 	// The group-commit queue (commit.go). commitMu guards the
 	// closed-flag/send pair so Close never closes the channel under a
-	// sender. commitCh is nil when Options.DisableGroupCommit selected
-	// the inline path.
+	// sender.
 	commitMu     sync.RWMutex
 	commitCh     chan *commitReq
 	commitDone   chan struct{}
@@ -179,9 +173,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.registerFuncMetrics(opts.Metrics)
 	if dir == "" {
 		s.repl.init(0)
-		if !opts.DisableGroupCommit {
-			s.startCommitter()
-		}
+		s.startCommitter()
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -246,9 +238,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// cursor predates this process's window resynchronise with a full
 	// state reset rather than a record-by-record delta.
 	s.repl.init(s.seq)
-	if !opts.DisableGroupCommit {
-		s.startCommitter()
-	}
+	s.startCommitter()
 	return s, nil
 }
 
@@ -601,7 +591,7 @@ func (s *Store) Close() error {
 	wasClosed := s.commitClosed
 	s.commitClosed = true
 	s.commitMu.Unlock()
-	if !wasClosed && s.commitCh != nil {
+	if !wasClosed {
 		close(s.commitCh)
 		<-s.commitDone
 	}
