@@ -81,16 +81,21 @@ race-search:
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
 
 # Telemetry-overhead gate: generation with a live metrics registry must
-# stay within 5% of the no-op recorder. Remeasures once on failure to
-# absorb scheduler noise; exits non-zero on a reproducible regression.
+# stay within 5% of the no-op recorder. TestTelemetryOverhead alternates
+# the two in one-generation rounds and gates on the median per-round
+# ratio, remeasuring once before it fails. go test ./... runs it too
+# (not under -short or -race); this target runs it on its own.
 bench-overhead:
-	$(GO) run ./cmd/dexa-bench -overhead-only
+	$(GO) test -run '^TestTelemetryOverhead$$' -count=1 -v .
 
-# Full measurement run: writes a BENCH_<date>.json snapshot. Compare
-# against a committed snapshot with:
-#   go run ./cmd/dexa-bench -baseline BENCH_<date>.json
+# Full measurement run: every benchmark ten times, summarised by
+# cmd/dexa-bench as each benchmark's median ns/op with its quartiles and
+# allocs/op, and each family's sibling ratios. The root package alone
+# takes about 8 minutes on a 2-core host, too close to go test's default
+# 10-minute timeout. A subset:
+#   go test -run '^$' -bench MatchMatrix -benchmem -count 10 ./internal/match | go run ./cmd/dexa-bench
 bench:
-	$(GO) run ./cmd/dexa-bench -o BENCH_$$(date +%Y-%m-%d).json
+	$(GO) test -run '^$$' -bench . -benchmem -count 10 -timeout 30m ./... | $(GO) run ./cmd/dexa-bench
 
 # End-to-end benchmark: the e2ebench harness's own tests, then ten runs
 # of one workload (seeds 1..10) reported as each end-to-end metric's

@@ -7,7 +7,6 @@
 package dexa
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -30,6 +29,15 @@ func benchSuite(b *testing.B) *experiment.Suite {
 	b.Helper()
 	suiteOnce.Do(func() { suite = experiment.NewSuite() })
 	return suite
+}
+
+// catalogModules lists every module of the universe's catalog.
+func catalogModules(u *simulation.Universe) []*module.Module {
+	mods := make([]*module.Module, len(u.Catalog.Entries))
+	for i, e := range u.Catalog.Entries {
+		mods[i] = e.Module
+	}
+	return mods
 }
 
 func runExperiment(b *testing.B, id string) {
@@ -95,10 +103,7 @@ func BenchmarkDedupDetection(b *testing.B) { runExperiment(b, "dedup") }
 // hit by repeated experiment runs).
 func BenchmarkGenerateExamplesPerCatalog(b *testing.B) {
 	s := benchSuite(b)
-	mods := make([]*module.Module, len(s.U.Catalog.Entries))
-	for i, e := range s.U.Catalog.Entries {
-		mods[i] = e.Module
-	}
+	mods := catalogModules(s.U)
 	b.Run("sequential", func(b *testing.B) {
 		gen := core.NewGenerator(s.U.Ont, s.U.Pool)
 		b.ReportAllocs()
@@ -170,8 +175,10 @@ func BenchmarkCompareModules(b *testing.B) {
 }
 
 // BenchmarkFindSubstitutes measures a full substitute search over the 252
-// available modules, sequentially (Workers=1) and with the default
-// GOMAXPROCS candidate fan-out.
+// available modules: sequentially (Workers=1), with the default
+// GOMAXPROCS candidate fan-out, and index-pruned at the sequential width,
+// so the indexed variant isolates the pruning win from the concurrency
+// win.
 func BenchmarkFindSubstitutes(b *testing.B) {
 	s := benchSuite(b)
 	e, _ := s.U.Catalog.Get("getUniprotRecord")
@@ -181,10 +188,10 @@ func BenchmarkFindSubstitutes(b *testing.B) {
 	}
 	target := match.Unavailable{Signature: e.Module, Examples: set}
 	available := s.U.Registry.Available()
-	run := func(workers int) func(b *testing.B) {
+	run := func(workers int, ix *match.CatalogIndex) func(b *testing.B) {
 		return func(b *testing.B) {
 			cmp := match.NewComparer(s.U.Ont, nil)
-			cmp.Workers = workers
+			cmp.Workers, cmp.Index = workers, ix
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := cmp.FindSubstitutes(target, available); err != nil {
@@ -193,8 +200,11 @@ func BenchmarkFindSubstitutes(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", run(1))
-	b.Run("parallel", run(0))
+	b.Run("sequential", run(1, nil))
+	b.Run("parallel", run(0, nil))
+	// Built once: the index is amortized across searches exactly as the
+	// serving layer amortizes it across requests.
+	b.Run("indexed", run(1, match.NewCatalogIndex(s.U.Ont, catalogModules(s.U))))
 }
 
 // BenchmarkOntologyPartitions measures the §3.1 partitioning primitive on
@@ -306,26 +316,4 @@ func BenchmarkAlignmentAlgorithms(b *testing.B) {
 			bio.KmerSimilarity(x, y, 3)
 		}
 	})
-}
-
-// BenchmarkHomologySearch measures a full database scan with
-// Smith-Waterman, the hottest operation behind the analysis modules:
-// the top-k scan as one shard (GOMAXPROCS=1) and sharded across
-// GOMAXPROCS.
-func BenchmarkHomologySearch(b *testing.B) {
-	db := bio.NewDatabase(bio.DefaultSize)
-	query := bio.ProteinSequence(7)
-	scan := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if hits := db.HomologySearch(query, bio.AlgoSmithWaterman, 5); len(hits) != 5 {
-				b.Fatal("bad hits")
-			}
-		}
-	}
-	b.Run("one-shard", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		scan(b)
-	})
-	b.Run("sharded", scan)
 }

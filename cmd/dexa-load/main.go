@@ -1,6 +1,6 @@
 // Command dexa-load drives traffic against a dexa-serve instance or
-// cluster and reports latency percentiles per endpoint class, as JSON
-// consumable by the same tooling that reads dexa-bench snapshots.
+// cluster and reports latency percentiles per endpoint class, as one
+// JSON document per run.
 //
 // Two loop disciplines:
 //

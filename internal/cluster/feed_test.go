@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,13 +231,48 @@ func TestFeedDrainReleasesWaiters(t *testing.T) {
 	}
 }
 
+// rawWire is a follower transport that turns the feed back into its
+// pre-batching wire shape: it drops the follower's Accept-Encoding, so
+// the feed answers plain frames, and adds limit=1, so every answer
+// carries one record. It counts round trips, and responses that arrived
+// encoded anyway, so a test can prove the raw mode really ran.
+type rawWire struct {
+	base    http.RoundTripper
+	trips   atomic.Int64
+	encoded atomic.Int64
+}
+
+func (w *rawWire) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Del("Accept-Encoding")
+	q := req.URL.Query()
+	q.Set("limit", "1")
+	req.URL.RawQuery = q.Encode()
+	resp, err := w.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	w.trips.Add(1)
+	if resp.Header.Get("Content-Encoding") != "" || resp.Uncompressed {
+		w.encoded.Add(1)
+	}
+	return resp, nil
+}
+
+// rawClient returns a client that tails through a rawWire over base.
+func rawClient(base *http.Client) (*http.Client, *rawWire) {
+	w := &rawWire{base: base.Transport}
+	return &http.Client{Transport: w, Timeout: base.Timeout}, w
+}
+
 // TestFollowerKilledMidTailResumes is the HTTP half of the torn-tail
 // drill: a follower dies mid-stream losing its WAL tail, reopens, and
 // must resume from its recovered sequence over the wire — the lost
 // records are re-fetched, nothing already held is re-applied, and no
-// gap is accepted. Runs in both wire modes: raw per-record frames and
-// the batched, compressed feed (where the five records land in one
-// ApplyReplicatedBatch and the torn tail cuts inside that batch).
+// gap is accepted. Runs in both wire modes: raw per-record frames
+// through rawWire and the batched, compressed feed (where the five
+// records land in one ApplyReplicatedBatch and the torn tail cuts
+// inside that batch).
 func TestFollowerKilledMidTailResumes(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -247,9 +283,9 @@ func TestFollowerKilledMidTailResumes(t *testing.T) {
 			fdir := t.TempDir()
 			followerStore := openStore(t, fdir)
 			f := feedFixture(t, leader, followerStore)
-			f.NoCompression = mode.raw
+			var wire *rawWire
 			if mode.raw {
-				f.Limit = 1 // one record per round: the pre-batching wire shape
+				f.Client, wire = rawClient(f.Client)
 			}
 
 			for _, id := range []string{"a", "b", "c", "d", "e"} {
@@ -263,6 +299,14 @@ func TestFollowerKilledMidTailResumes(t *testing.T) {
 				}
 			}
 			assertMirrored(t, leader, followerStore)
+			if wire != nil {
+				if n := wire.trips.Load(); n < 5 {
+					t.Fatalf("raw tail took %d round trips for 5 records, want one per record", n)
+				}
+				if n := wire.encoded.Load(); n != 0 {
+					t.Fatalf("%d raw-tail responses arrived encoded", n)
+				}
+			}
 
 			// Kill: close the store and tear its WAL mid-frame.
 			if err := followerStore.Close(); err != nil {
@@ -281,7 +325,7 @@ func TestFollowerKilledMidTailResumes(t *testing.T) {
 			if got := reopened.Seq(); got != 4 {
 				t.Fatalf("recovered follower seq %d, want 4", got)
 			}
-			resumed := &Follower{Leader: f.Leader, Store: reopened, Client: f.Client, Wait: f.Wait, NoCompression: f.NoCompression, Limit: f.Limit}
+			resumed := &Follower{Leader: f.Leader, Store: reopened, Client: f.Client, Wait: f.Wait}
 			if err := resumed.TailOnce(context.Background(), resumed.Client); err != nil {
 				t.Fatal(err)
 			}
@@ -485,4 +529,59 @@ func TestFollowerRunLoop(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Run did not stop on cancellation")
 	}
+}
+
+// BenchmarkReplication measures a fresh follower catching up on 512
+// leader records. raw is the pre-batching wire shape through rawWire, one
+// plain frame per round trip; batched is the shipping path, the feed's
+// default limit with negotiated deflate, so the catch-up is one
+// compressed response.
+func BenchmarkReplication(b *testing.B) {
+	leader, err := store.Open("", store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer leader.Close()
+	items := make([]store.PutItem, 512)
+	for i := range items {
+		id := fmt.Sprintf("repl-%d", i)
+		items[i] = store.PutItem{ID: id, Examples: feedSet(id)}
+	}
+	results, err := leader.PutBatch(items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+	srv := httptest.NewServer(NewFeed(leader, nil))
+	defer srv.Close()
+	raw, _ := rawClient(srv.Client())
+	run := func(client *http.Client) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mirror, err := store.Open("", store.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				f := &Follower{Leader: srv.URL, Store: mirror, Wait: 100 * time.Millisecond}
+				for mirror.Seq() < leader.Seq() {
+					if err := f.TailOnce(context.Background(), client); err != nil {
+						mirror.Close()
+						b.Fatal(err)
+					}
+				}
+				n := mirror.Len()
+				mirror.Close()
+				if n != leader.Len() {
+					b.Fatal("follower did not catch up")
+				}
+			}
+		}
+	}
+	b.Run("raw", run(raw))
+	b.Run("batched", run(srv.Client()))
 }

@@ -42,15 +42,9 @@ type Follower struct {
 	Client *http.Client
 	// Wait is the long-poll window per request (0 selects the feed's
 	// default by omitting the parameter).
-	Wait time.Duration
-	// Limit caps the records per feed answer (0 omits the parameter,
-	// selecting the feed's default).
-	Limit int
-	// NoCompression disables the Accept-Encoding negotiation and tails
-	// raw frames — the pre-batching wire format, kept for benchmarking.
-	NoCompression bool
-	Metrics       *Metrics
-	Logger        *slog.Logger
+	Wait    time.Duration
+	Metrics *Metrics
+	Logger  *slog.Logger
 
 	leaderSeq atomic.Uint64
 	applied   atomic.Uint64
@@ -200,18 +194,13 @@ func (f *Follower) fetch(ctx context.Context, client *http.Client, cursor uint64
 	if f.Wait > 0 {
 		u += "&wait=" + url.QueryEscape(f.Wait.String())
 	}
-	if f.Limit > 0 {
-		u += "&limit=" + strconv.Itoa(f.Limit)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	if !f.NoCompression {
-		// Setting the header ourselves also tells net/http not to do its
-		// own gzip negotiation; the body arrives exactly as negotiated.
-		req.Header.Set("Accept-Encoding", "deflate")
-	}
+	// Setting the header ourselves also tells net/http not to do its own
+	// gzip negotiation; the body arrives exactly as negotiated.
+	req.Header.Set("Accept-Encoding", "deflate")
 	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"dexa/internal/ontology"
 	"dexa/internal/registry"
 	"dexa/internal/resilient"
+	"dexa/internal/simulation"
 	"dexa/internal/store"
 	"dexa/internal/typesys"
 )
@@ -530,4 +531,74 @@ func TestScriptedRunsAreDeterministic(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("two identical scripted runs diverged:\n%s\n---\n%s", a, b)
 	}
+}
+
+// BenchmarkProbeSweep measures the manager re-probing every annotated
+// catalog module against its stored examples under the fake clock. cold
+// is what the service pays at boot: Track's phase spread plus each
+// module's resilient wrapper built on first probe. warm is the steady
+// state a running dexa-serve pays every interval: advance one period and
+// re-invoke each module on its stored example inputs.
+func BenchmarkProbeSweep(b *testing.B) {
+	u := simulation.NewUniverse()
+	st, err := store.Open("", store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	src := store.NewSource(st, u.Gen)
+	var ids []string
+	for _, e := range u.Catalog.Entries {
+		if _, _, err := src.Generate(e.Module); err == nil {
+			ids = append(ids, e.Module.ID)
+		}
+	}
+	clock := resilient.NewFakeClock()
+	manager := func(tb testing.TB) *Manager {
+		log, err := OpenLog("")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mgr, err := NewManager(Config{Interval: time.Minute, Jitter: -1, Policy: fastPolicy},
+			Deps{Registry: u.Registry, Examples: st, Log: log, Clock: clock})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mgr.Track(ids...)
+		return mgr
+	}
+	sweep := func(tb testing.TB, mgr *Manager) []ProbeResult {
+		clock.Advance(time.Minute)
+		res, err := mgr.RunDue(context.Background())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(res) != len(ids) {
+			tb.Fatalf("sweep probed %d of %d modules", len(res), len(ids))
+		}
+		return res
+	}
+	// A healthy catalog must stay healthy under probing, or the benchmark
+	// would time state transitions instead of sweeps (and a dead module's
+	// backoff would starve later sweeps).
+	for _, r := range sweep(b, manager(b)) {
+		if r.Outcome != ProbeHealthy {
+			b.Fatalf("preflight: %s is %s (%v)", r.Module, r.Outcome, r.Err)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sweep(b, manager(b))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		mgr := manager(b)
+		sweep(b, mgr) // build every wrapper before the timer
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep(b, mgr)
+		}
+	})
 }

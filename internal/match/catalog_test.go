@@ -34,8 +34,9 @@ var (
 )
 
 // fullCatalog builds the universe and annotates every module once per
-// test binary. The fixture is read-only; tests key their own copies.
-func fullCatalog(t *testing.T) *catalog {
+// test binary. The fixture is read-only; tests and benchmarks key their
+// own copies.
+func fullCatalog(t testing.TB) *catalog {
 	t.Helper()
 	catalogOnce.Do(func() {
 		u := simulation.NewUniverse()
@@ -221,6 +222,31 @@ func TestCatalogScratchAllocBudgets(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in race builds, whose instrumentation changes
+// allocation counts: budgets measured without it do not hold there.
+var raceEnabled bool
+
+// TestCatalogIndexedSubstitutesAllocBudget: an index-pruned substitute
+// search over the full catalog stays at its measured allocation count.
+func TestCatalogIndexedSubstitutesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c := fullCatalog(t)
+	const budget = 105
+	target := match.Unavailable{Signature: c.target, Examples: c.sets[catalogTarget]}
+	available := c.u.Registry.Available()
+	cmp := match.NewComparer(c.u.Ont, nil)
+	cmp.Workers, cmp.Index = 1, match.NewCatalogIndex(c.u.Ont, c.mods)
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := cmp.FindSubstitutes(target, available); err != nil {
+			t.Fatal(err)
+		}
+	}); n > budget {
+		t.Errorf("indexed substitute search allocates %.0f per search, want <= %d", n, budget)
+	}
+}
+
 // TestCatalogIncrementalMatrixEqualsFull walks the incremental matrix
 // through a fixed mutation script over the full catalog: a no-op
 // rebuild, a content-identical re-interned set, a changed annotation, a
@@ -271,4 +297,93 @@ func TestCatalogIncrementalMatrixEqualsFull(t *testing.T) {
 	step("index remove", c.mods)
 	ix.Update(c.target)
 	step("index update", c.mods)
+}
+
+// BenchmarkCompareSets measures one alignment of the target's set with
+// itself under the identity mapping, the densest case: every example
+// aligns and every output pair agrees. unkeyed keys both sets afresh for
+// every comparison; keyed probes sets interned once through a reused
+// scratch, the matrix sweep's per-cell path.
+func BenchmarkCompareSets(b *testing.B) {
+	c := fullCatalog(b)
+	set := c.sets[catalogTarget]
+	self, ok := match.MapParameters(c.u.Ont, c.target, c.target, match.ModeExact)
+	if !ok {
+		b.Fatal("no self-mapping")
+	}
+	b.Run("unkeyed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if r := match.CompareKeyedSets(catalogTarget, catalogTarget, set.Keyed(), set.Keyed(), self); r.Verdict != match.Equivalent {
+				b.Fatalf("self-comparison verdict %s", r.Verdict)
+			}
+		}
+	})
+	b.Run("keyed", func(b *testing.B) {
+		keyed := set.KeyedInterned(dataexample.NewSymbolTable())
+		var sc match.CompareScratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r := match.CompareKeyedSetsScratch(&sc, catalogTarget, catalogTarget, keyed, keyed, self); r.Verdict != match.Equivalent {
+				b.Fatalf("self-comparison verdict %s", r.Verdict)
+			}
+		}
+	})
+}
+
+// BenchmarkMatchMatrix measures the all-pairs matrix over the full
+// catalog. cold keys and interns every set and tries a mapping for every
+// ordered pair; warm is the serving steady state, with the signature
+// index and interned sets built once; incremental is the /matches
+// rebuild when nothing changed: diff, copy, reassemble.
+func BenchmarkMatchMatrix(b *testing.B) {
+	c := fullCatalog(b)
+	ctx := context.Background()
+	src := source(c.keyed(dataexample.NewSymbolTable()))
+	b.Run("cold", func(b *testing.B) {
+		cmp := match.NewComparer(c.u.Ont, nil)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab := dataexample.NewSymbolTable()
+			cold := func(id string) (*dataexample.KeyedSet, bool) {
+				s, ok := c.sets[id]
+				if !ok {
+					return nil, false
+				}
+				return s.KeyedInterned(tab), true
+			}
+			if _, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, cold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	warm := func() *match.Comparer {
+		cmp := match.NewComparer(c.u.Ont, nil)
+		cmp.Index = match.NewCatalogIndex(c.u.Ont, c.mods)
+		return cmp
+	}
+	b.Run("warm", func(b *testing.B) {
+		cmp := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("incremental", func(b *testing.B) {
+		inc := match.NewIncrementalMatrix(warm())
+		if _, err := inc.Matrix(ctx, c.mods, src); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := inc.Matrix(ctx, c.mods, src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,12 +2,44 @@ package search_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/search"
 	"dexa/internal/simulation"
 )
+
+var (
+	catalogOnce sync.Once
+	catalogU    *simulation.Universe
+	catalogSets map[string]dataexample.Set
+)
+
+// annotatedCatalog builds the 252-module universe and annotates every
+// module once per test binary. The fixture is read-only.
+func annotatedCatalog(tb testing.TB) (*simulation.Universe, map[string]dataexample.Set) {
+	tb.Helper()
+	catalogOnce.Do(func() {
+		catalogU = simulation.NewUniverse()
+		catalogSets = map[string]dataexample.Set{}
+		for _, e := range catalogU.Catalog.Entries {
+			if s, _, err := catalogU.Gen.Generate(e.Module); err == nil && len(s) > 0 {
+				catalogSets[e.Module.ID] = s
+			}
+		}
+	})
+	return catalogU, catalogSets
+}
+
+// buildIndex indexes every catalog module with its annotation.
+func buildIndex(u *simulation.Universe, sets map[string]dataexample.Set) *search.Index {
+	ix := search.New(u.Ont)
+	for _, e := range u.Catalog.Entries {
+		ix.Update(e.Module, sets[e.Module.ID], 0)
+	}
+	return ix
+}
 
 // TestCatalogQueryBattery runs six queries over the full 252-module
 // annotated catalog: one per posting family (keyword TF-IDF, concept
@@ -16,20 +48,8 @@ import (
 // from an index churned through Remove/Update, and reassemble its full
 // ranking from limit-2 pages.
 func TestCatalogQueryBattery(t *testing.T) {
-	u := simulation.NewUniverse()
-	sets := map[string]dataexample.Set{}
-	for _, e := range u.Catalog.Entries {
-		if s, _, err := u.Gen.Generate(e.Module); err == nil && len(s) > 0 {
-			sets[e.Module.ID] = s
-		}
-	}
-	build := func() *search.Index {
-		ix := search.New(u.Ont)
-		for _, e := range u.Catalog.Entries {
-			ix.Update(e.Module, sets[e.Module.ID], 0)
-		}
-		return ix
-	}
+	u, sets := annotatedCatalog(t)
+	build := func() *search.Index { return buildIndex(u, sets) }
 	var queries []search.Query
 	for _, raw := range []string{
 		"record",
@@ -104,4 +124,34 @@ func TestCatalogQueryBattery(t *testing.T) {
 			t.Errorf("page walk of %q reassembled %d hits, want the full %d-hit ranking", q.Raw, len(walked), len(full.Hits))
 		}
 	}
+}
+
+// BenchmarkSearchIndex measures the inverted index over the full
+// annotated catalog: cold-build is what dexa-serve pays at boot, and
+// warm-query is the steady state, one built index answering a ranked
+// three-family query.
+func BenchmarkSearchIndex(b *testing.B) {
+	u, sets := annotatedCatalog(b)
+	b.Run("cold-build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ix := buildIndex(u, sets); ix.Len() != len(u.Catalog.Entries) {
+				b.Fatal("short index")
+			}
+		}
+	})
+	b.Run("warm-query", func(b *testing.B) {
+		q, err := search.ParseQuery("alignment concept:ProteinSequence behaves:blastSearch")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix := buildIndex(u, sets)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if hits, _ := ix.Match(q); len(hits) == 0 {
+				b.Fatal("no hits")
+			}
+		}
+	})
 }

@@ -125,26 +125,28 @@ func TestAlignerBuffersMatchFreshAllocation(t *testing.T) {
 	}
 }
 
-func BenchmarkHomologySearchSequential(b *testing.B) {
+// BenchmarkHomologySearch measures a full Smith-Waterman database scan
+// for the top 5 hits, the hottest operation behind the analysis modules:
+// the sequential sort-everything oracle, the top-k scan as one shard
+// (GOMAXPROCS=1), and the scan sharded across GOMAXPROCS.
+func BenchmarkHomologySearch(b *testing.B) {
 	db := NewDatabase(DefaultSize)
 	e, _ := db.ByIndex(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if hits := homologySearchSequential(db, e.Protein, AlgoSmithWaterman, 5); len(hits) != 5 {
-			b.Fatal("bad hit count")
+	run := func(search func() []Hit) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if hits := search(); len(hits) != 5 {
+					b.Fatal("bad hit count")
+				}
+			}
 		}
 	}
-}
-
-func BenchmarkHomologySearchSharded(b *testing.B) {
-	db := NewDatabase(DefaultSize)
-	e, _ := db.ByIndex(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if hits := db.HomologySearch(e.Protein, AlgoSmithWaterman, 5); len(hits) != 5 {
-			b.Fatal("bad hit count")
-		}
-	}
+	scan := func() []Hit { return db.HomologySearch(e.Protein, AlgoSmithWaterman, 5) }
+	b.Run("oracle", run(func() []Hit { return homologySearchSequential(db, e.Protein, AlgoSmithWaterman, 5) }))
+	b.Run("one-shard", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run(scan)(b)
+	})
+	b.Run("sharded", run(scan))
 }

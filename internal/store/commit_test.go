@@ -477,3 +477,51 @@ func TestGoldenBatchWAL(t *testing.T) {
 	}
 	checkGolden(t, "walbatch.golden", data)
 }
+
+// BenchmarkStoreWrite measures the write path with every put a real WAL
+// append (distinct content, never a hash no-op): put-sync is one
+// SyncOnPut writer, whose every put parks alone and pays its own fsync;
+// group-commit is 8 SyncOnPut writers sharing the committer's batches;
+// put is one writer without SyncOnPut, the append cost alone.
+func BenchmarkStoreWrite(b *testing.B) {
+	run := func(writers int, syncOnPut bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{SyncOnPut: syncOnPut})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			work := make(chan int, writers)
+			errs := make(chan error, writers)
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var failed error
+					for i := range work { // keep draining after a failure so the sender never blocks
+						id := fmt.Sprintf("bench-w%d-%d", w, i%64)
+						if _, _, err := s.Put(id, replSet(fmt.Sprintf("%s-i%d", id, i))); err != nil && failed == nil {
+							failed = err
+							errs <- err
+						}
+					}
+				}(w)
+			}
+			for i := 0; i < b.N; i++ {
+				work <- i
+			}
+			close(work)
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("put-sync", run(1, true))
+	b.Run("group-commit", run(8, true))
+	b.Run("put", run(1, false))
+}

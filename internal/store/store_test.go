@@ -373,3 +373,51 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 		t.Errorf("Len = %d, want %d", s.Len(), modules)
 	}
 }
+
+// readFixture opens an in-memory store holding 64 annotated modules and
+// returns it with their IDs.
+func readFixture(tb testing.TB) (*Store, []string) {
+	tb.Helper()
+	s, err := Open("", Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("mod-%d", i)
+		if _, _, err := s.Put(ids[i], testSet(tb, ids[i], 4)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s, ids
+}
+
+// TestGetAllocatesNothing: a store read, the serving hot loop, returns
+// the shared set and hash without allocating.
+func TestGetAllocatesNothing(t *testing.T) {
+	s, ids := readFixture(t)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := s.Get(ids[i%len(ids)]); !ok {
+			t.Fatal("miss")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Get allocates %.0f per call, want 0", n)
+	}
+}
+
+// BenchmarkStoreRead measures Get, rotating over 64 stored modules.
+func BenchmarkStoreRead(b *testing.B) {
+	b.Run("get", func(b *testing.B) {
+		s, ids := readFixture(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := s.Get(ids[i%len(ids)]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+}
