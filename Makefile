@@ -36,8 +36,9 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Catalog-index concurrency: feasibility reads racing Update/Remove
-# rebuilds, plus the matrix's sharded sweep, with more iterations than
-# the catch-all race run gives them.
+# rebuilds, matrix builds racing index flips (one snapshot per build),
+# and the matrix's sharded sweep, with more iterations than the
+# catch-all race run gives them.
 race-match:
 	$(GO) test -race -count=2 -run 'TestCatalogIndex|TestMatchMatrix|TestFindSubstitutes' ./internal/match/
 
@@ -49,8 +50,8 @@ race-lifecycle:
 	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop' ./internal/serve/
 
 # Columnar concurrency: the shared symbol table hammered from parallel
-# store writers, interning racing lookups, and incremental matrix
-# rebuilds racing index mutations.
+# store writers, interning racing lookups, and the matrix mutation
+# replay against the dense oracle at several worker widths.
 race-columnar:
 	$(GO) test -race -count=2 -run 'TestSymbolTable|TestStoreParallelPut|TestIncrementalMatrix' ./internal/dataexample/ ./internal/store/ ./internal/match/
 

@@ -3,6 +3,7 @@ package match_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -190,7 +191,7 @@ func TestCatalogInternedAlignmentMatchesOracle(t *testing.T) {
 // TestCatalogScratchAllocBudgets pins the allocation budgets of the
 // scratch-driven hot paths: the keyed self-comparison allocates nothing,
 // and a warm indexed matrix build over the full catalog stays under
-// 2000 allocations.
+// 2000 allocations and 1 MiB, as does a matrix slice's allocation count.
 func TestCatalogScratchAllocBudgets(t *testing.T) {
 	c := fullCatalog(t)
 	keyed := c.keyed(dataexample.NewSymbolTable())
@@ -220,6 +221,30 @@ func TestCatalogScratchAllocBudgets(t *testing.T) {
 	}); n >= matrixBudget {
 		t.Errorf("warm indexed matrix allocates %.0f per build, want < %d", n, matrixBudget)
 	}
+
+	if raceEnabled {
+		t.Skip("allocation counts and sizes differ under the race detector")
+	}
+	const matrixBytes, runs = 1 << 20, 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= matrixBytes {
+		t.Errorf("warm indexed matrix allocates %d bytes per build, want < %d", per, matrixBytes)
+	}
+	firstHalf := func(id string) bool { return id < "m" }
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := cmp.MatchMatrixSlice(ctx, c.mods, src, firstHalf); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= matrixBudget {
+		t.Errorf("warm indexed matrix slice allocates %.0f per build, want < %d", n, matrixBudget)
+	}
 }
 
 // raceEnabled is set in race builds, whose instrumentation changes
@@ -247,11 +272,13 @@ func TestCatalogIndexedSubstitutesAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCatalogIncrementalMatrixEqualsFull walks the incremental matrix
-// through a fixed mutation script over the full catalog: a no-op
-// rebuild, a content-identical re-interned set, a changed annotation, a
-// shrunk universe, and an index Remove and Update of the target. After
-// every step it must equal a full build over the same inputs.
+// TestCatalogIncrementalMatrixEqualsFull walks the matrix build through
+// a fixed mutation script over the full catalog: a no-op rebuild, a
+// content-identical re-interned set, a changed annotation, a shrunk
+// universe, and an index Remove and Update of the target. After every
+// step the build, in both modes and at worker widths 0, 1 and 2, and the
+// IncrementalMatrix wrapper must equal the dense oracle over the same
+// inputs.
 func TestCatalogIncrementalMatrixEqualsFull(t *testing.T) {
 	c := fullCatalog(t)
 	tab := dataexample.NewSymbolTable()
@@ -264,16 +291,22 @@ func TestCatalogIncrementalMatrixEqualsFull(t *testing.T) {
 	inc := match.NewIncrementalMatrix(cmp)
 	step := func(name string, mods []*module.Module) {
 		t.Helper()
-		got, err := inc.Matrix(ctx, mods, src)
-		if err != nil {
-			t.Fatalf("incremental matrix (%s): %v", name, err)
-		}
-		want, err := cmp.MatchMatrixFromKeyedSets(ctx, mods, src)
-		if err != nil {
-			t.Fatalf("full matrix (%s): %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("incremental matrix diverged from the full build after %q", name)
+		for _, mode := range modes {
+			cmp.Mode = mode
+			want := match.DenseMatchMatrix(cmp, mods, src, nil)
+			for _, workers := range []int{0, 1, 2} {
+				cmp.Workers = workers
+				got, err := cmp.MatchMatrixFromKeyedSets(ctx, mods, src)
+				if err != nil {
+					t.Fatalf("matrix (%s, %s, workers %d): %v", name, mode, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("matrix diverged from the dense oracle after %q (%s, workers %d)", name, mode, workers)
+				}
+			}
+			if got, err := inc.Matrix(ctx, mods, src); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("IncrementalMatrix diverged from the dense oracle after %q (%s, err %v)", name, mode, err)
+			}
 		}
 	}
 	step("initial build", c.mods)
@@ -335,12 +368,14 @@ func BenchmarkCompareSets(b *testing.B) {
 // BenchmarkMatchMatrix measures the all-pairs matrix over the full
 // catalog. cold keys and interns every set and tries a mapping for every
 // ordered pair; warm is the serving steady state, with the signature
-// index and interned sets built once; incremental is the /matches
-// rebuild when nothing changed: diff, copy, reassemble.
+// index and interned sets built once; churn is warm with 5 annotations
+// re-pointed to alternate interned sets before every build, as a
+// /matches rebuild under steady writes sees them.
 func BenchmarkMatchMatrix(b *testing.B) {
 	c := fullCatalog(b)
 	ctx := context.Background()
-	src := source(c.keyed(dataexample.NewSymbolTable()))
+	tab := dataexample.NewSymbolTable()
+	src := source(c.keyed(tab))
 	b.Run("cold", func(b *testing.B) {
 		cmp := match.NewComparer(c.u.Ont, nil)
 		b.ReportAllocs()
@@ -373,15 +408,30 @@ func BenchmarkMatchMatrix(b *testing.B) {
 			}
 		}
 	})
-	b.Run("incremental", func(b *testing.B) {
-		inc := match.NewIncrementalMatrix(warm())
-		if _, err := inc.Matrix(ctx, c.mods, src); err != nil {
-			b.Fatal(err)
+	b.Run("churn", func(b *testing.B) {
+		keyed := c.keyed(tab)
+		// alt holds, per churned module, its full set and the set without
+		// its last example, both interned once.
+		var churned []string
+		var alt [][2]*dataexample.KeyedSet
+		for _, m := range c.mods {
+			if set := c.sets[m.ID]; len(set) > 1 && len(churned) < 5 {
+				churned = append(churned, m.ID)
+				alt = append(alt, [2]*dataexample.KeyedSet{keyed[m.ID], set[:len(set)-1].KeyedInterned(tab)})
+			}
 		}
+		if len(churned) < 5 {
+			b.Fatalf("only %d modules with more than one example", len(churned))
+		}
+		cmp := warm()
+		src := source(keyed)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := inc.Matrix(ctx, c.mods, src); err != nil {
+			for k, id := range churned {
+				keyed[id] = alt[k][(i+1)%2]
+			}
+			if _, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, src); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -86,10 +86,11 @@ func TestInternedComparisonMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCatalogIndexPairAgreesWithRow pins the contract PrunesPair is
-// built on: the single-pair query must return exactly the verdict the
-// row-bitset Feasibility query gives that candidate — for indexed and
-// unindexed targets and candidates alike, in both modes.
+// TestCatalogIndexPairAgreesWithRow pins the index's row queries to the
+// per-pair oracle: Feasibility must give every candidate exactly the
+// verdict pairPrunes gives it, and the all-rows snapshot a matrix build
+// reads must agree with Feasibility on every off-diagonal direction —
+// for indexed and unindexed targets and candidates alike, in both modes.
 func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed + 500))
@@ -102,18 +103,23 @@ func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 		ix := NewCatalogIndex(f.ont, mods)
 		outsider := randomModule(r, "outsider") // never indexed
 		all := append(append([]*module.Module{}, mods...), outsider)
+		w := (len(all) + 63) / 64
 		for _, mode := range []Mode{ModeExact, ModeRelaxed} {
-			for _, target := range all {
+			open := ix.openRows(all, mode)
+			for i, target := range all {
 				feas := ix.Feasibility(target, mode)
-				for _, cand := range all {
-					if cand.ID == target.ID {
+				for j, cand := range all {
+					if i == j {
 						continue
 					}
 					row := feas.Prunes(cand.ID)
-					pair := ix.PrunesPair(target, cand, mode)
-					if row != pair {
+					if pair := pairPrunes(ix, target, cand, mode); row != pair {
 						t.Errorf("seed %d/%s: %s -> %s row prune %v, pair prune %v",
 							seed, mode, target.ID, cand.ID, row, pair)
+					}
+					if snap := !hasBit(open[i*w:], j); snap != row {
+						t.Errorf("seed %d/%s: %s -> %s snapshot prune %v, row prune %v",
+							seed, mode, target.ID, cand.ID, snap, row)
 					}
 				}
 			}
@@ -124,9 +130,10 @@ func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 // TestIncrementalMatrixEqualsFull drives random mutation sequences —
 // annotation changes, content-identical re-interning, annotations
 // vanishing and returning, modules leaving and rejoining the universe,
-// index availability flips, explicit invalidation, and no-op steps —
-// and demands the incremental matrix stay byte-identical to a fresh
-// full build after every one.
+// index availability flips, and no-op steps — and after every one
+// demands that the shipping build, the IncrementalMatrix wrapper and a
+// sharded slice each equal the dense oracle, in both modes and at worker
+// widths 0, 1 and 2.
 func TestIncrementalMatrixEqualsFull(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed + 100))
@@ -150,25 +157,40 @@ func TestIncrementalMatrixEqualsFull(t *testing.T) {
 			return s, ok
 		}
 		cmp := NewComparer(f.ont, nil)
-		cmp.Mode = []Mode{ModeExact, ModeRelaxed}[r.Intn(2)]
-		cmp.Workers = r.Intn(3) // sequential, width 1, width 2
 		cmp.Index = NewCatalogIndex(f.ont, all)
+		indexed := make(map[string]bool, n)
+		for _, m := range all {
+			indexed[m.ID] = true
+		}
 		inc := NewIncrementalMatrix(cmp)
 		universe := append([]*module.Module{}, all...)
+		odd := func(id string) bool { return id[len(id)-1]%2 == 1 }
 		ctx := context.Background()
 		check := func(step string) {
 			t.Helper()
-			got, err := inc.Matrix(ctx, universe, src)
-			if err != nil {
-				t.Fatalf("seed %d %s: incremental: %v", seed, step, err)
-			}
-			want, err := cmp.MatchMatrixFromKeyedSets(ctx, universe, src)
-			if err != nil {
-				t.Fatalf("seed %d %s: full: %v", seed, step, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d after %s: incremental matrix diverged from the full build\n got %+v\nwant %+v",
-					seed, step, got, want)
+			for _, mode := range []Mode{ModeExact, ModeRelaxed} {
+				cmp.Mode = mode
+				want := DenseMatchMatrix(cmp, universe, src, nil)
+				wantSlice := DenseMatchMatrix(cmp, universe, src, odd)
+				for _, workers := range []int{0, 1, 2} {
+					cmp.Workers = workers
+					got, err := cmp.MatchMatrixFromKeyedSets(ctx, universe, src)
+					if err != nil {
+						t.Fatalf("seed %d %s: build: %v", seed, step, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d after %s (%s, workers %d): matrix diverged from the dense oracle\n got %+v\nwant %+v",
+							seed, step, mode, workers, got, want)
+					}
+					if got, err = inc.Matrix(ctx, universe, src); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d after %s (%s, workers %d): IncrementalMatrix diverged from the dense oracle (err %v)",
+							seed, step, mode, workers, err)
+					}
+					if got, err = cmp.MatchMatrixSlice(ctx, universe, src, odd); err != nil || !reflect.DeepEqual(got, wantSlice) {
+						t.Fatalf("seed %d after %s (%s, workers %d): slice diverged from the dense oracle (err %v)\n got %+v\nwant %+v",
+							seed, step, mode, workers, err, got, wantSlice)
+					}
+				}
 			}
 		}
 		check("initial build")
@@ -182,7 +204,7 @@ func TestIncrementalMatrixEqualsFull(t *testing.T) {
 				} else {
 					keyed[pick.ID] = raw[pick.ID].KeyedInterned(tab)
 				}
-			case 1: // fresh pointer, identical content: recompute, same cells
+			case 1: // fresh pointer, identical content: same cells
 				if keyed[pick.ID] != nil {
 					keyed[pick.ID] = keyed[pick.ID].Examples().KeyedInterned(tab)
 				}
@@ -206,18 +228,15 @@ func TestIncrementalMatrixEqualsFull(t *testing.T) {
 					universe = append(universe, pick)
 				}
 			case 4: // index availability flip
-				if cmp.Index.Contains(pick.ID) {
+				if indexed[pick.ID] {
 					cmp.Index.Remove(pick.ID)
 				} else {
 					cmp.Index.Update(pick)
 				}
-			case 5:
-				inc.Invalidate(pick.ID)
-			case 6: // nothing changed: the cached grid serves as-is
+				indexed[pick.ID] = !indexed[pick.ID]
+			case 5, 6: // nothing changed
 			}
 			check(fmt.Sprintf("step %d (op %d on %s)", step, op, pick.ID))
 		}
-		inc.InvalidateAll()
-		check("invalidate-all rebuild")
 	}
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -241,19 +242,6 @@ func (ix *CatalogIndex) Instrument(r *telemetry.Registry) {
 	ix.mu.Unlock()
 }
 
-// Contains reports whether the module is currently indexed. The
-// incremental matrix folds per-module membership into its change
-// detection: membership decides whether a candidate can be pruned at
-// all, so a module entering or leaving the index (lifecycle availability
-// flips) invalidates its row and column even when its signature and
-// stored examples are untouched.
-func (ix *CatalogIndex) Contains(id string) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.sigs[id]
-	return ok
-}
-
 // Feasibility is the result of one pruning query: which indexed modules
 // could possibly admit a parameter mapping from the target, as a packed
 // bitset over the index's dense numbering. It is an immutable snapshot —
@@ -285,39 +273,20 @@ func (f *Feasibility) Prunes(id string) bool {
 }
 
 // Feasibility computes the mapping-feasible candidate set for the target
-// signature under the given mode. The query is allocation-light by
-// design — it is the per-row cost of every warm matrix sweep: it walks
-// the target's precomputed fingerprint classes (same-class parameters
-// give identical intersections, so per-class is per-parameter), probes
-// the postings through one reused key buffer, and allocates only the
-// result bitset, its scratch and that buffer. The returned snapshot
-// shares the index's (immutable) numbering.
+// signature under the given mode. The query walks the target's
+// precomputed fingerprint classes (same-class parameters give identical
+// intersections, so per-class is per-parameter), probes the postings
+// through one reused key buffer, and allocates only the result bitset,
+// its scratch and that buffer. The returned snapshot shares the index's
+// (immutable) numbering.
 func (ix *CatalogIndex) Feasibility(target *module.Module, mode Mode) *Feasibility {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	n := len(ix.ids)
-	live := make([]uint64, ix.words)
-	for i := 0; i < n; i++ {
-		live[i/64] |= 1 << (i % 64)
-	}
-	q := feasQuery{ix: ix, mode: mode, live: live, scratch: make([]uint64, ix.words)}
-
+	q := ix.newQueryLocked(mode)
 	tSig := ix.targetSigLocked(target)
-	alive := true
-	for _, tc := range tSig.inClasses {
-		if !alive {
-			break
-		}
-		alive = q.intersect(ix.inPostings, tc.strct, tc.concept, false)
-	}
-	for _, tc := range tSig.outClasses {
-		if !alive {
-			break
-		}
-		alive = q.intersect(ix.outPostings, tc.strct, tc.concept, true)
-	}
-
+	q.candidates(tSig)
+	live := q.live
 	out := &Feasibility{rank: ix.rank, bits: live, self: -1}
 	if i, ok := ix.rank[target.ID]; ok {
 		out.self = i
@@ -327,7 +296,7 @@ func (ix *CatalogIndex) Feasibility(target *module.Module, mode Mode) *Feasibili
 			continue // never its own substitute; callers skip it anyway
 		}
 		out.Candidates++
-		ok := live[i/64]&(1<<(i%64)) != 0
+		ok := hasBit(live, i)
 		if ok {
 			ok = countFeasible(tSig, ix.sigs[id], mode)
 		}
@@ -339,7 +308,62 @@ func (ix *CatalogIndex) Feasibility(target *module.Module, mode Mode) *Feasibili
 	return out
 }
 
-// feasQuery is the scratch state of one Feasibility row: the live bitset
+// openRows is the all-rows form of Feasibility that a matrix build
+// reads: under one read lock and one query scratch it answers, for every
+// ordered pair of the given modules, whether the index leaves that
+// direction open. Row i is words [i*w, (i+1)*w) with w =
+// (len(mods)+63)/64, and for j != i bit j is set exactly when
+// !Feasibility(mods[i]).Prunes(mods[j].ID): candidates the index does
+// not hold are always open. The diagonal is unspecified. Because every
+// row comes from one snapshot, a concurrent Update or Remove lands
+// wholly before or wholly after a build. A nil index leaves every
+// direction open.
+func (ix *CatalogIndex) openRows(mods []*module.Module, mode Mode) []uint64 {
+	n := len(mods)
+	w := (n + 63) / 64
+	rows := make([]uint64, n*w)
+	if ix == nil {
+		for i := 0; i < n; i++ {
+			fillBits(rows[i*w:(i+1)*w], n)
+		}
+		return rows
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+
+	// at maps each index rank to its input position (-1 when not an
+	// input); cands holds each held input's indexed signature; unheld
+	// marks the inputs the index does not hold, open to every target.
+	at := make([]int, len(ix.ids))
+	for r := range at {
+		at[r] = -1
+	}
+	cands := make([]*moduleSig, n)
+	unheld := make([]uint64, w)
+	for j, m := range mods {
+		if r, ok := ix.rank[m.ID]; ok {
+			at[r] = j
+			cands[j] = ix.sigs[m.ID]
+		} else {
+			setBit(unheld, j)
+		}
+	}
+	q := ix.newQueryLocked(mode)
+	for i, m := range mods {
+		row := rows[i*w : (i+1)*w]
+		copy(row, unheld)
+		tSig := ix.targetSigLocked(m)
+		q.candidates(tSig)
+		forBits(q.live, 0, func(r int) {
+			if j := at[r]; j >= 0 && j != i && countFeasible(tSig, cands[j], mode) {
+				setBit(row, j)
+			}
+		})
+	}
+	return rows
+}
+
+// feasQuery is the scratch state of Feasibility rows: the live bitset
 // being intersected, the per-parameter scratch, and the reused posting
 // key buffer (probed via the allocation-free map[string(buf)] form).
 type feasQuery struct {
@@ -348,6 +372,28 @@ type feasQuery struct {
 	live    []uint64
 	scratch []uint64
 	keyBuf  []byte
+}
+
+func (ix *CatalogIndex) newQueryLocked(mode Mode) feasQuery {
+	return feasQuery{ix: ix, mode: mode, live: make([]uint64, ix.words), scratch: make([]uint64, ix.words)}
+}
+
+// candidates resets live to every indexed module, then intersects into
+// it the postings compatible with each of the target's fingerprint
+// classes. The survivors still owe the counting conditions
+// (countFeasible).
+func (q *feasQuery) candidates(t *moduleSig) {
+	fillBits(q.live, len(q.ix.ids))
+	for _, tc := range t.inClasses {
+		if !q.intersect(q.ix.inPostings, tc.strct, tc.concept, false) {
+			return
+		}
+	}
+	for _, tc := range t.outClasses {
+		if !q.intersect(q.ix.outPostings, tc.strct, tc.concept, true) {
+			return
+		}
+	}
 }
 
 // intersect ANDs into live the union of postings compatible with one
@@ -403,72 +449,6 @@ func (ix *CatalogIndex) targetSigLocked(target *module.Module) *moduleSig {
 	return signatureOf(target)
 }
 
-// PrunesPair is the single-pair form of a Feasibility query: it decides,
-// from signatures alone, whether the index prunes the ordered direction
-// target → candidate, returning exactly the verdict the posting
-// intersection gives that candidate (each candidate's live bit depends
-// only on its own signature, so the per-pair check and the row query
-// agree by construction; TestCatalogIndexPairAgreesWithRow pins this).
-// Unindexed candidates are never pruned, mirroring Prunes.
-func (ix *CatalogIndex) PrunesPair(target, candidate *module.Module, mode Mode) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	cSig, ok := ix.sigs[candidate.ID]
-	if !ok || candidate.ID == target.ID {
-		return false
-	}
-	tSig := ix.targetSigLocked(target)
-	return !ix.pairFeasibleLocked(tSig, cSig, mode)
-}
-
-// pairFeasibleLocked replicates, for one candidate, the conjunction the
-// row query computes: per-target-parameter existence of a compatible
-// candidate parameter (the posting intersection, here per fingerprint
-// class since same-class parameters share struct and concept) and the
-// counting conditions.
-func (ix *CatalogIndex) pairFeasibleLocked(t, c *moduleSig, mode Mode) bool {
-	for _, tc := range t.inClasses {
-		if !ix.sideHasCompatible(c.inClasses, tc.strct, tc.concept, mode, false) {
-			return false
-		}
-	}
-	for _, tc := range t.outClasses {
-		if !ix.sideHasCompatible(c.outClasses, tc.strct, tc.concept, mode, true) {
-			return false
-		}
-	}
-	return countFeasible(t, c, mode)
-}
-
-// sideHasCompatible reports whether one side of a candidate signature
-// carries at least one parameter a target parameter (strct, sem) can map
-// onto — the per-candidate membership test the postings answer in bulk.
-func (ix *CatalogIndex) sideHasCompatible(classes map[string]paramClass, strct, sem string, mode Mode, output bool) bool {
-	if mode == ModeExact {
-		_, ok := classes[fingerprint(strct, sem)]
-		return ok
-	}
-	if !ix.ont.Has(sem) {
-		return false // Subsumes never holds for unknown concepts
-	}
-	if _, ok := classes[fingerprint(strct, sem)]; ok {
-		return true
-	}
-	for _, a := range ix.ont.AncestorsView(sem) {
-		if _, ok := classes[fingerprint(strct, a)]; ok {
-			return true
-		}
-	}
-	if output {
-		for _, d := range ix.ont.DescendantsView(sem) {
-			if _, ok := classes[fingerprint(strct, d)]; ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // countFeasible applies the counting conditions of the bijection on top
 // of the per-parameter existence already established by the posting
 // intersection. All conditions are necessary in both modes; in ModeExact
@@ -522,13 +502,48 @@ func countFeasible(t, c *moduleSig, mode Mode) bool {
 	return true
 }
 
-// sigSnapshot returns the index's current signature snapshot for a
-// module (nil when unindexed). Update installs a fresh snapshot pointer
-// and Remove drops it, so the incremental matrix uses pointer identity
-// as an exact per-module "did the index's view of this module change"
-// probe — cheaper and more precise than the global Generation counter.
-func (ix *CatalogIndex) sigSnapshot(id string) *moduleSig {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.sigs[id]
+// Packed bitsets: bit i of b lives in word i>>6.
+
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+func setBit(b []uint64, i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// fillBits sets bits [0, n) of b and clears the rest.
+func fillBits(b []uint64, n int) {
+	for k := range b {
+		switch rest := n - k<<6; {
+		case rest >= 64:
+			b[k] = ^uint64(0)
+		case rest > 0:
+			b[k] = 1<<uint(rest) - 1
+		default:
+			b[k] = 0
+		}
+	}
+}
+
+// forBits calls fn with every set bit of b at or above from, ascending.
+func forBits(b []uint64, from int, fn func(i int)) {
+	for k := from >> 6; k < len(b); k++ {
+		word := b[k]
+		if k == from>>6 {
+			word &= ^uint64(0) << (uint(from) & 63)
+		}
+		for ; word != 0; word &= word - 1 {
+			fn(k<<6 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// countBits counts the set bits of b at or above from.
+func countBits(b []uint64, from int) int {
+	n := 0
+	for k := from >> 6; k < len(b); k++ {
+		word := b[k]
+		if k == from>>6 {
+			word &= ^uint64(0) << (uint(from) & 63)
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
 }

@@ -174,3 +174,54 @@ func TestCatalogIndexConcurrentReadsDuringInvalidation(t *testing.T) {
 	defer func() { <-done }()
 	defer close(stop)
 }
+
+// pairPrunes is the per-pair oracle for the index's row queries: it
+// decides from the two signatures alone whether the index prunes the
+// ordered direction target → candidate. For each target fingerprint class
+// it looks for a compatible parameter on the candidate's matching side,
+// the membership test the postings answer in bulk, and then applies the
+// counting conditions. Candidates the index does not hold, and the target
+// itself, are never pruned.
+func pairPrunes(ix *CatalogIndex, target, candidate *module.Module, mode Mode) bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	c, ok := ix.sigs[candidate.ID]
+	if !ok || candidate.ID == target.ID {
+		return false
+	}
+	t := ix.targetSigLocked(target)
+	for _, tc := range t.inClasses {
+		if !sideHasCompatible(ix, c.inClasses, tc.strct, tc.concept, mode, false) {
+			return true
+		}
+	}
+	for _, tc := range t.outClasses {
+		if !sideHasCompatible(ix, c.outClasses, tc.strct, tc.concept, mode, true) {
+			return true
+		}
+	}
+	return !countFeasible(t, c, mode)
+}
+
+// sideHasCompatible reports whether one side of a candidate signature
+// carries a parameter that the target parameter (strct, sem) can map
+// onto.
+func sideHasCompatible(ix *CatalogIndex, classes map[string]paramClass, strct, sem string, mode Mode, output bool) bool {
+	if mode == ModeExact {
+		_, ok := classes[fingerprint(strct, sem)]
+		return ok
+	}
+	if !ix.ont.Has(sem) {
+		return false // Subsumes never holds for unknown concepts
+	}
+	concepts := append([]string{sem}, ix.ont.AncestorsView(sem)...)
+	if output { // outputs accept subsumption in either direction
+		concepts = append(concepts, ix.ont.DescendantsView(sem)...)
+	}
+	for _, concept := range concepts {
+		if _, ok := classes[fingerprint(strct, concept)]; ok {
+			return true
+		}
+	}
+	return false
+}

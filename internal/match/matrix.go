@@ -61,18 +61,23 @@ type MatchMatrix struct {
 	Stats   MatrixStats  `json:"stats"`
 }
 
-// cell is one ordered-pair outcome in the dense n×n grid a build fills.
-// The provenance flags (pruned/aligned/mirrored) are kept per cell so the
-// stats can be re-assembled from any grid — full build or incremental
-// patch — without replaying the sweep.
+// cell is one ordered-pair outcome of the sweep. aligned marks a
+// direction whose example alignment ran, mirrored one copied from the
+// aligned reverse direction; the zero cell is an Incomparable verdict
+// reached without any alignment.
 type cell struct {
 	verdict  Verdict
 	score    float64
 	compared int
 	agreeing int
-	pruned   bool
 	mirrored bool
-	aligned  bool // an example alignment actually ran for this direction
+	aligned  bool
+}
+
+// pairCells is the outcome of one visited unordered pair (a, b) with
+// a < b: fwd is the ordered cell (a, b) and rev the cell (b, a).
+type pairCells struct {
+	fwd, rev cell
 }
 
 // matrixInputs is the resolved, sorted input of a matrix build: parallel
@@ -118,14 +123,6 @@ func (s byMatrixID) Swap(i, j int) {
 	s.in.keyed[i], s.in.keyed[j] = s.in.keyed[j], s.in.keyed[i]
 }
 
-func (in *matrixInputs) rank() map[string]int {
-	r := make(map[string]int, len(in.ids))
-	for i, id := range in.ids {
-		r[id] = i
-	}
-	return r
-}
-
 // matrixScratch is one worker's arena: comparison buffers and two live
 // mapping slots (exact-mode mirroring checks mappingsInverse(fwd, rev),
 // so both directions' derivations must be alive at once).
@@ -134,10 +131,6 @@ type matrixScratch struct {
 	fwd mappingSlot
 	rev mappingSlot
 }
-
-// pruneFunc reports whether the index prunes the ordered direction
-// (target index, candidate index) before any mapping or alignment.
-type pruneFunc func(ti, ci int) bool
 
 // MatchMatrixFromKeyedSets materialises the all-pairs verdict map over
 // pre-keyed example sets. The sweep is pure set alignment — no module is
@@ -154,12 +147,12 @@ type pruneFunc func(ti, ci int) bool
 // double loop. ModeRelaxed is inherently directional and always computes
 // both directions.
 //
-// When the Comparer carries a CatalogIndex, each target's feasibility
-// query prunes the infeasible candidate row before any alignment.
+// When the Comparer carries a CatalogIndex, only the pairs its
+// feasibility rows leave open in at least one direction are visited;
+// every other pair is pruned without a mapping attempt.
 func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.Module, source KeyedSource) (*MatchMatrix, error) {
 	_, span := telemetry.StartSpan(ctx, "match.matrix")
 	defer span.End()
-	met := newMatchMetrics(c.Metrics)
 
 	in := resolveMatrixInputs(mods, source)
 	n := len(in.ids)
@@ -173,145 +166,181 @@ func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.
 	if n < 2 {
 		return mm, ctx.Err()
 	}
-	grid, err := c.buildGrid(ctx, &in, nil, &met)
-	if err != nil {
+	if err := c.buildMatrix(ctx, span, mm, &in, nil); err != nil {
 		return nil, err
 	}
-	assembleMatrix(mm, &in, grid)
-	met.comparisons.Add(uint64(mm.Stats.Compared))
-	met.pruned.Add(uint64(mm.Stats.Pruned))
-	span.Annotate("modules", strconv.Itoa(n))
-	span.Annotate("pairs", strconv.Itoa(mm.Stats.Pairs))
-	span.Annotate("pruned", strconv.Itoa(mm.Stats.Pruned))
-	span.Annotate("compared", strconv.Itoa(mm.Stats.Compared))
-	span.Annotate("mirrored", strconv.Itoa(mm.Stats.Mirrored))
 	return mm, nil
 }
 
-// buildGrid runs the sweep: per-target feasibility rows, then every
-// unordered pair need admits (nil means all).
-func (c *Comparer) buildGrid(ctx context.Context, in *matrixInputs, need func(a, b int) bool, met *matchMetrics) ([]cell, error) {
+// buildMatrix is the one sweep behind MatchMatrixFromKeyedSets and
+// MatchMatrixSlice. It reads every row's open directions from one index
+// snapshot, computes only the unordered pairs a < b that are owned
+// (own[a]; nil owns every row) and open in at least one direction, and
+// emits their cells row by row in (target, candidate) order, so beyond
+// the feasibility queries a build costs O(n + feasible pairs). An owned
+// pair it never visits is pruned both ways, and an owned direction it
+// emits no cell for is Incomparable, so both counts follow from the
+// visited cells.
+func (c *Comparer) buildMatrix(ctx context.Context, span *telemetry.Span, mm *MatchMatrix, in *matrixInputs, own []bool) error {
+	met := newMatchMetrics(c.Metrics)
 	n := len(in.ids)
-	var feas []*Feasibility
-	if c.Index != nil {
-		feas = make([]*Feasibility, n)
-		for i := range in.ids {
-			feas[i] = c.Index.Feasibility(in.sigs[i], c.Mode)
-		}
+	w := (n + 63) / 64
+	open := c.Index.openRows(in.sigs, c.Mode)
+	isOpen := func(a, b int) bool { return hasBit(open[a*w:], b) }
+	// visit is open made symmetric and restricted to owned pairs: bit b
+	// of row a is set when the pair {a, b} is owned and open at least one
+	// way. start[a] is the index of row a's first pair a < b in pairs.
+	visit := make([]uint64, n*w)
+	for a := 0; a < n; a++ {
+		forBits(open[a*w:(a+1)*w], 0, func(b int) {
+			if a != b && (own == nil || own[min(a, b)]) {
+				setBit(visit[a*w:], b)
+				setBit(visit[b*w:], a)
+			}
+		})
 	}
-	prune := func(ti, ci int) bool {
-		if feas == nil {
-			return false
-		}
-		return feas[ti].Prunes(in.ids[ci])
+	start := make([]int, n+1)
+	for a := 0; a < n; a++ {
+		start[a+1] = start[a] + countBits(visit[a*w:(a+1)*w], a+1)
 	}
-	grid := make([]cell, n*n)
-	if err := c.sweepGrid(ctx, in, grid, prune, need, met); err != nil {
-		return nil, err
-	}
-	return grid, nil
-}
+	pairs := make([]pairCells, start[n])
 
-// sweepGrid computes every unordered pair a<b for which need(a, b) holds
-// (nil means all), writing both ordered cells of each pair directly into
-// the dense grid. Workers claim rows through an atomic counter and carry
-// their own scratch, so a warm sweep allocates nothing per cell.
-func (c *Comparer) sweepGrid(ctx context.Context, in *matrixInputs, grid []cell, prune pruneFunc, need func(a, b int) bool, met *matchMetrics) error {
-	n := len(in.ids)
+	// Workers claim rows through an atomic counter and carry their own
+	// scratch, so a warm sweep allocates nothing per pair; each writes
+	// only its own rows' span of pairs.
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n-1 {
-		workers = n - 1
-	}
-	if workers <= 1 {
-		var sc matrixScratch
-		for a := 0; a < n-1; a++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for b := a + 1; b < n; b++ {
-				if need != nil && !need(a, b) {
-					continue
-				}
-				c.computePair(in, grid, a, b, prune, &sc, met)
-			}
-		}
-		return nil
-	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc matrixScratch
-			for {
-				a := int(next.Add(1)) - 1
-				if a >= n-1 || ctx.Err() != nil {
-					return
-				}
-				for b := a + 1; b < n; b++ {
-					if need != nil && !need(a, b) {
-						continue
-					}
-					c.computePair(in, grid, a, b, prune, &sc, met)
-				}
+	sweep := func() {
+		var sc matrixScratch
+		for {
+			a := int(next.Add(1)) - 1
+			if a >= n-1 || ctx.Err() != nil {
+				return
 			}
-		}()
+			k := start[a]
+			forBits(visit[a*w:(a+1)*w], a+1, func(b int) {
+				pairs[k].fwd, pairs[k].rev = c.computePair(in, a, b, isOpen(a, b), isOpen(b, a), &sc, &met)
+				k++
+			})
+		}
 	}
-	wg.Wait()
-	return ctx.Err()
+	if workers = min(workers, n-1); workers <= 1 {
+		sweep()
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sweep()
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+
+	// Row t's cells with candidate c > t are the fwd cells of its own
+	// pairs, in order. Those with c < t are the rev cells of pairs (c, t),
+	// and pair (c, t) is always the next one of row c not yet emitted,
+	// because every row before t has already consumed its own.
+	kept := 0
+	for _, p := range pairs {
+		if p.fwd.verdict != Incomparable {
+			kept++
+		}
+		if p.rev.verdict != Incomparable {
+			kept++
+		}
+	}
+	mm.Cells = make([]MatrixCell, 0, kept)
+	st := &mm.Stats
+	st.Pruned = st.Pairs - 2*len(pairs)
+	nextRev := append([]int(nil), start[:n]...)
+	for t := 0; t < n; t++ {
+		k := start[t]
+		forBits(visit[t*w:(t+1)*w], 0, func(c int) {
+			var cl cell
+			if c < t {
+				cl = pairs[nextRev[c]].rev
+				nextRev[c]++
+			} else {
+				cl = pairs[k].fwd
+				k++
+			}
+			switch {
+			case !isOpen(t, c):
+				st.Pruned++
+			case cl.aligned:
+				st.Compared++
+			case cl.mirrored:
+				st.Mirrored++
+			}
+			switch cl.verdict {
+			case Incomparable:
+				return
+			case Equivalent:
+				st.Equivalent++
+			case Overlapping:
+				st.Overlapping++
+			case Disjoint:
+				st.Disjoint++
+			}
+			mm.Cells = append(mm.Cells, MatrixCell{
+				Target:    in.ids[t],
+				Candidate: in.ids[c],
+				Verdict:   cl.verdict.String(),
+				Score:     cl.score,
+				Compared:  cl.compared,
+				Agreeing:  cl.agreeing,
+			})
+		})
+	}
+	st.Incomparable = st.Pairs - st.Equivalent - st.Overlapping - st.Disjoint
+
+	met.comparisons.Add(uint64(st.Compared))
+	met.pruned.Add(uint64(st.Pruned))
+	span.Annotate("modules", strconv.Itoa(n))
+	span.Annotate("pairs", strconv.Itoa(st.Pairs))
+	span.Annotate("pruned", strconv.Itoa(st.Pruned))
+	span.Annotate("compared", strconv.Itoa(st.Compared))
+	span.Annotate("mirrored", strconv.Itoa(st.Mirrored))
+	return nil
 }
 
 // computePair settles both ordered directions of the unordered pair
-// (a, b), writing grid[a*n+b] and grid[b*n+a]. Workers own disjoint rows
-// a and each pair is computed exactly once, so the writes never race.
-func (c *Comparer) computePair(in *matrixInputs, grid []cell, a, b int, prune pruneFunc, sc *matrixScratch, met *matchMetrics) {
-	n := len(in.ids)
-	if c.Mode == ModeExact {
-		fwd, fok := c.pairMapping(in, a, b, prune, &sc.fwd)
-		rev, rok := c.pairMapping(in, b, a, prune, &sc.rev)
-		if fok && rok && mappingsInverse(fwd, rev) &&
-			in.keyed[a].UniqueInputs() && in.keyed[b].UniqueInputs() {
-			out := c.alignCell(in, a, b, fwd, sc, met)
-			grid[a*n+b] = out
-			out.aligned = false
-			out.mirrored = true
-			grid[b*n+a] = out
-			return
-		}
-		grid[a*n+b] = c.directionCell(in, a, b, fwd, fok, prune, sc, met)
-		grid[b*n+a] = c.directionCell(in, b, a, rev, rok, prune, sc, met)
-		return
+// (a, b): fwd is the cell (a, b) and rev the cell (b, a). A closed
+// direction is Incomparable without a mapping attempt.
+func (c *Comparer) computePair(in *matrixInputs, a, b int, openAB, openBA bool, sc *matrixScratch, met *matchMetrics) (fwd, rev cell) {
+	fm, fok := c.pairMapping(in, a, b, openAB, &sc.fwd)
+	rm, rok := c.pairMapping(in, b, a, openBA, &sc.rev)
+	if c.Mode == ModeExact && fok && rok && mappingsInverse(fm, rm) &&
+		in.keyed[a].UniqueInputs() && in.keyed[b].UniqueInputs() {
+		fwd = c.alignCell(in, a, b, fm, sc, met)
+		rev = fwd
+		rev.aligned, rev.mirrored = false, true
+		return fwd, rev
 	}
-	fwd, fok := c.pairMapping(in, a, b, prune, &sc.fwd)
-	rev, rok := c.pairMapping(in, b, a, prune, &sc.rev)
-	grid[a*n+b] = c.directionCell(in, a, b, fwd, fok, prune, sc, met)
-	grid[b*n+a] = c.directionCell(in, b, a, rev, rok, prune, sc, met)
+	if fok {
+		fwd = c.alignCell(in, a, b, fm, sc, met)
+	}
+	if rok {
+		rev = c.alignCell(in, b, a, rm, sc, met)
+	}
+	return fwd, rev
 }
 
 // pairMapping resolves the mapping for the ordered direction (ti, ci)
-// into the given slot, unless the index already pruned it.
-func (c *Comparer) pairMapping(in *matrixInputs, ti, ci int, prune pruneFunc, sl *mappingSlot) (Mapping, bool) {
-	if prune(ti, ci) {
+// into the given slot, unless the index closed that direction.
+func (c *Comparer) pairMapping(in *matrixInputs, ti, ci int, open bool, sl *mappingSlot) (Mapping, bool) {
+	if !open {
 		return Mapping{}, false
 	}
 	return mapParametersInto(sl, c.Ont, in.sigs[ti], in.sigs[ci], c.Mode)
-}
-
-// directionCell turns a resolved (or failed) mapping into one ordered
-// cell. The pruned flag is re-derived rather than threaded through so a
-// failed mapping and a pruned direction stay distinguishable in stats.
-func (c *Comparer) directionCell(in *matrixInputs, ti, ci int, mapping Mapping, ok bool, prune pruneFunc, sc *matrixScratch, met *matchMetrics) cell {
-	if prune(ti, ci) {
-		return cell{verdict: Incomparable, pruned: true}
-	}
-	if !ok {
-		return cell{verdict: Incomparable}
-	}
-	return c.alignCell(in, ti, ci, mapping, sc, met)
 }
 
 // alignCell runs the example alignment for one ordered direction.
@@ -320,54 +349,6 @@ func (c *Comparer) alignCell(in *matrixInputs, ti, ci int, mapping Mapping, sc *
 	res := CompareKeyedSetsScratch(&sc.cmp, in.ids[ti], in.ids[ci], in.keyed[ti], in.keyed[ci], mapping)
 	met.matrixCells.Observe(time.Since(start).Seconds())
 	return cell{verdict: res.Verdict, score: res.Score(), compared: res.Compared, agreeing: res.Agreeing, aligned: true}
-}
-
-// assembleMatrix emits the grid row-major by (target, candidate) and
-// derives the stats from the per-cell provenance flags.
-func assembleMatrix(mm *MatchMatrix, in *matrixInputs, grid []cell) {
-	n := len(in.ids)
-	count := 0
-	for i := range grid {
-		if i/n != i%n && grid[i].verdict != Incomparable {
-			count++
-		}
-	}
-	mm.Cells = make([]MatrixCell, 0, count)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			cr := grid[a*n+b]
-			switch {
-			case cr.pruned:
-				mm.Stats.Pruned++
-			case cr.aligned:
-				mm.Stats.Compared++
-			case cr.mirrored:
-				mm.Stats.Mirrored++
-			}
-			switch cr.verdict {
-			case Incomparable:
-				mm.Stats.Incomparable++
-				continue
-			case Equivalent:
-				mm.Stats.Equivalent++
-			case Overlapping:
-				mm.Stats.Overlapping++
-			case Disjoint:
-				mm.Stats.Disjoint++
-			}
-			mm.Cells = append(mm.Cells, MatrixCell{
-				Target:    in.ids[a],
-				Candidate: in.ids[b],
-				Verdict:   cr.verdict.String(),
-				Score:     cr.score,
-				Compared:  cr.compared,
-				Agreeing:  cr.agreeing,
-			})
-		}
-	}
 }
 
 // mappingsInverse reports whether b is exactly the inverse of a on both

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,5 +246,67 @@ func TestMatchMatrixTiny(t *testing.T) {
 	}
 	if mm.Stats.Modules != 1 {
 		t.Errorf("dup modules = %d", mm.Stats.Modules)
+	}
+}
+
+// TestMatchMatrixOneIndexSnapshot races matrix builds against the index
+// Remove/Update flips that availability changes fire. Every build must
+// equal the dense oracle at either the pre-flip or the post-flip index
+// state: the build reads all its feasibility rows from one snapshot, so
+// a flip can never land between two of its rows (run under -race; the
+// Makefile race-match target does).
+func TestMatchMatrixOneIndexSnapshot(t *testing.T) {
+	f := newFixture(t)
+	r := rand.New(rand.NewSource(17))
+	mods := make([]*module.Module, 40)
+	sets := map[string]dataexample.Set{}
+	for i := range mods {
+		mods[i] = randomModule(r, fmt.Sprintf("m%02d", i))
+		set, _, err := f.gen.Generate(mods[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[mods[i].ID] = set
+	}
+	src := keyedSource(sets)
+	cmp := NewComparer(f.ont, nil)
+	cmp.Index = NewCatalogIndex(f.ont, mods)
+	flip := mods[len(mods)/2]
+	pre := DenseMatchMatrix(cmp, mods, src, nil)
+	cmp.Index.Remove(flip.ID)
+	post := DenseMatchMatrix(cmp, mods, src, nil)
+	cmp.Index.Update(flip)
+	if reflect.DeepEqual(pre, post) {
+		t.Fatalf("unindexing %s changes nothing; the test is vacuous", flip.ID)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				cmp.Index.Remove(flip.ID)
+			} else {
+				cmp.Index.Update(flip)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 40; i++ {
+		cmp.Workers = 1 + i%2
+		got, err := cmp.MatchMatrixFromKeyedSets(context.Background(), mods, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, pre) && !reflect.DeepEqual(got, post) {
+			t.Fatalf("build %d mixes two index states: %+v (pre-flip %+v, post-flip %+v)",
+				i, got.Stats, pre.Stats, post.Stats)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package match
 import (
 	"context"
 	"sort"
-	"strconv"
 
 	"dexa/internal/module"
 	"dexa/internal/telemetry"
@@ -27,7 +26,6 @@ import (
 func (c *Comparer) MatchMatrixSlice(ctx context.Context, mods []*module.Module, source KeyedSource, assigned func(id string) bool) (*MatchMatrix, error) {
 	_, span := telemetry.StartSpan(ctx, "match.matrix_slice")
 	defer span.End()
-	met := newMatchMetrics(c.Metrics)
 
 	in := resolveMatrixInputs(mods, source)
 	n := len(in.ids)
@@ -49,67 +47,10 @@ func (c *Comparer) MatchMatrixSlice(ctx context.Context, mods []*module.Module, 
 	if n < 2 || pairs == 0 {
 		return mm, ctx.Err()
 	}
-	grid, err := c.buildGrid(ctx, &in, func(a, b int) bool { return own[a] }, &met)
-	if err != nil {
+	if err := c.buildMatrix(ctx, span, mm, &in, own); err != nil {
 		return nil, err
 	}
-	assembleSlice(mm, &in, grid, own)
-	met.comparisons.Add(uint64(mm.Stats.Compared))
-	met.pruned.Add(uint64(mm.Stats.Pruned))
-	span.Annotate("modules", strconv.Itoa(n))
-	span.Annotate("pairs", strconv.Itoa(pairs))
-	span.Annotate("compared", strconv.Itoa(mm.Stats.Compared))
 	return mm, nil
-}
-
-// assembleSlice is assembleMatrix restricted to owned pairs: an ordered
-// cell (a, b) belongs to the slice iff the smaller index of the pair is
-// owned. Unowned cells in the grid are untouched zero values and must not
-// leak into the stats.
-func assembleSlice(mm *MatchMatrix, in *matrixInputs, grid []cell, own []bool) {
-	n := len(in.ids)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			lo := a
-			if b < a {
-				lo = b
-			}
-			if !own[lo] {
-				continue
-			}
-			cr := grid[a*n+b]
-			switch {
-			case cr.pruned:
-				mm.Stats.Pruned++
-			case cr.aligned:
-				mm.Stats.Compared++
-			case cr.mirrored:
-				mm.Stats.Mirrored++
-			}
-			switch cr.verdict {
-			case Incomparable:
-				mm.Stats.Incomparable++
-				continue
-			case Equivalent:
-				mm.Stats.Equivalent++
-			case Overlapping:
-				mm.Stats.Overlapping++
-			case Disjoint:
-				mm.Stats.Disjoint++
-			}
-			mm.Cells = append(mm.Cells, MatrixCell{
-				Target:    in.ids[a],
-				Candidate: in.ids[b],
-				Verdict:   cr.verdict.String(),
-				Score:     cr.score,
-				Compared:  cr.compared,
-				Agreeing:  cr.agreeing,
-			})
-		}
-	}
 }
 
 // MergeMatrixSlices rebuilds the full matrix from shard slices: cells are

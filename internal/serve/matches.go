@@ -34,15 +34,15 @@ type matchesResponse struct {
 // change — or an index Update/Remove after a signature change — produces
 // a different key and forces a rebuild; an unchanged catalog serves the
 // cached bytes verbatim (no re-serialisation per request) and lets
-// If-None-Match answer 304 without recomputation. Rebuilds run through
-// an IncrementalMatrix, so a changed catalog pays only for the rows and
-// columns of the modules that actually changed, not a full sweep.
+// If-None-Match answer 304 without recomputation. A rebuild is a fresh
+// MatchMatrixFromKeyedSets call, whose cost follows the index's feasible
+// pairs rather than the n² pair grid, so there is no per-module state to
+// patch between builds.
 type matrixCache struct {
 	mu     sync.Mutex
 	state  string
 	matrix *match.MatchMatrix
 	body   []byte
-	inc    *match.IncrementalMatrix
 }
 
 // subsEntry is one warmed substitute search: the full (unlimited)
@@ -144,14 +144,11 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	s.matrix.mu.Lock()
 	defer s.matrix.mu.Unlock()
 	if s.matrix.matrix == nil || s.matrix.state != state {
-		if s.matrix.inc == nil {
-			s.matrix.inc = match.NewIncrementalMatrix(s.Comparer)
-		}
 		keyedSet := func(id string) (*dataexample.KeyedSet, bool) {
 			set, _, ok := s.Store.GetKeyed(id)
 			return set, ok
 		}
-		mm, err := s.matrix.inc.Matrix(r.Context(), s.Registry.Modules(), keyedSet)
+		mm, err := s.Comparer.MatchMatrixFromKeyedSets(r.Context(), s.Registry.Modules(), keyedSet)
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "building match matrix: %v", err)
 			return
