@@ -65,11 +65,13 @@ race-cluster:
 
 # Serving-tier gate: the full 252-module catalog sharded three ways must
 # answer /matches and /substitutes byte-identically to a single-node
-# oracle, and dexa-load must produce a latency-percentile report from a
-# two-shard cluster on a tiny request budget. Gates results, not
+# oracle, a scatter /substitutes must contact exactly the shards owning
+# a feasible candidate (so a dead shard owning none leaves the answer
+# complete), and dexa-load must produce a latency-percentile report from
+# a two-shard cluster on a tiny request budget. Gates results, not
 # timings — safe on any host.
 cluster-smoke:
-	$(GO) test -run TestClusterSmokeFullCatalog -count=1 ./internal/serve/
+	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan' -count=1 ./internal/serve/
 	$(GO) test -run 'TestRun' -count=1 ./cmd/dexa-load/
 
 # Search concurrency: queries and pagination racing Update/Remove on the

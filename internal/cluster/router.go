@@ -20,7 +20,8 @@ import (
 )
 
 // Router is the scatter-gather side of the cluster: it fans a substitute
-// search or a matrix build out to every shard, bounds each call with a
+// search out to the shards owning its candidates and a matrix build out
+// to every shard, bounds each call with a
 // per-shard timeout, degrades to a partial result when shards fail (a
 // down shard withholds its slice, it does not take the answer down with
 // it), and merges the slices deterministically — the healthy-cluster
@@ -161,8 +162,12 @@ type shardResult[T any] struct {
 }
 
 // fanOut runs fn against every listed shard concurrently, pre-failing
-// breaker-open shards.
+// breaker-open shards. An empty shard list contacts nothing and counts
+// no scatter.
 func fanOut[T any](rt *Router, ctx context.Context, shards []ShardConfig, endpoint string, fn func(ctx context.Context, sh ShardConfig) (T, error)) []shardResult[T] {
+	if len(shards) == 0 {
+		return nil
+	}
 	if rt.Metrics != nil {
 		rt.Metrics.ScatterRequests.With(endpoint).Inc()
 	}
@@ -212,8 +217,10 @@ func (rt *Router) FetchExamples(ctx context.Context, moduleID string) (StoredSet
 }
 
 // Substitutes scatter-gathers a substitute search: the candidate list is
-// partitioned by ring owner, every shard ranks its own slice against the
-// target's examples (shipped in the request body), and the slices merge
+// partitioned by ring owner, every shard owning a candidate ranks its
+// own slice against the target's examples (shipped in the request body;
+// a shard owning none is not contacted, so an empty list contacts no
+// shard and yields an empty, complete result), and the slices merge
 // under the exact comparator the single-node search sorts with — verdict
 // strength, then score, then module ID — so a healthy cluster's ranking
 // is byte-identical to the oracle's. Skipped candidates merge by module

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"dexa/internal/cluster"
@@ -12,6 +13,7 @@ import (
 	"dexa/internal/match"
 	"dexa/internal/module"
 	"dexa/internal/registry"
+	"dexa/internal/telemetry"
 )
 
 // Cluster endpoints and behaviour, active only when Server.Cluster is
@@ -199,16 +201,25 @@ func (s *Server) handleClusterMatrix(w http.ResponseWriter, r *http.Request) {
 
 // scatterSubstitutes is the cluster-mode /modules/{id}/substitutes: the
 // target's examples come from the local store (owned) or the owner shard
-// (not owned), the candidate catalog is partitioned by ring owner, and
-// the merged ranking is byte-identical to the single-node search when
-// every shard answers. Failed shards degrade the response to a partial
-// ranking flagged as such.
+// (not owned), and the candidate catalog is pruned feasibility-first
+// before it is partitioned by ring owner. Signatures are catalog
+// metadata every node holds, so this node's CatalogIndex prunes exactly
+// the candidates each shard's own FindSubstitutes would — candidates
+// that could only come back Incomparable, which neither rank nor skip —
+// and only shards owning a feasible candidate are contacted (none when
+// no candidate is feasible). The merged ranking is byte-identical to the
+// single-node search when every contacted shard answers; a failed shard
+// degrades the response to a partial ranking flagged as such, and a
+// dead shard that owns no feasible candidate does not degrade it at all.
 func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
 	limit, ok := parseLimitParam(w, r)
 	if !ok {
 		return
 	}
 	id := e.Module.ID
+	ctx, span := telemetry.StartSpan(r.Context(), "cluster.substitutes")
+	defer span.End()
+	span.Annotate("target", id)
 	var (
 		hash     string
 		examples dataexample.Set
@@ -221,7 +232,7 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *r
 		}
 		hash, examples = h, set
 	} else {
-		ss, err := s.Cluster.Router.FetchExamples(r.Context(), id)
+		ss, err := s.Cluster.Router.FetchExamples(ctx, id)
 		if err != nil {
 			status := http.StatusBadGateway
 			if cluster.IsNotFound(err) {
@@ -232,12 +243,28 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *r
 		}
 		hash, examples = ss.Hash, ss.Examples
 	}
-	avail := s.Registry.Available()
-	candidates := make([]string, len(avail))
-	for i, m := range avail {
-		candidates[i] = m.ID
+	var feas *match.Feasibility
+	if ix := s.Comparer.Index; ix != nil {
+		feas = ix.Feasibility(e.Module, s.Comparer.Mode)
 	}
-	res, err := s.Cluster.Router.Substitutes(r.Context(), id, hash, examples, candidates)
+	avail := s.Registry.Available()
+	considered := 0
+	candidates := make([]string, 0, len(avail))
+	for _, m := range avail {
+		if m.ID == id {
+			continue
+		}
+		considered++
+		if !feas.Prunes(m.ID) {
+			candidates = append(candidates, m.ID)
+		}
+	}
+	if span != nil {
+		span.Annotate("candidates", strconv.Itoa(considered))
+		span.Annotate("feasible", strconv.Itoa(len(candidates)))
+		span.Annotate("shards", strings.Join(s.ownersOf(candidates), ","))
+	}
+	res, err := s.Cluster.Router.Substitutes(ctx, id, hash, examples, candidates)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "cluster substitute search for %s: %v", id, err)
 		return
@@ -254,6 +281,22 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *r
 		resp.Skipped = append(resp.Skipped, skippedInfo(sk))
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// ownersOf names, in membership order, the shards that own at least one
+// of the modules — the shards a scatter over them contacts.
+func (s *Server) ownersOf(ids []string) []string {
+	owned := make(map[string]bool)
+	for _, id := range ids {
+		owned[s.Cluster.Ring.Owner(id)] = true
+	}
+	var names []string
+	for _, sh := range s.Cluster.Config.Shards {
+		if owned[sh.Name] {
+			names = append(names, sh.Name)
+		}
+	}
+	return names
 }
 
 // scatterMatches is the cluster-mode /matches: gather, scatter the

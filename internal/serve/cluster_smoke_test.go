@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"dexa/internal/cluster"
@@ -13,15 +17,45 @@ import (
 	"dexa/internal/match"
 	"dexa/internal/simulation"
 	"dexa/internal/store"
+	"dexa/internal/telemetry"
 )
 
 // fullCatalog is the full simulated 252-module catalog sharded three
-// ways plus a single-node oracle holding every annotation.
+// ways plus a single-node oracle holding every annotation. Every shard's
+// router dials through calls and records into its own metrics registry.
 type fullCatalog struct {
 	ids    []string
 	names  []string
+	ring   *cluster.Ring
 	nodes  map[string]*clusterNode
 	oracle *clusterNode
+	calls  *substituteCalls
+}
+
+// substituteCalls is an http.RoundTripper that counts the POST
+// /cluster/substitutes calls each shard receives, keyed by shard name.
+type substituteCalls struct {
+	shardOf map[string]string // host:port → shard name
+	mu      sync.Mutex
+	got     map[string]int
+}
+
+func (c *substituteCalls) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/cluster/substitutes") {
+		c.mu.Lock()
+		c.got[c.shardOf[req.URL.Host]]++
+		c.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// take returns the calls counted since the last take and resets them.
+func (c *substituteCalls) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	got := c.got
+	c.got = map[string]int{}
+	return got
 }
 
 // newFullCatalog boots the three shards and the oracle on loopback and
@@ -61,14 +95,19 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	calls := &substituteCalls{shardOf: map[string]string{}, got: map[string]int{}}
+	for _, sh := range cfg.Shards {
+		calls.shardOf[strings.TrimPrefix(sh.URL, "http://")] = sh.Name
+	}
 
 	nodes := map[string]*clusterNode{}
 	for _, name := range names {
 		cn := newNode(name)
-		node, err := cluster.NewShardNode(cfg, name, nil)
+		node, err := cluster.NewShardNode(cfg, name, telemetry.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
+		node.Router.Client = &http.Client{Transport: calls}
 		cn.node = node
 		cn.srv.Cluster = node
 		cn.mux.Handle("/wal", cluster.NewFeed(cn.st, nil))
@@ -103,14 +142,36 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 			t.Fatalf("shard %s owns no modules — ring placement degenerated", name)
 		}
 	}
-	return &fullCatalog{ids: ids, names: names, nodes: nodes, oracle: oracle}
+	return &fullCatalog{ids: ids, names: names, ring: ring, nodes: nodes, oracle: oracle, calls: calls}
+}
+
+// feasibleOwners names the shards owning at least one of target's
+// feasible candidates, computed from the oracle's own CatalogIndex, and
+// counts those candidates.
+func (fc *fullCatalog) feasibleOwners(t *testing.T, target string) (map[string]bool, int) {
+	t.Helper()
+	srv := fc.oracle.srv
+	e, ok := srv.Registry.Get(target)
+	if !ok {
+		t.Fatalf("unknown target %s", target)
+	}
+	feas := srv.Comparer.Index.Feasibility(e.Module, srv.Comparer.Mode)
+	owners := map[string]bool{}
+	n := 0
+	for _, m := range srv.Registry.Available() {
+		if m.ID != target && !feas.Prunes(m.ID) {
+			owners[fc.ring.Owner(m.ID)] = true
+			n++
+		}
+	}
+	return owners, n
 }
 
 // TestClusterSmokeFullCatalog is the acceptance smoke for the serving
 // tier at catalog scale: the full simulated 252-module catalog sharded
 // three ways, byte-compared against a single-node oracle on the whole
-// match matrix and a sample of substitute queries. Gated behind -short
-// because seeding annotates every module on both sides; `make
+// match matrix and the substitute query of every module. Gated behind
+// -short because seeding annotates every module on both sides; `make
 // cluster-smoke` drives it explicitly.
 func TestClusterSmokeFullCatalog(t *testing.T) {
 	if testing.Short() {
@@ -139,18 +200,10 @@ func TestClusterSmokeFullCatalog(t *testing.T) {
 		}
 	}
 
-	// Substitute queries for a spread of targets, from every shard, must
-	// match the oracle byte for byte.
-	sample := ids
-	if len(sample) > 12 {
-		step := len(sample) / 12
-		picked := make([]string, 0, 12)
-		for i := 0; i < len(sample); i += step {
-			picked = append(picked, sample[i])
-		}
-		sample = picked
-	}
-	for _, id := range sample {
+	// The substitute query of every target, from every shard, must match
+	// the oracle byte for byte: each target exercises its own combination
+	// of pruned candidates and contacted shards.
+	for _, id := range ids {
 		path := "/api/modules/" + id + "/substitutes"
 		ostatus, want := fetch(t, oracle.ts.URL+path)
 		for _, name := range names {
@@ -225,5 +278,162 @@ func TestComposeClusterMatchesSingleNode(t *testing.T) {
 				t.Fatalf("%s via %s differs from the single node:\n got: %.600s\nwant: %.600s", path, name, got, want)
 			}
 		}
+	}
+}
+
+// TestClusterSubstitutesContactsFeasibleOwners: a scatter /substitutes
+// contacts exactly the shards owning a feasible candidate of the target —
+// the owners of the candidates the oracle's own CatalogIndex leaves
+// unpruned — once each, from whichever shard the query lands on. A
+// target with no feasible candidate contacts no shard, counts no
+// scatter, and still answers 200.
+func TestClusterSubstitutesContactsFeasibleOwners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster scatter skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	fc.calls.take()
+	reach := map[int]int{} // shards contacted → targets
+	feasible := 0
+	for _, id := range fc.ids {
+		owners, n := fc.feasibleOwners(t, id)
+		feasible += n
+		reach[len(owners)]++
+		for _, name := range fc.names {
+			scatters := fc.nodes[name].node.Metrics.ScatterRequests.With("substitutes")
+			before := scatters.Value()
+			status, body := fetch(t, fc.nodes[name].ts.URL+"/api/modules/"+id+"/substitutes")
+			if status != http.StatusOK {
+				t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, status, body)
+			}
+			got := fc.calls.take()
+			if len(got) != len(owners) {
+				t.Fatalf("substitutes(%s) via %s contacted %v, want the feasible owners %v", id, name, got, owners)
+			}
+			for shard, calls := range got {
+				if !owners[shard] || calls != 1 {
+					t.Fatalf("substitutes(%s) via %s contacted %v, want the feasible owners %v once each", id, name, got, owners)
+				}
+			}
+			wantScatters := uint64(0)
+			if n > 0 {
+				wantScatters = 1
+			}
+			if d := scatters.Value() - before; d != wantScatters {
+				t.Fatalf("substitutes(%s) via %s (%d feasible) counted %d scatters, want %d", id, name, n, d, wantScatters)
+			}
+		}
+	}
+	t.Logf("%d feasible candidates over %d targets; targets by shards contacted: %v", feasible, len(fc.ids), reach)
+	if reach[0] == 0 {
+		t.Fatal("no target without feasible candidates — the zero-contact case went untested")
+	}
+}
+
+// TestClusterSubstitutesScatterSpan: the scatter records a
+// cluster.substitutes span naming the candidates it considered, how many
+// survived the prune, and the shards it contacted.
+func TestClusterSubstitutesScatterSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster scatter skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	srv := fc.nodes["s1"].srv
+	for _, id := range fc.ids {
+		owners, n := fc.feasibleOwners(t, id)
+		if len(owners) < 2 {
+			continue
+		}
+		tracer := telemetry.NewTracer(4)
+		e, _ := srv.Registry.Get(id)
+		req := httptest.NewRequest(http.MethodGet, "/modules/"+id+"/substitutes", nil)
+		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
+		rec := httptest.NewRecorder()
+		srv.scatterSubstitutes(rec, req, e)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("substitutes(%s): status %d: %s", id, rec.Code, rec.Body)
+		}
+		traces := tracer.Recent()
+		if len(traces) != 1 || traces[0].Name != "cluster.substitutes" {
+			t.Fatalf("substitutes(%s) recorded %+v, want one cluster.substitutes span", id, traces)
+		}
+		attrs := map[string]string{}
+		for _, a := range traces[0].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		var shards []string
+		for _, name := range fc.names {
+			if owners[name] {
+				shards = append(shards, name)
+			}
+		}
+		want := map[string]string{
+			"target":     id,
+			"candidates": strconv.Itoa(len(srv.Registry.Available()) - 1),
+			"feasible":   strconv.Itoa(n),
+			"shards":     strings.Join(shards, ","),
+		}
+		for k, v := range want {
+			if attrs[k] != v {
+				t.Errorf("substitutes(%s) span %s = %q, want %q (attrs %v)", id, k, attrs[k], v, attrs)
+			}
+		}
+		return
+	}
+	t.Fatal("no target reaches two shards")
+}
+
+// TestClusterSubstitutesDeadShardWithoutFeasibleCandidates: with one
+// shard of the full catalog dead, a target whose examples are reachable
+// and whose feasible candidates all live on live shards answers complete
+// and byte-identical to the oracle; a target with a feasible candidate on
+// the dead shard answers partial, naming that shard.
+func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster degradation skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	const dead = "s3"
+	fc.nodes[dead].ts.Close()
+
+	var complete, partial int
+	for _, id := range fc.ids {
+		if fc.ring.Owner(id) == dead {
+			continue // its examples are unreachable
+		}
+		owners, _ := fc.feasibleOwners(t, id)
+		path := "/api/modules/" + id + "/substitutes"
+		_, want := fetch(t, fc.oracle.ts.URL+path)
+		for _, name := range fc.names {
+			if name == dead {
+				continue
+			}
+			status, got := fetch(t, fc.nodes[name].ts.URL+path)
+			if status != http.StatusOK {
+				t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, status, got)
+			}
+			if !owners[dead] {
+				if !bytes.Equal(want, got) {
+					t.Fatalf("substitutes(%s) via %s with no feasible candidate on %s differs from oracle:\n got: %s\nwant: %s",
+						id, name, dead, got, want)
+				}
+				complete++
+				continue
+			}
+			var body struct {
+				Partial      bool     `json:"partial"`
+				FailedShards []string `json:"failedShards"`
+			}
+			mustUnmarshal(t, got, &body)
+			if !body.Partial || len(body.FailedShards) != 1 || body.FailedShards[0] != dead {
+				t.Fatalf("substitutes(%s) via %s with a feasible candidate on %s: partial=%v failed=%v",
+					id, name, dead, body.Partial, body.FailedShards)
+			}
+			partial++
+		}
+	}
+	t.Logf("with %s dead: %d complete answers, %d partial", dead, complete, partial)
+	if complete == 0 || partial == 0 {
+		t.Fatalf("only one case exercised: %d complete, %d partial", complete, partial)
 	}
 }
