@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-e2e experiments
+.PHONY: ci fmt vet build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-e2e fuzz experiments
 
 ci: fmt vet build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead
 
@@ -109,6 +109,18 @@ WORKLOAD ?= plan
 bench-e2e:
 	cd e2ebench && $(GO) test ./...
 	bash e2ebench/run.sh --workload $(WORKLOAD) --spread 10
+
+# Longer fuzz budgets: every Fuzz target in the module fuzzes for 30 s,
+# one target at a time (go test -fuzz takes one target per run). Tier-1
+# runs only their seed corpora; a failing input lands under the
+# package's testdata/fuzz/ and becomes a permanent seed once committed.
+# Six targets take about three minutes, so ci does not run it.
+fuzz:
+	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s $$dir || exit 1; \
+		done; \
+	done
 
 experiments:
 	$(GO) run ./cmd/dexa-experiments

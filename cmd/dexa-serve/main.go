@@ -156,17 +156,19 @@ func main() {
 	cmp.Index = match.NewCatalogIndex(u.Ont, u.Registry.Modules())
 	cmp.Index.Instrument(metrics)
 	cmp.Metrics = metrics
-	// Availability flips (manual retirement, health auto-retire, lifecycle
-	// quarantine) must bump the index generation, or cached /substitutes
-	// responses keep ranking retired modules.
+	// The registry's availability hook is the one route from a flip
+	// (manual retirement, health auto-retire, lifecycle quarantine,
+	// retirement or re-admission) to the derived views: it bumps the
+	// index generation that keys the cached /matches and /substitutes
+	// bodies, so they never keep ranking a retired module.
 	serve.SyncIndex(u.Registry, cmp.Index)
 
 	// Repository search: the inverted index over catalog metadata and
 	// stored behavior fingerprints behind GET /api/search. Incremental
-	// maintenance only — availability flips patch single documents, the
-	// replication-cursor watcher folds in store writes (local generates,
-	// replicated WAL applies), and the lifecycle watcher mirrors
-	// quarantine/retire/readmit events. No rebuilds after this one.
+	// maintenance only — availability flips patch single documents
+	// through the same hook, and the replication-cursor watcher folds in
+	// store writes (local generates, replicated WAL applies). No rebuilds
+	// after this one.
 	searchIx := search.New(u.Ont)
 	searchIx.Instrument(metrics)
 	searchSync := &search.Syncer{Registry: u.Registry, Store: st, Index: searchIx}
@@ -186,8 +188,10 @@ func main() {
 
 	// Live catalog lifecycle: background probes, quarantine/recovery, and
 	// the repair queue. Journals live beside the store when one is on disk.
+	// The manager restores each module's state from the event log and
+	// flips availability only through the registry, so both indexes
+	// above follow it without further wiring.
 	var preStop []func() error
-	var searchEventLog *lifecycle.Log
 	if *probeInterval > 0 {
 		eventPath, queuePath := "", ""
 		if *storeDir != "" {
@@ -216,7 +220,6 @@ func main() {
 		}, lifecycle.Deps{
 			Registry: u.Registry,
 			Examples: st,
-			Index:    cmp.Index,
 			Log:      lcLog,
 			Queue:    queue,
 			Planner:  planner,
@@ -228,7 +231,6 @@ func main() {
 		}
 		tracked := mgr.TrackAll()
 		api.Lifecycle = mgr
-		searchEventLog = lcLog
 		probeCtx, stopProbes := context.WithCancel(context.Background())
 		probeDone := make(chan error, 1)
 		go func() { probeDone <- mgr.Run(probeCtx) }()
@@ -255,14 +257,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Search-index maintenance loops: the replication-cursor watcher folds
-	// in every store write (local or WAL-applied), and the lifecycle
-	// watcher mirrors the event log so quarantined modules leave the
-	// results as fast as they leave the catalog.
+	// Search-index maintenance loop: the replication-cursor watcher folds
+	// in every store write (local or WAL-applied).
 	go searchSync.Watch(ctx)
-	if searchEventLog != nil {
-		go searchSync.WatchLog(ctx, searchEventLog)
-	}
 
 	// Cluster wiring: a shard node leads its slice of the catalog (WAL
 	// feed at /wal, scatter-gather queries, per-shard health checks); a

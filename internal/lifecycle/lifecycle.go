@@ -15,8 +15,10 @@
 // for human approval.
 //
 // Every transition is appended to a durable, WAL-backed event log
-// (store.Journal) exposed by the serving layer as a change feed; the
-// repair queue survives restarts the same way. All time flows through
+// (store.Journal) exposed by the serving layer as a change feed, and a
+// restarted manager restores each module's state from it; the repair
+// queue survives restarts the same way. Availability flips go only
+// through the registry, whose hook updates every derived view. All time flows through
 // resilient.Clock, so the whole subsystem — jittered schedules, backoff,
 // probation windows — is deterministic under the fake clock.
 package lifecycle

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -58,7 +59,8 @@ func exampleSet(n int, fn func(s string) string) dataexample.Set {
 
 // world is a minimal lifecycle test bed: a registry of Seq->Acc modules,
 // a memory store annotated with examples matching their pristine
-// behaviour, a catalog index, and a manager on a fake clock.
+// behaviour, a catalog index following the registry's availability
+// hook, and a manager on a fake clock.
 type world struct {
 	clock *resilient.FakeClock
 	reg   *registry.Registry
@@ -74,6 +76,13 @@ type world struct {
 var fastPolicy = resilient.Policy{MaxAttempts: 1}
 
 func newWorld(t *testing.T, cfg Config, behaviours map[string]func(string) string) *world {
+	t.Helper()
+	return newWorldAt(t, cfg, behaviours, "")
+}
+
+// newWorldAt is newWorld with the event log at logPath ("" keeps it in
+// memory), so a second world can reopen the first one's history.
+func newWorldAt(t *testing.T, cfg Config, behaviours map[string]func(string) string, logPath string) *world {
 	t.Helper()
 	o := ontology.New("t")
 	o.MustAddConcept("Data", "")
@@ -94,17 +103,25 @@ func newWorld(t *testing.T, cfg Config, behaviours map[string]func(string) strin
 		}
 	}
 	w.ix = match.NewCatalogIndex(o, w.reg.Modules())
-	log, err := OpenLog("")
+	w.reg.OnAvailabilityChange(func(id string, available bool) {
+		if !available {
+			w.ix.Remove(id)
+		} else if e, ok := w.reg.Get(id); ok {
+			w.ix.Update(e.Module)
+		}
+	})
+	log, err := OpenLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { log.Close() })
 	w.log = log
 	w.queue, err = OpenQueue("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.mgr, err = NewManager(cfg, Deps{
-		Registry: w.reg, Examples: st, Index: w.ix,
+		Registry: w.reg, Examples: st,
 		Log: log, Queue: w.queue, Clock: w.clock,
 	})
 	if err != nil {
@@ -334,6 +351,68 @@ func TestRecoveryThroughProbation(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("transitions = %v, want %v", got, want)
+	}
+}
+
+// TestManagerRestoresStatesFromLog reopens a file-backed event log in a
+// fresh world: the retired module comes back retired, unavailable, out
+// of the index and off the schedule; the quarantined one comes back
+// quarantined and still probed, and its next event continues from
+// quarantine.
+func TestManagerRestoresStatesFromLog(t *testing.T) {
+	interval := time.Minute
+	cfg := Config{
+		Interval: interval, Jitter: -1,
+		QuarantineAfter: 2, RetireAfter: 2, Probation: 2, Policy: fastPolicy,
+	}
+	pristine := func(s string) string { return "X:" + s }
+	behaviours := map[string]func(string) string{"alpha": pristine, "beta": pristine, "gamma": pristine}
+	path := filepath.Join(t.TempDir(), EventLogFile)
+
+	w := newWorldAt(t, cfg, behaviours, path)
+	w.mgr.TrackAll()
+	drifted := seqExec(func(s string) string { return "LEGACY\nX:" + s })
+	w.rebind(t, "alpha", drifted)
+	for i := 0; i < 4; i++ {
+		w.sweep(t, interval)
+	}
+	w.mustState(t, "alpha", StateRetired)
+	w.rebind(t, "beta", drifted)
+	for i := 0; i < 2; i++ {
+		w.sweep(t, interval)
+	}
+	w.mustState(t, "beta", StateQuarantined)
+	seq := w.log.Seq()
+	if err := w.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restart: fresh registry (every module available, pristine
+	// executors), fresh index, the same log.
+	r := newWorldAt(t, cfg, behaviours, path)
+	r.mustState(t, "alpha", StateRetired)
+	r.mustState(t, "beta", StateQuarantined)
+	for id, want := range map[string]bool{"alpha": false, "beta": false, "gamma": true} {
+		if e, _ := r.reg.Get(id); e.Available != want {
+			t.Errorf("restored %s available = %v, want %v", id, e.Available, want)
+		}
+	}
+	if ids := fmt.Sprint(r.ix.IDs()); ids != "[gamma]" {
+		t.Errorf("restored index = %s, want [gamma]", ids)
+	}
+	if n := r.mgr.TrackAll(); n != 3 {
+		t.Errorf("TrackAll after restore tracks %d modules, want 3", n)
+	}
+	r.mustState(t, "gamma", StateHealthy)
+	for _, res := range r.sweep(t, interval) {
+		if res.Module == "alpha" {
+			t.Fatal("restored retired module was probed")
+		}
+	}
+	events, _ := r.log.Since(seq, 0)
+	if len(events) != 1 || events[0].Seq != seq+1 || events[0].Module != "beta" ||
+		events[0].From != StateQuarantined || events[0].To != StateProbation {
+		t.Fatalf("events after restart = %+v, want beta quarantined->probation at seq %d", events, seq+1)
 	}
 }
 

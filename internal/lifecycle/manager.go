@@ -101,11 +101,8 @@ type Deps struct {
 	// Examples supplies the persisted annotations probes diff against
 	// (typically *store.Store). Required.
 	Examples match.StoredExamples
-	// Index, when set, is incrementally maintained: quarantine/retirement
-	// call Remove, re-admission calls Update — each bumps the generation
-	// that keys the serving layer's caches. No full rebuilds.
-	Index *match.CatalogIndex
-	// Log records transitions. Required.
+	// Log records transitions, and its history is the state NewManager
+	// restores. Required.
 	Log *Log
 	// Queue and Planner enable repair-as-a-service on retirement; both
 	// may be nil to disable.
@@ -135,7 +132,6 @@ type Manager struct {
 	cfg     Config
 	reg     *registry.Registry
 	store   match.StoredExamples
-	index   *match.CatalogIndex
 	log     *Log
 	queue   *Queue
 	planner *Planner
@@ -156,6 +152,8 @@ type managerMetrics struct {
 }
 
 // NewManager builds a manager. Registry, Examples and Log are required.
+// It restores each logged module's state from the log, so a restart
+// neither re-admits quarantined modules nor probes retired ones.
 func NewManager(cfg Config, deps Deps) (*Manager, error) {
 	if deps.Registry == nil || deps.Examples == nil || deps.Log == nil {
 		return nil, fmt.Errorf("lifecycle: Registry, Examples and Log are required")
@@ -168,7 +166,6 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 		cfg:     cfg.withDefaults(),
 		reg:     deps.Registry,
 		store:   deps.Examples,
-		index:   deps.Index,
 		log:     deps.Log,
 		queue:   deps.Queue,
 		planner: deps.Planner,
@@ -184,7 +181,40 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 			states:      r.GaugeVec("dexa_lifecycle_modules", "Tracked modules, by lifecycle state.", "state"),
 		}
 	}
+	m.restore()
 	return m, nil
+}
+
+// restore folds the log's history into the schedule: every registered
+// module the log mentions is tracked in the state its last event left
+// it in, and modules out of the catalog (quarantined, probation,
+// retired) flip unavailable through the registry, whose hook updates
+// the derived views. Streak and backoff counters are not logged; they
+// restart at zero.
+func (m *Manager) restore() {
+	events, _ := m.log.Since(0, 0)
+	last := map[string]State{}
+	for _, ev := range events {
+		last[ev.Module] = ev.To
+	}
+	now := m.clock.Now()
+	m.mu.Lock()
+	var out []string
+	for id, state := range last {
+		if _, ok := m.reg.Get(id); !ok {
+			continue
+		}
+		m.trackLocked(id, state, now)
+		if state != StateHealthy && state != StateSuspect {
+			out = append(out, id)
+		}
+	}
+	m.updateStateGaugesLocked()
+	m.mu.Unlock()
+	sort.Strings(out)
+	for _, id := range out {
+		_ = m.reg.SetAvailable(id, false) // fails only for unknown IDs; each was found above
+	}
 }
 
 // Log returns the transition log the manager appends to.
@@ -201,19 +231,27 @@ func (m *Manager) Queue() *Queue { return m.queue }
 // Track adds modules to the probe schedule, each starting healthy with a
 // deterministic phase offset in [0, Interval) so a large catalog's first
 // sweep does not hammer every provider at the same instant. Already
-// tracked IDs are ignored.
+// tracked IDs, including those restored from the log, are ignored.
 func (m *Manager) Track(ids ...string) {
 	now := m.clock.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, id := range ids {
-		if _, ok := m.mods[id]; ok {
-			continue
+		if _, ok := m.mods[id]; !ok {
+			m.trackLocked(id, StateHealthy, now)
 		}
-		phase := time.Duration(m.unit(id, 0) * float64(m.cfg.Interval))
-		m.mods[id] = &moduleState{id: id, state: StateHealthy, nextDue: now.Add(phase)}
 	}
 	m.updateStateGaugesLocked()
+}
+
+// trackLocked schedules one module in the given state, at its phase
+// offset; retired modules are never due. Callers hold m.mu.
+func (m *Manager) trackLocked(id string, state State, now time.Time) {
+	ms := &moduleState{id: id, state: state}
+	if state != StateRetired {
+		ms.nextDue = now.Add(time.Duration(m.unit(id, 0) * float64(m.cfg.Interval)))
+	}
+	m.mods[id] = ms
 }
 
 // TrackAll tracks every available registered module that has examples to
@@ -520,23 +558,15 @@ func (m *Manager) apply(ctx context.Context, res ProbeResult, now time.Time) err
 	if to == from {
 		return nil
 	}
-	// Catalog side effects, outside m.mu (the registry fires availability
-	// watchers that may read back through us or the index).
-	switch to {
-	case StateQuarantined, StateRetired:
+	// Catalog side effects, outside m.mu: the registry's availability
+	// hook carries the flip to every derived view (match index, search
+	// index, cached bodies) before the event below is appended, so /watch
+	// readers see the views already updated.
+	switch {
+	case to == StateQuarantined || to == StateRetired:
 		_ = m.reg.SetAvailable(res.Module, false)
-		if m.index != nil {
-			m.index.Remove(res.Module)
-		}
-	case StateHealthy:
-		if from == StateProbation {
-			_ = m.reg.SetAvailable(res.Module, true)
-			if m.index != nil {
-				if e, ok := m.reg.Get(res.Module); ok {
-					m.index.Update(e.Module)
-				}
-			}
-		}
+	case to == StateHealthy && from == StateProbation:
+		_ = m.reg.SetAvailable(res.Module, true)
 	}
 	if _, err := m.log.Append(Event{At: now, Module: res.Module, From: from, To: to, Probe: res.Outcome, Reason: reason}); err != nil {
 		return err

@@ -94,18 +94,18 @@ func Parse(r io.Reader) (*Ontology, error) {
 	return o, nil
 }
 
+// parseConceptLine splits "ID [: label] [*abstract]". The flag counts
+// only at the end of the line, and a label may not itself end in
+// "*abstract": Write could not tell such a label from the flag.
 func parseConceptLine(s string) (id, label string, abstract bool, err error) {
-	if i := strings.Index(s, " *abstract"); i >= 0 {
-		abstract = true
-		s = s[:i] + s[i+len(" *abstract"):]
-	}
+	s, abstract = strings.CutSuffix(s, " *abstract")
 	if i := strings.Index(s, ":"); i >= 0 {
 		id = strings.TrimSpace(s[:i])
 		label = strings.TrimSpace(s[i+1:])
 	} else {
 		id = strings.TrimSpace(s)
 	}
-	if id == "" || strings.ContainsAny(id, " \t") {
+	if id == "" || strings.ContainsAny(id, " \t") || strings.HasSuffix(label, "*abstract") {
 		return "", "", false, fmt.Errorf("bad concept line %q", s)
 	}
 	return id, label, abstract, nil

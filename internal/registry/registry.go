@@ -47,11 +47,15 @@ type Registry struct {
 
 // OnAvailabilityChange registers a callback invoked whenever a module's
 // availability actually flips — by SetAvailable, RetireProvider, or the
-// auto-retire/revive paths in RecordFailure/RecordSuccess. Callbacks run
-// outside the registry lock (they may call back into the registry) and on
-// the goroutine that caused the flip; they must be cheap and must not
-// block. The canonical consumer keeps a match.CatalogIndex in sync so its
-// generation counter invalidates caches keyed on catalog state.
+// auto-retire/revive paths in RecordFailure/RecordSuccess. Every flipper,
+// the lifecycle manager included, goes through those, so this hook is
+// the one route from a flip to the derived views: serve.SyncIndex keeps
+// the match.CatalogIndex (whose generation keys the cached /matches and
+// /substitutes bodies) in sync, and search.Syncer.HookAvailability the
+// search index. Callbacks run outside the registry lock (they may call
+// back into the registry) and synchronously on the goroutine that caused
+// the flip, so a flip's caller sees the views updated when it returns;
+// they must be cheap and must not block.
 func (r *Registry) OnAvailabilityChange(fn func(id string, available bool)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -4,24 +4,26 @@ import (
 	"context"
 
 	"dexa/internal/dataexample"
-	"dexa/internal/lifecycle"
 	"dexa/internal/registry"
 	"dexa/internal/store"
 )
 
 // Syncer keeps an Index consistent with the registry and the example
-// store, mirroring how serve.SyncIndex keeps the match.CatalogIndex
-// fresh — but incrementally on both axes:
+// store, incrementally on both of the catalog's change seams:
 //
-//   - availability flips (quarantine, retire, probation re-admission)
-//     arrive through registry.OnAvailabilityChange and translate to a
-//     single Remove or Update;
+//   - availability flips (SetAvailable, RetireProvider, health
+//     auto-retire, lifecycle quarantine, retirement and re-admission)
+//     arrive through registry.OnAvailabilityChange, the same hook
+//     serve.SyncIndex uses for the match.CatalogIndex, and translate to
+//     a single Remove or Update;
 //   - store writes (generation, refresh, replication) arrive through the
 //     store's replication cursor; Resync re-indexes only the documents
 //     whose store version moved.
 //
-// Wire it once at startup: IndexAll, HookAvailability, then Watch (and
-// WatchLog when a lifecycle event log exists) on background goroutines.
+// Lifecycle transitions that flip nothing (healthy to suspect, say)
+// leave the index and its generation alone, so they expire no cursor.
+// Wire it once at startup: IndexAll, HookAvailability, then Watch on a
+// background goroutine.
 type Syncer struct {
 	Registry *registry.Registry
 	Store    *store.Store
@@ -103,39 +105,6 @@ func (s *Syncer) Watch(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-s.Store.ReplicationChanged(cursor):
-		}
-	}
-}
-
-// WatchLog follows the lifecycle event log: every state transition wakes
-// it and re-syncs the affected modules. The availability hook already
-// covers flips made through this registry; the log subscription
-// additionally catches events replayed from a persisted log or applied
-// by a lifecycle manager wired after the hook.
-func (s *Syncer) WatchLog(ctx context.Context, log *lifecycle.Log) {
-	if log == nil {
-		return
-	}
-	cursor := uint64(0)
-	for {
-		events, next := log.Since(cursor, 256)
-		for _, ev := range events {
-			e, ok := s.Registry.Get(ev.Module)
-			if !ok {
-				continue
-			}
-			if !e.Available {
-				s.Index.Remove(ev.Module)
-				continue
-			}
-			set, version := s.stored(ev.Module)
-			s.Index.Update(e.Module, set, version)
-		}
-		cursor = next
-		select {
-		case <-ctx.Done():
-			return
-		case <-log.Changed(cursor):
 		}
 	}
 }

@@ -6,18 +6,18 @@ import (
 )
 
 // SyncIndex wires registry availability changes into the catalog index:
-// a module going unavailable (manual retirement, RetireProvider, or the
-// health tracker's auto-retire) is removed from the index, and a module
-// coming back is re-indexed — each flip bumps the index generation.
+// a module going unavailable (manual retirement, RetireProvider, the
+// health tracker's auto-retire, lifecycle quarantine or retirement) is
+// removed from the index, and a module coming back (revival, lifecycle
+// re-admission) is re-indexed — each flip bumps the index generation
+// exactly once. It is the index's only availability input.
 //
 // That generation is what keys the serving layer's /matches and
 // /substitutes caches, so wiring this is what makes availability changes
 // invalidate them: without it, an auto-retired module would keep ranking
 // in cached substitute responses until some other catalog change happened
 // to bump the state key. Call it once at startup, after the index is
-// built; it is also the seam the lifecycle manager's quarantine and
-// re-admission flow through when the manager is not given the index
-// directly.
+// built and before a lifecycle manager restores its states.
 func SyncIndex(reg *registry.Registry, ix *match.CatalogIndex) {
 	reg.OnAvailabilityChange(func(id string, available bool) {
 		if !available {

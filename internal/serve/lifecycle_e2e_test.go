@@ -108,7 +108,6 @@ func runLifecycleScenario(t *testing.T) (eventsJSON, proposalsJSON []byte) {
 	}, lifecycle.Deps{
 		Registry: u.Registry,
 		Examples: st,
-		Index:    cmp.Index,
 		Log:      log,
 		Queue:    queue,
 		Planner: &lifecycle.Planner{

@@ -17,13 +17,15 @@ import (
 	"dexa/internal/match"
 	"dexa/internal/module"
 	"dexa/internal/resilient"
+	"dexa/internal/search"
 	"dexa/internal/store"
 	"dexa/internal/typesys"
 )
 
 // lifecycleFixture is the serve fixture with the live catalog lifecycle
-// wired: stored annotations for all three modules, a catalog index kept
-// in sync with availability, and a manager on a fake clock.
+// wired as dexa-serve wires it: stored annotations for all three
+// modules, a catalog index and a search index both following the
+// registry's availability hook, and a manager on a fake clock.
 type lifecycleFixture struct {
 	*fixture
 	clock *resilient.FakeClock
@@ -42,6 +44,10 @@ func newLifecycleFixture(t *testing.T) *lifecycleFixture {
 	}
 	f.srv.Comparer.Index = match.NewCatalogIndex(f.ont, f.reg.Modules())
 	SyncIndex(f.reg, f.srv.Comparer.Index)
+	searchSync := &search.Syncer{Registry: f.reg, Store: f.st, Index: search.New(f.ont)}
+	searchSync.IndexAll()
+	searchSync.HookAvailability()
+	f.srv.SearchIndex = searchSync.Index
 
 	log, err := lifecycle.OpenLog("")
 	if err != nil {
@@ -61,7 +67,6 @@ func newLifecycleFixture(t *testing.T) *lifecycleFixture {
 	}, lifecycle.Deps{
 		Registry: f.reg,
 		Examples: f.st,
-		Index:    f.srv.Comparer.Index,
 		Log:      log,
 		Queue:    queue,
 		Planner:  &lifecycle.Planner{Comparer: f.srv.Comparer, Store: f.st, Registry: f.reg},
@@ -374,6 +379,48 @@ func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
 	if ids := subIDs(&body); len(ids) == 0 || ids[0] != "beta" {
 		t.Fatalf("substitutes after recovery = %v, want beta back", ids)
 	}
+}
+
+// TestLifecycleFlipBumpsEachViewOnce walks beta through healthy →
+// suspect → quarantined → probation → healthy. Only the two transitions
+// that flip availability may touch the derived views, each exactly once
+// per view, and a /search cursor minted before the walk outlives the
+// transitions that flip nothing.
+func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
+	f := newLifecycleFixture(t)
+	f.sweep(t, time.Minute) // all healthy
+	e, _ := f.reg.Get("beta")
+	original := e.Module.Executor()
+
+	var page searchBody
+	if resp := getJSON(t, f.lts.URL+"/search?q=module&limit=1", &page); resp.StatusCode != http.StatusOK || page.NextCursor == "" {
+		t.Fatalf("search page 1: status %d cursor %q", resp.StatusCode, page.NextCursor)
+	}
+	matchGen, searchGen := f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation()
+	step := func(want lifecycle.State, bumps uint64) {
+		t.Helper()
+		f.sweep(t, time.Minute)
+		if got, _ := f.mgr.StateOf("beta"); got != want {
+			t.Fatalf("beta state = %v, want %v", got, want)
+		}
+		if d := f.srv.Comparer.Index.Generation() - matchGen; d != bumps {
+			t.Errorf("%v moved the catalog index generation by %d, want %d", want, d, bumps)
+		}
+		if d := f.srv.SearchIndex.Generation() - searchGen; d != bumps {
+			t.Errorf("%v moved the search index generation by %d, want %d", want, d, bumps)
+		}
+		matchGen, searchGen = f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation()
+	}
+
+	f.decay(t, "beta")
+	step(lifecycle.StateSuspect, 0)
+	if resp := getJSON(t, f.lts.URL+"/search?q=module&limit=1&cursor="+page.NextCursor, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cursor minted before the suspect transition answered %d after it", resp.StatusCode)
+	}
+	step(lifecycle.StateQuarantined, 1)
+	e.Module.Bind(original)
+	step(lifecycle.StateProbation, 0)
+	step(lifecycle.StateHealthy, 1)
 }
 
 // TestServePreStopBeforeStoreClose pins the shutdown order: every

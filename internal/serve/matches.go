@@ -88,10 +88,10 @@ func (s *Server) matrixStateKey() string {
 // candidate set (candidates are invoked live, so their availability —
 // not their stored annotations — is what the result depends on).
 //
-// With an index wired (and kept in sync with availability via SyncIndex
-// and the lifecycle manager), the generation counter subsumes the
-// candidate set: every availability flip and signature change bumps it,
-// so the key is O(1) per request. Without an index the key falls back to
+// With an index wired (and kept in sync with availability by SyncIndex,
+// the registry hook every flip, lifecycle ones included, goes through),
+// the generation counter subsumes the candidate set: every availability
+// flip and signature change bumps it, so the key is O(1) per request. Without an index the key falls back to
 // folding the sorted available-module IDs — correct, but O(catalog).
 func (s *Server) substitutesStateKey(targetID, targetHash string) string {
 	h := sha256.New()

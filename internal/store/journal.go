@@ -1,31 +1,29 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Journal is a general-purpose append-only log of JSON records using the
-// same physical frame format as the example-store WAL (length + CRC-32 +
-// payload, torn-tail truncation on open). It backs subsystems that need a
-// durable, replayable event stream without the store's snapshot machinery:
-// the lifecycle event log and the repair queue.
+// Journal is a general-purpose append-only log of JSON records in the
+// example-store WAL's file format, with its own magic: frames are
+// written by EncodeFrame and read back by replayFrames, with torn-tail
+// truncation on open. It backs subsystems that need a durable,
+// replayable event stream without the store's snapshot machinery: the
+// lifecycle event log and the repair queue.
 //
 //	file   = magic frame*
 //	magic  = "DEXAJNL1"                       (8 bytes)
-//	frame  = length(uint32 BE) crc32(uint32 BE) payload
+//	frame  = EncodeFrame(JSON record)
 //
 // A Journal opened with an empty path is memory-only: appends succeed and
 // are forgotten, which keeps callers free of "is persistence on?" branches.
 type Journal struct {
 	mu        sync.Mutex
-	path      string
 	f         *os.File
 	records   int64
 	bytes     int64
@@ -48,8 +46,14 @@ func OpenJournal(path string, replay func(payload []byte) error) (*Journal, erro
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating journal dir: %w", err)
 	}
-	j := &Journal{path: path}
-	goodSize, truncatedAt, err := j.replay(replay)
+	j := &Journal{}
+	goodSize, truncatedAt, err := replayFrames(path, journalMagic, "journal", func(payload []byte) error {
+		j.records++
+		if replay == nil {
+			return nil
+		}
+		return replay(payload)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -88,56 +92,6 @@ func OpenJournal(path string, replay func(payload []byte) error) (*Journal, erro
 	return j, nil
 }
 
-// replay scans the file, handing each intact payload to fn, and reports
-// the size of the good prefix plus where (if anywhere) a torn tail began.
-func (j *Journal) replay(fn func(payload []byte) error) (goodSize int64, truncatedAt int64, err error) {
-	f, err := os.Open(j.path)
-	if os.IsNotExist(err) {
-		return 0, -1, nil
-	}
-	if err != nil {
-		return 0, -1, fmt.Errorf("store: opening journal: %w", err)
-	}
-	defer f.Close()
-
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return 0, 0, nil // crash during creation; recreate from scratch
-	}
-	if string(magic) != journalMagic {
-		return 0, -1, fmt.Errorf("store: %s is not a journal (bad magic)", j.path)
-	}
-	offset := int64(len(journalMagic))
-	header := make([]byte, walFrameOverhead)
-	for {
-		if _, err := io.ReadFull(f, header); err != nil {
-			if err == io.EOF {
-				return offset, -1, nil // clean end
-			}
-			return offset, offset, nil // torn frame header
-		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		sum := binary.BigEndian.Uint32(header[4:8])
-		if length > maxWALRecordSize {
-			return offset, offset, nil // corrupt length prefix
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return offset, offset, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return offset, offset, nil // bit rot / partial overwrite
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return offset, -1, fmt.Errorf("store: replaying journal record %d: %w", j.records, err)
-			}
-		}
-		offset += walFrameOverhead + int64(length)
-		j.records++
-	}
-}
-
 // Append marshals v as JSON and frames it onto the log. It does not sync;
 // callers decide the durability point (see Sync).
 func (j *Journal) Append(v any) error {
@@ -154,10 +108,7 @@ func (j *Journal) Append(v any) error {
 	if j.f == nil {
 		return nil // memory-only
 	}
-	frame := make([]byte, walFrameOverhead+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
+	frame := EncodeFrame(payload)
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("store: appending journal record: %w", err)
 	}

@@ -20,7 +20,7 @@ import (
 //   - cursor before the window  → TailSince returns the full live state
 //     with reset=true; the follower replaces its state wholesale
 //
-// The follower side applies deltas through ApplyReplicated — the same
+// The follower side applies deltas through ApplyReplicatedBatch — the same
 // code path WAL replay uses — with the lifecycle log's contiguity
 // contract: records must arrive in exact sequence order, a gap is an
 // error (never silently absorbed), and records at or below the local
@@ -162,12 +162,6 @@ func (s *Store) TailSince(cursor uint64, limit int) (recs []Record, next uint64,
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, s.seq, true
-}
-
-// ApplyReplicated applies a contiguous batch of leader records to a
-// follower store. It is ApplyReplicatedBatch under its historical name.
-func (s *Store) ApplyReplicated(recs []Record) (applied, skipped int, err error) {
-	return s.ApplyReplicatedBatch(recs)
 }
 
 // ApplyReplicatedBatch applies a contiguous batch of leader records to

@@ -28,9 +28,9 @@ func drain(t *testing.T, leader, follower *Store) (applied, skipped int) {
 	if reset {
 		t.Fatalf("expected incremental delta from cursor %d, got reset", follower.Seq())
 	}
-	a, sk, err := follower.ApplyReplicated(recs)
+	a, sk, err := follower.ApplyReplicatedBatch(recs)
 	if err != nil {
-		t.Fatalf("ApplyReplicated: %v", err)
+		t.Fatalf("ApplyReplicatedBatch: %v", err)
 	}
 	if follower.Seq() != next {
 		t.Fatalf("follower seq %d, want next cursor %d", follower.Seq(), next)
@@ -110,10 +110,10 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 
 	// A retried delivery overlaps the already-applied prefix: duplicates
 	// are counted, never re-applied.
-	if _, _, err := follower.ApplyReplicated(recs[:3]); err != nil {
+	if _, _, err := follower.ApplyReplicatedBatch(recs[:3]); err != nil {
 		t.Fatal(err)
 	}
-	applied, skipped, err := follower.ApplyReplicated(recs) // full batch again
+	applied, skipped, err := follower.ApplyReplicatedBatch(recs) // full batch again
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 	}
 	tail, _, _ := leader.TailSince(follower.Seq(), 0)
 	gap := tail[1:] // skip the contiguous next record
-	if _, _, err := follower.ApplyReplicated(gap); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, _, err := follower.ApplyReplicatedBatch(gap); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap batch: err = %v, want replication gap", err)
 	}
 	if follower.Seq() != 4 {

@@ -78,14 +78,18 @@ func EncodeFrame(payload []byte) []byte {
 // sequence.
 var ErrTornFrame = errors.New("store: torn or corrupt frame")
 
-// FrameReader decodes a stream of EncodeFrame frames. Next returns each
-// verified payload in order, io.EOF at a clean end, and ErrTornFrame when
-// the stream is damaged mid-frame. Consumed reports how many bytes of
-// intact frames were read — the truncation point when the tail is torn.
+// FrameReader decodes a stream of EncodeFrame frames: the one decoder
+// behind WAL replay, journal replay and the replication feed. Next
+// returns each verified payload in order, io.EOF at a clean end, and
+// ErrTornFrame when the stream is damaged mid-frame; either error is
+// sticky, so nothing past a torn frame is ever returned. Consumed
+// reports how many bytes of intact frames were read — the truncation
+// point when the tail is torn.
 type FrameReader struct {
 	r        io.Reader
 	header   [walFrameOverhead]byte
 	consumed int64
+	err      error
 }
 
 // NewFrameReader wraps r for frame-by-frame decoding.
@@ -95,6 +99,17 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Next returns the next verified payload.
 func (fr *FrameReader) Next() ([]byte, error) {
+	if fr.err != nil {
+		return nil, fr.err
+	}
+	payload, err := fr.next()
+	fr.err = err
+	return payload, err
+}
+
+// next decodes one frame. The length prefix is checked before the
+// payload is allocated, so a corrupt prefix costs no allocation.
+func (fr *FrameReader) next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.header[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF // clean end
@@ -238,38 +253,57 @@ func (w *walWriter) close() error {
 // replays to nothing. Damage before the tail — an unreadable header —
 // is a hard error: it means the file is not a WAL at all.
 func replayWAL(path string) (recs []Record, goodSize int64, truncatedAt int64, err error) {
+	goodSize, truncatedAt, err = replayFrames(path, walMagic, "wal", func(payload []byte) error {
+		var rec Record
+		if json.Unmarshal(payload, &rec) != nil {
+			return ErrTornFrame // checksummed but undecodable
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, goodSize, truncatedAt, err
+}
+
+// replayFrames reads a framed file — magic, then frames — handing each
+// intact payload to fn, and reports the size of the good prefix plus
+// where (if anywhere) a torn or corrupt tail began (truncatedAt < 0
+// means a clean end). A missing file replays to nothing; one shorter
+// than its magic (a crash during creation) reports goodSize 0 so the
+// caller recreates it; a wrong magic is a hard error. fn returning
+// ErrTornFrame marks its payload as the torn tail; any other error
+// aborts the replay. kind names the file in errors.
+func replayFrames(path, magic, kind string, fn func(payload []byte) error) (goodSize int64, truncatedAt int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, 0, -1, nil
+		return 0, -1, nil
 	}
 	if err != nil {
-		return nil, 0, -1, fmt.Errorf("store: opening wal: %w", err)
+		return 0, -1, fmt.Errorf("store: opening %s: %w", kind, err)
 	}
 	defer f.Close()
 
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		// Shorter than the magic: a crash during WAL creation. Nothing to
-		// recover; signal the caller to recreate the file from scratch.
-		return nil, 0, 0, nil
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(f, head); err != nil {
+		return 0, 0, nil // a crash during creation: recreate from scratch
 	}
-	if string(magic) != walMagic {
-		return nil, 0, -1, fmt.Errorf("store: %s is not a wal (bad magic)", path)
+	if string(head) != magic {
+		return 0, -1, fmt.Errorf("store: %s is not a %s (bad magic)", path, kind)
 	}
 	fr := NewFrameReader(f)
-	for {
-		offset := int64(len(walMagic)) + fr.Consumed()
+	for n := 0; ; n++ {
+		offset := int64(len(magic)) + fr.Consumed()
 		payload, err := fr.Next()
 		if err == io.EOF {
-			return recs, offset, -1, nil // clean end
+			return offset, -1, nil // clean end
+		}
+		if err == nil {
+			err = fn(payload)
+		}
+		if errors.Is(err, ErrTornFrame) {
+			return offset, offset, nil // torn or corrupt tail
 		}
 		if err != nil {
-			return recs, offset, offset, nil // torn or corrupt tail
+			return offset, -1, fmt.Errorf("store: replaying %s record %d: %w", kind, n, err)
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, offset, offset, nil // checksummed but undecodable
-		}
-		recs = append(recs, rec)
 	}
 }

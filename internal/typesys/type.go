@@ -293,6 +293,11 @@ func (p *typeParser) parseType() (Type, error) {
 			if fname == "" {
 				return Type{}, fmt.Errorf("typesys: expected field name at offset %d in %q", p.pos, p.src)
 			}
+			for _, f := range fields {
+				if f.Name == fname {
+					return Type{}, fmt.Errorf("typesys: duplicate record field %q in %q", fname, p.src)
+				}
+			}
 			if err := p.expect(':'); err != nil {
 				return Type{}, err
 			}
