@@ -71,7 +71,7 @@ race-cluster:
 # a two-shard cluster on a tiny request budget. Gates results, not
 # timings — safe on any host.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan' -count=1 ./internal/serve/
+	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan|TestClusterMatchesContactsOnlyInfoWhenUnchanged|TestClusterMatchesSpan' -count=1 ./internal/serve/
 	$(GO) test -run 'TestRun' -count=1 ./cmd/dexa-load/
 
 # Search concurrency: queries and pagination racing Update/Remove on the

@@ -20,12 +20,14 @@ import (
 )
 
 // Router is the scatter-gather side of the cluster: it fans a substitute
-// search out to the shards owning its candidates and a matrix build out
-// to every shard, bounds each call with a
-// per-shard timeout, degrades to a partial result when shards fail (a
-// down shard withholds its slice, it does not take the answer down with
-// it), and merges the slices deterministically — the healthy-cluster
-// merge is byte-identical to a single node holding the whole catalog.
+// search out to the shards owning its candidates and a search out to
+// every shard, bounds each call with a per-shard timeout, degrades to a
+// partial result when shards fail (a down shard withholds its slice, it
+// does not take the answer down with it), and merges the slices
+// deterministically — the healthy-cluster merge is byte-identical to a
+// single node holding the whole catalog. For /matches it only gathers:
+// the state round (Matrix) and the shards' stored sets (Sets), from
+// which the serving layer builds the matrix locally.
 type Router struct {
 	Config Config
 	Ring   *Ring
@@ -40,10 +42,6 @@ type Router struct {
 	// APIPrefix is where the serving layer mounts its API on each shard
 	// (default "/api").
 	APIPrefix string
-
-	mu         sync.Mutex
-	matrixKey  string
-	matrixMemo *match.MatchMatrix
 }
 
 // DefaultShardTimeout bounds one per-shard scatter call.
@@ -61,14 +59,13 @@ type SubstitutesResult struct {
 	FailedShards []string
 }
 
-// MatrixResult is the merged cluster-wide matrix. With Partial set, the
-// pairs owned by FailedShards (and, when a shard failed before
-// contributing its sets, its modules) are absent.
-type MatrixResult struct {
-	Matrix       *match.MatchMatrix
-	Partial      bool
-	FailedShards []string
+// MatrixState is the state round of a cluster /matches: the key that
+// identifies the cluster's stored annotations, the shards that answered
+// and the shards that did not.
+type MatrixState struct {
 	StateKey     string
+	Shards       []ShardConfig
+	FailedShards []string
 }
 
 // Owner returns the shard a module is placed on.
@@ -378,95 +375,60 @@ func verdictRank(v string) int {
 	}
 }
 
-// Matrix scatter-gathers the all-pairs matrix: gather every shard's
-// owned annotation sets, ship the combined universe back out, and let
-// each shard sweep only the pairs it owns (match.MatchMatrixSlice); the
-// merged slices are byte-identical to a single-node build over the same
-// sets. The merge is memoized on the shards' replication sequences — an
-// unchanged cluster answers from the memo without re-gathering a single
-// set.
-func (rt *Router) Matrix(ctx context.Context) (*MatrixResult, error) {
-	// Cheap round first: each shard's identity and sequence form the
-	// cluster state key.
+// Matrix runs the state round of a cluster /matches: one /cluster/info
+// call per shard. The state key folds every answering shard's
+// replication sequence, so it moves exactly when some shard's stored
+// annotations do. The caller gathers sets (see Sets) only when the key
+// misses its cache, so revalidating an unchanged cluster costs this one
+// round and builds nothing.
+func (rt *Router) Matrix(ctx context.Context) (*MatrixState, error) {
 	infos := fanOut(rt, ctx, rt.Config.Shards, "info", func(ctx context.Context, sh ShardConfig) (Info, error) {
 		var info Info
 		err := rt.call(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/info", nil, &info)
 		return info, err
 	})
-	var failed []string
-	var healthy []ShardConfig
+	out := &MatrixState{}
 	var keyParts []string
 	for _, res := range infos {
 		if res.err != nil {
-			failed = append(failed, res.shard.Name)
+			out.FailedShards = append(out.FailedShards, res.shard.Name)
 			continue
 		}
-		healthy = append(healthy, res.shard)
+		out.Shards = append(out.Shards, res.shard)
 		keyParts = append(keyParts, fmt.Sprintf("%s:%d", res.shard.Name, res.reply.Seq))
 	}
-	sort.Strings(keyParts)
-	key := strings.Join(keyParts, ",")
-
-	if len(failed) == 0 {
-		rt.mu.Lock()
-		if rt.matrixMemo != nil && rt.matrixKey == key {
-			memo := rt.matrixMemo
-			rt.mu.Unlock()
-			return &MatrixResult{Matrix: memo, StateKey: key}, nil
-		}
-		rt.mu.Unlock()
-	}
-	if len(healthy) == 0 {
+	if len(out.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shard reachable for matrix build")
 	}
+	sort.Strings(keyParts)
+	out.StateKey = strings.Join(keyParts, ",")
+	sort.Strings(out.FailedShards)
+	return out, nil
+}
 
-	// Gather every healthy shard's owned sets into one universe.
-	setsResults := fanOut(rt, ctx, healthy, "sets", func(ctx context.Context, sh ShardConfig) (SetsPayload, error) {
+// Sets gathers every annotation the listed shards store into one map
+// keyed by module ID — the whole catalog's sets when every shard
+// answers — and names, sorted, the shards that failed to send theirs.
+func (rt *Router) Sets(ctx context.Context, shards []ShardConfig) (map[string]StoredSet, []string, error) {
+	results := fanOut(rt, ctx, shards, "sets", func(ctx context.Context, sh ShardConfig) (SetsPayload, error) {
 		var payload SetsPayload
 		err := rt.call(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/sets", nil, &payload)
 		return payload, err
 	})
-	universe := make(map[string]StoredSet)
-	var sweepers []ShardConfig
-	for _, res := range setsResults {
+	sets := make(map[string]StoredSet)
+	var failed []string
+	for _, res := range results {
 		if res.err != nil {
 			failed = append(failed, res.shard.Name)
 			continue
 		}
-		sweepers = append(sweepers, res.shard)
 		for id, set := range res.reply.Sets {
-			universe[id] = set
+			sets[id] = set
 		}
 	}
-	if len(sweepers) == 0 {
-		return nil, fmt.Errorf("cluster: no shard contributed sets for matrix build")
+	if len(failed) == len(results) {
+		return nil, nil, fmt.Errorf("cluster: no shard contributed sets for matrix build")
 	}
-
-	// Scatter the sweep: each shard computes the pairs it owns.
-	req := MatrixRequest{Sets: universe}
-	sliceResults := fanOut(rt, ctx, sweepers, "matrix", func(ctx context.Context, sh ShardConfig) (MatrixReply, error) {
-		var reply MatrixReply
-		err := rt.call(ctx, http.MethodPost, strings.TrimSuffix(sh.URL, "/"), "/cluster/matrix", req, &reply)
-		return reply, err
-	})
-	var slices []*match.MatchMatrix
-	for _, res := range sliceResults {
-		if res.err != nil {
-			failed = append(failed, res.shard.Name)
-			continue
-		}
-		slices = append(slices, res.reply.Matrix)
-	}
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("cluster: every shard failed the matrix sweep")
-	}
-	merged := match.MergeMatrixSlices(slices)
 	sort.Strings(failed)
-	out := &MatrixResult{Matrix: merged, Partial: len(failed) > 0, FailedShards: failed, StateKey: key}
-	if !out.Partial {
-		rt.mu.Lock()
-		rt.matrixKey, rt.matrixMemo = key, merged
-		rt.mu.Unlock()
-	}
-	return out, nil
+	return sets, failed, nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"dexa/internal/dataexample"
-	"dexa/internal/match"
 	"dexa/internal/search"
 )
 
@@ -72,20 +71,6 @@ type SubstitutesReply struct {
 	Shard       string            `json:"shard"`
 	Substitutes []SubstituteEntry `json:"substitutes"`
 	Skipped     []SkippedEntry    `json:"skipped,omitempty"`
-}
-
-// MatrixRequest is POST /cluster/matrix: compute this shard's slice of
-// the all-pairs matrix over the full catalog's sets (gathered from every
-// shard by the router — a single shard stores only its owned slice, but
-// the pair sweep needs both sides of every pair).
-type MatrixRequest struct {
-	Sets map[string]StoredSet `json:"sets"`
-}
-
-// MatrixReply is the shard's matrix slice (see match.MatchMatrixSlice).
-type MatrixReply struct {
-	Shard  string             `json:"shard"`
-	Matrix *match.MatchMatrix `json:"matrix"`
 }
 
 // SearchRequest is POST /cluster/search, in one of two modes. With

@@ -191,7 +191,7 @@ func TestCatalogInternedAlignmentMatchesOracle(t *testing.T) {
 // TestCatalogScratchAllocBudgets pins the allocation budgets of the
 // scratch-driven hot paths: the keyed self-comparison allocates nothing,
 // and a warm indexed matrix build over the full catalog stays under
-// 2000 allocations and 1 MiB, as does a matrix slice's allocation count.
+// 2000 allocations and 1 MiB.
 func TestCatalogScratchAllocBudgets(t *testing.T) {
 	c := fullCatalog(t)
 	keyed := c.keyed(dataexample.NewSymbolTable())
@@ -236,14 +236,6 @@ func TestCatalogScratchAllocBudgets(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= matrixBytes {
 		t.Errorf("warm indexed matrix allocates %d bytes per build, want < %d", per, matrixBytes)
-	}
-	firstHalf := func(id string) bool { return id < "m" }
-	if n := testing.AllocsPerRun(3, func() {
-		if _, err := cmp.MatchMatrixSlice(ctx, c.mods, src, firstHalf); err != nil {
-			t.Fatal(err)
-		}
-	}); n >= matrixBudget {
-		t.Errorf("warm indexed matrix slice allocates %.0f per build, want < %d", n, matrixBudget)
 	}
 }
 
@@ -293,7 +285,7 @@ func TestCatalogIncrementalMatrixEqualsFull(t *testing.T) {
 		t.Helper()
 		for _, mode := range modes {
 			cmp.Mode = mode
-			want := match.DenseMatchMatrix(cmp, mods, src, nil)
+			want := match.DenseMatchMatrix(cmp, mods, src)
 			for _, workers := range []int{0, 1, 2} {
 				cmp.Workers = workers
 				got, err := cmp.MatchMatrixFromKeyedSets(ctx, mods, src)

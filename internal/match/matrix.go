@@ -166,34 +166,32 @@ func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.
 	if n < 2 {
 		return mm, ctx.Err()
 	}
-	if err := c.buildMatrix(ctx, span, mm, &in, nil); err != nil {
+	if err := c.buildMatrix(ctx, span, mm, &in); err != nil {
 		return nil, err
 	}
 	return mm, nil
 }
 
-// buildMatrix is the one sweep behind MatchMatrixFromKeyedSets and
-// MatchMatrixSlice. It reads every row's open directions from one index
-// snapshot, computes only the unordered pairs a < b that are owned
-// (own[a]; nil owns every row) and open in at least one direction, and
-// emits their cells row by row in (target, candidate) order, so beyond
-// the feasibility queries a build costs O(n + feasible pairs). An owned
-// pair it never visits is pruned both ways, and an owned direction it
-// emits no cell for is Incomparable, so both counts follow from the
-// visited cells.
-func (c *Comparer) buildMatrix(ctx context.Context, span *telemetry.Span, mm *MatchMatrix, in *matrixInputs, own []bool) error {
+// buildMatrix is the sweep behind MatchMatrixFromKeyedSets. It reads
+// every row's open directions from one index snapshot, computes only the
+// unordered pairs a < b open in at least one direction, and emits their
+// cells row by row in (target, candidate) order, so beyond the
+// feasibility queries a build costs O(n + feasible pairs). A pair it
+// never visits is pruned both ways, and a direction it emits no cell for
+// is Incomparable, so both counts follow from the visited cells.
+func (c *Comparer) buildMatrix(ctx context.Context, span *telemetry.Span, mm *MatchMatrix, in *matrixInputs) error {
 	met := newMatchMetrics(c.Metrics)
 	n := len(in.ids)
 	w := (n + 63) / 64
 	open := c.Index.openRows(in.sigs, c.Mode)
 	isOpen := func(a, b int) bool { return hasBit(open[a*w:], b) }
-	// visit is open made symmetric and restricted to owned pairs: bit b
-	// of row a is set when the pair {a, b} is owned and open at least one
-	// way. start[a] is the index of row a's first pair a < b in pairs.
+	// visit is open made symmetric: bit b of row a is set when the pair
+	// {a, b} is open at least one way. start[a] is the index of row a's
+	// first pair a < b in pairs.
 	visit := make([]uint64, n*w)
 	for a := 0; a < n; a++ {
 		forBits(open[a*w:(a+1)*w], 0, func(b int) {
-			if a != b && (own == nil || own[min(a, b)]) {
+			if a != b {
 				setBit(visit[a*w:], b)
 				setBit(visit[b*w:], a)
 			}

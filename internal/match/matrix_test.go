@@ -20,6 +20,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// keyedSource serves a plain set map as a KeyedSource, interning every
+// set into one symbol table on first use.
+func keyedSource(sets map[string]dataexample.Set) KeyedSource {
+	tab := dataexample.NewSymbolTable()
+	keyed := map[string]*dataexample.KeyedSet{}
+	return func(id string) (*dataexample.KeyedSet, bool) {
+		set, ok := sets[id]
+		if !ok {
+			return nil, false
+		}
+		ks, ok := keyed[id]
+		if !ok {
+			ks = set.KeyedInterned(tab)
+			keyed[id] = ks
+		}
+		return ks, true
+	}
+}
+
 // matrixWorld builds a small catalog with every verdict represented plus
 // one unannotated module, and generates each set once.
 func matrixWorld(t testing.TB) (*fixture, []*module.Module, map[string]dataexample.Set) {
@@ -272,9 +291,9 @@ func TestMatchMatrixOneIndexSnapshot(t *testing.T) {
 	cmp := NewComparer(f.ont, nil)
 	cmp.Index = NewCatalogIndex(f.ont, mods)
 	flip := mods[len(mods)/2]
-	pre := DenseMatchMatrix(cmp, mods, src, nil)
+	pre := DenseMatchMatrix(cmp, mods, src)
 	cmp.Index.Remove(flip.ID)
-	post := DenseMatchMatrix(cmp, mods, src, nil)
+	post := DenseMatchMatrix(cmp, mods, src)
 	cmp.Index.Update(flip)
 	if reflect.DeepEqual(pre, post) {
 		t.Fatalf("unindexing %s changes nothing; the test is vacuous", flip.ID)

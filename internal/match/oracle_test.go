@@ -41,16 +41,14 @@ func CompareExampleSets(targetID, candidateID string, tSet, cSet dataexample.Set
 	return res
 }
 
-// DenseMatchMatrix is the oracle for MatchMatrixFromKeyedSets and
-// MatchMatrixSlice: the plain ordered double loop over every pair of the
-// resolved modules, with one Feasibility query per target row and
-// MapParameters and CompareKeyedSets per direction — no bitsets, no
-// workers, no pair sharing. assigned selects pairs by owner (the smaller
-// module ID) as MatchMatrixSlice does; nil selects every pair. An
-// exact-mode direction the builder mirrors is aligned here as well and
-// only counted as Mirrored, so equality also checks that mirroring is
-// exact.
-func DenseMatchMatrix(c *Comparer, mods []*module.Module, source KeyedSource, assigned func(id string) bool) *MatchMatrix {
+// DenseMatchMatrix is the oracle for MatchMatrixFromKeyedSets: the plain
+// ordered double loop over every pair of the resolved modules, with one
+// Feasibility query per target row and MapParameters and
+// CompareKeyedSets per direction — no bitsets, no workers, no pair
+// sharing. An exact-mode direction the builder mirrors is aligned here
+// as well and only counted as Mirrored, so equality also checks that
+// mirroring is exact.
+func DenseMatchMatrix(c *Comparer, mods []*module.Module, source KeyedSource) *MatchMatrix {
 	in := resolveMatrixInputs(mods, source)
 	n := len(in.ids)
 	mm := &MatchMatrix{Mode: c.Mode.String(), Modules: in.ids, Missing: in.missing, Cells: []MatrixCell{}}
@@ -69,7 +67,7 @@ func DenseMatchMatrix(c *Comparer, mods []*module.Module, source KeyedSource, as
 	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			if a == b || (assigned != nil && !assigned(in.ids[min(a, b)])) {
+			if a == b {
 				continue
 			}
 			mm.Stats.Pairs++

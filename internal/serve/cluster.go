@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -22,15 +25,16 @@ import (
 //	GET  /cluster/info        — this node's identity and replication seq
 //	GET  /cluster/sets        — every annotation this shard stores
 //	POST /cluster/substitutes — rank a candidate slice against shipped examples
-//	POST /cluster/matrix      — compute this shard's slice of the pair matrix
+//	POST /cluster/search      — rank this shard's hits, or resolve behaves: anchors
 //
-// and changes how the public query routes answer: /matches and
-// /modules/{id}/substitutes scatter-gather across the ring through the
-// cluster Router (merged results are byte-identical to a single node
-// holding the whole catalog; failed shards degrade the response to a
-// partial one instead of failing it), while /examples and /generate for
-// a module another shard owns answer 307 to the owner. A follower node
-// mounts /cluster/info only and serves its replicated slice read-only.
+// and changes how the public query routes answer: /modules/{id}/substitutes
+// and /search scatter-gather across the ring through the cluster Router,
+// and /matches gathers every shard's sets and builds the matrix locally
+// (answers are byte-identical to a single node holding the whole
+// catalog; failed shards degrade the response to a partial one instead
+// of failing it), while /examples and /generate for a module another
+// shard owns answer 307 to the owner. A follower node mounts
+// /cluster/info only and serves its replicated slice read-only.
 
 func (s *Server) clusterRoutes() []route {
 	rts := []route{
@@ -40,7 +44,6 @@ func (s *Server) clusterRoutes() []route {
 		rts = append(rts,
 			route{http.MethodGet, "/cluster/sets", s.handleClusterSets},
 			route{http.MethodPost, "/cluster/substitutes", s.handleClusterSubstitutes},
-			route{http.MethodPost, "/cluster/matrix", s.handleClusterMatrix},
 			route{http.MethodPost, "/cluster/search", s.handleClusterSearch},
 		)
 	}
@@ -168,37 +171,6 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// handleClusterMatrix computes this shard's slice of the all-pairs
-// matrix: the request carries the full catalog's sets (gathered from
-// every shard by the router), the slice covers the pairs whose owner —
-// by ring placement — is this shard.
-func (s *Server) handleClusterMatrix(w http.ResponseWriter, r *http.Request) {
-	if s.Comparer == nil {
-		writeError(w, http.StatusNotImplemented, "matching is not enabled on this server")
-		return
-	}
-	var req cluster.MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding matrix request: %v", err)
-		return
-	}
-	tab := dataexample.NewSymbolTable()
-	keyed := make(map[string]*dataexample.KeyedSet, len(req.Sets))
-	for id, ss := range req.Sets {
-		keyed[id] = ss.Examples.KeyedInterned(tab)
-	}
-	source := func(id string) (*dataexample.KeyedSet, bool) {
-		set, ok := keyed[id]
-		return set, ok
-	}
-	mm, err := s.Comparer.MatchMatrixSlice(r.Context(), s.Registry.Modules(), source, s.Cluster.Owns)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "building matrix slice: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.MatrixReply{Shard: s.Cluster.Self, Matrix: mm})
-}
-
 // scatterSubstitutes is the cluster-mode /modules/{id}/substitutes: the
 // target's examples come from the local store (owned) or the owner shard
 // (not owned), and the candidate catalog is pruned feasibility-first
@@ -299,33 +271,47 @@ func (s *Server) ownersOf(ids []string) []string {
 	return names
 }
 
-// scatterMatches is the cluster-mode /matches: gather, scatter the
-// sweep, merge (see Router.Matrix). The ETag hashes the cluster state
-// key — every shard's replication sequence — and is only honoured for
-// complete results: a partial build must not 304 against a complete one.
-func (s *Server) scatterMatches(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Cluster.Router.Matrix(r.Context())
+// clusterMatrixSource is the cluster-mode matrixSource. The state round
+// (Router.Matrix) reads every shard's replication sequence and the state
+// hashes that vector, so an unchanged cluster revalidates with one
+// /cluster/info call per shard and no set moves. load gathers the
+// answering shards' sets (Router.Sets) and interns them once into one
+// symbol table; the matrix is then built here by the single-node path,
+// so a healthy cluster's answer is byte-identical to one node holding
+// the whole catalog. A shard that fails either round contributes no
+// sets: its modules land in Missing and the answer is partial.
+func (s *Server) clusterMatrixSource(ctx context.Context) (*matrixSource, error) {
+	rt := s.Cluster.Router
+	st, err := rt.Matrix(ctx)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster matrix build: %v", err)
-		return
+		return nil, err
 	}
-	sum := sha256.Sum256([]byte(res.StateKey))
-	state := hex.EncodeToString(sum[:])[:32]
-	if !res.Partial {
-		etag := `"` + state + `"`
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", "no-cache")
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
+	sum := sha256.Sum256([]byte(st.StateKey))
+	src := &matrixSource{state: hex.EncodeToString(sum[:])[:32], failed: st.FailedShards}
+	src.load = func(ctx context.Context) (match.KeyedSource, error) {
+		sets, failed, err := rt.Sets(ctx, st.Shards)
+		if err != nil {
+			return nil, err
 		}
+		for _, sh := range st.Shards {
+			if !slices.Contains(failed, sh.Name) {
+				src.gathered = append(src.gathered, sh.Name)
+			}
+		}
+		src.failed = append(src.failed, failed...)
+		sort.Strings(src.failed)
+		src.sets = len(sets)
+		tab := dataexample.NewSymbolTable()
+		keyed := make(map[string]*dataexample.KeyedSet, len(sets))
+		for id, ss := range sets {
+			keyed[id] = ss.Examples.KeyedInterned(tab)
+		}
+		return func(id string) (*dataexample.KeyedSet, bool) {
+			set, ok := keyed[id]
+			return set, ok
+		}, nil
 	}
-	writeJSON(w, http.StatusOK, matchesResponse{
-		State:        state,
-		Matrix:       res.Matrix,
-		Partial:      res.Partial,
-		FailedShards: res.FailedShards,
-	})
+	return src, nil
 }
 
 // clusterStats is the /stats cluster block.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,33 +30,46 @@ type fullCatalog struct {
 	ring   *cluster.Ring
 	nodes  map[string]*clusterNode
 	oracle *clusterNode
-	calls  *substituteCalls
+	calls  *shardCalls
 }
 
-// substituteCalls is an http.RoundTripper that counts the POST
-// /cluster/substitutes calls each shard receives, keyed by shard name.
-type substituteCalls struct {
+// shardCall is one intra-cluster call: the shard it reached and the API
+// path it asked for, without the /api mount prefix.
+type shardCall struct{ shard, path string }
+
+// shardCalls is an http.RoundTripper that counts the calls each shard
+// receives, by shard and path.
+type shardCalls struct {
 	shardOf map[string]string // host:port → shard name
 	mu      sync.Mutex
-	got     map[string]int
+	got     map[shardCall]int
 }
 
-func (c *substituteCalls) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/cluster/substitutes") {
-		c.mu.Lock()
-		c.got[c.shardOf[req.URL.Host]]++
-		c.mu.Unlock()
-	}
+func (c *shardCalls) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.got[shardCall{c.shardOf[req.URL.Host], strings.TrimPrefix(req.URL.Path, "/api")}]++
+	c.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(req)
 }
 
 // take returns the calls counted since the last take and resets them.
-func (c *substituteCalls) take() map[string]int {
+func (c *shardCalls) take() map[shardCall]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	got := c.got
-	c.got = map[string]int{}
+	c.got = map[shardCall]int{}
 	return got
+}
+
+// onPath picks the per-shard counts of one path out of taken calls.
+func onPath(calls map[shardCall]int, path string) map[string]int {
+	out := map[string]int{}
+	for call, n := range calls {
+		if call.path == path {
+			out[call.shard] = n
+		}
+	}
+	return out
 }
 
 // newFullCatalog boots the three shards and the oracle on loopback and
@@ -95,7 +109,7 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := &substituteCalls{shardOf: map[string]string{}, got: map[string]int{}}
+	calls := &shardCalls{shardOf: map[string]string{}, got: map[shardCall]int{}}
 	for _, sh := range cfg.Shards {
 		calls.shardOf[strings.TrimPrefix(sh.URL, "http://")] = sh.Name
 	}
@@ -306,7 +320,7 @@ func TestClusterSubstitutesContactsFeasibleOwners(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, status, body)
 			}
-			got := fc.calls.take()
+			got := onPath(fc.calls.take(), "/cluster/substitutes")
 			if len(got) != len(owners) {
 				t.Fatalf("substitutes(%s) via %s contacted %v, want the feasible owners %v", id, name, got, owners)
 			}
@@ -435,5 +449,97 @@ func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
 	t.Logf("with %s dead: %d complete answers, %d partial", dead, complete, partial)
 	if complete == 0 || partial == 0 {
 		t.Fatalf("only one case exercised: %d complete, %d partial", complete, partial)
+	}
+}
+
+// TestClusterMatchesContactsOnlyInfoWhenUnchanged: a cold cluster
+// /matches costs one /cluster/info and one /cluster/sets call per shard
+// and no other intra-cluster call; revalidating its ETag — even on
+// shards that never built the matrix — costs one /cluster/info call per
+// shard and gathers no set.
+func TestClusterMatchesContactsOnlyInfoWhenUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster matrix skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	perShard := func(paths ...string) map[shardCall]int {
+		want := map[shardCall]int{}
+		for _, name := range fc.names {
+			for _, path := range paths {
+				want[shardCall{name, path}] = 1
+			}
+		}
+		return want
+	}
+	fc.calls.take()
+	resp := getWithETag(t, fc.nodes["s1"].ts.URL+"/api/matches", "", nil)
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || etag == "" {
+		t.Fatalf("cold /matches on s1: status %d, ETag %q", resp.StatusCode, etag)
+	}
+	if got, want := fc.calls.take(), perShard("/cluster/info", "/cluster/sets"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold /matches on s1 made calls %v, want %v", got, want)
+	}
+	for _, name := range []string{"s2", "s3"} {
+		resp := getWithETag(t, fc.nodes[name].ts.URL+"/api/matches", etag, nil)
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("revalidation on %s: status %d, want 304", name, resp.StatusCode)
+		}
+		if got, want := fc.calls.take(), perShard("/cluster/info"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("revalidation on %s made calls %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestClusterMatchesSpan: a cluster /matches records a cluster.matrix
+// span naming the shards whose sets it gathered, the failed shards and
+// the number of sets; a 304 and a cache hit gather nothing.
+func TestClusterMatchesSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster matrix skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	srv := fc.nodes["s1"].srv
+	serve := func(etag string) (int, map[string]string) {
+		t.Helper()
+		tracer := telemetry.NewTracer(4)
+		req := httptest.NewRequest(http.MethodGet, "/matches", nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
+		rec := httptest.NewRecorder()
+		srv.handleMatches(rec, req)
+		traces := tracer.Recent()
+		if len(traces) != 1 || traces[0].Name != "cluster.matrix" {
+			t.Fatalf("/matches recorded %+v, want one cluster.matrix span", traces)
+		}
+		attrs := map[string]string{}
+		for _, a := range traces[0].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		return rec.Code, attrs
+	}
+	check := func(step string, got, want map[string]string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: span attrs %v, want %v", step, got, want)
+		}
+	}
+	status, attrs := serve("")
+	if status != http.StatusOK {
+		t.Fatalf("cold /matches: status %d", status)
+	}
+	check("cold", attrs, map[string]string{"shards": "s1,s2,s3", "failed": "", "sets": strconv.Itoa(len(fc.ids))})
+	etag := `"` + srv.matrix.state + `"`
+	for _, step := range []struct {
+		name, etag string
+		status     int
+	}{{"304", etag, http.StatusNotModified}, {"cache hit", "", http.StatusOK}} {
+		status, attrs := serve(step.etag)
+		if status != step.status {
+			t.Fatalf("%s: status %d, want %d", step.name, status, step.status)
+		}
+		check(step.name, attrs, map[string]string{"shards": "", "failed": "", "sets": "0"})
 	}
 }

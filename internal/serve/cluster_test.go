@@ -3,12 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,6 +433,123 @@ func TestClusterPartialDegradation(t *testing.T) {
 	}
 	if !subs.Partial || len(subs.FailedShards) != 1 || subs.FailedShards[0] != "s3" {
 		t.Fatalf("degraded substitutes not flagged: %+v", subs)
+	}
+}
+
+// TestClusterMatchesConcurrent: concurrent cold /matches requests on
+// every shard share each node's matrix cache and all answer the oracle's
+// matrix with the same ETag.
+func TestClusterMatchesConcurrent(t *testing.T) {
+	w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
+	w.seed(t)
+	_, oracleRaw := fetch(t, w.oracle.ts.URL+"/api/matches")
+	var oracle matchesBody
+	mustUnmarshal(t, oracleRaw, &oracle)
+	type answer struct {
+		status int
+		etag   string
+		body   matchesBody
+		err    error
+	}
+	// Buffered for every request, so no sender blocks.
+	answers := make(chan answer, 4*len(w.names))
+	var wg sync.WaitGroup
+	for i := 0; i < cap(answers); i++ {
+		wg.Add(1)
+		go func(url string) {
+			defer wg.Done()
+			var a answer
+			resp, err := http.Get(url)
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			a.status, a.etag = resp.StatusCode, resp.Header.Get("ETag")
+			a.err = json.NewDecoder(resp.Body).Decode(&a.body)
+			answers <- a
+		}(w.nodes[w.names[i%len(w.names)]].ts.URL + "/api/matches")
+	}
+	wg.Wait()
+	close(answers)
+	var etag string
+	for a := range answers {
+		if a.err != nil {
+			t.Fatalf("concurrent /matches: %v", a.err)
+		}
+		if a.status != http.StatusOK || a.body.Partial || a.etag == "" {
+			t.Fatalf("concurrent /matches: status %d, partial %v, ETag %q", a.status, a.body.Partial, a.etag)
+		}
+		if etag == "" {
+			etag = a.etag
+		}
+		if a.etag != etag || string(a.body.Matrix) != string(oracle.Matrix) {
+			t.Fatalf("concurrent /matches answers differ: ETag %s vs %s, or matrix differs from the oracle", a.etag, etag)
+		}
+	}
+}
+
+// shardOutage is an http.RoundTripper that, while down is set, fails
+// every call to one shard whose path ends in suffix ("" fails them all).
+type shardOutage struct {
+	host, suffix string
+	down         atomic.Bool
+}
+
+func (o *shardOutage) RoundTrip(req *http.Request) (*http.Response, error) {
+	if o.down.Load() && req.URL.Host == o.host && strings.HasSuffix(req.URL.Path, o.suffix) {
+		return nil, errors.New("injected shard outage")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestClusterPartialMatchesNeverCached: a partial /matches — a shard
+// down for the state round, or answering it but failing the gather, so
+// the state key is the healthy one — carries no ETag and is not cached:
+// the first /matches after the shard recovers is complete, byte-equal
+// to the oracle and carries the healthy ETag.
+func TestClusterPartialMatchesNeverCached(t *testing.T) {
+	for _, outage := range []struct{ name, suffix string }{
+		{"every call", ""},
+		{"sets only", "/cluster/sets"},
+	} {
+		t.Run(outage.name, func(t *testing.T) {
+			w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
+			w.seed(t)
+			_, oracleRaw := fetch(t, w.oracle.ts.URL+"/api/matches")
+			var oracle matchesBody
+			mustUnmarshal(t, oracleRaw, &oracle)
+			healthy := getWithETag(t, w.nodes["s2"].ts.URL+"/api/matches", "", nil).Header.Get("ETag")
+			if healthy == "" {
+				t.Fatal("healthy /matches carries no ETag")
+			}
+
+			rt := &shardOutage{host: strings.TrimPrefix(w.cfg.ShardURL("s3"), "http://"), suffix: outage.suffix}
+			w.nodes["s1"].node.Router.Client = &http.Client{Transport: rt}
+			url := w.nodes["s1"].ts.URL + "/api/matches"
+			rt.down.Store(true)
+			var partial matchesBody
+			resp := getWithETag(t, url, "", &partial)
+			if resp.StatusCode != http.StatusOK || !partial.Partial || !reflect.DeepEqual(partial.FailedShards, []string{"s3"}) {
+				t.Fatalf("with s3 down: status %d, partial %v, failed %v", resp.StatusCode, partial.Partial, partial.FailedShards)
+			}
+			if etag := resp.Header.Get("ETag"); etag != "" {
+				t.Fatalf("partial /matches carries ETag %s", etag)
+			}
+
+			rt.down.Store(false)
+			var got matchesBody
+			resp = getWithETag(t, url, "", &got)
+			if resp.StatusCode != http.StatusOK || got.Partial || len(got.FailedShards) != 0 {
+				t.Fatalf("after recovery: status %d, partial %v, failed %v", resp.StatusCode, got.Partial, got.FailedShards)
+			}
+			if string(got.Matrix) != string(oracle.Matrix) {
+				t.Fatalf("after recovery the matrix differs from the oracle\nshard:  %.200s\noracle: %.200s", got.Matrix, oracle.Matrix)
+			}
+			if etag := resp.Header.Get("ETag"); etag != healthy {
+				t.Fatalf("after recovery ETag %q, want the healthy %q", etag, healthy)
+			}
+		})
 	}
 }
 

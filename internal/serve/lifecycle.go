@@ -103,11 +103,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	total := log.Seq()
-	etag := lifecycleETag(total)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, lifecycleETag(total)) {
 		return
 	}
 	events, next := log.Since(cursor, limit)

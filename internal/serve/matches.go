@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,11 +9,14 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
 	"dexa/internal/module"
+	"dexa/internal/telemetry"
 )
 
 // matchesResponse wraps the matrix with the cache state it was computed
@@ -20,29 +24,29 @@ import (
 type matchesResponse struct {
 	State  string             `json:"state"`
 	Matrix *match.MatchMatrix `json:"matrix"`
-	// Cluster mode only: a scatter with failed shards degrades to a
+	// Cluster mode only: a gather with failed shards degrades to a
 	// partial matrix instead of failing. Absent on healthy answers, so
 	// the healthy-cluster body matches a single node's shape.
 	Partial      bool     `json:"partial,omitempty"`
 	FailedShards []string `json:"failedShards,omitempty"`
 }
 
-// matrixCache memoizes the last all-pairs matrix build together with the
-// catalog state it reflects and its encoded response bytes. The state
-// key folds every registered module's stored-set content hash (and the
-// signature index generation, when one is wired), so any annotation
-// change — or an index Update/Remove after a signature change — produces
-// a different key and forces a rebuild; an unchanged catalog serves the
+// matrixCache memoizes the last complete all-pairs matrix build together
+// with the catalog state it reflects and its encoded response bytes. In
+// a cluster the state key hashes every shard's replication sequence; on
+// a single node it folds every registered module's stored-set content
+// hash (and the signature index generation, when one is wired), so any
+// annotation change — or an index Update/Remove after a signature
+// change — produces a different key and forces a rebuild; an unchanged catalog serves the
 // cached bytes verbatim (no re-serialisation per request) and lets
 // If-None-Match answer 304 without recomputation. A rebuild is a fresh
 // MatchMatrixFromKeyedSets call, whose cost follows the index's feasible
 // pairs rather than the n² pair grid, so there is no per-module state to
 // patch between builds.
 type matrixCache struct {
-	mu     sync.Mutex
-	state  string
-	matrix *match.MatchMatrix
-	body   []byte
+	mu    sync.Mutex
+	state string
+	body  []byte
 }
 
 // subsEntry is one warmed substitute search: the full (unlimited)
@@ -119,52 +123,112 @@ func (s *Server) substitutesStateKey(targetID, targetHash string) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
+// matrixSource is where one /matches answer comes from. state keys its
+// ETag and cache entry, and load yields the keyed sets to build from; it
+// runs only on a cache miss. Shards listed in failed — by the state round
+// or by load — make the answer partial, and a partial answer is neither
+// ETag'd nor cached, so it can never 304 against a complete one.
+type matrixSource struct {
+	state  string
+	failed []string
+	load   func(ctx context.Context) (match.KeyedSource, error)
+	// Cluster mode: the shards whose sets load gathered, and how many
+	// sets arrived.
+	gathered []string
+	sets     int
+}
+
+// storeMatrixSource is the single-node matrixSource: the catalog state
+// key and the local store's keyed sets.
+func (s *Server) storeMatrixSource() *matrixSource {
+	return &matrixSource{
+		state: s.matrixStateKey(),
+		load: func(context.Context) (match.KeyedSource, error) {
+			return func(id string) (*dataexample.KeyedSet, bool) {
+				set, _, ok := s.Store.GetKeyed(id)
+				return set, ok
+			}, nil
+		},
+	}
+}
+
 // handleMatches serves the catalog-wide verdict matrix over the stored
-// annotations. The ETag is the catalog state key: If-None-Match answers
-// 304 before any work, a matching cached build answers without
-// recomputation, and only a genuinely changed catalog pays for a sweep.
+// annotations, on a single node and in a cluster alike: the ETag is the
+// state key, If-None-Match answers 304 before any work, a matching
+// cached build answers without recomputation, and only a changed
+// catalog loads its sets and pays for a build.
 func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	if s.Comparer == nil {
 		writeError(w, http.StatusNotImplemented, "matching is not enabled on this server")
 		return
 	}
-	if s.clusterMode() {
-		s.scatterMatches(w, r)
-		return
+	ctx := r.Context()
+	var src *matrixSource
+	if !s.clusterMode() {
+		src = s.storeMatrixSource()
+	} else {
+		var span *telemetry.Span
+		ctx, span = telemetry.StartSpan(ctx, "cluster.matrix")
+		defer span.End()
+		var err error
+		if src, err = s.clusterMatrixSource(ctx); err != nil {
+			span.Fail(err)
+			writeError(w, http.StatusBadGateway, "cluster matrix build: %v", err)
+			return
+		}
+		defer func() {
+			span.Annotate("shards", strings.Join(src.gathered, ","))
+			span.Annotate("failed", strings.Join(src.failed, ","))
+			span.Annotate("sets", strconv.Itoa(src.sets))
+		}()
 	}
-	state := s.matrixStateKey()
-	etag := `"` + state + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	complete := len(src.failed) == 0
+	if complete && notModified(w, r, `"`+src.state+`"`) {
 		return
 	}
 
 	s.matrix.mu.Lock()
 	defer s.matrix.mu.Unlock()
-	if s.matrix.matrix == nil || s.matrix.state != state {
-		keyedSet := func(id string) (*dataexample.KeyedSet, bool) {
-			set, _, ok := s.Store.GetKeyed(id)
-			return set, ok
-		}
-		mm, err := s.Comparer.MatchMatrixFromKeyedSets(r.Context(), s.Registry.Modules(), keyedSet)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "building match matrix: %v", err)
-			return
-		}
-		body, err := encodeJSONBody(matchesResponse{State: state, Matrix: mm})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encoding match matrix: %v", err)
-			return
-		}
-		s.matrix.state = state
-		s.matrix.matrix = mm
-		s.matrix.body = body
+	if complete && s.matrix.body != nil && s.matrix.state == src.state {
+		writeBody(w, s.matrix.body)
+		return
 	}
+	body, err := s.buildMatches(ctx, src)
+	if err != nil || len(src.failed) > 0 {
+		// The validator went out before the build; only a complete
+		// answer keeps it.
+		w.Header().Del("ETag")
+		w.Header().Del("Cache-Control")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "%v", err)
+		return
+	}
+	if len(src.failed) == 0 {
+		s.matrix.state, s.matrix.body = src.state, body
+	}
+	writeBody(w, body)
+}
+
+// buildMatches loads src's sets, builds the matrix from them and encodes
+// the /matches body.
+func (s *Server) buildMatches(ctx context.Context, src *matrixSource) ([]byte, error) {
+	source, err := src.load(ctx)
+	if err != nil {
+		return nil, err
+	}
+	mm, err := s.Comparer.MatchMatrixFromKeyedSets(ctx, s.Registry.Modules(), source)
+	if err != nil {
+		return nil, fmt.Errorf("building match matrix: %w", err)
+	}
+	return encodeJSONBody(matchesResponse{State: src.state, Matrix: mm, Partial: len(src.failed) > 0, FailedShards: src.failed})
+}
+
+// writeBody writes pre-encoded JSON bytes as a 200.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(s.matrix.body)
+	w.Write(body)
 }
 
 // encodeJSONBody renders v exactly as writeJSON does (two-space indent,

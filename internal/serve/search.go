@@ -101,11 +101,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := `"` + searchETag(fmt.Sprintf("%d", page.Generation), q.Key(), cursor, limit) + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, `"`+searchETag(fmt.Sprintf("%d", page.Generation), q.Key(), cursor, limit)+`"`) {
 		return
 	}
 	writeJSON(w, http.StatusOK, searchResponse{
@@ -148,11 +144,7 @@ func (s *Server) scatterSearch(w http.ResponseWriter, r *http.Request, raw strin
 	// A partial ranking must not 304 against a complete one, so only
 	// complete results carry the validator.
 	if !res.Partial {
-		etag := `"` + searchETag(res.StateKey, q.Key(), cursor, limit) + `"`
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", "no-cache")
-		if etagMatches(r.Header.Get("If-None-Match"), etag) {
-			w.WriteHeader(http.StatusNotModified)
+		if notModified(w, r, `"`+searchETag(res.StateKey, q.Key(), cursor, limit)+`"`) {
 			return
 		}
 	}

@@ -341,6 +341,19 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
+// notModified sets the validator headers of a conditional read — the
+// ETag and Cache-Control: no-cache — and answers 304 when the request's
+// If-None-Match matches, reporting whether it did.
+func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Cache-Control", "no-cache")
+	if !etagMatches(r.Header.Get("If-None-Match"), etag) {
+		return false
+	}
+	w.WriteHeader(http.StatusNotModified)
+	return true
+}
+
 func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(w, r)
 	if !ok {
@@ -354,11 +367,7 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate to annotate it)", e.Module.ID)
 		return
 	}
-	etag := `"` + hash + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, `"`+hash+`"`) {
 		return
 	}
 	version, _ := s.Store.Version(e.Module.ID)
@@ -482,11 +491,7 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state := s.substitutesStateKey(e.Module.ID, hash)
-	etag := `"` + state + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, `"`+state+`"`) {
 		return
 	}
 	subs, err := s.warmedSubstitutes(r, e.Module, hash, state)
