@@ -77,8 +77,10 @@ cluster-smoke:
 # Search concurrency: queries and pagination racing Update/Remove on the
 # live index, the availability hook firing from parallel registry
 # mutations, and the serve-layer search/compose endpoints (single-node
-# and scatter-gather), with more iterations than the catch-all race run
-# gives them.
+# and scatter-gather; TestComposeDuringFlips races /compose's cached
+# per-version view and its lazy class partition against availability
+# flips and store writes), with more iterations than the catch-all race
+# run gives them.
 race-search:
 	$(GO) test -race -count=2 ./internal/search/
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
@@ -114,7 +116,7 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Six targets take about three minutes, so ci does not run it.
+# Seven targets take about three and a half minutes, so ci does not run it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"strings"
@@ -25,7 +27,7 @@ import (
 //	}
 type Config struct {
 	// VirtualNodes is the per-shard point count on the hash ring
-	// (0 selects DefaultVirtualNodes).
+	// (0 selects DefaultVirtualNodes; at most MaxVirtualNodes).
 	VirtualNodes int           `json:"virtualNodes,omitempty"`
 	Shards       []ShardConfig `json:"shards"`
 }
@@ -37,6 +39,11 @@ type ShardConfig struct {
 	URL  string `json:"url"`
 }
 
+// MaxVirtualNodes caps Config.VirtualNodes. A ring holds shards ×
+// virtual nodes points, built on every config load, so an unbounded count
+// lets one config line exhaust memory; 4096 is 32× the default.
+const MaxVirtualNodes = 4096
+
 // LoadConfig reads and validates a cluster config file.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)
@@ -46,13 +53,17 @@ func LoadConfig(path string) (Config, error) {
 	return ParseConfig(data)
 }
 
-// ParseConfig decodes and validates a cluster config document.
+// ParseConfig decodes and validates a cluster config document: one JSON
+// object, nothing but white space after it.
 func ParseConfig(data []byte) (Config, error) {
 	var cfg Config
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("cluster: decoding config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("cluster: decoding config: data after the config object")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -61,10 +72,14 @@ func ParseConfig(data []byte) (Config, error) {
 }
 
 // Validate checks the membership for structural problems: no shards,
-// duplicate names or URLs, unparseable URLs.
+// duplicate names or URLs, unparseable URLs, a virtual-node count below 0
+// or above MaxVirtualNodes.
 func (c Config) Validate() error {
 	if len(c.Shards) == 0 {
 		return fmt.Errorf("cluster: config has no shards")
+	}
+	if c.VirtualNodes < 0 || c.VirtualNodes > MaxVirtualNodes {
+		return fmt.Errorf("cluster: virtualNodes %d outside 0..%d", c.VirtualNodes, MaxVirtualNodes)
 	}
 	names := make(map[string]bool, len(c.Shards))
 	urls := make(map[string]bool, len(c.Shards))

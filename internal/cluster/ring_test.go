@@ -102,6 +102,9 @@ func TestConfigParse(t *testing.T) {
 		`{"shards": [{"name": "a", "url": "http://x"}, {"name": "b", "url": "http://x"}]}`,
 		`{"shards": [{"name": "a", "url": "no-scheme"}]}`,
 		`{"shards": [{"name": "a", "url": "http://x"}], "bogus": 1}`,
+		`{"virtualNodes": -1, "shards": [{"name": "a", "url": "http://x"}]}`,
+		`{"virtualNodes": 4097, "shards": [{"name": "a", "url": "http://x"}]}`,
+		`{"shards": [{"name": "a", "url": "http://x"}]} trailing`,
 	} {
 		if _, err := ParseConfig([]byte(bad)); err == nil {
 			t.Errorf("config accepted: %s", bad)

@@ -188,8 +188,9 @@ func TestPlanGoldenDigest(t *testing.T) {
 
 // TestPlanAllocBudget bounds the allocations of one fixed Plan call over
 // store-interned sets, shaped like the e2e plan workload's requests
-// (depth 2, three plans). The budget is the measured count (858) with
-// under 10% headroom; the planner that aligned raw sets through
+// (depth 2, three plans), over a view built for the call. The budget is
+// the measured count (865) with under 10% headroom; the planner that
+// aligned raw sets through
 // match.CompareExampleSets allocated 2,662 on the same call.
 func TestPlanAllocBudget(t *testing.T) {
 	c := sharedCatalog(t)
@@ -201,12 +202,66 @@ func TestPlanAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPlanWarmViewAllocBudget bounds the same call as
+// TestPlanAllocBudget planned over a warm View — the serving path, where
+// the view is built once per catalog version and its groups are already
+// partitioned. The budget is the measured count (402) with under 10%
+// headroom.
+func TestPlanWarmViewAllocBudget(t *testing.T) {
+	c := sharedCatalog(t)
+	p := c.keyedPlanner()
+	p.View = NewView(p.Ont, p.Reg, p.Keyed)
+	cs := Constraints{In: simulation.CDNASequence, Out: simulation.CAccList, MaxDepth: 2, MaxPlans: 3}
+	const budget = 440
+	if _, err := p.Plan(cs); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(10, func() { _, _ = p.Plan(cs) }); got > budget {
+		t.Errorf("warm-view Plan(%s -> %s, depth 2) allocates %.0f, budget %d", cs.In, cs.Out, got, budget)
+	}
+}
+
+// TestPlanViewMatchesPerCall: every golden request planned over one
+// shared warm View — concurrently, so the lazy partition races itself —
+// renders byte-identically to the same request planned over a fresh
+// per-call view.
+func TestPlanViewMatchesPerCall(t *testing.T) {
+	c := sharedCatalog(t)
+	cases := goldenCases(c)
+	fresh := c.keyedPlanner()
+	shared := c.keyedPlanner()
+	shared.View = NewView(shared.Ont, shared.Reg, shared.Keyed)
+	want := make([][]byte, len(cases))
+	for i, cs := range cases {
+		plans, err := fresh.Plan(cs)
+		var buf bytes.Buffer
+		writePlans(t, &buf, cs, plans, err)
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(cases); i += 2 {
+				plans, err := shared.Plan(cases[i])
+				var buf bytes.Buffer
+				writePlans(t, &buf, cases[i], plans, err)
+				if !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Errorf("case %d (%+v): warm-view plans differ from per-call plans", i, cases[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // BenchmarkPlanMix plans the e2e plan workload's request shapes (depth 2,
 // three plans; plain, like= and use=) for every primary signature pair,
-// over store-interned sets.
+// over store-interned sets: per-call builds a view on every Plan call
+// (the CLI's path), view plans over one warm view (the server's path).
 func BenchmarkPlanMix(b *testing.B) {
 	c := sharedCatalog(b)
-	p := c.keyedPlanner()
 	var cases []Constraints
 	for _, cs := range goldenCases(c) {
 		if cs.MaxDepth == 2 && len(cs.MustAvoid) == 0 {
@@ -214,11 +269,22 @@ func BenchmarkPlanMix(b *testing.B) {
 			cases = append(cases, cs)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Plan(cases[i%len(cases)]); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, p *Planner) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Plan(cases[i%len(cases)]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("per-call", func(b *testing.B) { run(b, c.keyedPlanner()) })
+	b.Run("view", func(b *testing.B) {
+		p := c.keyedPlanner()
+		p.View = NewView(p.Ont, p.Reg, p.Keyed)
+		for _, cs := range cases {
+			_, _ = p.Plan(cs)
+		}
+		b.ResetTimer()
+		run(b, p)
+	})
 }

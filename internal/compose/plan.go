@@ -10,7 +10,6 @@ import (
 	"dexa/internal/module"
 	"dexa/internal/ontology"
 	"dexa/internal/registry"
-	"dexa/internal/search"
 	"dexa/internal/typesys"
 	"dexa/internal/workflow"
 )
@@ -105,6 +104,9 @@ type Planner struct {
 	// Either way the comparisons are the same keyed ones.
 	Keyed    KeyedFunc
 	Examples ExampleFunc
+	// View, when set, is planned over instead of a view built per Plan
+	// call from Keyed or Examples (see View).
+	View *View
 	// MaxDepth bounds chain length in steps (default 4); MaxPlans the
 	// ranked plans returned (default 5).
 	MaxDepth int
@@ -116,34 +118,6 @@ const (
 	maxChains         = 64
 	maxCombosPerChain = 16
 )
-
-// sigGroup is one primary-signature equivalence class: every member
-// consumes the same (struct, concept) primary input and produces the
-// same primary output. Members are task-identical *candidates*; behavior
-// classes split them further.
-type sigGroup struct {
-	// key renders the signature; groups are ordered by it.
-	key       string
-	inSem     string
-	inStruct  typesys.Type
-	outSem    string
-	outStruct typesys.Type
-	members   []*module.Module // sorted by ID
-	size      int              // member count, while grouping
-	// next links the groups sharing this one's concept pair but not its
-	// structural types.
-	next *sigGroup
-}
-
-// behaviorClass is a set of group members whose stored example sets are
-// pairwise equivalent under an exact parameter mapping.
-type behaviorClass struct {
-	rep       *module.Module
-	members   []*module.Module // sorted by ID; rep is members[0]
-	repSet    *dataexample.KeyedSet
-	class     string  // fingerprint of the representative's set
-	likeScore float64 // agreement with Constraints.Like, when set
-}
 
 func (p *Planner) maxDepth() int {
 	if p.MaxDepth > 0 {
@@ -159,50 +133,38 @@ func (p *Planner) maxPlans() int {
 	return 5
 }
 
-// planSets is one Plan call's view of the stored annotations: each
-// module's keyed set, resolved at most once, plus the comparison scratch
-// every partition reuses.
-type planSets struct {
-	p       *Planner
-	memo    map[string]*dataexample.KeyedSet
-	scratch match.CompareScratch
-}
-
-// get returns the module's keyed example set, or nil when it has none
-// (an empty set counts as none).
-func (s *planSets) get(id string) *dataexample.KeyedSet {
-	if set, ok := s.memo[id]; ok {
-		return set
-	}
-	var set *dataexample.KeyedSet
-	switch {
-	case s.p.Keyed != nil:
-		set, _ = s.p.Keyed(id)
-	case s.p.Examples != nil:
-		if raw, _ := s.p.Examples(id); len(raw) > 0 {
-			set = raw.Keyed()
-		}
-	}
-	if set != nil && set.Len() == 0 {
-		set = nil
-	}
-	s.memo[id] = set
-	return set
+// Stats describes the view work of one Plan call.
+type Stats struct {
+	// Groups counts the signature groups planned over, after MustAvoid
+	// dropped the groups it emptied.
+	Groups int
+	// Repartitioned counts the groups MustAvoid thinned that the call
+	// split into behavior classes anew.
+	Repartitioned int
 }
 
 // Plan synthesizes ranked workflow plans for the constraints. The result
 // is deterministic: identical catalogs and constraints produce identical
 // plans in identical order.
 func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
+	plans, _, err := p.PlanStats(cs)
+	return plans, err
+}
+
+// PlanStats is Plan, also reporting the call's view work. It plans over
+// p.View, or over a fresh view of the catalog when p.View is nil. Per
+// call it only drops MustAvoid modules, scores classes against Like, and
+// searches and expands chains.
+func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 	if !p.Ont.Has(cs.In) {
-		return nil, fmt.Errorf("compose: unknown input concept %q", cs.In)
+		return nil, Stats{}, fmt.Errorf("compose: unknown input concept %q", cs.In)
 	}
 	if !p.Ont.Has(cs.Out) {
-		return nil, fmt.Errorf("compose: unknown output concept %q", cs.Out)
+		return nil, Stats{}, fmt.Errorf("compose: unknown output concept %q", cs.Out)
 	}
 	for _, c := range append(append([]string{}, cs.MustUse...), cs.MustAvoid...) {
 		if !p.Ont.Has(c) {
-			return nil, fmt.Errorf("compose: unknown constraint concept %q", c)
+			return nil, Stats{}, fmt.Errorf("compose: unknown constraint concept %q", c)
 		}
 	}
 	if cs.MaxDepth == 0 {
@@ -212,27 +174,43 @@ func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
 		cs.MaxPlans = p.maxPlans()
 	}
 
-	groups := p.groups(cs)
+	v := p.View
+	if v == nil {
+		v = NewView(p.Ont, p.Reg, p.keyed())
+	}
+	groups := v.avoiding(cs.MustAvoid)
 	chains := p.findChains(cs, groups)
 
-	sets := &planSets{p: p, memo: map[string]*dataexample.KeyedSet{}}
-	classCache := map[*sigGroup][]*behaviorClass{}
-	classesOf := func(g *sigGroup) []*behaviorClass {
-		if cls, ok := classCache[g]; ok {
-			return cls
-		}
-		cls := p.partition(g, cs, sets)
-		classCache[g] = cls
-		return cls
+	var sc match.CompareScratch
+	var like *module.Module
+	var likeSet *dataexample.KeyedSet
+	if e, ok := p.Reg.Get(cs.Like); ok {
+		like, likeSet = e.Module, v.set(cs.Like)
+	}
+	var scored map[*sigGroup][]*behaviorClass // like= order of each chain group, per call
+	if likeSet != nil {
+		scored = map[*sigGroup][]*behaviorClass{}
 	}
 
 	var plans []Plan
 	for _, chain := range chains {
 		slots := make([][]*behaviorClass, len(chain))
 		for i, g := range chain {
-			slots[i] = classesOf(g)
+			slots[i] = v.classesOf(g, &sc)
+			if scored != nil {
+				if _, ok := scored[g]; !ok {
+					scored[g] = v.liked(slots[i], like, likeSet, &sc)
+				}
+				slots[i] = scored[g]
+			}
 		}
 		plans = append(plans, p.expand(cs, chain, slots)...)
+	}
+	st := Stats{Groups: len(groups)}
+	for _, g := range groups {
+		if g.thinned && g.classes != nil {
+			st.Repartitioned++
+		}
 	}
 	plans = p.filterMustUse(cs, plans)
 
@@ -252,7 +230,22 @@ func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
 	if len(plans) > cs.MaxPlans {
 		plans = plans[:cs.MaxPlans]
 	}
-	return plans, nil
+	return plans, st, nil
+}
+
+// keyed is the resolver a per-call view reads sets through: Keyed, or
+// Examples keyed on the fly.
+func (p *Planner) keyed() KeyedFunc {
+	if p.Keyed != nil || p.Examples == nil {
+		return p.Keyed
+	}
+	return func(id string) (*dataexample.KeyedSet, bool) {
+		raw, _ := p.Examples(id)
+		if len(raw) == 0 {
+			return nil, false
+		}
+		return raw.Keyed(), true
+	}
 }
 
 func sum(xs []int) int {
@@ -261,85 +254,6 @@ func sum(xs []int) int {
 		t += x
 	}
 	return t
-}
-
-// groups buckets the available catalog by primary signature, honouring
-// MustAvoid: modules are bucketed by their (input, output) concept pair,
-// each bucket is split by structural type equality, and the groups are
-// ordered by their rendered signature. Available lists modules in ID
-// order, so every group's members are too.
-func (p *Planner) groups(cs Constraints) []*sigGroup {
-	type semPair struct{ in, out string }
-	type placement struct {
-		m *module.Module
-		g *sigGroup
-	}
-	mods := p.Reg.Available()
-	placed := make([]placement, 0, len(mods))
-	buckets := make(map[semPair]*sigGroup, len(mods))
-	var out []*sigGroup
-	for _, m := range mods {
-		if !m.Bound() || len(m.Inputs) == 0 || len(m.Outputs) == 0 {
-			continue
-		}
-		in, outp := &m.Inputs[0], &m.Outputs[0]
-		if in.Semantic == "" || outp.Semantic == "" {
-			continue
-		}
-		if p.avoided(cs, m) {
-			continue
-		}
-		sp := semPair{in.Semantic, outp.Semantic}
-		g := buckets[sp]
-		for g != nil && !(g.inStruct.Equal(in.Struct) && g.outStruct.Equal(outp.Struct)) {
-			g = g.next
-		}
-		if g == nil {
-			g = &sigGroup{
-				key:   in.Struct.String() + "|" + in.Semantic + "->" + outp.Struct.String() + "|" + outp.Semantic,
-				inSem: in.Semantic, inStruct: in.Struct, outSem: outp.Semantic, outStruct: outp.Struct,
-				next: buckets[sp],
-			}
-			buckets[sp] = g
-			out = append(out, g)
-		}
-		g.size++
-		placed = append(placed, placement{m, g})
-	}
-	// Carve every group's member list out of one backing array.
-	pool := make([]*module.Module, len(placed))
-	for _, g := range out {
-		g.members, pool = pool[:0:g.size], pool[g.size:]
-	}
-	for _, pl := range placed {
-		pl.g.members = append(pl.g.members, pl.m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
-
-// avoided reports whether any parameter concept falls under a MustAvoid
-// concept.
-func (p *Planner) avoided(cs Constraints, m *module.Module) bool {
-	for _, avoid := range cs.MustAvoid {
-		if p.carries(m, avoid) {
-			return true
-		}
-	}
-	return false
-}
-
-// carries reports whether some parameter of m has a concept subsumed by
-// concept.
-func (p *Planner) carries(m *module.Module, concept string) bool {
-	for _, params := range [2][]module.Parameter{m.Inputs, m.Outputs} {
-		for _, param := range params {
-			if param.Semantic != "" && p.Ont.Subsumes(concept, param.Semantic) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // findChains runs the backward search: starting from the Out concept,
@@ -386,107 +300,6 @@ func containsGroup(acc []*sigGroup, g *sigGroup) bool {
 		}
 	}
 	return false
-}
-
-// partition splits a signature group into behavior classes: two members
-// land in the same class when an exact parameter mapping exists and
-// their keyed example sets are equivalent under it — the data-example
-// "behaves identically" test. Members without stored examples stay in
-// singleton classes (nothing is known about their behavior).
-func (p *Planner) partition(g *sigGroup, cs Constraints, ks *planSets) []*behaviorClass {
-	n := len(g.members)
-	sets := make([]*dataexample.KeyedSet, n)
-	for i, m := range g.members {
-		sets[i] = ks.get(m.ID)
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if sets[i] == nil || sets[j] == nil {
-				continue
-			}
-			mapping, ok := match.MapParameters(p.Ont, g.members[i], g.members[j], match.ModeExact)
-			if !ok {
-				continue
-			}
-			res := match.CompareKeyedSetsScratch(&ks.scratch, g.members[i].ID, g.members[j].ID, sets[i], sets[j], mapping)
-			if res.Verdict == match.Equivalent {
-				union(i, j)
-			}
-		}
-	}
-	byRoot := map[int]*behaviorClass{}
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		bc := byRoot[r]
-		if bc == nil {
-			bc = &behaviorClass{}
-			byRoot[r] = bc
-			roots = append(roots, r)
-		}
-		bc.members = append(bc.members, g.members[i])
-	}
-	sort.Ints(roots)
-	classes := make([]*behaviorClass, 0, len(roots))
-	for _, r := range roots {
-		bc := byRoot[r]
-		bc.rep = bc.members[0]
-		bc.repSet = sets[r]
-		bc.class = search.FingerprintKeyed(bc.repSet)
-		if cs.Like != "" {
-			bc.likeScore = p.likeAgreement(cs.Like, bc, ks)
-		}
-		classes = append(classes, bc)
-	}
-	sort.SliceStable(classes, func(i, j int) bool {
-		a, b := classes[i], classes[j]
-		if cs.Like != "" && a.likeScore != b.likeScore {
-			return a.likeScore > b.likeScore
-		}
-		if len(a.members) != len(b.members) {
-			return len(a.members) > len(b.members)
-		}
-		return a.rep.ID < b.rep.ID
-	})
-	return classes
-}
-
-// likeAgreement scores a behavior class against the Like module's stored
-// examples (0 when incomparable).
-func (p *Planner) likeAgreement(likeID string, bc *behaviorClass, ks *planSets) float64 {
-	e, ok := p.Reg.Get(likeID)
-	if !ok || bc.repSet == nil {
-		return 0
-	}
-	likeSet := ks.get(likeID)
-	if likeSet == nil {
-		return 0
-	}
-	mapping, ok := match.MapParameters(p.Ont, e.Module, bc.rep, match.ModeExact)
-	if !ok {
-		return 0
-	}
-	return match.CompareKeyedSetsScratch(&ks.scratch, likeID, bc.rep.ID, likeSet, bc.repSet, mapping).Score()
 }
 
 // expand turns one signature chain into concrete plans: the cartesian
@@ -668,7 +481,7 @@ func (p *Planner) filterMustUse(cs Constraints, plans []Plan) []Plan {
 
 func (p *Planner) planUses(plan Plan, concept string) bool {
 	for _, s := range plan.Steps {
-		if e, ok := p.Reg.Get(s.Module); ok && p.carries(e.Module, concept) {
+		if e, ok := p.Reg.Get(s.Module); ok && carries(p.Ont, e.Module, concept) {
 			return true
 		}
 	}

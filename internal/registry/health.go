@@ -48,6 +48,7 @@ func (r *Registry) RecordSuccess(id string) {
 	if e.Health.AutoRetired {
 		e.Health.AutoRetired = false
 		e.Available = true
+		r.gen.Add(1)
 		revived = true
 	}
 	r.mu.Unlock()
@@ -74,6 +75,7 @@ func (r *Registry) RecordFailure(id string, err error) (retired bool) {
 	if r.failureThreshold > 0 && e.Available && e.Health.ConsecutiveFailures >= r.failureThreshold {
 		e.Available = false
 		e.Health.AutoRetired = true
+		r.gen.Add(1)
 		r.mu.Unlock()
 		r.notifyAvailability(id, false)
 		return true

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/module"
@@ -43,7 +44,18 @@ type Registry struct {
 	ordered          []*Entry
 	failureThreshold int
 	availWatchers    []func(id string, available bool)
+	// gen counts catalog changes: one per Register and one per
+	// availability flip, bumped under mu with the change itself.
+	gen atomic.Uint64
 }
+
+// Generation returns a counter that moves on every Register and on every
+// availability flip (SetAvailable, RetireProvider, auto-retire, revive),
+// once per module. It is bumped under the registry lock with the change
+// itself, so a caller that reads the generation and then the catalog
+// sees at least the changes counted: a cache keyed on the generation
+// read before its build never serves a catalog older than its key.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // OnAvailabilityChange registers a callback invoked whenever a module's
 // availability actually flips — by SetAvailable, RetireProvider, or the
@@ -91,6 +103,7 @@ func (r *Registry) Register(m *module.Module) error {
 	}
 	e := &Entry{Module: m, Available: true}
 	r.entries[m.ID] = e
+	r.gen.Add(1)
 	i := sort.Search(len(r.ordered), func(i int) bool { return r.ordered[i].Module.ID > m.ID })
 	r.ordered = append(r.ordered, nil)
 	copy(r.ordered[i+1:], r.ordered[i:])
@@ -111,6 +124,19 @@ func (r *Registry) Get(id string) (*Entry, bool) {
 	defer r.mu.RUnlock()
 	e, ok := r.entries[id]
 	return e, ok
+}
+
+// Lookup returns the module and whether it is available, read together
+// under the registry lock. Prefer it to reading Get's Entry.Available,
+// which a concurrent flip writes.
+func (r *Registry) Lookup(id string) (m *module.Module, available, ok bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[id]
+	if !ok {
+		return nil, false, false
+	}
+	return e.Module, e.Available, true
 }
 
 // Len returns the number of registered modules.
@@ -205,6 +231,9 @@ func (r *Registry) SetAvailable(id string, avail bool) error {
 	}
 	changed := e.Available != avail
 	e.Available = avail
+	if changed {
+		r.gen.Add(1)
+	}
 	if avail {
 		e.Health.AutoRetired = false
 		e.Health.ConsecutiveFailures = 0
@@ -225,6 +254,7 @@ func (r *Registry) RetireProvider(provider string) int {
 	for id, e := range r.entries {
 		if e.Module.Provider == provider && e.Available {
 			e.Available = false
+			r.gen.Add(1)
 			retired = append(retired, id)
 		}
 	}

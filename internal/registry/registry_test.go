@@ -306,3 +306,33 @@ func TestListingsStayInIDOrder(t *testing.T) {
 	}
 	check(loaded, []string{"a", "b", "c", "k", "m"}, []string{"x"})
 }
+
+// TestGenerationCountsEachChange: Register and every availability flip —
+// manual, provider-wide, auto-retire and revive — move Generation once
+// per module; calls that flip nothing leave it alone.
+func TestGenerationCountsEachChange(t *testing.T) {
+	r := New()
+	step := func(what string, want uint64, fn func()) {
+		t.Helper()
+		before := r.Generation()
+		fn()
+		if d := r.Generation() - before; d != want {
+			t.Errorf("%s moved Generation by %d, want %d", what, d, want)
+		}
+	}
+	step("Register", 1, func() { r.MustRegister(mod("a", "KEGG", module.KindMapping)) })
+	step("Register", 1, func() { r.MustRegister(mod("b", "KEGG", module.KindMapping)) })
+	step("duplicate Register", 0, func() { _ = r.Register(mod("a", "KEGG", module.KindMapping)) })
+	step("SetAvailable(false)", 1, func() { _ = r.SetAvailable("a", false) })
+	step("SetAvailable(false) again", 0, func() { _ = r.SetAvailable("a", false) })
+	step("SetAvailable(true)", 1, func() { _ = r.SetAvailable("a", true) })
+	step("RetireProvider of two", 2, func() { r.RetireProvider("KEGG") })
+	step("RetireProvider of none", 0, func() { r.RetireProvider("KEGG") })
+	step("SetAvailable(true)", 1, func() { _ = r.SetAvailable("b", true) })
+	r.SetFailureThreshold(2)
+	step("first failure", 0, func() { r.RecordFailure("b", nil) })
+	step("auto-retire", 1, func() { r.RecordFailure("b", nil) })
+	step("revive", 1, func() { r.RecordSuccess("b") })
+	step("healthy success", 0, func() { r.RecordSuccess("b") })
+	step("SetExamples", 0, func() { _ = r.SetExamples("b", nil) })
+}

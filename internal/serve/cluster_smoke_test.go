@@ -295,6 +295,78 @@ func TestComposeClusterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestComposeClusterGathersOncePerState: a cluster /compose gathers the
+// shards' sets once per cluster state. The first request runs the info
+// round and the sets gather and builds the view; a repeat runs only the
+// info round and plans over the cached view. With a shard down the
+// answer is partial, planned over an uncached view, and names every
+// module the dead shard owns.
+func TestComposeClusterGathersOncePerState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster compose skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	srv := fc.nodes["s1"].srv
+	serve := func() (map[shardCall]int, string, composeResponse) {
+		t.Helper()
+		tracer := telemetry.NewTracer(4)
+		q := url.Values{"in": {simulation.CDNASequence}, "out": {simulation.CAccList}, "depth": {"2"}}
+		req := httptest.NewRequest(http.MethodGet, "/compose?"+q.Encode(), nil)
+		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
+		rec := httptest.NewRecorder()
+		srv.handleCompose(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/compose: status %d: %s", rec.Code, rec.Body)
+		}
+		view := ""
+		for _, tr := range tracer.Recent() {
+			for _, a := range tr.Attrs {
+				if tr.Name == "compose.plan" && a.Key == "view" {
+					view = a.Value
+				}
+			}
+		}
+		var resp composeResponse
+		mustUnmarshal(t, rec.Body.Bytes(), &resp)
+		return fc.calls.take(), view, resp
+	}
+	perShard := func(shards []string, paths ...string) map[shardCall]int {
+		want := map[shardCall]int{}
+		for _, name := range shards {
+			for _, path := range paths {
+				want[shardCall{name, path}] = 1
+			}
+		}
+		return want
+	}
+	fc.calls.take()
+	calls, view, _ := serve()
+	if want := perShard(fc.names, "/cluster/info", "/cluster/sets"); view != "built" || !reflect.DeepEqual(calls, want) {
+		t.Fatalf("cold /compose: view %q, calls %v; want built, %v", view, calls, want)
+	}
+	calls, view, _ = serve()
+	if want := perShard(fc.names, "/cluster/info"); view != "hit" || !reflect.DeepEqual(calls, want) {
+		t.Fatalf("repeat /compose: view %q, calls %v; want hit, %v", view, calls, want)
+	}
+
+	fc.nodes["s3"].ts.Close()
+	var lost []string
+	for _, id := range fc.ids {
+		if fc.ring.Owner(id) == "s3" {
+			lost = append(lost, id)
+		}
+	}
+	calls, view, resp := serve()
+	want := perShard([]string{"s1", "s2"}, "/cluster/info", "/cluster/sets")
+	want[shardCall{"s3", "/cluster/info"}] = 1 // attempted, refused
+	if view != "uncached" || !reflect.DeepEqual(calls, want) {
+		t.Fatalf("/compose with s3 down: view %q, calls %v; want uncached, %v", view, calls, want)
+	}
+	if !resp.Partial || !reflect.DeepEqual(resp.FailedModules, lost) {
+		t.Fatalf("/compose with s3 down: partial=%v, %d failed modules; want partial with s3's %d", resp.Partial, len(resp.FailedModules), len(lost))
+	}
+}
+
 // TestClusterSubstitutesContactsFeasibleOwners: a scatter /substitutes
 // contacts exactly the shards owning a feasible candidate of the target —
 // the owners of the candidates the oracle's own CatalogIndex leaves

@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
-	"dexa/internal/cluster"
 	"dexa/internal/compose"
-	"dexa/internal/dataexample"
 	"dexa/internal/telemetry"
 )
 
@@ -32,8 +31,10 @@ import (
 // data examples, the representative of each class anchors one plan
 // variant, and every emitted plan is verified by enacting it on a seed
 // example. Plans are ranked verified-first and are deterministic for a
-// fixed catalog. In cluster mode, example sets for modules owned by
-// other shards are fetched from their owners; fetch failures degrade
+// fixed catalog. Signature groups and behavior classes come from a view
+// kept per catalog state (see composeView); only avoid= and like= do
+// per-request class work. In cluster mode the view is built from every
+// shard's gathered sets, once per cluster state; a failed shard degrades
 // the synthesis to a partial one over the reachable annotations.
 
 type composePlan struct {
@@ -52,8 +53,8 @@ type composeResponse struct {
 	Out   string        `json:"out"`
 	Plans []composePlan `json:"plans"`
 	Count int           `json:"count"`
-	// Cluster mode only: modules whose example sets could not be fetched
-	// from their owner shard — their behavior classes degraded to
+	// Cluster mode only: modules whose example sets could not be gathered
+	// from their failed owner shard — their behavior classes degraded to
 	// signature-only grouping.
 	Partial       bool     `json:"partial,omitempty"`
 	FailedModules []string `json:"failedModules,omitempty"`
@@ -97,20 +98,26 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	_, span := telemetry.StartSpan(r.Context(), "compose.plan")
+	ctx, span := telemetry.StartSpan(r.Context(), "compose.plan")
 	span.Annotate("in", in)
 	span.Annotate("out", out)
 	defer span.End()
 
-	keyed, failed := s.keyedSource(r.Context())
+	view, how, failed, err := s.composeView(ctx)
+	if err != nil {
+		span.Fail(err)
+		writeError(w, http.StatusBadGateway, "cluster compose: %v", err)
+		return
+	}
+	span.Annotate("view", how)
 	planner := &compose.Planner{
 		Ont:      s.Comparer.Ont,
 		Reg:      s.Registry,
-		Keyed:    keyed,
+		View:     view,
 		MaxDepth: depth,
 		MaxPlans: limit,
 	}
-	plans, err := planner.Plan(compose.Constraints{
+	plans, stats, err := planner.PlanStats(compose.Constraints{
 		In: in, Out: out,
 		MustUse:   multiParam(r, "use"),
 		MustAvoid: multiParam(r, "avoid"),
@@ -122,6 +129,18 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	span.Annotate("groups", strconv.Itoa(stats.Groups))
+	span.Annotate("repartitioned", strconv.Itoa(stats.Repartitioned))
+	resp := newComposeResponse(in, out, plans)
+	if len(failed) > 0 {
+		resp.Partial = true
+		resp.FailedModules = failed
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// newComposeResponse renders plans as the /compose body.
+func newComposeResponse(in, out string, plans []compose.Plan) composeResponse {
 	resp := composeResponse{In: in, Out: out, Plans: []composePlan{}}
 	for _, p := range plans {
 		cp := composePlan{
@@ -140,41 +159,63 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		resp.Plans = append(resp.Plans, cp)
 	}
 	resp.Count = len(resp.Plans)
-	if missed := failed(); len(missed) > 0 {
-		resp.Partial = true
-		resp.FailedModules = missed
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// keyedSource builds the planner's keyed-set resolver: the sets the
-// local store interned at write time, extended in cluster mode with
-// owner-shard fetches for modules this node does not store. The planner
-// resolves each module at most once per Plan call, so a remote set is
-// fetched and keyed once per request. The second return value reports
-// (after planning) which remote fetches failed — those modules planned
-// without behavior information rather than failing the whole synthesis.
-func (s *Server) keyedSource(ctx context.Context) (compose.KeyedFunc, func() []string) {
-	var failed []string
-	fn := func(id string) (*dataexample.KeyedSet, bool) {
-		if set, _, ok := s.Store.GetKeyed(id); ok {
-			return set, true
+// viewCache keeps the planner's behavior-class view for one catalog
+// state, the way matrixCache keeps the /matches body: a single node keys
+// it on the catalogVersion, a cluster shard also on the shards' state
+// key, so any change to availability or to stored sets builds a new one.
+type viewCache struct {
+	mu   sync.Mutex
+	key  viewKey
+	view *compose.View
+}
+
+type viewKey struct {
+	version catalogVersion
+	cluster string
+}
+
+// composeView returns the view /compose plans over and how it was had:
+// "hit" (the cached view of this catalog state), "built" (built and
+// cached now) or "uncached" (built from a partial cluster gather and not
+// kept). A cluster shard reads the shards' state key every time and
+// gathers their sets only on a miss. failed names, sorted, the
+// registered modules a partial gather holds no sets for — those owned by
+// the failed shards; their behavior classes degrade to signature-only
+// grouping.
+func (s *Server) composeView(ctx context.Context) (view *compose.View, how string, failed []string, err error) {
+	key := viewKey{version: s.catalogVersion()}
+	var src *matrixSource
+	if s.clusterMode() {
+		if src, err = s.clusterMatrixSource(ctx); err != nil {
+			return nil, "", nil, err
 		}
-		if !s.clusterMode() || s.Cluster.Owns(id) {
-			return nil, false
-		}
-		ss, err := s.Cluster.Router.FetchExamples(ctx, id)
+		key.cluster = src.state
+	}
+	s.views.mu.Lock()
+	defer s.views.mu.Unlock()
+	if (src == nil || len(src.failed) == 0) && s.views.view != nil && s.views.key == key {
+		return s.views.view, "hit", nil, nil
+	}
+	keyed := compose.KeyedFunc(s.storeKeyed)
+	if src != nil {
+		source, err := src.load(ctx)
 		if err != nil {
-			if !cluster.IsNotFound(err) {
+			return nil, "", nil, err
+		}
+		keyed = compose.KeyedFunc(source)
+	}
+	view = compose.NewView(s.Comparer.Ont, s.Registry, keyed)
+	if src != nil && len(src.failed) > 0 {
+		for _, id := range s.Registry.IDs() {
+			if slices.Contains(src.failed, s.Cluster.Ring.Owner(id)) {
 				failed = append(failed, id)
 			}
-			return nil, false
 		}
-		return ss.Examples.Keyed(), true
+		return view, "uncached", failed, nil
 	}
-	report := func() []string {
-		sort.Strings(failed)
-		return failed
-	}
-	return fn, report
+	s.views.key, s.views.view = key, view
+	return view, "built", nil, nil
 }

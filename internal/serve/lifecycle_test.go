@@ -383,9 +383,10 @@ func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
 
 // TestLifecycleFlipBumpsEachViewOnce walks beta through healthy →
 // suspect → quarantined → probation → healthy. Only the two transitions
-// that flip availability may touch the derived views, each exactly once
-// per view, and a /search cursor minted before the walk outlives the
-// transitions that flip nothing.
+// that flip availability may touch the derived views and the registry
+// generation that keys the planner's view, each exactly once, and a
+// /search cursor minted before the walk outlives the transitions that
+// flip nothing.
 func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 	f := newLifecycleFixture(t)
 	f.sweep(t, time.Minute) // all healthy
@@ -396,7 +397,7 @@ func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 	if resp := getJSON(t, f.lts.URL+"/search?q=module&limit=1", &page); resp.StatusCode != http.StatusOK || page.NextCursor == "" {
 		t.Fatalf("search page 1: status %d cursor %q", resp.StatusCode, page.NextCursor)
 	}
-	matchGen, searchGen := f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation()
+	matchGen, searchGen, regGen := f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation()
 	step := func(want lifecycle.State, bumps uint64) {
 		t.Helper()
 		f.sweep(t, time.Minute)
@@ -409,7 +410,10 @@ func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 		if d := f.srv.SearchIndex.Generation() - searchGen; d != bumps {
 			t.Errorf("%v moved the search index generation by %d, want %d", want, d, bumps)
 		}
-		matchGen, searchGen = f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation()
+		if d := f.reg.Generation() - regGen; d != bumps {
+			t.Errorf("%v moved the registry generation by %d, want %d", want, d, bumps)
+		}
+		matchGen, searchGen, regGen = f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation()
 	}
 
 	f.decay(t, "beta")

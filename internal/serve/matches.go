@@ -64,17 +64,57 @@ type subsCache struct {
 	entries map[string]subsEntry
 }
 
-// matrixStateKey fingerprints everything the matrix depends on: the
+// catalogVersion is a vector of cheap counters that moves whenever a
+// catalog-state answer may change: the registry generation (Register and
+// every availability flip), the store's content version (every mutation,
+// and every replication reset, which can revisit a sequence number) and
+// the signature index generation. Each counter moves only after its
+// change is readable, so state derived after reading the version is at
+// least as new as the version.
+type catalogVersion struct{ registry, resets, seq, index uint64 }
+
+func (s *Server) catalogVersion() catalogVersion {
+	v := catalogVersion{registry: s.Registry.Generation()}
+	v.resets, v.seq = s.Store.ContentVersion()
+	if s.Comparer != nil && s.Comparer.Index != nil {
+		v.index = s.Comparer.Index.Generation()
+	}
+	return v
+}
+
+// stateKeyMemo holds the last matrix state key with the catalogVersion
+// it was computed at.
+type stateKeyMemo struct {
+	mu      sync.Mutex
+	version catalogVersion
+	key     string
+}
+
+// matrixStateKey fingerprints everything the matrix depends on, computed
+// once per catalogVersion: an unchanged catalog revalidates /matches
+// without rehashing it.
+func (s *Server) matrixStateKey() string {
+	v := s.catalogVersion()
+	s.stateKey.mu.Lock()
+	defer s.stateKey.mu.Unlock()
+	if s.stateKey.key == "" || s.stateKey.version != v {
+		s.stateKey.version, s.stateKey.key = v, s.contentStateKey(v.index)
+	}
+	return s.stateKey.key
+}
+
+// contentStateKey derives the matrix state key from content: the
 // mapping mode, the index generation (signature churn), and each
 // registered module's stored-annotation content hash. Modules without a
 // stored set contribute their absence, so annotating one later changes
-// the key.
-func (s *Server) matrixStateKey() string {
+// the key. Content-derived, it agrees across a leader, its followers and
+// a restarted node holding the same catalog.
+func (s *Server) contentStateKey(indexGen uint64) string {
 	h := sha256.New()
 	io.WriteString(h, s.Comparer.Mode.String())
 	h.Write([]byte{0})
 	if s.Comparer.Index != nil {
-		fmt.Fprintf(h, "g%d", s.Comparer.Index.Generation())
+		fmt.Fprintf(h, "g%d", indexGen)
 		h.Write([]byte{0})
 	}
 	for _, id := range s.Registry.IDs() {
@@ -144,12 +184,15 @@ func (s *Server) storeMatrixSource() *matrixSource {
 	return &matrixSource{
 		state: s.matrixStateKey(),
 		load: func(context.Context) (match.KeyedSource, error) {
-			return func(id string) (*dataexample.KeyedSet, bool) {
-				set, _, ok := s.Store.GetKeyed(id)
-				return set, ok
-			}, nil
+			return s.storeKeyed, nil
 		},
 	}
+}
+
+// storeKeyed resolves a module's keyed set from the local store.
+func (s *Server) storeKeyed(id string) (*dataexample.KeyedSet, bool) {
+	set, _, ok := s.Store.GetKeyed(id)
+	return set, ok
 }
 
 // handleMatches serves the catalog-wide verdict matrix over the stored

@@ -95,11 +95,14 @@ type Server struct {
 	Tracer    *telemetry.Tracer
 	Logger    *slog.Logger
 
-	// matrix and subs memoize the expensive matching queries; both are
-	// keyed on catalog state so they invalidate themselves when stored
+	// matrix, subs and views memoize the expensive matching and
+	// planning work, and stateKey the matrix state key; all are keyed on
+	// catalog state so they invalidate themselves when stored
 	// annotations, module availability or the signature index change.
-	matrix matrixCache
-	subs   subsCache
+	matrix   matrixCache
+	subs     subsCache
+	views    viewCache
+	stateKey stateKeyMemo
 
 	// drain is closed by BeginDrain: long-poll handlers (/watch here, the
 	// cluster WAL feed in its own package) answer parked and new waiters

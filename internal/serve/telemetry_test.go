@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -424,5 +425,57 @@ func TestOpsPprofGate(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("pprof on: status %d, want 200", resp2.StatusCode)
+	}
+}
+
+// TestComposePlanSpan: the compose.plan span says how the request got
+// its behavior-class view (built for a new catalog state, a hit on the
+// cached one), how many signature groups it planned over, and how many
+// groups avoid= thinned and re-split into classes.
+func TestComposePlanSpan(t *testing.T) {
+	f := newViewFixture(t)
+	serve := func(query string) map[string]string {
+		t.Helper()
+		tracer := telemetry.NewTracer(4)
+		req := httptest.NewRequest(http.MethodGet, "/compose?"+query, nil)
+		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
+		rec := httptest.NewRecorder()
+		f.srv.handleCompose(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/compose?%s: status %d: %s", query, rec.Code, rec.Body)
+		}
+		traces := tracer.Recent()
+		if len(traces) != 1 || traces[0].Name != "compose.plan" {
+			t.Fatalf("/compose?%s recorded %+v, want one compose.plan span", query, traces)
+		}
+		attrs := map[string]string{}
+		for _, a := range traces[0].Attrs {
+			if a.Key != "in" && a.Key != "out" {
+				attrs[a.Key] = a.Value
+			}
+		}
+		return attrs
+	}
+	for _, step := range []struct {
+		query string
+		flip  string
+		want  map[string]string
+	}{
+		{"in=DNA&out=Acc", "", map[string]string{"view": "built", "groups": "3", "repartitioned": "0"}},
+		{"in=DNA&out=Acc&like=alpha", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "0"}},
+		// beta carries Note: the Seq->Acc group loses it and is re-split.
+		{"in=Seq&out=Acc&avoid=Note", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "1"}},
+		// trans carries Prot: its group empties and drops out.
+		{"in=DNA&out=Acc&avoid=Prot", "", map[string]string{"view": "hit", "groups": "2", "repartitioned": "0"}},
+		{"in=DNA&out=Acc", "delta", map[string]string{"view": "built", "groups": "2", "repartitioned": "0"}},
+	} {
+		if step.flip != "" {
+			if err := f.reg.SetAvailable(step.flip, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := serve(step.query); !reflect.DeepEqual(got, step.want) {
+			t.Errorf("/compose?%s (flipped %q): span attrs %v, want %v", step.query, step.flip, got, step.want)
+		}
 	}
 }

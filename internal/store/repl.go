@@ -38,6 +38,9 @@ type repl struct {
 	recs []Record // contiguous: recs[i].Seq == low + uint64(i) + 1
 	low  uint64   // highest sequence NOT individually available
 	head uint64   // sequence of the newest record (== store seq)
+	// resets counts wholesale replacements (resetTo): a reset may move
+	// head back to a sequence the store held before, with other content.
+	resets uint64
 	// notify is closed and replaced on every push — a broadcast to every
 	// blocked tailer, the lifecycle log's idiom.
 	notify chan struct{}
@@ -92,6 +95,7 @@ func (r *repl) resetTo(seq uint64) {
 	defer r.mu.Unlock()
 	r.recs = nil
 	r.low, r.head = seq, seq
+	r.resets++
 	close(r.notify)
 	r.notify = make(chan struct{})
 }
@@ -103,6 +107,19 @@ func (s *Store) Seq() uint64 {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
 	return s.repl.head
+}
+
+// ContentVersion identifies the store's content: the number of wholesale
+// resets (ResetReplicated) and the newest mutation's sequence. Every
+// committed Put, PutBatch and Delete and every applied replicated record
+// moves seq; a reset can move seq back to a number it held before, with
+// other content, so it moves resets too. Both move only after the state
+// they describe is readable, so a cache keyed on the version read before
+// its build never serves content older than its key.
+func (s *Store) ContentVersion() (resets, seq uint64) {
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
+	return s.repl.resets, s.repl.head
 }
 
 // ReplicationChanged returns a channel that is closed once the store

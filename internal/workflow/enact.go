@@ -76,14 +76,13 @@ func (e *Enactor) Enact(w *Workflow, inputs map[string]typesys.Value) (map[strin
 	seq := 0
 	for _, stepID := range order {
 		s, _ := w.Step(stepID)
-		entry, ok := e.Reg.Get(s.ModuleID)
+		m, available, ok := e.Reg.Lookup(s.ModuleID)
 		if !ok {
 			return nil, fmt.Errorf("workflow %s: step %s: module %q not registered", w.ID, stepID, s.ModuleID)
 		}
-		if !entry.Available {
+		if !available {
 			return nil, fmt.Errorf("workflow %s: step %s: module %q is unavailable (workflow decay)", w.ID, stepID, s.ModuleID)
 		}
-		m := entry.Module
 		stepInputs := map[string]typesys.Value{}
 		for name, v := range s.Constants {
 			stepInputs[name] = v

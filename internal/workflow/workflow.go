@@ -303,8 +303,8 @@ func (w *Workflow) resolveSink(reg *registry.Registry, r PortRef) (typesys.Type,
 func (w *Workflow) BrokenSteps(reg *registry.Registry) []string {
 	var broken []string
 	for _, s := range w.Steps {
-		e, ok := reg.Get(s.ModuleID)
-		if !ok || !e.Available || !e.Module.Bound() {
+		m, available, ok := reg.Lookup(s.ModuleID)
+		if !ok || !available || !m.Bound() {
 			broken = append(broken, s.ID)
 		}
 	}
