@@ -36,18 +36,19 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Catalog-index concurrency: feasibility reads racing Update/Remove
-# rebuilds, matrix builds racing index flips (one snapshot per build),
-# and the matrix's sharded sweep, with more iterations than the
-# catch-all race run gives them.
+# rebuilds and matrix builds racing index flips (one snapshot per
+# build), with more iterations than the catch-all race run gives them.
 race-match:
 	$(GO) test -race -count=2 -run 'TestCatalogIndex|TestMatchMatrix|TestFindSubstitutes' ./internal/match/
 
 # Lifecycle concurrency: concurrent probe sweeps, /watch long-pollers
-# racing log appends, and repair-queue approvals racing enqueues, with
-# more iterations than the catch-all race run gives them.
+# racing log appends, repair-queue approvals racing enqueues, and
+# /catalog and /modules/{id} reads (the /catalog memo among them) racing
+# availability flips, with more iterations than the catch-all race run
+# gives them.
 race-lifecycle:
 	$(GO) test -race -count=2 ./internal/lifecycle/
-	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop' ./internal/serve/
+	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop|TestCatalog' ./internal/serve/
 
 # Columnar concurrency: the shared symbol table hammered from parallel
 # store writers, interning racing lookups, and the matrix mutation

@@ -259,13 +259,12 @@ func (m *Manager) trackLocked(id string, state State, now time.Time) {
 func (m *Manager) TrackAll() int {
 	var ids []string
 	for _, id := range m.reg.IDs() {
-		e, ok := m.reg.Get(id)
-		if !ok || !e.Available {
+		if _, available, ok := m.reg.Lookup(id); !ok || !available {
 			continue
 		}
 		if set, _, ok := m.store.Get(id); ok && len(set) > 0 {
 			ids = append(ids, id)
-		} else if len(e.Examples) > 0 {
+		} else if set, _ := m.reg.Examples(id); len(set) > 0 {
 			ids = append(ids, id)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
 	"dexa/internal/module"
-	"dexa/internal/registry"
 	"dexa/internal/telemetry"
 )
 
@@ -183,12 +182,12 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 // single-node search when every contacted shard answers; a failed shard
 // degrades the response to a partial ranking flagged as such, and a
 // dead shard that owns no feasible candidate does not degrade it at all.
-func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *registry.Entry) {
+func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module) {
 	limit, ok := parseLimitParam(w, r)
 	if !ok {
 		return
 	}
-	id := e.Module.ID
+	id := target.ID
 	ctx, span := telemetry.StartSpan(r.Context(), "cluster.substitutes")
 	defer span.End()
 	span.Annotate("target", id)
@@ -217,7 +216,7 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, e *r
 	}
 	var feas *match.Feasibility
 	if ix := s.Comparer.Index; ix != nil {
-		feas = ix.Feasibility(e.Module, s.Comparer.Mode)
+		feas = ix.Feasibility(target, s.Comparer.Mode)
 	}
 	avail := s.Registry.Available()
 	considered := 0

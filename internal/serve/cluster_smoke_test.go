@@ -431,11 +431,11 @@ func TestClusterSubstitutesScatterSpan(t *testing.T) {
 			continue
 		}
 		tracer := telemetry.NewTracer(4)
-		e, _ := srv.Registry.Get(id)
+		m, _, _ := srv.Registry.Lookup(id)
 		req := httptest.NewRequest(http.MethodGet, "/modules/"+id+"/substitutes", nil)
 		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
 		rec := httptest.NewRecorder()
-		srv.scatterSubstitutes(rec, req, e)
+		srv.scatterSubstitutes(rec, req, m)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("substitutes(%s): status %d: %s", id, rec.Code, rec.Body)
 		}
@@ -603,7 +603,7 @@ func TestClusterMatchesSpan(t *testing.T) {
 		t.Fatalf("cold /matches: status %d", status)
 	}
 	check("cold", attrs, map[string]string{"shards": "s1,s2,s3", "failed": "", "sets": strconv.Itoa(len(fc.ids))})
-	etag := `"` + srv.matrix.state + `"`
+	etag := `"` + srv.matches.key + `"`
 	for _, step := range []struct {
 		name, etag string
 		status     int

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dexa/internal/compose"
 	"dexa/internal/telemetry"
@@ -32,7 +31,7 @@ import (
 // variant, and every emitted plan is verified by enacting it on a seed
 // example. Plans are ranked verified-first and are deterministic for a
 // fixed catalog. Signature groups and behavior classes come from a view
-// kept per catalog state (see composeView); only avoid= and like= do
+// memoised per catalog state (see composeView); only avoid= and like= do
 // per-request class work. In cluster mode the view is built from every
 // shard's gathered sets, once per cluster state; a failed shard degrades
 // the synthesis to a partial one over the reachable annotations.
@@ -162,24 +161,16 @@ func newComposeResponse(in, out string, plans []compose.Plan) composeResponse {
 	return resp
 }
 
-// viewCache keeps the planner's behavior-class view for one catalog
-// state, the way matrixCache keeps the /matches body: a single node keys
-// it on the catalogVersion, a cluster shard also on the shards' state
-// key, so any change to availability or to stored sets builds a new one.
-type viewCache struct {
-	mu   sync.Mutex
-	key  viewKey
-	view *compose.View
-}
-
+// viewKey is the catalog state a /compose view reflects: the
+// catalogVersion, and on a cluster shard also the shards' state key.
 type viewKey struct {
 	version catalogVersion
 	cluster string
 }
 
 // composeView returns the view /compose plans over and how it was had:
-// "hit" (the cached view of this catalog state), "built" (built and
-// cached now) or "uncached" (built from a partial cluster gather and not
+// "hit" (the memoised view of this catalog state), "built" (built and
+// kept now) or "uncached" (built from a partial cluster gather and not
 // kept). A cluster shard reads the shards' state key every time and
 // gathers their sets only on a miss. failed names, sorted, the
 // registered modules a partial gather holds no sets for — those owned by
@@ -194,28 +185,31 @@ func (s *Server) composeView(ctx context.Context) (view *compose.View, how strin
 		}
 		key.cluster = src.state
 	}
-	s.views.mu.Lock()
-	defer s.views.mu.Unlock()
-	if (src == nil || len(src.failed) == 0) && s.views.view != nil && s.views.key == key {
-		return s.views.view, "hit", nil, nil
-	}
-	keyed := compose.KeyedFunc(s.storeKeyed)
-	if src != nil {
-		source, err := src.load(ctx)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		keyed = compose.KeyedFunc(source)
-	}
-	view = compose.NewView(s.Comparer.Ont, s.Registry, keyed)
-	if src != nil && len(src.failed) > 0 {
-		for _, id := range s.Registry.IDs() {
-			if slices.Contains(src.failed, s.Cluster.Ring.Owner(id)) {
-				failed = append(failed, id)
+	// As for /matches, a partial state round's key never equals a kept
+	// view's.
+	view, hit, err := s.view.get(key, func() (*compose.View, bool, error) {
+		keyed := compose.KeyedFunc(s.storeKeyed)
+		if src != nil {
+			source, err := src.load(ctx)
+			if err != nil {
+				return nil, false, err
 			}
+			keyed = compose.KeyedFunc(source)
 		}
-		return view, "uncached", failed, nil
+		return compose.NewView(s.Comparer.Ont, s.Registry, keyed), src == nil || len(src.failed) == 0, nil
+	})
+	switch {
+	case err != nil:
+		return nil, "", nil, err
+	case hit:
+		return view, "hit", nil, nil
+	case src == nil || len(src.failed) == 0:
+		return view, "built", nil, nil
 	}
-	s.views.key, s.views.view = key, view
-	return view, "built", nil, nil
+	for _, id := range s.Registry.IDs() {
+		if slices.Contains(src.failed, s.Cluster.Ring.Owner(id)) {
+			failed = append(failed, id)
+		}
+	}
+	return view, "uncached", failed, nil
 }

@@ -12,12 +12,14 @@ import (
 // re-admission) is re-indexed — each flip bumps the index generation
 // exactly once. It is the index's only availability input.
 //
-// That generation is what keys the serving layer's /matches and
-// /substitutes caches, so wiring this is what makes availability changes
-// invalidate them: without it, an auto-retired module would keep ranking
-// in cached substitute responses until some other catalog change happened
-// to bump the state key. Call it once at startup, after the index is
-// built and before a lifecycle manager restores its states.
+// That generation is part of the key of every catalog-derived answer the
+// serving layer memoises: the /matches state key and body, the /catalog
+// body and the /compose view (all through catalogVersion), and each
+// target's /substitutes ranking (subsKey). The registry generation in
+// the same keys moves on the flip itself; the index generation moves once
+// the index has caught up with it, so a memo filled in between is
+// rebuilt. Call it once at startup, after the index is built and before
+// a lifecycle manager restores its states.
 func SyncIndex(reg *registry.Registry, ix *match.CatalogIndex) {
 	reg.OnAvailabilityChange(func(id string, available bool) {
 		if !available {

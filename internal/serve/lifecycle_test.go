@@ -384,9 +384,9 @@ func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
 // TestLifecycleFlipBumpsEachViewOnce walks beta through healthy →
 // suspect → quarantined → probation → healthy. Only the two transitions
 // that flip availability may touch the derived views and the registry
-// generation that keys the planner's view, each exactly once, and a
-// /search cursor minted before the walk outlives the transitions that
-// flip nothing.
+// generation that keys the planner's view, each exactly once; the
+// /catalog ETag changes on exactly those two; and a /search cursor
+// minted before the walk outlives the transitions that flip nothing.
 func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 	f := newLifecycleFixture(t)
 	f.sweep(t, time.Minute) // all healthy
@@ -397,7 +397,8 @@ func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 	if resp := getJSON(t, f.lts.URL+"/search?q=module&limit=1", &page); resp.StatusCode != http.StatusOK || page.NextCursor == "" {
 		t.Fatalf("search page 1: status %d cursor %q", resp.StatusCode, page.NextCursor)
 	}
-	matchGen, searchGen, regGen := f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation()
+	catalogETag := func() string { return getCatalog(f.srv, "").Header().Get("ETag") }
+	matchGen, searchGen, regGen, etag := f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation(), catalogETag()
 	step := func(want lifecycle.State, bumps uint64) {
 		t.Helper()
 		f.sweep(t, time.Minute)
@@ -413,7 +414,10 @@ func TestLifecycleFlipBumpsEachViewOnce(t *testing.T) {
 		if d := f.reg.Generation() - regGen; d != bumps {
 			t.Errorf("%v moved the registry generation by %d, want %d", want, d, bumps)
 		}
-		matchGen, searchGen, regGen = f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation()
+		if changed := catalogETag() != etag; changed != (bumps > 0) {
+			t.Errorf("%v changed the /catalog ETag: %v, want %v", want, changed, bumps > 0)
+		}
+		matchGen, searchGen, regGen, etag = f.srv.Comparer.Index.Generation(), f.srv.SearchIndex.Generation(), f.reg.Generation(), catalogETag()
 	}
 
 	f.decay(t, "beta")

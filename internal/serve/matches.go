@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
@@ -29,39 +27,6 @@ type matchesResponse struct {
 	// the healthy-cluster body matches a single node's shape.
 	Partial      bool     `json:"partial,omitempty"`
 	FailedShards []string `json:"failedShards,omitempty"`
-}
-
-// matrixCache memoizes the last complete all-pairs matrix build together
-// with the catalog state it reflects and its encoded response bytes. In
-// a cluster the state key hashes every shard's replication sequence; on
-// a single node it folds every registered module's stored-set content
-// hash (and the signature index generation, when one is wired), so any
-// annotation change — or an index Update/Remove after a signature
-// change — produces a different key and forces a rebuild; an unchanged catalog serves the
-// cached bytes verbatim (no re-serialisation per request) and lets
-// If-None-Match answer 304 without recomputation. A rebuild is a fresh
-// MatchMatrixFromKeyedSets call, whose cost follows the index's feasible
-// pairs rather than the n² pair grid, so there is no per-module state to
-// patch between builds.
-type matrixCache struct {
-	mu    sync.Mutex
-	state string
-	body  []byte
-}
-
-// subsEntry is one warmed substitute search: the full (unlimited)
-// ranking plus the state key it was computed under. The limit query
-// parameter is applied per request, so every limit shares one entry.
-type subsEntry struct {
-	state string
-	hash  string
-	subs  match.Substitutes
-}
-
-// subsCache memoizes substitute searches per target module.
-type subsCache struct {
-	mu      sync.Mutex
-	entries map[string]subsEntry
 }
 
 // catalogVersion is a vector of cheap counters that moves whenever a
@@ -82,25 +47,15 @@ func (s *Server) catalogVersion() catalogVersion {
 	return v
 }
 
-// stateKeyMemo holds the last matrix state key with the catalogVersion
-// it was computed at.
-type stateKeyMemo struct {
-	mu      sync.Mutex
-	version catalogVersion
-	key     string
-}
-
 // matrixStateKey fingerprints everything the matrix depends on, computed
 // once per catalogVersion: an unchanged catalog revalidates /matches
 // without rehashing it.
 func (s *Server) matrixStateKey() string {
 	v := s.catalogVersion()
-	s.stateKey.mu.Lock()
-	defer s.stateKey.mu.Unlock()
-	if s.stateKey.key == "" || s.stateKey.version != v {
-		s.stateKey.version, s.stateKey.key = v, s.contentStateKey(v.index)
-	}
-	return s.stateKey.key
+	key, _, _ := s.stateKey.get(v, func() (string, bool, error) {
+		return s.contentStateKey(v.index), true, nil
+	})
+	return key
 }
 
 // contentStateKey derives the matrix state key from content: the
@@ -127,40 +82,30 @@ func (s *Server) contentStateKey(indexGen uint64) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// substitutesStateKey fingerprints a substitute search for one target:
-// the mode, the target's stored-set hash, and the availability of the
-// candidate set (candidates are invoked live, so their availability —
-// not their stored annotations — is what the result depends on).
-//
-// With an index wired (and kept in sync with availability by SyncIndex,
-// the registry hook every flip, lifecycle ones included, goes through),
-// the generation counter subsumes the candidate set: every availability
-// flip and signature change bumps it, so the key is O(1) per request. Without an index the key falls back to
-// folding the sorted available-module IDs — correct, but O(catalog).
-func (s *Server) substitutesStateKey(targetID, targetHash string) string {
-	h := sha256.New()
-	io.WriteString(h, s.Comparer.Mode.String())
-	h.Write([]byte{0})
-	io.WriteString(h, targetID)
-	h.Write([]byte{0})
-	io.WriteString(h, targetHash)
-	h.Write([]byte{0})
+// subsKey is what one target's substitute ranking depends on: the
+// target's stored-set hash, the registry generation (every Register and
+// availability flip; candidates are invoked live, so their availability,
+// not their stored annotations, is what the ranking reads) and the
+// signature index generation. The store's sequence is left out on
+// purpose: writes to other modules' annotations do not change the
+// ranking, and under a steady write load they would evict it on almost
+// every request.
+type subsKey struct {
+	hash            string
+	registry, index uint64
+}
+
+func (s *Server) subsKey(targetHash string) subsKey {
+	k := subsKey{hash: targetHash, registry: s.Registry.Generation()}
 	if s.Comparer.Index != nil {
-		fmt.Fprintf(h, "g%d", s.Comparer.Index.Generation())
-		h.Write([]byte{0})
-	} else {
-		avail := s.Registry.Available()
-		ids := make([]string, len(avail))
-		for i, m := range avail {
-			ids[i] = m.ID
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			io.WriteString(h, id)
-			h.Write([]byte{0})
-		}
+		k.index = s.Comparer.Index.Generation()
 	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	return k
+}
+
+// etag renders the key as the target's /substitutes validator.
+func (k subsKey) etag() string {
+	return fmt.Sprintf(`"%s.%d.%d"`, k.hash, k.registry, k.index)
 }
 
 // matrixSource is where one /matches answer comes from. state keys its
@@ -225,18 +170,16 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 			span.Annotate("sets", strconv.Itoa(src.sets))
 		}()
 	}
-	complete := len(src.failed) == 0
-	if complete && notModified(w, r, `"`+src.state+`"`) {
+	if len(src.failed) == 0 && notModified(w, r, `"`+src.state+`"`) {
 		return
 	}
 
-	s.matrix.mu.Lock()
-	defer s.matrix.mu.Unlock()
-	if complete && s.matrix.body != nil && s.matrix.state == src.state {
-		writeBody(w, s.matrix.body)
-		return
-	}
-	body, err := s.buildMatches(ctx, src)
+	// A partial state round names fewer shards than a complete one, so
+	// its key never equals a kept (complete) answer's.
+	body, _, err := s.matches.get(src.state, func() ([]byte, bool, error) {
+		body, err := s.buildMatches(ctx, src)
+		return body, len(src.failed) == 0, err
+	})
 	if err != nil || len(src.failed) > 0 {
 		// The validator went out before the build; only a complete
 		// answer keeps it.
@@ -246,9 +189,6 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
-	}
-	if len(src.failed) == 0 {
-		s.matrix.state, s.matrix.body = src.state, body
 	}
 	writeBody(w, body)
 }
@@ -285,24 +225,19 @@ func encodeJSONBody(v any) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-// warmedSubstitutes returns the cached substitute search for the target
-// when the catalog state still matches, running and caching the search
-// otherwise. Concurrent requests serialise on the cache lock, so
-// identical searches arriving together collapse onto one run (the
-// second request hits the entry the first one just warmed).
-func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, targetHash, state string) (match.Substitutes, error) {
-	s.subs.mu.Lock()
-	defer s.subs.mu.Unlock()
-	if e, ok := s.subs.entries[target.ID]; ok && e.state == state {
-		return e.subs, nil
+// warmedSubstitutes returns the target's substitute ranking at key:
+// the memoised one while the key holds, a fresh search otherwise. Each
+// target has its own memo, so identical searches arriving together
+// collapse onto one run while searches for different targets proceed
+// side by side.
+func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, key subsKey) (match.Substitutes, error) {
+	memo, ok := s.subs.Load(target.ID)
+	if !ok {
+		memo, _ = s.subs.LoadOrStore(target.ID, new(versioned[subsKey, match.Substitutes]))
 	}
-	subs, err := s.Comparer.FindSubstitutesStoredContext(r.Context(), s.Store, target, s.Registry.Available())
-	if err != nil {
-		return match.Substitutes{}, err
-	}
-	if s.subs.entries == nil {
-		s.subs.entries = map[string]subsEntry{}
-	}
-	s.subs.entries[target.ID] = subsEntry{state: state, hash: targetHash, subs: subs}
-	return subs, nil
+	subs, _, err := memo.(*versioned[subsKey, match.Substitutes]).get(key, func() (match.Substitutes, bool, error) {
+		subs, err := s.Comparer.FindSubstitutesStoredContext(r.Context(), s.Store, target, s.Registry.Available())
+		return subs, true, err
+	})
+	return subs, err
 }

@@ -85,9 +85,9 @@ func TestMatchesCachedBody(t *testing.T) {
 		t.Fatalf("stats after delete = %+v", decoded.Matrix.Stats)
 	}
 
-	// Restoring the annotation restores an equivalent matrix through the
-	// incremental rebuild — only alpha's row and column are recomputed,
-	// and the served body must again equal a canonical encode.
+	// Restoring the annotation moves the state key again, so the next
+	// request builds a fresh matrix in which alpha is equivalent to beta
+	// once more.
 	post(t, f.ts.URL+"/modules/alpha/generate")
 	b4, e4 := rawGet(t, url)
 	if bytes.Equal(b4, b3) || e4 == e3 {

@@ -4,7 +4,9 @@
 // generation run. The endpoints (mounted under a prefix of the caller's
 // choosing, /api in dexa-serve):
 //
-//	GET  /catalog                      — every registered module with annotation status
+//	GET  /catalog                      — every registered module with annotation status;
+//	                                     encoded once per catalog state, ETag = hash of
+//	                                     the bytes, If-None-Match answers 304
 //	GET  /modules/{id}                 — one module's signature, health and annotation metadata
 //	GET  /modules/{id}/examples        — the stored example set; ETag = content hash,
 //	                                     If-None-Match answers 304 without touching the set
@@ -37,6 +39,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -46,6 +50,7 @@ import (
 	"sync"
 
 	"dexa/internal/cluster"
+	"dexa/internal/compose"
 	"dexa/internal/core"
 	"dexa/internal/dataexample"
 	"dexa/internal/lifecycle"
@@ -95,14 +100,17 @@ type Server struct {
 	Tracer    *telemetry.Tracer
 	Logger    *slog.Logger
 
-	// matrix, subs and views memoize the expensive matching and
-	// planning work, and stateKey the matrix state key; all are keyed on
-	// catalog state so they invalidate themselves when stored
-	// annotations, module availability or the signature index change.
-	matrix   matrixCache
-	subs     subsCache
-	views    viewCache
-	stateKey stateKeyMemo
+	// Every answer derived from catalog state is memoised on a key that
+	// moves whenever the answer may change (see versioned), so stored
+	// annotations, availability flips and signature changes invalidate
+	// them without any hook: the matrix state key, the /catalog body and
+	// the /compose view per catalogVersion, the /matches body per state
+	// key, and each target's /substitutes ranking per subsKey.
+	stateKey versioned[catalogVersion, string]
+	catalog  versioned[catalogVersion, etagged]
+	matches  versioned[string, []byte]
+	view     versioned[viewKey, *compose.View]
+	subs     sync.Map // target module ID -> *versioned[subsKey, match.Substitutes]
 
 	// drain is closed by BeginDrain: long-poll handlers (/watch here, the
 	// cluster WAL feed in its own package) answer parked and new waiters
@@ -198,15 +206,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// lookup resolves the path's module ID against the registry.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*registry.Entry, bool) {
+// lookup resolves the path's module ID against the registry, reading
+// the module and its availability together under the registry lock.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (m *module.Module, available, ok bool) {
 	id := r.PathValue("id")
-	e, ok := s.Registry.Get(id)
-	if !ok {
+	if m, available, ok = s.Registry.Lookup(id); !ok {
 		writeError(w, http.StatusNotFound, "unknown module %q", id)
-		return nil, false
 	}
-	return e, true
+	return m, available, ok
 }
 
 // catalogEntry is one row of the catalog listing.
@@ -224,21 +231,48 @@ type catalogEntry struct {
 	Hash     string `json:"hash,omitempty"`
 }
 
+// etagged is an encoded answer body with its validator.
+type etagged struct {
+	body []byte
+	etag string
+}
+
+// handleCatalog serves the catalog listing, encoded once per
+// catalogVersion. Its ETag hashes the bytes, so nodes holding the same
+// catalog agree on it.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
+	cat, _, err := s.catalog.get(s.catalogVersion(), func() (etagged, bool, error) {
+		body, err := encodeJSONBody(s.catalogListing())
+		sum := sha256.Sum256(body)
+		return etagged{body: body, etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, true, err
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding catalog: %v", err)
+		return
+	}
+	if notModified(w, r, cat.etag) {
+		return
+	}
+	writeBody(w, cat.body)
+}
+
+// catalogListing is the /catalog body: every registered module in ID
+// order with its availability and stored annotation.
+func (s *Server) catalogListing() map[string]any {
 	ids := s.Registry.IDs()
 	out := make([]catalogEntry, 0, len(ids))
 	for _, id := range ids {
-		e, ok := s.Registry.Get(id)
+		m, available, ok := s.Registry.Lookup(id)
 		if !ok {
 			continue
 		}
 		ce := catalogEntry{
-			ID:        e.Module.ID,
-			Name:      e.Module.Name,
-			Kind:      e.Module.Kind.String(),
-			Form:      e.Module.Form.String(),
-			Provider:  e.Module.Provider,
-			Available: e.Available,
+			ID:        m.ID,
+			Name:      m.Name,
+			Kind:      m.Kind.String(),
+			Form:      m.Form.String(),
+			Provider:  m.Provider,
+			Available: available,
 		}
 		if set, hash, ok := s.Store.Get(id); ok {
 			ce.Examples = len(set)
@@ -246,7 +280,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, ce)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"modules": out, "count": len(out)})
+	return map[string]any{"modules": out, "count": len(out)}
 }
 
 type paramInfo struct {
@@ -289,16 +323,15 @@ func params(ps []module.Parameter) []paramInfo {
 }
 
 func (s *Server) handleModule(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	m, available, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	m := e.Module
 	info := moduleInfo{
 		ID: m.ID, Name: m.Name, Description: m.Description,
 		Kind: m.Kind.String(), Form: m.Form.String(), Provider: m.Provider,
 		Inputs: params(m.Inputs), Outputs: params(m.Outputs),
-		Available: e.Available,
+		Available: available,
 	}
 	if set, hash, ok := s.Store.Get(m.ID); ok {
 		info.Examples = len(set)
@@ -358,24 +391,24 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 }
 
 func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	m, _, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	if s.redirectToOwner(w, r, e.Module.ID) {
+	if s.redirectToOwner(w, r, m.ID) {
 		return
 	}
-	set, hash, ok := s.Store.Get(e.Module.ID)
+	set, hash, ok := s.Store.Get(m.ID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate to annotate it)", e.Module.ID)
+		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate to annotate it)", m.ID)
 		return
 	}
 	if notModified(w, r, `"`+hash+`"`) {
 		return
 	}
-	version, _ := s.Store.Version(e.Module.ID)
+	version, _ := s.Store.Version(m.ID)
 	writeJSON(w, http.StatusOK, examplesResponse{
-		Module: e.Module.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
+		Module: m.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
 	})
 }
 
@@ -389,7 +422,7 @@ type generateResponse struct {
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	m, _, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -397,7 +430,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusForbidden, "this node is a read-only follower; generate on its leader shard")
 		return
 	}
-	if s.redirectToOwner(w, r, e.Module.ID) {
+	if s.redirectToOwner(w, r, m.ID) {
 		return
 	}
 	if s.Source == nil {
@@ -414,20 +447,20 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		err     error
 	)
 	if refresh {
-		set, _, changed, err = s.Source.RefreshContext(r.Context(), e.Module)
+		set, _, changed, err = s.Source.RefreshContext(r.Context(), m)
 	} else {
 		var rep *core.Report
-		set, rep, err = s.Source.GenerateContext(r.Context(), e.Module)
+		set, rep, err = s.Source.GenerateContext(r.Context(), m)
 		changed = rep != nil // a nil report means the set came from the store
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "generating examples for %s: %v", e.Module.ID, err)
+		writeError(w, http.StatusBadGateway, "generating examples for %s: %v", m.ID, err)
 		return
 	}
-	hash, _ := s.Store.Hash(e.Module.ID)
+	hash, _ := s.Store.Hash(m.ID)
 	w.Header().Set("ETag", `"`+hash+`"`)
 	writeJSON(w, http.StatusOK, generateResponse{
-		Module: e.Module.ID, Hash: hash, Count: len(set), Cached: !changed, Changed: changed, Examples: set,
+		Module: m.ID, Hash: hash, Count: len(set), Cached: !changed, Changed: changed, Examples: set,
 	})
 }
 
@@ -472,7 +505,7 @@ type skippedInfo struct {
 }
 
 func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	m, _, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -481,32 +514,32 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.clusterMode() {
-		s.scatterSubstitutes(w, r, e)
+		s.scatterSubstitutes(w, r, m)
 		return
 	}
-	hash, ok := s.Store.Hash(e.Module.ID)
+	hash, ok := s.Store.Hash(m.ID)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", e.Module.ID)
+		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
 		return
 	}
 	limit, ok := parseLimitParam(w, r)
 	if !ok {
 		return
 	}
-	state := s.substitutesStateKey(e.Module.ID, hash)
-	if notModified(w, r, `"`+state+`"`) {
+	key := s.subsKey(hash)
+	if notModified(w, r, key.etag()) {
 		return
 	}
-	subs, err := s.warmedSubstitutes(r, e.Module, hash, state)
+	subs, err := s.warmedSubstitutes(r, m, key)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "substitute search for %s: %v", e.Module.ID, err)
+		writeError(w, http.StatusBadGateway, "substitute search for %s: %v", m.ID, err)
 		return
 	}
 	ranked := subs.Ranked
 	if limit > 0 && len(ranked) > limit {
 		ranked = ranked[:limit]
 	}
-	resp := substitutesResponse{Target: e.Module.ID, Hash: hash}
+	resp := substitutesResponse{Target: m.ID, Hash: hash}
 	for _, c := range ranked {
 		resp.Substitutes = append(resp.Substitutes, substituteInfo{
 			ID:       c.Module.ID,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -142,6 +143,131 @@ func TestCatalogAndModule(t *testing.T) {
 	}
 	if resp := getJSON(t, f.ts.URL+"/modules/nope", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown module status %d, want 404", resp.StatusCode)
+	}
+}
+
+// getCatalog fetches /catalog through the handler, revalidating with
+// etag when it is not empty.
+func getCatalog(srv *Server, etag string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, "/catalog", nil)
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// TestCatalogETag: /catalog carries an ETag derived from its bytes,
+// answers 304 to it, serves the same bytes while the catalog holds, and
+// moves body and ETag together when an annotation or an availability
+// flip changes the listing. The bytes are exactly the writeJSON
+// rendering of the listing.
+func TestCatalogETag(t *testing.T) {
+	f := newFixture(t, "")
+	post(t, f.ts.URL+"/modules/alpha/generate")
+	first := getCatalog(f.srv, "")
+	etag := first.Header().Get("ETag")
+	if first.Code != http.StatusOK || etag == "" {
+		t.Fatalf("catalog: status %d, ETag %q", first.Code, etag)
+	}
+	var listing struct {
+		Count   int            `json:"count"`
+		Modules []catalogEntry `json:"modules"`
+	}
+	if err := json.Unmarshal(first.Body.Bytes(), &listing); err != nil {
+		t.Fatal(err)
+	}
+	var canonical bytes.Buffer
+	enc := json.NewEncoder(&canonical)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(map[string]any{"modules": listing.Modules, "count": listing.Count}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Body.Bytes(), canonical.Bytes()) {
+		t.Error("cached /catalog body is not the canonical writeJSON rendering")
+	}
+
+	if rec := getCatalog(f.srv, etag); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+		t.Fatalf("revalidation: status %d with %d bytes, want an empty 304", rec.Code, rec.Body.Len())
+	}
+	if rec := getCatalog(f.srv, ""); !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) || rec.Header().Get("ETag") != etag {
+		t.Fatal("unchanged catalog served different bytes or ETag")
+	}
+
+	for _, change := range []struct {
+		name string
+		do   func() error
+	}{
+		{"annotating beta", func() error { post(t, f.ts.URL+"/modules/beta/generate"); return nil }},
+		{"retiring gamma", func() error { return f.reg.SetAvailable("gamma", false) }},
+	} {
+		if err := change.do(); err != nil {
+			t.Fatal(err)
+		}
+		rec := getCatalog(f.srv, etag)
+		if rec.Code != http.StatusOK || rec.Header().Get("ETag") == etag {
+			t.Fatalf("after %s: status %d, ETag %q unchanged", change.name, rec.Code, rec.Header().Get("ETag"))
+		}
+		etag = rec.Header().Get("ETag")
+	}
+	var after struct {
+		Modules []catalogEntry `json:"modules"`
+	}
+	if err := json.Unmarshal(getCatalog(f.srv, "").Body.Bytes(), &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Modules[1].Examples == 0 || after.Modules[2].Available {
+		t.Fatalf("catalog after the changes = %+v", after.Modules)
+	}
+}
+
+// TestCatalogDuringFlips reads /catalog and /modules/{id} while beta's
+// availability flips continuously: every read sees availability through
+// the registry lock, so the race detector stays quiet, and once the
+// flips stop both views agree with the registry.
+func TestCatalogDuringFlips(t *testing.T) {
+	f := newFixture(t, "")
+	h := f.srv.Handler()
+	done := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := f.reg.SetAvailable("beta", i%2 == 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		for _, path := range []string{"/catalog", "/modules/beta"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s during flips: status %d", path, rec.Code)
+			}
+		}
+	}
+	close(done)
+	<-flipped
+
+	_, want, _ := f.reg.Lookup("beta")
+	var cat struct {
+		Modules []catalogEntry `json:"modules"`
+	}
+	if err := json.Unmarshal(getCatalog(f.srv, "").Body.Bytes(), &cat); err != nil {
+		t.Fatal(err)
+	}
+	var mi moduleInfo
+	getJSON(t, f.ts.URL+"/modules/beta", &mi)
+	if cat.Modules[1].Available != want || mi.Available != want {
+		t.Fatalf("after the flips: catalog says %v, module says %v, registry %v", cat.Modules[1].Available, mi.Available, want)
 	}
 }
 

@@ -80,12 +80,12 @@ func RESTHandler(reg *registry.Registry) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		e, ok := reg.Get(rest)
-		if !ok || !e.Available {
+		m, available, ok := reg.Lookup(rest)
+		if !ok || !available {
 			writeJSON(w, http.StatusNotFound, restInvokeResponse{Error: "unknown module", Kind: "not-found"})
 			return
 		}
-		writeJSON(w, http.StatusOK, signatureOf(e.Module))
+		writeJSON(w, http.StatusOK, signatureOf(m))
 	})
 	return mux
 }
@@ -102,8 +102,8 @@ func signatureOf(m *module.Module) restSignature {
 }
 
 func handleRESTInvoke(reg *registry.Registry, id string, w http.ResponseWriter, r *http.Request) {
-	e, ok := reg.Get(id)
-	if !ok || !e.Available {
+	m, available, ok := reg.Lookup(id)
+	if !ok || !available {
 		writeJSON(w, http.StatusNotFound, restInvokeResponse{Error: "unknown module", Kind: "not-found"})
 		return
 	}
@@ -126,7 +126,7 @@ func handleRESTInvoke(reg *registry.Registry, id string, w http.ResponseWriter, 
 		}
 		inputs[name] = v
 	}
-	outs, err := e.Module.Invoke(inputs)
+	outs, err := m.Invoke(inputs)
 	if err != nil {
 		if module.IsExecutionError(err) {
 			writeJSON(w, http.StatusUnprocessableEntity, restInvokeResponse{Error: err.Error(), Kind: "execution"})

@@ -80,8 +80,8 @@ func SOAPHandler(reg *registry.Registry) http.Handler {
 			return
 		}
 		req := env.Body.Request
-		e, ok := reg.Get(req.Module)
-		if !ok || !e.Available {
+		m, available, ok := reg.Lookup(req.Module)
+		if !ok || !available {
 			writeSOAPFault(w, http.StatusNotFound, "NotFound", "unknown module "+req.Module)
 			return
 		}
@@ -98,7 +98,7 @@ func SOAPHandler(reg *registry.Registry) http.Handler {
 			}
 			inputs[in.Name] = v
 		}
-		outs, err := e.Module.Invoke(inputs)
+		outs, err := m.Invoke(inputs)
 		if err != nil {
 			if module.IsExecutionError(err) {
 				writeSOAPFault(w, http.StatusUnprocessableEntity, "Execution", err.Error())
@@ -108,7 +108,7 @@ func SOAPHandler(reg *registry.Registry) http.Handler {
 			return
 		}
 		resp := soapInvokeResponse{Module: req.Module}
-		for _, p := range e.Module.Outputs {
+		for _, p := range m.Outputs {
 			x, err := valueToXML(outs[p.Name])
 			if err != nil {
 				writeSOAPFault(w, http.StatusInternalServerError, "Validation", err.Error())

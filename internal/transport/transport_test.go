@@ -351,3 +351,54 @@ func TestRESTMethodNotAllowed(t *testing.T) {
 		t.Errorf("GET invoke status = %d", resp2.StatusCode)
 	}
 }
+
+// TestRESTDuringFlips reads signatures and invokes over REST and SOAP
+// while a module's availability flips continuously: each handler reads
+// availability through the registry lock, so the race detector stays
+// quiet, and every answer is either the module (200) or its absence
+// (404), never anything else.
+func TestRESTDuringFlips(t *testing.T) {
+	reg, _, _ := newServerFixture(t)
+	rest, soap := RESTHandler(reg), SOAPHandler(reg)
+	done := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := reg.SetAvailable("reverse", i%2 == 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	requests := []func() (http.Handler, *http.Request){
+		func() (http.Handler, *http.Request) {
+			return rest, httptest.NewRequest(http.MethodGet, "/modules/reverse", nil)
+		},
+		func() (http.Handler, *http.Request) {
+			return rest, httptest.NewRequest(http.MethodPost, "/modules/reverse/invoke",
+				strings.NewReader(`{"inputs":{"seq":{"kind":"string","str":"ACGT"}}}`))
+		},
+		func() (http.Handler, *http.Request) {
+			return soap, httptest.NewRequest(http.MethodPost, "/soap", strings.NewReader(
+				`<Envelope><Body><InvokeRequest module="reverse"><Input name="seq"><Value kind="string">ACGT</Value></Input></InvokeRequest></Body></Envelope>`))
+		},
+	}
+	for i := 0; i < 200; i++ {
+		for _, req := range requests {
+			h, r := req()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+				t.Fatalf("%s %s during flips: status %d: %s", r.Method, r.URL.Path, rec.Code, rec.Body)
+			}
+		}
+	}
+	close(done)
+	<-flipped
+}
