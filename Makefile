@@ -79,12 +79,15 @@ cluster-smoke:
 # live index, the availability hook firing from parallel registry
 # mutations, and the serve-layer search/compose endpoints (single-node
 # and scatter-gather; TestComposeDuringFlips races /compose's cached
-# per-version view and its lazy class partition against availability
-# flips and store writes), with more iterations than the catch-all race
-# run gives them.
+# per-version view, its lazy class partition and its memo of chains and
+# verified plans against availability flips and store writes), with more
+# iterations than the catch-all race run gives them. The last line races
+# one shared planner view, partition and memo, over the whole simulated
+# catalog.
 race-search:
 	$(GO) test -race -count=2 ./internal/search/
 	$(GO) test -race -count=2 -run 'TestSearch|TestClusterSearch|TestCompose' ./internal/serve/
+	$(GO) test -race -count=2 -run 'TestPlanViewMatchesPerCall' ./internal/compose/
 
 # Telemetry-overhead gate: generation with a live metrics registry must
 # stay within 5% of the no-op recorder. TestTelemetryOverhead alternates
@@ -117,7 +120,7 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Seven targets take about three and a half minutes, so ci does not run it.
+# Eight targets take about four minutes, so ci does not run it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \

@@ -188,15 +188,15 @@ func TestPlanGoldenDigest(t *testing.T) {
 
 // TestPlanAllocBudget bounds the allocations of one fixed Plan call over
 // store-interned sets, shaped like the e2e plan workload's requests
-// (depth 2, three plans), over a view built for the call. The budget is
-// the measured count (865) with under 10% headroom; the planner that
-// aligned raw sets through
-// match.CompareExampleSets allocated 2,662 on the same call.
+// (depth 2, three plans), over a view built for the call, which keeps no
+// memo. The budget is the measured count (852) with under 10% headroom;
+// the planner that aligned raw sets through match.CompareExampleSets
+// allocated 2,662 on the same call.
 func TestPlanAllocBudget(t *testing.T) {
 	c := sharedCatalog(t)
 	p := c.keyedPlanner()
 	cs := Constraints{In: simulation.CDNASequence, Out: simulation.CAccList, MaxDepth: 2, MaxPlans: 3}
-	const budget = 940
+	const budget = 937
 	if got := testing.AllocsPerRun(10, func() { _, _ = p.Plan(cs) }); got > budget {
 		t.Errorf("Plan(%s -> %s, depth 2) allocates %.0f, budget %d", cs.In, cs.Out, got, budget)
 	}
@@ -204,15 +204,17 @@ func TestPlanAllocBudget(t *testing.T) {
 
 // TestPlanWarmViewAllocBudget bounds the same call as
 // TestPlanAllocBudget planned over a warm View — the serving path, where
-// the view is built once per catalog version and its groups are already
-// partitioned. The budget is the measured count (402) with under 10%
-// headroom.
+// the view is built once per catalog version, its groups are already
+// partitioned, and its memo holds the call's chains and verified plans.
+// The budget is the measured count (8), with no room to spare; before
+// the memo, when every call searched chains and verified each plan, the
+// same call allocated 402.
 func TestPlanWarmViewAllocBudget(t *testing.T) {
 	c := sharedCatalog(t)
 	p := c.keyedPlanner()
 	p.View = NewView(p.Ont, p.Reg, p.Keyed)
 	cs := Constraints{In: simulation.CDNASequence, Out: simulation.CAccList, MaxDepth: 2, MaxPlans: 3}
-	const budget = 440
+	const budget = 8
 	if _, err := p.Plan(cs); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +223,11 @@ func TestPlanWarmViewAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPlanViewMatchesPerCall: every golden request planned over one
-// shared warm View — concurrently, so the lazy partition races itself —
-// renders byte-identically to the same request planned over a fresh
-// per-call view.
+// TestPlanViewMatchesPerCall: every golden request planned twice over
+// one shared View — concurrently, so the lazy partition and the memo race
+// themselves, and the second answer comes from the memo — renders
+// byte-identically to the same request planned over a fresh per-call
+// view both times.
 func TestPlanViewMatchesPerCall(t *testing.T) {
 	c := sharedCatalog(t)
 	cases := goldenCases(c)
@@ -244,11 +247,13 @@ func TestPlanViewMatchesPerCall(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(cases); i += 2 {
-				plans, err := shared.Plan(cases[i])
-				var buf bytes.Buffer
-				writePlans(t, &buf, cases[i], plans, err)
-				if !bytes.Equal(buf.Bytes(), want[i]) {
-					t.Errorf("case %d (%+v): warm-view plans differ from per-call plans", i, cases[i])
+				for _, pass := range []string{"first", "memoised"} {
+					plans, err := shared.Plan(cases[i])
+					var buf bytes.Buffer
+					writePlans(t, &buf, cases[i], plans, err)
+					if !bytes.Equal(buf.Bytes(), want[i]) {
+						t.Errorf("case %d (%+v): %s warm-view plans differ from per-call plans", i, cases[i], pass)
+					}
 				}
 			}
 		}(w)

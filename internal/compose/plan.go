@@ -1,9 +1,12 @@
 package compose
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
@@ -23,7 +26,9 @@ import (
 // aligner trio shares one signature but three behaviors, and the planner
 // emits one plan per behavior, not one plan treating them as
 // interchangeable. Every plan is checked with workflow.Verify (validate +
-// enact on a stored data example).
+// enact on a stored data example). A View memoises the chains and the
+// verified plans, so each is searched and verified once per catalog
+// state (see planMemo).
 //
 // All behavior comparisons run over keyed example sets
 // (dataexample.KeyedSet, match.CompareKeyedSets): canonical keys are
@@ -62,7 +67,9 @@ type PlanStep struct {
 	Alternatives int `json:"alternatives,omitempty"`
 }
 
-// Plan is one ranked synthesis result.
+// Plan is one ranked synthesis result. A plan planned over a View may be
+// the view's memoised one: its Workflow, Steps and Witness are shared with
+// every other request's copy and must be treated as read-only.
 type Plan struct {
 	Workflow *workflow.Workflow `json:"-"`
 	Steps    []PlanStep         `json:"steps"`
@@ -74,16 +81,43 @@ type Plan struct {
 	// or why verification failed.
 	Rationale string `json:"rationale,omitempty"`
 
-	rank []int // tie-break vector: slot class-rank indices
+	rank  int       // tie-break: sum of the slots' class-rank indices, per call
+	chain string    // the step modules, "a -> b -> c"
+	wire  *wireForm // the memoised plan's Save rendering, shared by its copies
+}
+
+// wireForm is a memoised plan's workflow in the Save wire format,
+// rendered on first use.
+type wireForm struct {
+	once sync.Once
+	data []byte
 }
 
 // Chain renders "a -> b -> c".
-func (p Plan) Chain() string {
-	ids := make([]string, len(p.Steps))
-	for i, s := range p.Steps {
-		ids[i] = s.Module
+func (p Plan) Chain() string { return p.chain }
+
+// WorkflowJSON returns the plan's workflow in the workflow.Save wire
+// format, or nil when it has none or it fails to render. A memoised plan
+// renders once per catalog state; the bytes are shared and must not be
+// modified.
+func (p Plan) WorkflowJSON() []byte {
+	if p.Workflow == nil {
+		return nil
 	}
-	return strings.Join(ids, " -> ")
+	if p.wire == nil {
+		return saveWorkflow(p.Workflow)
+	}
+	p.wire.once.Do(func() { p.wire.data = saveWorkflow(p.Workflow) })
+	return p.wire.data
+}
+
+func saveWorkflow(wf *workflow.Workflow) []byte {
+	var buf bytes.Buffer
+	if err := wf.Save(&buf); err != nil {
+		return nil
+	}
+	return bytes.Clone(buf.Bytes()) // without the buffer's spare capacity
+
 }
 
 // ExampleFunc resolves a module's stored data-example set. The CLI backs
@@ -141,6 +175,11 @@ type Stats struct {
 	// Repartitioned counts the groups MustAvoid thinned that the call
 	// split into behavior classes anew.
 	Repartitioned int
+	// ChainsHit reports that the chain search came from the view's memo.
+	ChainsHit bool
+	// Built counts the plans the call built and verified; Reused the
+	// plans it took from the view's memo.
+	Built, Reused int
 }
 
 // Plan synthesizes ranked workflow plans for the constraints. The result
@@ -152,9 +191,11 @@ func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
 }
 
 // PlanStats is Plan, also reporting the call's view work. It plans over
-// p.View, or over a fresh view of the catalog when p.View is nil. Per
-// call it only drops MustAvoid modules, scores classes against Like, and
-// searches and expands chains.
+// p.View, or over a fresh view of the catalog when p.View is nil. Over a
+// warm view a call only scores classes against Like, filters MustUse,
+// ranks and truncates: the chains and the verified plans come from the
+// view's memo. A MustAvoid that thins the groups makes the call plan
+// over groups of its own, searching and verifying afresh.
 func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 	if !p.Ont.Has(cs.In) {
 		return nil, Stats{}, fmt.Errorf("compose: unknown input concept %q", cs.In)
@@ -176,10 +217,19 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 
 	v := p.View
 	if v == nil {
-		v = NewView(p.Ont, p.Reg, p.keyed())
+		v = newView(p.Ont, p.Reg, p.keyed())
 	}
-	groups := v.avoiding(cs.MustAvoid)
-	chains := p.findChains(cs, groups)
+	groups, whole := v.avoiding(cs.MustAvoid)
+	memo := v.memo
+	if !whole {
+		memo = nil // this call's groups and classes: keying on them would leak entries
+	}
+	st := Stats{Groups: len(groups)}
+	// A chain never repeats a group, so depths past len(groups) search
+	// alike and share one entry.
+	var chains [][]*sigGroup
+	chains, st.ChainsHit = memo.chainsFor(chainKey{cs.In, cs.Out, min(cs.MaxDepth, len(groups))},
+		func() [][]*sigGroup { return p.findChains(cs, groups) })
 
 	var sc match.CompareScratch
 	var like *module.Module
@@ -204,9 +254,8 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 				slots[i] = scored[g]
 			}
 		}
-		plans = append(plans, p.expand(cs, chain, slots)...)
+		plans = p.expand(plans, cs, slots, memo, &st)
 	}
-	st := Stats{Groups: len(groups)}
 	for _, g := range groups {
 		if g.thinned && g.classes != nil {
 			st.Repartitioned++
@@ -222,8 +271,8 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 		if len(a.Steps) != len(b.Steps) {
 			return len(a.Steps) < len(b.Steps)
 		}
-		if ra, rb := sum(a.rank), sum(b.rank); ra != rb {
-			return ra < rb
+		if a.rank != b.rank {
+			return a.rank < b.rank
 		}
 		return a.Chain() < b.Chain()
 	})
@@ -302,32 +351,59 @@ func containsGroup(acc []*sigGroup, g *sigGroup) bool {
 	return false
 }
 
-// expand turns one signature chain into concrete plans: the cartesian
-// product of behavior classes across slots, enumerated in ranked order
-// and capped, each built into a workflow and verified.
-func (p *Planner) expand(cs Constraints, chain []*sigGroup, slots [][]*behaviorClass) []Plan {
-	k := len(chain)
+// expand appends one signature chain's concrete plans to plans: the
+// cartesian product of behavior classes across slots, enumerated in
+// ranked order and capped, each taken from memo or built into a workflow
+// and verified.
+func (p *Planner) expand(plans []Plan, cs Constraints, slots [][]*behaviorClass, memo *planMemo, st *Stats) []Plan {
+	k := len(slots)
 	idx := make([]int, k)
-	var plans []Plan
+	limit := len(plans) + maxCombosPerChain
 	var rec func(slot int)
 	rec = func(slot int) {
-		if len(plans) >= maxCombosPerChain {
+		if len(plans) >= limit {
 			return
 		}
 		if slot == k {
-			plans = append(plans, p.build(cs, slots, idx))
+			plans = append(plans, p.planFor(cs, slots, idx, memo, st))
 			return
 		}
 		for i := range slots[slot] {
 			idx[slot] = i
 			rec(slot + 1)
-			if len(plans) >= maxCombosPerChain {
+			if len(plans) >= limit {
 				return
 			}
 		}
 	}
 	rec(0)
 	return plans
+}
+
+// planFor returns the plan of the classes idx picks from slots: memo's,
+// or built now and offered to memo. The rank is the call's own, since
+// like= reorders the slots.
+func (p *Planner) planFor(cs Constraints, slots [][]*behaviorClass, idx []int, memo *planMemo, st *Stats) Plan {
+	var plan Plan
+	var buf [128]byte
+	var key []byte
+	hit := false
+	if memo != nil {
+		key = planKey(buf[:0], cs, slots, idx)
+		plan, hit = memo.plan(key)
+	}
+	if hit {
+		st.Reused++
+	} else {
+		var keep bool
+		plan, keep = p.build(cs, slots, idx)
+		st.Built++
+		if memo != nil && keep {
+			plan = memo.keep(key, plan)
+		}
+	}
+	plan.rank = sum(idx)
+	return plan
 }
 
 // smallestExample picks the deterministic seed example of a set: the one
@@ -346,7 +422,10 @@ func smallestExample(set *dataexample.KeyedSet) (dataexample.Example, bool) {
 }
 
 // build constructs and verifies the workflow for one class combination.
-func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) Plan {
+// keep reports whether the plan is decided by the catalog state, so a
+// memo may hold it: every plan but one whose verification failed in
+// enactment with all inputs filled.
+func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) (plan Plan, keep bool) {
 	k := len(idx)
 	reps := make([]*module.Module, k)
 	classes := make([]*behaviorClass, k)
@@ -368,6 +447,8 @@ func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) Pla
 		Outputs: []workflow.Port{
 			{Name: "out", Struct: primaryOutput(reps[k-1]).Struct, Semantic: cs.Out},
 		},
+		Steps: make([]workflow.Step, 0, k),
+		Links: make([]workflow.Link, 0, k+1),
 	}
 	var missing []string
 	for i, m := range reps {
@@ -406,7 +487,7 @@ func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) Pla
 		To:   workflow.PortRef{Port: "out"},
 	})
 
-	plan := Plan{Workflow: wf, rank: append([]int{}, idx...)}
+	plan = Plan{Workflow: wf, Steps: make([]PlanStep, 0, k), chain: strings.Join(ids, " -> ")}
 	for i, m := range reps {
 		ps := PlanStep{Module: m.ID, Class: classes[i].class, Alternatives: len(slots[i])}
 		for _, peer := range classes[i].members[1:] {
@@ -431,13 +512,14 @@ func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) Pla
 	seed, ok := smallestExample(classes[0].repSet)
 	if !ok {
 		plan.Rationale = strings.Join(append(rationale, "unverified: no stored examples for "+reps[0].ID), "; ")
-		return plan
+		return plan, true
 	}
 	inputs := map[string]typesys.Value{"in": seed.Inputs[primaryInput(reps[0]).Name]}
 	outs, err := workflow.Verify(p.Reg, p.Ont, wf, inputs)
 	if err != nil {
 		plan.Rationale = strings.Join(append(rationale, "unverified: "+err.Error()), "; ")
-		return plan
+		var enact *workflow.EnactError
+		return plan, len(missing) > 0 || !errors.As(err, &enact)
 	}
 	plan.Verified = true
 	plan.Witness = map[string]string{}
@@ -450,7 +532,7 @@ func (p *Planner) build(cs Constraints, slots [][]*behaviorClass, idx []int) Pla
 		plan.Witness[name] = truncateValue(outs[name], 80)
 	}
 	plan.Rationale = strings.Join(append(rationale, "verified by enactment on a stored data example"), "; ")
-	return plan
+	return plan, true
 }
 
 func chainSig(m *module.Module) string {

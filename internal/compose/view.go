@@ -1,8 +1,10 @@
 package compose
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
@@ -14,17 +16,112 @@ import (
 )
 
 // View is the catalog-state half of planning: the available modules'
-// primary-signature groups and each group's behavior classes. Both
-// depend only on which modules are available and on their stored example
-// sets, never on the request, so a server keeps one View per catalog
-// version and plans every /compose call over it; a Planner without one
-// builds a fresh View per Plan call. A group is partitioned into classes
-// the first time a chain needs it and kept from then on. A View is safe
-// for concurrent Plan calls.
+// primary-signature groups, each group's behavior classes, and a memo of
+// the signature chains and verified plans derived from them (planMemo).
+// None of it depends on more of the request than its concepts and depth,
+// so a server keeps one View per catalog version and plans every
+// /compose call over it; a Planner without one builds a fresh View per
+// Plan call, with no memo, since no second call reads it. A group is
+// partitioned into classes the first time a chain needs it and kept from
+// then on. A View is safe for concurrent Plan calls.
 type View struct {
-	ont    *ontology.Ontology
-	keyed  KeyedFunc
-	groups []*sigGroup // ordered by signature key
+	ont      *ontology.Ontology
+	keyed    KeyedFunc
+	groups   []*sigGroup   // ordered by signature key
+	classIDs atomic.Uint32 // numbers behavior classes as they are partitioned
+	memo     *planMemo     // nil on a per-call view
+}
+
+// planMemo is what planning derives from a view and the request's
+// concepts alone, kept for the view's lifetime:
+//
+//   - chains: the signature chains from In to Out within a depth, keyed
+//     by (In, Out, depth), the depth clamped to the number of groups;
+//   - plans: each built plan — workflow, steps, rationale, verification
+//     verdict and witness — keyed by In, Out and the behavior classes it
+//     picked (see planKey). Its per-call rank is not kept.
+//
+// A call whose MustAvoid thinned the groups plans over classes of its
+// own and bypasses the memo. A plan whose verification failed in
+// enactment is not kept: a module may fail transiently.
+type planMemo struct {
+	mu     sync.Mutex
+	chains map[chainKey][][]*sigGroup
+	plans  map[string]Plan
+}
+
+type chainKey struct {
+	in, out string
+	depth   int
+}
+
+// chainsFor returns the chains at key and whether they came from the
+// memo, searching with find on a miss. A nil memo always searches.
+// Searches run outside the lock; concurrent misses keep the first.
+func (m *planMemo) chainsFor(key chainKey, find func() [][]*sigGroup) ([][]*sigGroup, bool) {
+	if m == nil {
+		return find(), false
+	}
+	m.mu.Lock()
+	chains, ok := m.chains[key]
+	m.mu.Unlock()
+	if ok {
+		return chains, true
+	}
+	chains = find()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.chains[key]; ok {
+		return prev, false
+	}
+	m.chains[key] = chains
+	return chains, false
+}
+
+// planKey appends to buf the plans key of the classes idx picks from
+// slots: In and Out, length-prefixed, then each class's view-wide id. A
+// like= copy carries the id of the view class it was copied from.
+func planKey(buf []byte, cs Constraints, slots [][]*behaviorClass, idx []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(cs.In)))
+	buf = append(buf, cs.In...)
+	buf = binary.AppendUvarint(buf, uint64(len(cs.Out)))
+	buf = append(buf, cs.Out...)
+	for i, j := range idx {
+		buf = binary.LittleEndian.AppendUint32(buf, slots[i][j].id)
+	}
+	return buf
+}
+
+// plan returns the plan kept at key.
+func (m *planMemo) plan(key []byte) (Plan, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	plan, ok := m.plans[string(key)]
+	return plan, ok
+}
+
+// keep stores plan at key, unless a concurrent build stored one first,
+// and returns the kept plan.
+func (m *planMemo) keep(key []byte, plan Plan) Plan {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.plans[string(key)]; ok {
+		return prev
+	}
+	plan.wire = new(wireForm)
+	m.plans[string(key)] = plan
+	return plan
+}
+
+// Memoised reports how many chain searches and built plans the view's
+// memo holds.
+func (v *View) Memoised() (chains, plans int) {
+	if v.memo == nil {
+		return 0, 0
+	}
+	v.memo.mu.Lock()
+	defer v.memo.mu.Unlock()
+	return len(v.memo.chains), len(v.memo.plans)
 }
 
 // signature is a primary (input, output) signature: structural type and
@@ -58,6 +155,7 @@ type sigGroup struct {
 // behaviorClass is a set of group members whose stored example sets are
 // pairwise equivalent under an exact parameter mapping.
 type behaviorClass struct {
+	id        uint32 // unique within the view; a like= copy keeps it
 	rep       *module.Module
 	members   []*module.Module // sorted by ID; rep is members[0]
 	repSet    *dataexample.KeyedSet
@@ -72,6 +170,13 @@ type behaviorClass struct {
 // group's members are too. keyed resolves a module's stored set when its
 // group is first partitioned, and the Like module's once per Plan call.
 func NewView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *View {
+	v := newView(ont, reg, keyed)
+	v.memo = &planMemo{chains: map[chainKey][][]*sigGroup{}, plans: map[string]Plan{}}
+	return v
+}
+
+// newView is NewView without the memo: the view of one Plan call.
+func newView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *View {
 	type semPair struct{ in, out string }
 	type placement struct {
 		m *module.Module
@@ -138,15 +243,17 @@ func (v *View) classesOf(g *sigGroup, sc *match.CompareScratch) []*behaviorClass
 }
 
 // avoiding returns the view's groups with every module that carries a
-// MustAvoid concept dropped. A group that lost members is replaced by a
-// fresh group over the rest, partitioned anew when a chain needs it: a
-// dropped member may have been the only link joining two classes. A
-// group left empty is dropped. Without MustAvoid the view's own groups,
-// classes and all, come back.
-func (v *View) avoiding(avoid []string) []*sigGroup {
+// MustAvoid concept dropped, and whether that left them whole. A group
+// that lost members is replaced by a fresh group over the rest,
+// partitioned anew when a chain needs it: a dropped member may have been
+// the only link joining two classes. A group left empty is dropped. When
+// MustAvoid touches no member the view's own groups, classes and all,
+// come back.
+func (v *View) avoiding(avoid []string) ([]*sigGroup, bool) {
 	if len(avoid) == 0 {
-		return v.groups
+		return v.groups, true
 	}
+	whole := true
 	out := make([]*sigGroup, 0, len(v.groups))
 	for _, g := range v.groups {
 		var kept []*module.Module
@@ -163,11 +270,16 @@ func (v *View) avoiding(avoid []string) []*sigGroup {
 		switch {
 		case kept == nil:
 			out = append(out, g)
+			continue
 		case len(kept) > 0:
 			out = append(out, &sigGroup{signature: g.signature, members: kept, thinned: true})
 		}
+		whole = false
 	}
-	return out
+	if whole {
+		return v.groups, true
+	}
+	return out, false
 }
 
 // partition splits task-identical members into behavior classes: two
@@ -232,6 +344,7 @@ func (v *View) partition(members []*module.Module, sc *match.CompareScratch) []*
 	classes := make([]*behaviorClass, 0, len(roots))
 	for _, r := range roots {
 		bc := byRoot[r]
+		bc.id = v.classIDs.Add(1)
 		bc.rep = bc.members[0]
 		bc.repSet = sets[r]
 		bc.class = search.FingerprintKeyed(bc.repSet)

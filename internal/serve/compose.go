@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -30,9 +30,11 @@ import (
 // data examples, the representative of each class anchors one plan
 // variant, and every emitted plan is verified by enacting it on a seed
 // example. Plans are ranked verified-first and are deterministic for a
-// fixed catalog. Signature groups and behavior classes come from a view
-// memoised per catalog state (see composeView); only avoid= and like= do
-// per-request class work. In cluster mode the view is built from every
+// fixed catalog. Signature groups, behavior classes, chains and verified
+// plans come from a view memoised per catalog state (see composeView and
+// compose.View); a warm request only scores like=, filters use=, ranks
+// and encodes, and only an avoid= that thins the groups searches and
+// verifies afresh. In cluster mode the view is built from every
 // shard's gathered sets, once per cluster state; a failed shard degrades
 // the synthesis to a partial one over the reachable annotations.
 
@@ -60,9 +62,9 @@ type composeResponse struct {
 }
 
 // multiParam reads a repeatable query parameter, splitting comma lists.
-func multiParam(r *http.Request, name string) []string {
+func multiParam(q url.Values, name string) []string {
 	var out []string
-	for _, v := range r.URL.Query()[name] {
+	for _, v := range q[name] {
 		for _, part := range strings.Split(v, ",") {
 			if part = strings.TrimSpace(part); part != "" {
 				out = append(out, part)
@@ -77,14 +79,14 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "workflow synthesis is not enabled on this server")
 		return
 	}
-	in := r.URL.Query().Get("in")
-	out := r.URL.Query().Get("out")
+	q := r.URL.Query()
+	in, out := q.Get("in"), q.Get("out")
 	if in == "" || out == "" {
 		writeError(w, http.StatusBadRequest, "compose requires both ?in= and ?out= concepts")
 		return
 	}
 	depth := 0
-	if v := r.URL.Query().Get("depth"); v != "" {
+	if v := q.Get("depth"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, "invalid depth %q", v)
@@ -118,9 +120,9 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	}
 	plans, stats, err := planner.PlanStats(compose.Constraints{
 		In: in, Out: out,
-		MustUse:   multiParam(r, "use"),
-		MustAvoid: multiParam(r, "avoid"),
-		Like:      r.URL.Query().Get("like"),
+		MustUse:   multiParam(q, "use"),
+		MustAvoid: multiParam(q, "avoid"),
+		Like:      q.Get("like"),
 		MaxDepth:  depth,
 		MaxPlans:  limit,
 	})
@@ -130,6 +132,12 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	}
 	span.Annotate("groups", strconv.Itoa(stats.Groups))
 	span.Annotate("repartitioned", strconv.Itoa(stats.Repartitioned))
+	chains := "built"
+	if stats.ChainsHit {
+		chains = "hit"
+	}
+	span.Annotate("chains", chains)
+	span.Annotate("plans", strconv.Itoa(stats.Reused)+"/"+strconv.Itoa(stats.Built))
 	resp := newComposeResponse(in, out, plans)
 	if len(failed) > 0 {
 		resp.Partial = true
@@ -142,20 +150,14 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 func newComposeResponse(in, out string, plans []compose.Plan) composeResponse {
 	resp := composeResponse{In: in, Out: out, Plans: []composePlan{}}
 	for _, p := range plans {
-		cp := composePlan{
+		resp.Plans = append(resp.Plans, composePlan{
 			Chain:     p.Chain(),
 			Steps:     p.Steps,
 			Verified:  p.Verified,
 			Witness:   p.Witness,
 			Rationale: p.Rationale,
-		}
-		if p.Workflow != nil {
-			var buf bytes.Buffer
-			if err := p.Workflow.Save(&buf); err == nil {
-				cp.Workflow = json.RawMessage(buf.Bytes())
-			}
-		}
-		resp.Plans = append(resp.Plans, cp)
+			Workflow:  p.WorkflowJSON(),
+		})
 	}
 	resp.Count = len(resp.Plans)
 	return resp

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,7 +12,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dexa/internal/compose"
@@ -155,9 +160,10 @@ func (f *viewFixture) served(t *testing.T, query string) []byte {
 
 // TestComposeViewNeverStale runs seeded random histories of availability
 // flips (SetAvailable, RetireProvider), registrations of new modules and
-// store writes and deletes. After every step each served /compose answer
-// — planned over the server's cached per-version view — must equal, byte
-// for byte, the answer of a freshly built planner.
+// store writes and deletes. After every step each /compose request is
+// served twice — planned over the server's cached per-version view, the
+// second time from its memoised chains and plans — and both answers must
+// equal, byte for byte, the answer of a freshly built planner.
 func TestComposeViewNeverStale(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -169,8 +175,11 @@ func TestComposeViewNeverStale(t *testing.T) {
 			check := func(step string) {
 				t.Helper()
 				for _, q := range viewQueries {
-					if got, want := f.served(t, q), f.oracle(t, q); !bytes.Equal(got, want) {
-						t.Fatalf("%s: /compose?%s is stale\n got: %.400s\nwant: %.400s", step, q, got, want)
+					want := f.oracle(t, q)
+					for _, pass := range []string{"first", "memoised"} {
+						if got := f.served(t, q); !bytes.Equal(got, want) {
+							t.Fatalf("%s: %s /compose?%s is stale\n got: %.400s\nwant: %.400s", step, pass, q, got, want)
+						}
 					}
 				}
 			}
@@ -209,6 +218,65 @@ func TestComposeViewNeverStale(t *testing.T) {
 				check(fmt.Sprintf("step %d %s", i, step))
 			}
 		})
+	}
+}
+
+// TestComposeMemoSkipsFailedEnactment: a plan whose verification failed
+// in enactment is not memoised, so once the module recovers the next
+// identical /compose verifies it; and avoid= requests that thin or drop
+// a group plan outside the memo, leaving its entry count unchanged.
+func TestComposeMemoSkipsFailedEnactment(t *testing.T) {
+	f := newViewFixture(t)
+	var calls atomic.Int32
+	flaky := viewModule("flaky", "P1", "Seq", "Note", "", "F:")
+	flaky.Bind(module.ExecFunc(func(in map[string]typesys.Value) (map[string]typesys.Value, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("transient outage")
+		}
+		return map[string]typesys.Value{"acc": typesys.Str("F:" + string(in["seq"].(typesys.StringValue)))}, nil
+	}))
+	f.register(t, flaky, "F:")
+	plan := func(query string) composePlan {
+		t.Helper()
+		var resp composeResponse
+		if err := json.Unmarshal(f.served(t, query), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Plans) != 1 {
+			t.Fatalf("/compose?%s: %d plans, want 1", query, len(resp.Plans))
+		}
+		return resp.Plans[0]
+	}
+	const query = "in=Seq&out=Note"
+	if p := plan(query); p.Verified || !strings.Contains(p.Rationale, "transient outage") {
+		t.Fatalf("first /compose?%s: verified=%v rationale %q, want the outage", query, p.Verified, p.Rationale)
+	}
+	if p := plan(query); !p.Verified {
+		t.Fatalf("second /compose?%s: rationale %q; the failed enactment was memoised", query, p.Rationale)
+	}
+	if p := plan(query); !p.Verified || calls.Load() != 2 {
+		t.Fatalf("third /compose?%s: verified=%v after %d enactments, want the memoised verified plan after 2", query, p.Verified, calls.Load())
+	}
+
+	memoised := func() (int, int) {
+		t.Helper()
+		view, how, _, err := f.srv.composeView(context.Background())
+		if err != nil || how != "hit" {
+			t.Fatalf("composeView: %q, %v; want the cached view", how, err)
+		}
+		return view.Memoised()
+	}
+	chains, plans := memoised()
+	if chains == 0 || plans == 0 {
+		t.Fatalf("memo holds %d chains and %d plans after three requests", chains, plans)
+	}
+	// beta carries Note and trans carries Prot: the first thins the
+	// Seq->Acc group, the second drops the DNA->Prot one.
+	for _, q := range []string{"in=Seq&out=Acc&avoid=Note", "in=DNA&out=Acc&avoid=Prot", "in=DNA&out=Acc&avoid=Prot&like=beta"} {
+		f.served(t, q)
+		if c, p := memoised(); c != chains || p != plans {
+			t.Errorf("/compose?%s moved the memo from %d chains, %d plans to %d, %d", q, chains, plans, c, p)
+		}
 	}
 }
 

@@ -104,9 +104,11 @@ func writeSnapshot(path string, doc snapshotDoc) error {
 // document's crc field after the final record; field order in the
 // document is immaterial because verification waits for EOF.
 //
-// A missing file yields seq 0 and no records; a damaged one is a hard
-// error — the snapshot is the compacted history and silently dropping it
-// would silently lose data.
+// A missing file yields seq 0 and no records; a damaged one, a second
+// records array included, is a hard error — the snapshot is the
+// compacted history and silently dropping it would silently lose data.
+// Records of a damaged document may reach onRecord before the error;
+// callers drop them with it (Open fails, readSnapshot returns nothing).
 func loadSnapshot(path string, onRecord func(*snapshotRecord)) (seq uint64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -149,6 +151,9 @@ func loadSnapshot(path string, onRecord func(*snapshotRecord)) (seq uint64, err 
 			}
 			haveCRC = true
 		case "records":
+			if sawRecords {
+				return 0, fmt.Errorf("store: decoding snapshot %s: duplicate records array", path)
+			}
 			tok, err := dec.Token()
 			if err != nil {
 				return 0, fmt.Errorf("store: decoding snapshot %s records: %w", path, err)

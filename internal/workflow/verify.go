@@ -12,7 +12,8 @@ import (
 // structurally and semantically valid against the registry and ontology,
 // and it must actually enact on the given workflow-level inputs. The
 // workflow-level outputs of the verification run are returned as the
-// witness.
+// witness. A failure raised while enacting a valid workflow comes back
+// as an *EnactError.
 func Verify(reg *registry.Registry, ont *ontology.Ontology, w *Workflow, inputs map[string]typesys.Value) (map[string]typesys.Value, error) {
 	if w == nil {
 		return nil, fmt.Errorf("workflow: no workflow to verify")
@@ -20,8 +21,22 @@ func Verify(reg *registry.Registry, ont *ontology.Ontology, w *Workflow, inputs 
 	if err := w.Validate(reg, ont); err != nil {
 		return nil, err
 	}
-	return NewEnactor(reg).Enact(w, inputs)
+	outs, err := NewEnactor(reg).Enact(w, inputs)
+	if err != nil {
+		return nil, &EnactError{Err: err}
+	}
+	return outs, nil
 }
+
+// EnactError is a Verify failure raised by the enactment of a workflow
+// that validated: a step's module failed or rejected its inputs. Unlike a
+// validation failure it is not decided by the catalog alone, so it need
+// not recur — a remote module may fail transiently. Its message is the
+// enactment error's.
+type EnactError struct{ Err error }
+
+func (e *EnactError) Error() string { return e.Err.Error() }
+func (e *EnactError) Unwrap() error { return e.Err }
 
 // VerifyRepair implements the §6 verification step: the repaired workflow
 // is enacted on sample inputs and its results compared with a reference.

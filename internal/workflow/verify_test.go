@@ -1,6 +1,7 @@
 package workflow_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,6 +31,28 @@ func TestCollectAndVerifySamples(t *testing.T) {
 	// The unmodified workflow trivially verifies against its own samples.
 	if err := workflow.VerifyRepair(en, f.wf, samples); err != nil {
 		t.Errorf("self verification failed: %v", err)
+	}
+}
+
+// TestVerifyEnactError: Verify marks a failure raised while enacting a
+// valid workflow as an *EnactError, which a caller may retry, and leaves
+// a validation failure, which the catalog decides, unmarked.
+func TestVerifyEnactError(t *testing.T) {
+	f := newFixture(t)
+	if _, err := workflow.Verify(f.reg, f.ont, f.wf, wfInputs()); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	var enact *workflow.EnactError
+	in := wfInputs()
+	in["err"] = typesys.Floatv(99) // identify rejects
+	if _, err := workflow.Verify(f.reg, f.ont, f.wf, in); !errors.As(err, &enact) {
+		t.Errorf("a module rejecting its inputs gave %v, want an *EnactError", err)
+	}
+	invalid := f.wf.Clone()
+	s, _ := invalid.Step("s2")
+	s.ModuleID = "noSuchModule"
+	if _, err := workflow.Verify(f.reg, f.ont, invalid, wfInputs()); err == nil || errors.As(err, &enact) {
+		t.Errorf("an unknown module gave %v, want a validation error", err)
 	}
 }
 
