@@ -25,10 +25,13 @@ race:
 # more iterations than the catch-all race run gives them. The second
 # line hammers the group committer specifically: concurrent Put/PutBatch
 # and Delete racing Flush and Snapshot against the single committer
-# goroutine, at higher iteration counts than the package-wide pass.
+# goroutine, at higher iteration counts than the package-wide pass; it
+# also reruns the seeded random histories (leader, cut-and-reopen
+# recovery, follower apply, journal) and the follower's compaction at a
+# replication gap.
 race-store:
 	$(GO) test -race -count=2 ./internal/store/ ./internal/serve/
-	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery' ./internal/store/
+	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap' ./internal/store/
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run.
@@ -120,7 +123,8 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Eight targets take about four minutes, so ci does not run it.
+# Nine targets take about four and a half minutes, so ci does not run
+# it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/json"
 	"fmt"
@@ -294,18 +293,14 @@ func parseUintParam(r *http.Request, name string) (uint64, error) {
 	return n, nil
 }
 
-// DecodeFrames decodes a feed response body back into records, verifying
-// each frame's checksum. A torn or corrupt frame aborts the batch with
-// store.ErrTornFrame — the caller retries from its last applied
-// sequence, which is exactly the no-gap resume the store enforces.
-func DecodeFrames(body []byte) ([]store.Record, error) {
-	return DecodeFrameStream(bytes.NewReader(body))
-}
-
 // DecodeFrameStream decodes records straight off a frame stream — the
 // follower's path: it never buffers the raw body, so a long reset
 // stream is decoded as it arrives and the transfer's memory cost is
-// one frame plus the decoded records.
+// one frame plus the decoded records. Each frame's checksum is
+// verified; a torn or corrupt frame aborts the batch with
+// store.ErrTornFrame and returns no records — the caller retries from
+// its last applied sequence, which is exactly the no-gap resume the
+// store enforces.
 func DecodeFrameStream(r io.Reader) ([]store.Record, error) {
 	fr := store.NewFrameReader(r)
 	var recs []store.Record

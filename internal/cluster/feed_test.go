@@ -378,7 +378,7 @@ func TestFeedCompressionNegotiation(t *testing.T) {
 	if enc := rawResp.Header.Get("Content-Encoding"); enc != "" {
 		t.Fatalf("raw answer has Content-Encoding %q", enc)
 	}
-	rawRecs, err := DecodeFrames(rawBody)
+	rawRecs, err := DecodeFrameStream(bytes.NewReader(rawBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestFeedCompressionNegotiation(t *testing.T) {
 	if !bytes.Equal(inflated, rawBody) {
 		t.Fatal("inflated frame stream differs from the raw wire")
 	}
-	zRecs, err := DecodeFrames(inflated)
+	zRecs, err := DecodeFrameStream(bytes.NewReader(inflated))
 	if err != nil {
 		t.Fatal(err)
 	}

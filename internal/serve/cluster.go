@@ -183,7 +183,7 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 // degrades the response to a partial ranking flagged as such, and a
 // dead shard that owns no feasible candidate does not degrade it at all.
 func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module) {
-	limit, ok := parseLimitParam(w, r)
+	limit, ok := parseLimitParam(w, r.URL.Query())
 	if !ok {
 		return
 	}

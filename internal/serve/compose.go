@@ -94,7 +94,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		}
 		depth = n
 	}
-	limit, ok := parseLimitParam(w, r)
+	limit, ok := parseLimitParam(w, q)
 	if !ok {
 		return
 	}

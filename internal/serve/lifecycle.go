@@ -93,14 +93,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "invalid limit %q", v)
-			return
-		}
-		limit = n
+	limit, ok := parseLimitParam(w, r.URL.Query())
+	if !ok {
+		return
 	}
 	total := log.Seq()
 	if notModified(w, r, lifecycleETag(total)) {
@@ -151,21 +146,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
+	quiet := false
 	select {
 	case <-log.Changed(cursor):
 	case <-timer.C:
-		w.Header().Set("ETag", lifecycleETag(cursor))
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusNotModified)
-		return
+		quiet = true
 	case <-s.drainCh():
 		// Shutting down: answer like a quiet window so the client re-polls
 		// (and lands on another instance) instead of holding the drain open.
+		quiet = true
+	case <-r.Context().Done():
+		return
+	}
+	if quiet {
 		w.Header().Set("ETag", lifecycleETag(cursor))
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusNotModified)
-		return
-	case <-r.Context().Done():
 		return
 	}
 	events, next := log.Since(cursor, 0)

@@ -68,20 +68,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "search is not enabled on this server")
 		return
 	}
-	raw := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	raw := params.Get("q")
 	q, err := search.ParseQuery(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limit, ok := parseLimitParam(w, r)
+	limit, ok := parseLimitParam(w, params)
 	if !ok {
 		return
 	}
 	if limit == 0 {
 		limit = defaultSearchLimit
 	}
-	cursor := r.URL.Query().Get("cursor")
+	cursor := params.Get("cursor")
 
 	_, span := telemetry.StartSpan(r.Context(), "search.query")
 	span.Annotate("query", raw)

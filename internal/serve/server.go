@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -484,10 +485,10 @@ type substitutesResponse struct {
 	FailedShards []string `json:"failedShards,omitempty"`
 }
 
-// parseLimitParam reads ?limit= (0 = unlimited), answering the 400
-// itself on a malformed value.
-func parseLimitParam(w http.ResponseWriter, r *http.Request) (int, bool) {
-	v := r.URL.Query().Get("limit")
+// parseLimitParam reads limit= from the request's parsed query (0 =
+// unlimited), answering the 400 itself on a malformed value.
+func parseLimitParam(w http.ResponseWriter, q url.Values) (int, bool) {
+	v := q.Get("limit")
 	if v == "" {
 		return 0, true
 	}
@@ -522,7 +523,7 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
 		return
 	}
-	limit, ok := parseLimitParam(w, r)
+	limit, ok := parseLimitParam(w, r.URL.Query())
 	if !ok {
 		return
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dexa/internal/dataexample"
@@ -112,36 +111,27 @@ func (s *Store) committer() {
 	}
 }
 
-// appendLocked encodes one record and buffers its frame. An encoding
-// failure fails only this op (nothing touched the log); a write
-// failure also arms abortErr — the buffered writer's error is sticky,
-// so every later op in the batch must fail rather than stack frames
-// behind a torn one.
-func (s *Store) appendLocked(rec Record, op *commitOp, abortErr *error) error {
+// appendLocked buffers one record's frame in the WAL (a no-op for a
+// memory-only store): the one encode-and-frame behind both the leader's
+// commit and the follower's replicated apply.
+func (s *Store) appendLocked(rec Record) error {
 	if s.wal == nil {
 		return nil
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		op.res.Err = fmt.Errorf("store: encoding wal record: %w", err)
-		return op.res.Err
-	}
-	if err := s.wal.appendFrame(EncodeFrame(payload)); err != nil {
-		op.res.Err = err
-		*abortErr = fmt.Errorf("store: batch aborted: %w", err)
+	if err := s.wal.append(rec); err != nil {
 		return err
 	}
 	s.met.walAppends.Inc()
 	return nil
 }
 
-// commitLocked commits a batch of requests under logMu: re-check
-// no-ops against the live index plus this batch's own writes, assign
-// contiguous sequences, append every record through the buffered WAL
-// writer, flush once, sync once (SyncOnPut), then publish the index
-// updates and wake replication tailers once. Tickets close on return,
-// after the batch's durability point — a SyncOnPut caller never
-// unparks before its record is on stable storage.
+// commitLocked commits a batch of requests under logMu: it resolves
+// every op into a record — re-checking no-ops against the live index
+// plus this batch's own writes, chaining versions, assigning contiguous
+// sequences — and appends it through the buffered WAL writer, then
+// hands the batch to publishLocked. Tickets close on return, after the
+// batch's durability point — a SyncOnPut caller never unparks before
+// its record is on stable storage.
 func (s *Store) commitLocked(batch []*commitReq) {
 	defer func() {
 		for _, req := range batch {
@@ -156,30 +146,30 @@ func (s *Store) commitLocked(batch []*commitReq) {
 		return
 	}
 
-	// overlay is this batch's view of per-module state layered over the
-	// index, so same-batch writes to one module chain versions and
-	// dedupe exactly as sequential Puts would. A nil entry is a
-	// same-batch delete.
-	overlay := make(map[string]*record)
-	lookup := func(id string) (*record, bool) {
-		if r, seen := overlay[id]; seen {
-			return r, r != nil
+	var (
+		recs  []Record
+		keyed []*dataexample.KeyedSet
+		// overlay maps a module written earlier in this batch to its
+		// latest record in recs, so same-batch writes to one module chain
+		// versions and dedupe exactly as sequential Puts would.
+		overlay = make(map[string]int)
+		// abortErr fails every op after a failed append: the buffered
+		// writer's error is sticky, so nothing may stack behind a torn
+		// frame.
+		abortErr error
+	)
+	lookup := func(id string) (hash string, version uint64, ok bool) {
+		if i, seen := overlay[id]; seen {
+			return recs[i].Hash, recs[i].Version, recs[i].Op == OpPut
 		}
 		sh := s.shard(id)
 		sh.mu.RLock()
-		r, ok := sh.recs[id]
-		sh.mu.RUnlock()
-		return r, ok
+		defer sh.mu.RUnlock()
+		if r, ok := sh.recs[id]; ok {
+			return r.hash, r.version, true
+		}
+		return "", 0, false
 	}
-
-	type pendingWrite struct {
-		op  *commitOp
-		rec Record
-		idx *record // nil for deletes
-	}
-	var writes []pendingWrite
-	seq := s.seq
-	var abortErr error
 
 	for _, req := range batch {
 		for i := range req.ops {
@@ -188,127 +178,122 @@ func (s *Store) commitLocked(batch []*commitReq) {
 				op.res.Err = abortErr
 				continue
 			}
+			rec := Record{Seq: s.seq + uint64(len(recs)) + 1, Op: op.op, Module: op.id}
 			switch op.op {
 			case OpPut:
-				cur, ok := lookup(op.id)
-				if ok && cur.hash == op.hash {
+				hash, ver, ok := lookup(op.id)
+				if ok && hash == op.hash {
 					// Content already stored (by the index or by an
 					// earlier op in this very batch): metadata-free no-op.
 					op.res.Hash = op.hash
 					s.putNoops.Add(1)
 					continue
 				}
-				ver := uint64(1)
-				if ok {
-					ver = cur.version + 1
-				}
-				rec := Record{Seq: seq + 1, Op: OpPut, Module: op.id, Hash: op.hash, Version: ver, Examples: op.set}
-				if err := s.appendLocked(rec, op, &abortErr); err != nil {
-					continue
-				}
-				seq++
-				nr := &record{set: op.set, keyed: op.keyed, hash: op.hash, version: ver, seq: seq}
-				overlay[op.id] = nr
-				writes = append(writes, pendingWrite{op: op, rec: rec, idx: nr})
-				op.res.Hash = op.hash
-				op.res.Changed = true
+				rec.Hash, rec.Version, rec.Examples = op.hash, ver+1, op.set
 			case OpDelete:
-				if _, ok := lookup(op.id); !ok {
+				if _, _, ok := lookup(op.id); !ok {
 					continue // deleting an absent module is a no-op
 				}
-				rec := Record{Seq: seq + 1, Op: OpDelete, Module: op.id}
-				if err := s.appendLocked(rec, op, &abortErr); err != nil {
-					continue
-				}
-				seq++
-				overlay[op.id] = nil
-				writes = append(writes, pendingWrite{op: op, rec: rec})
-				op.res.Changed = true
 			default:
 				op.res.Err = fmt.Errorf("store: unknown op %q", op.op)
+				continue
 			}
+			if err := s.appendLocked(rec); err != nil {
+				op.res.Err = err
+				abortErr = fmt.Errorf("store: batch aborted: %w", err)
+				continue
+			}
+			overlay[op.id] = len(recs)
+			recs = append(recs, rec)
+			keyed = append(keyed, op.keyed)
+			op.res.Hash = op.hash
+			op.res.Changed = true
 		}
 	}
-
-	if len(writes) == 0 {
+	if len(recs) == 0 {
 		return
 	}
 
-	// Durability point: one write-through and (under SyncOnPut) one
-	// fsync for the whole batch. On failure the tail is in an unknown
-	// state — fail every written op and leave seq and the index
-	// untouched; recovery truncates the torn tail at the next open.
+	published, err := s.publishLocked(recs, keyed)
+	if published {
+		s.met.commitBatchSize.Observe(float64(len(recs)))
+		if len(batch) > 1 {
+			s.met.groupCommitWaits.Add(uint64(len(batch) - 1))
+		}
+	}
+	if err == nil {
+		return
+	}
+	// Unpublished, the written ops fail and change nothing. Published
+	// with a compaction failure, the mutations themselves committed: the
+	// error rides every op that took part, alongside its hash and
+	// changed=true.
+	for _, req := range batch {
+		for i := range req.ops {
+			res := req.ops[i].res
+			if !published && res.Changed {
+				res.Err, res.Changed = err, false
+			} else if published && res.Err == nil {
+				res.Err = err
+			}
+		}
+	}
+}
+
+// publishLocked is the one durability-and-publish step, shared by the
+// leader's commitLocked and the follower's ApplyReplicatedBatch. recs is
+// a run of records with contiguous sequences already buffered in the
+// WAL; keyed[i] is recs[i]'s pre-interned keyed set, and a nil keyed
+// leaves the interning to install (the follower's case). The batch
+// reaches the file in one write and, under SyncOnPut, one fsync. Only
+// then does it publish: every record installed, seq, the counters and
+// the sync watermark advanced, replication tailers woken once for the
+// whole batch, and an auto-compaction run when CompactEvery is due.
+//
+// A failed write or fsync leaves the tail in an unknown state:
+// publishLocked returns published=false with the error, and seq and the
+// index stay untouched (recovery truncates the torn tail at the next
+// open). A compaction failure returns published=true with its error.
+func (s *Store) publishLocked(recs []Record, keyed []*dataexample.KeyedSet) (published bool, err error) {
 	if s.wal != nil {
 		if err := s.wal.flush(); err != nil {
-			for _, pw := range writes {
-				pw.op.res.Err = err
-				pw.op.res.Changed = false
-			}
-			return
+			return false, err
 		}
 		s.met.walBytes.Set(float64(s.wal.bytes))
 		if s.opts.SyncOnPut {
 			if err := s.wal.sync(); err != nil {
-				for _, pw := range writes {
-					pw.op.res.Err = err
-					pw.op.res.Changed = false
-				}
-				return
+				return false, err
 			}
 			s.met.walSyncs.Inc()
 		}
 	}
-
-	// Publish: sequence, index, counters, then one replication wake for
-	// the whole batch.
-	s.seq = seq
-	s.appends += len(writes)
-	if s.wal != nil {
-		if s.opts.SyncOnPut {
-			s.lastSynced = seq
-			s.unsynced = 0
-		} else {
-			s.unsynced += len(writes)
+	for i, rec := range recs {
+		var k *dataexample.KeyedSet
+		if keyed != nil {
+			k = keyed[i]
 		}
-	}
-	recs := make([]Record, 0, len(writes))
-	for _, pw := range writes {
-		sh := s.shard(pw.rec.Module)
-		sh.mu.Lock()
-		if pw.rec.Op == OpPut {
-			sh.recs[pw.rec.Module] = pw.idx
-		} else {
-			delete(sh.recs, pw.rec.Module)
-		}
-		sh.mu.Unlock()
-		if pw.rec.Op == OpPut {
+		s.install(rec, k)
+		if rec.Op == OpPut {
 			s.puts.Add(1)
 		} else {
 			s.deletes.Add(1)
 		}
-		recs = append(recs, pw.rec)
 	}
-	s.repl.pushBatch(recs)
-
-	s.met.commitBatchSize.Observe(float64(len(writes)))
-	if len(batch) > 1 {
-		s.met.groupCommitWaits.Add(uint64(len(batch) - 1))
-	}
-
-	if s.opts.CompactEvery > 0 && s.appends >= s.opts.CompactEvery {
-		if err := s.snapshotLocked(); err != nil {
-			// The mutations themselves committed; surface the compaction
-			// failure on every op that took part, alongside its hash and
-			// changed=true.
-			for _, req := range batch {
-				for i := range req.ops {
-					if req.ops[i].res.Err == nil {
-						req.ops[i].res.Err = err
-					}
-				}
-			}
+	s.seq = recs[len(recs)-1].Seq
+	s.appends += len(recs)
+	if s.wal != nil {
+		if s.opts.SyncOnPut {
+			s.lastSynced = s.seq
+			s.unsynced = 0
+		} else {
+			s.unsynced += len(recs)
 		}
 	}
+	s.repl.pushBatch(recs)
+	if s.opts.CompactEvery > 0 && s.appends >= s.opts.CompactEvery {
+		return true, s.snapshotLocked()
+	}
+	return true, nil
 }
 
 // PutBatch stores many example sets in one commit: hashing and
@@ -336,6 +321,12 @@ func (s *Store) PutBatch(items []PutItem) ([]PutResult, error) {
 		old, ok := sh.recs[it.ID]
 		unchanged := ok && old.hash == h
 		sh.mu.RUnlock()
+		// The index speaks for this item only when no earlier item of
+		// the batch writes the module: [a=X, a=Y] with Y stored must
+		// still end at Y, as two sequential Puts would.
+		for j := 0; unchanged && j < len(ops); j++ {
+			unchanged = ops[j].id != it.ID
+		}
 		if unchanged {
 			results[i].Hash = h
 			s.putNoops.Add(1)

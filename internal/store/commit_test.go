@@ -91,6 +91,31 @@ func TestPutBatchBasics(t *testing.T) {
 	}
 }
 
+// TestPutBatchRewriteBackToStored: a batch that changes a module and
+// then writes its stored content back ends at the stored content with
+// two version bumps, exactly as two sequential Puts would — the
+// caller-side no-op check must not elide the second write.
+func TestPutBatchRewriteBackToStored(t *testing.T) {
+	s := mustOpen(t, "")
+	if _, _, err := s.Put("a", replSet("y")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.PutBatch([]PutItem{{ID: "a", Examples: replSet("x")}, {ID: "a", Examples: replSet("y")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res[0].Changed || !res[1].Changed {
+		t.Fatalf("results %+v, want both changed", res)
+	}
+	want, _ := HashSet(replSet("y"))
+	if h, _ := s.Hash("a"); h != want {
+		t.Fatal("the batch's last write did not win")
+	}
+	if v, _ := s.Version("a"); v != 3 {
+		t.Fatalf("version %d, want 3", v)
+	}
+}
+
 func TestPutBatchPersistsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

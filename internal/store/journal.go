@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -10,11 +10,11 @@ import (
 )
 
 // Journal is a general-purpose append-only log of JSON records in the
-// example-store WAL's file format, with its own magic: frames are
-// written by EncodeFrame and read back by replayFrames, with torn-tail
-// truncation on open. It backs subsystems that need a durable,
-// replayable event stream without the store's snapshot machinery: the
-// lifecycle event log and the repair queue.
+// example-store WAL's file format, with its own magic: it is opened by
+// the same openLog (replay, torn-tail truncation) and written by the
+// same walWriter as the store's WAL. It backs subsystems that need a
+// durable, replayable event stream without the store's snapshot
+// machinery: the lifecycle event log and the repair queue.
 //
 //	file   = magic frame*
 //	magic  = "DEXAJNL1"                       (8 bytes)
@@ -24,14 +24,16 @@ import (
 // are forgotten, which keeps callers free of "is persistence on?" branches.
 type Journal struct {
 	mu        sync.Mutex
-	f         *os.File
-	records   int64
-	bytes     int64
+	w         *walWriter // writes to io.Discard when memory-only
 	truncated bool
 	closed    bool
 }
 
 const journalMagic = "DEXAJNL1"
+
+// journalBufferSize sizes a journal's write buffer: every Append writes
+// through, so the buffer only ever holds one frame at a time.
+const journalBufferSize = 4 << 10
 
 // OpenJournal opens (or creates) the journal at path, invoking replay for
 // every intact record before returning. Records after a torn or corrupt
@@ -41,92 +43,41 @@ const journalMagic = "DEXAJNL1"
 // memory-only journal.
 func OpenJournal(path string, replay func(payload []byte) error) (*Journal, error) {
 	if path == "" {
-		return &Journal{}, nil
+		return &Journal{w: &walWriter{bw: bufio.NewWriterSize(io.Discard, journalBufferSize)}}, nil
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating journal dir: %w", err)
 	}
-	j := &Journal{}
-	goodSize, truncatedAt, err := replayFrames(path, journalMagic, "journal", func(payload []byte) error {
-		j.records++
-		if replay == nil {
-			return nil
-		}
-		return replay(payload)
-	})
+	if replay == nil {
+		replay = func([]byte) error { return nil }
+	}
+	w, truncated, err := openLog(path, journalMagic, "journal", journalBufferSize, replay)
 	if err != nil {
 		return nil, err
 	}
-	if goodSize == 0 {
-		// Missing, or damaged before the first frame: start fresh.
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: creating journal: %w", err)
-		}
-		if _, err := f.WriteString(journalMagic); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: writing journal header: %w", err)
-		}
-		j.f = f
-		j.bytes = int64(len(journalMagic))
-		j.records = 0
-		return j, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening journal: %w", err)
-	}
-	if truncatedAt >= 0 {
-		if err := f.Truncate(goodSize); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn journal tail: %w", err)
-		}
-		j.truncated = true
-	}
-	if _, err := f.Seek(goodSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking journal end: %w", err)
-	}
-	j.f = f
-	j.bytes = goodSize
-	return j, nil
+	return &Journal{w: w, truncated: truncated}, nil
 }
 
-// Append marshals v as JSON and frames it onto the log. It does not sync;
-// callers decide the durability point (see Sync).
+// Append marshals v as JSON and frames it onto the log, writing it
+// through to the file before returning. It does not sync; callers decide
+// the durability point (see Sync).
 func (j *Journal) Append(v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("store: encoding journal record: %w", err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return fmt.Errorf("store: journal is closed")
 	}
-	j.records++
-	if j.f == nil {
-		return nil // memory-only
+	if err := j.w.append(v); err != nil {
+		return err
 	}
-	frame := EncodeFrame(payload)
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("store: appending journal record: %w", err)
-	}
-	j.bytes += int64(len(frame))
-	return nil
+	return j.w.flush()
 }
 
 // Sync forces appended records to stable storage.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: syncing journal: %w", err)
-	}
-	return nil
+	return j.w.sync()
 }
 
 // Close syncs and closes the underlying file. Further appends fail.
@@ -137,15 +88,7 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	if err != nil {
+	if err := j.w.close(); err != nil {
 		return fmt.Errorf("store: closing journal: %w", err)
 	}
 	return nil
@@ -155,7 +98,7 @@ func (j *Journal) Close() error {
 func (j *Journal) Records() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.records
+	return j.w.records
 }
 
 // TailTruncated reports whether opening discarded a torn or corrupt tail.

@@ -56,13 +56,6 @@ func (r *repl) init(seq uint64) {
 	r.window = defaultReplWindow
 }
 
-// push appends one record to the window, evicting the oldest quarter
-// when full, and wakes every blocked tailer. Callers hold the store's
-// logMu, so pushes arrive in sequence order.
-func (r *repl) push(rec Record) {
-	r.pushBatch([]Record{rec})
-}
-
 // pushBatch appends a whole commit batch to the window and wakes every
 // blocked tailer exactly once — N records from one group commit cost
 // one broadcast, not N. Callers hold the store's logMu, so batches
@@ -183,10 +176,10 @@ func (s *Store) TailSince(cursor uint64, limit int) (recs []Record, next uint64,
 
 // ApplyReplicatedBatch applies a contiguous batch of leader records to
 // a follower store batch-natively: every record is validated and
-// appended to the follower's own WAL through the buffered writer, the
-// batch reaches disk in one write (and one fsync under SyncOnPut), and
-// the index updates publish with a single replication wake — the
-// follower's half of group commit. Sequence numbers, content hashes
+// appended to the follower's own WAL through the buffered writer, then
+// the batch goes through the leader's own durability-and-publish step
+// (publishLocked) — one write, one fsync under SyncOnPut, a single
+// replication wake, the compaction check. Sequence numbers, content hashes
 // and versions are preserved from the leader. Records at or below the
 // local sequence are duplicates (a retried delivery) and are skipped
 // without re-applying; a record that skips ahead of the expected
@@ -198,87 +191,58 @@ func (s *Store) ApplyReplicatedBatch(recs []Record) (applied, skipped int, err e
 	if s.closed {
 		return 0, 0, fmt.Errorf("store: closed")
 	}
-	toApply := recs[:0:0]
+	var toApply []Record
 	next := s.seq
-	var verr error
 	for _, rec := range recs {
 		if rec.Seq <= next {
 			skipped++
 			continue
 		}
 		if rec.Seq != next+1 {
-			verr = fmt.Errorf("store: replication gap: got seq %d, want %d", rec.Seq, next+1)
+			err = fmt.Errorf("store: replication gap: got seq %d, want %d", rec.Seq, next+1)
 			break
 		}
 		if rec.Op != OpPut && rec.Op != OpDelete {
-			verr = fmt.Errorf("store: replication record %d has unknown op %q", rec.Seq, rec.Op)
+			err = fmt.Errorf("store: replication record %d has unknown op %q", rec.Seq, rec.Op)
 			break
 		}
-		if s.wal != nil {
-			if werr := s.wal.append(rec); werr != nil {
-				verr = werr
-				break
-			}
-			s.met.walAppends.Inc()
+		if err = s.appendLocked(rec); err != nil {
+			break
 		}
 		toApply = append(toApply, rec)
 		next = rec.Seq
 	}
 	if len(toApply) == 0 {
-		return 0, skipped, verr
+		return 0, skipped, err
 	}
-	if s.wal != nil {
-		if ferr := s.wal.flush(); ferr != nil {
-			return 0, skipped, ferr
-		}
-		s.met.walBytes.Set(float64(s.wal.bytes))
-		if s.opts.SyncOnPut {
-			if serr := s.wal.sync(); serr != nil {
-				return 0, skipped, serr
-			}
-			s.met.walSyncs.Inc()
-		}
+	// The validated prefix commits even when validation stopped early, and
+	// so reaches the compaction check like any leader batch.
+	published, perr := s.publishLocked(toApply, nil)
+	if !published {
+		return 0, skipped, perr
 	}
-	for _, rec := range toApply {
-		s.apply(rec)
-		s.appends++
-		if rec.Op == OpPut {
-			s.puts.Add(1)
-		} else {
-			s.deletes.Add(1)
-		}
+	if err == nil {
+		err = perr
 	}
-	if s.wal != nil {
-		if s.opts.SyncOnPut {
-			s.lastSynced = s.seq
-			s.unsynced = 0
-		} else {
-			s.unsynced += len(toApply)
-		}
-	}
-	s.repl.pushBatch(toApply)
-	applied = len(toApply)
-	if verr != nil {
-		return applied, skipped, verr
-	}
-	if s.opts.CompactEvery > 0 && s.appends >= s.opts.CompactEvery {
-		if cerr := s.snapshotLocked(); cerr != nil {
-			return applied, skipped, cerr
-		}
-	}
-	return applied, skipped, nil
+	return len(toApply), skipped, err
 }
 
 // ResetReplicated replaces the follower's entire state with the given
 // live records (a leader's reset stream) and adopts seq as the local
 // sequence. The new state is compacted straight into the snapshot file
 // when the store is on disk, so the WAL never carries a mix of pre- and
-// post-reset records.
+// post-reset records. A stream carrying anything but puts is refused
+// whole, before the old state is touched.
 func (s *Store) ResetReplicated(recs []Record, seq uint64) error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
+	}
+	for _, rec := range recs {
+		if rec.Op != OpPut {
+			return fmt.Errorf("store: reset stream carries op %q for %s (want %s)", rec.Op, rec.Module, OpPut)
+		}
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -287,23 +251,7 @@ func (s *Store) ResetReplicated(recs []Record, seq uint64) error {
 		sh.mu.Unlock()
 	}
 	for _, rec := range recs {
-		if rec.Op != OpPut {
-			return fmt.Errorf("store: reset stream carries op %q for %s (want %s)", rec.Op, rec.Module, OpPut)
-		}
-		ver := rec.Version
-		if ver == 0 {
-			ver = 1
-		}
-		sh := s.shard(rec.Module)
-		sh.mu.Lock()
-		sh.recs[rec.Module] = &record{
-			set:     rec.Examples,
-			keyed:   rec.Examples.KeyedInterned(s.symtab),
-			hash:    rec.Hash,
-			version: ver,
-			seq:     rec.Seq,
-		}
-		sh.mu.Unlock()
+		s.install(rec, nil)
 		s.puts.Add(1)
 	}
 	s.seq = seq

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/telemetry"
 	"dexa/internal/typesys"
 )
 
@@ -141,6 +143,66 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 	}
 }
 
+// TestApplyReplicatedCompactsAtGap: a batch whose validated prefix
+// crosses CompactEvery compacts even when a gap stops it — the follower
+// runs the leader's compaction check on whatever it published.
+func TestApplyReplicatedCompactsAtGap(t *testing.T) {
+	leader := mustOpen(t, "")
+	for _, id := range []string{"a", "b", "c", "d"} {
+		if _, _, err := leader.Put(id, replSet(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, _, _ := leader.TailSince(0, 0)
+
+	reg := telemetry.NewRegistry()
+	follower, err := Open(t.TempDir(), Options{CompactEvery: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	applied, _, err := follower.ApplyReplicatedBatch([]Record{recs[0], recs[1], recs[3]})
+	if err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("err = %v, want replication gap", err)
+	}
+	if applied != 2 {
+		t.Fatalf("applied %d, want 2", applied)
+	}
+	compactions := reg.Counter("dexa_store_compactions_total", "").Value()
+	if st := follower.Stats(); compactions != 1 || st.SnapshotSeq != 2 || st.WALRecords != 0 {
+		t.Fatalf("compactions %d, snapshot seq %d, wal records %d; want 1, 2, 0", compactions, st.SnapshotSeq, st.WALRecords)
+	}
+}
+
+// TestFollowerReadsDuringApply: a follower serves reads while it
+// applies replicated records; every install takes the shard lock, so
+// under -race this is a check that replicated apply never writes the
+// index behind a reader's back.
+func TestFollowerReadsDuringApply(t *testing.T) {
+	leader := mustOpen(t, "")
+	follower := mustOpen(t, "")
+	for i := 0; i < 100; i++ {
+		if _, _, err := leader.Put(fmt.Sprintf("m%d", i%5), replSet(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, _, _ := leader.TailSince(0, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			follower.Get(fmt.Sprintf("m%d", i%5))
+		}
+	}()
+	for i := range recs {
+		if _, _, err := follower.ApplyReplicatedBatch(recs[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	assertMirrors(t, leader, follower)
+}
+
 func TestReplicationResetWhenCursorOutOfWindow(t *testing.T) {
 	dir := t.TempDir()
 	leader := mustOpen(t, dir)
@@ -174,6 +236,29 @@ func TestReplicationResetWhenCursorOutOfWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, leader, follower)
+	assertMirrors(t, leader, follower)
+}
+
+// TestResetReplicatedRefusesBadStreamWhole: a reset stream carrying a
+// non-put record is refused before the follower's state is touched —
+// it keeps every module and its sequence instead of a half-replaced
+// catalog.
+func TestResetReplicatedRefusesBadStreamWhole(t *testing.T) {
+	leader := mustOpen(t, "")
+	follower := mustOpen(t, "")
+	for _, id := range []string{"a", "b", "c"} {
+		if _, _, err := leader.Put(id, replSet(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, leader, follower)
+	bad := []Record{
+		{Seq: 1, Op: OpPut, Module: "x", Hash: "h", Version: 1, Examples: replSet("x")},
+		{Seq: 2, Op: OpDelete, Module: "y"},
+	}
+	if err := follower.ResetReplicated(bad, 9); err == nil {
+		t.Fatal("a reset stream with a delete was accepted")
+	}
 	assertMirrors(t, leader, follower)
 }
 

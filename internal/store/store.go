@@ -31,6 +31,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -184,14 +185,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// one pass, so startup never materialises the whole document and the
 	// canonicalisation work is already done when serving begins.
 	snapSeq, err := loadSnapshot(filepath.Join(dir, snapshotFileName), func(rec *snapshotRecord) {
-		sh := s.shard(rec.Module)
-		sh.recs[rec.Module] = &record{
-			set:     rec.Examples,
-			keyed:   rec.Examples.KeyedInterned(s.symtab),
-			hash:    rec.Hash,
-			version: rec.Version,
-			seq:     rec.Seq,
-		}
+		s.install(Record{Seq: rec.Seq, Op: OpPut, Module: rec.Module, Hash: rec.Hash, Version: rec.Version, Examples: rec.Examples}, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -199,41 +193,25 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.seq = snapSeq
 	s.snapSeq = snapSeq
 
-	walPath := filepath.Join(dir, walFileName)
-	recs, goodSize, truncatedAt, err := replayWAL(walPath)
+	// Replay the WAL record by record as it is read; a record that does
+	// not decode marks the torn tail.
+	s.wal, s.truncated, err = openLog(filepath.Join(dir, walFileName), walMagic, "wal", walBufferSize, func(payload []byte) error {
+		var rec Record
+		if json.Unmarshal(payload, &rec) != nil {
+			return ErrTornFrame // checksummed but undecodable
+		}
+		s.apply(rec)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range recs {
-		s.apply(rec)
-	}
-	s.recovered = int64(len(recs))
-	if truncatedAt >= 0 && goodSize > 0 {
-		// Torn tail: cut the file back to the last intact frame so future
-		// appends start from a clean prefix.
-		if err := os.Truncate(walPath, goodSize); err != nil {
-			return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
-		}
-		s.truncated = true
-	}
-	if _, err := os.Stat(walPath); os.IsNotExist(err) || goodSize == 0 {
-		s.wal, err = createWAL(walPath)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		s.wal, err = openWAL(walPath, goodSize, int64(len(recs)))
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.appends = len(recs)
+	s.recovered = s.wal.records
+	s.appends = int(s.wal.records)
 	// Everything recovered came off stable storage: the durable
 	// baseline for Flush's redundant-sync elision.
 	s.lastSynced = s.seq
-	if s.wal != nil {
-		s.met.walBytes.Set(float64(s.wal.bytes))
-	}
+	s.met.walBytes.Set(float64(s.wal.bytes))
 	// Replication starts at the recovered sequence: followers whose
 	// cursor predates this process's window resynchronise with a full
 	// state reset rather than a record-by-record delta.
@@ -262,26 +240,42 @@ func (s *Store) registerFuncMetrics(r *telemetry.Registry) {
 // snapshot rename and truncation) are ignored.
 func (s *Store) apply(rec Record) {
 	sh := s.shard(rec.Module)
-	old := sh.recs[rec.Module]
-	if old != nil && rec.Seq <= old.seq {
+	if old := sh.recs[rec.Module]; old != nil && rec.Seq <= old.seq {
 		return
 	}
+	s.install(rec, nil)
+	if rec.Seq > s.seq {
+		s.seq = rec.Seq
+	}
+}
+
+// install is the one write into the index: every path that changes a
+// module's stored state — the commit publish, a replicated apply, WAL
+// replay, snapshot load and a replication reset — builds and places its
+// record here. A put stores rec with its keyed set: the one the caller
+// interned off the commit path, or, when keyed is nil, one interned here
+// before the shard is locked. A version of 0 (records logged before
+// versions were) continues the module's count. A delete removes the
+// module; any other op changes nothing.
+func (s *Store) install(rec Record, keyed *dataexample.KeyedSet) {
+	if keyed == nil && rec.Op == OpPut {
+		keyed = rec.Examples.KeyedInterned(s.symtab)
+	}
+	sh := s.shard(rec.Module)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	switch rec.Op {
 	case OpPut:
 		ver := rec.Version
 		if ver == 0 {
-			// Records written before versions were logged: recompute.
 			ver = 1
-			if old != nil {
+			if old := sh.recs[rec.Module]; old != nil {
 				ver = old.version + 1
 			}
 		}
-		sh.recs[rec.Module] = &record{set: rec.Examples, keyed: rec.Examples.KeyedInterned(s.symtab), hash: rec.Hash, version: ver, seq: rec.Seq}
+		sh.recs[rec.Module] = &record{set: rec.Examples, keyed: keyed, hash: rec.Hash, version: ver, seq: rec.Seq}
 	case OpDelete:
 		delete(sh.recs, rec.Module)
-	}
-	if rec.Seq > s.seq {
-		s.seq = rec.Seq
 	}
 }
 
@@ -300,37 +294,14 @@ func (s *Store) Dir() string { return s.dir }
 
 // Put stores the example set for a module, returning its content hash
 // and whether anything changed. A set identical (by content hash) to the
-// stored one is a no-op that touches neither the WAL nor the index.
+// stored one is a no-op that touches neither the WAL nor the index. It
+// is a one-item PutBatch.
 func (s *Store) Put(id string, set dataexample.Set) (hash string, changed bool, err error) {
-	if id == "" {
-		return "", false, fmt.Errorf("store: empty module ID")
-	}
-	h, err := HashSet(set)
+	res, err := s.PutBatch([]PutItem{{ID: id, Examples: set}})
 	if err != nil {
-		return "", false, fmt.Errorf("store: hashing examples for %s: %w", id, err)
-	}
-	sh := s.shard(id)
-	sh.mu.RLock()
-	old, ok := sh.recs[id]
-	unchanged := ok && old.hash == h
-	sh.mu.RUnlock()
-	if unchanged {
-		s.putNoops.Add(1)
-		return h, false, nil
-	}
-	// Key and intern on the caller's goroutine: canonicalisation is the
-	// expensive part of a changed Put, and the symbol table is safe for
-	// parallel interning, so concurrent writers overlap here and only
-	// the cheap append/publish work serializes on the committer. The
-	// committer re-checks the no-op against the index (and its own
-	// batch) before assigning a sequence.
-	keyed := set.KeyedInterned(s.symtab)
-	var res PutResult
-	op := commitOp{op: OpPut, id: id, hash: h, set: set, keyed: keyed, res: &res}
-	if err := s.submit([]commitOp{op}); err != nil {
 		return "", false, err
 	}
-	return res.Hash, res.Changed, res.Err
+	return res[0].Hash, res[0].Changed, res[0].Err
 }
 
 // Delete removes a module's stored examples (a tombstone is logged so
@@ -604,10 +575,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	if s.wal == nil {
 		return nil
-	}
-	if err := s.wal.sync(); err != nil {
-		s.wal.close()
-		return err
 	}
 	return s.wal.close()
 }

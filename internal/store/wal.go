@@ -140,10 +140,10 @@ func (fr *FrameReader) Consumed() int64 { return fr.consumed }
 // so a 64-record batch costs one syscall instead of 64.
 const walBufferSize = 256 << 10
 
-// walWriter appends frames to an open WAL file through a buffered
-// writer. Appends are not durable until flush (one write syscall per
-// batch) and sync (one fsync per batch); the committer decides both
-// points.
+// walWriter appends frames to an open framed log — the store's WAL or
+// a Journal — through a buffered writer. Appends are not durable until
+// flush (one write syscall per batch) and sync (one fsync per batch);
+// the caller decides both points.
 type walWriter struct {
 	f       *os.File
 	bw      *bufio.Writer
@@ -151,47 +151,64 @@ type walWriter struct {
 	bytes   int64
 }
 
-// createWAL creates (or truncates) a WAL file and writes the magic.
-func createWAL(path string) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// openLog opens the framed log at path with crash recovery: it replays
+// every intact frame through fn, cuts a torn or corrupt tail back to the
+// last good frame, and returns a writer positioned at the end — or, when
+// the file is missing or was cut before its magic landed, a fresh file
+// holding just the magic. truncated reports that a tail was cut. kind
+// names the file in errors; bufSize sizes the writer's buffer.
+func openLog(path, magic, kind string, bufSize int, fn func(payload []byte) error) (w *walWriter, truncated bool, err error) {
+	var records int64
+	goodSize, truncatedAt, err := replayFrames(path, magic, kind, func(payload []byte) error {
+		if err := fn(payload); err != nil {
+			return err
+		}
+		records++
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("store: creating wal: %w", err)
+		return nil, false, err
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: writing wal header: %w", err)
+	if goodSize == 0 {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return nil, false, fmt.Errorf("store: creating %s: %w", kind, err)
+		}
+		if _, err := f.WriteString(magic); err != nil {
+			f.Close()
+			return nil, false, fmt.Errorf("store: writing %s header: %w", kind, err)
+		}
+		return &walWriter{f: f, bw: bufio.NewWriterSize(f, bufSize), bytes: int64(len(magic))}, false, nil
 	}
-	return &walWriter{f: f, bw: bufio.NewWriterSize(f, walBufferSize), bytes: int64(len(walMagic))}, nil
-}
-
-// openWAL opens an existing WAL positioned at its current end.
-func openWAL(path string, size int64, records int64) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening wal: %w", err)
+		return nil, false, fmt.Errorf("store: opening %s: %w", kind, err)
 	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
+	if truncatedAt >= 0 {
+		if err := f.Truncate(goodSize); err != nil {
+			f.Close()
+			return nil, false, fmt.Errorf("store: truncating torn %s tail: %w", kind, err)
+		}
+		truncated = true
+	}
+	if _, err := f.Seek(goodSize, io.SeekStart); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("store: seeking wal end: %w", err)
+		return nil, false, fmt.Errorf("store: seeking %s end: %w", kind, err)
 	}
-	return &walWriter{f: f, bw: bufio.NewWriterSize(f, walBufferSize), records: records, bytes: size}, nil
+	return &walWriter{f: f, bw: bufio.NewWriterSize(f, bufSize), records: records, bytes: goodSize}, truncated, nil
 }
 
-// append frames and buffers one record. It neither writes through nor
-// syncs; the committer flushes once per batch and decides the
-// durability point (per-batch sync or explicit Flush).
-func (w *walWriter) append(rec Record) error {
-	payload, err := json.Marshal(rec)
+// append encodes v as JSON and buffers it as one frame. It neither
+// writes through nor syncs. The buffered writer's error is sticky: after
+// a failed write every later append fails too.
+func (w *walWriter) append(v any) error {
+	payload, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("store: encoding wal record: %w", err)
+		return fmt.Errorf("store: encoding log record: %w", err)
 	}
-	return w.appendFrame(EncodeFrame(payload))
-}
-
-// appendFrame buffers one already-encoded frame.
-func (w *walWriter) appendFrame(frame []byte) error {
+	frame := EncodeFrame(payload)
 	if _, err := w.bw.Write(frame); err != nil {
-		return fmt.Errorf("store: appending wal record: %w", err)
+		return fmt.Errorf("store: appending log record: %w", err)
 	}
 	w.records++
 	w.bytes += int64(len(frame))
@@ -207,8 +224,9 @@ func (w *walWriter) flush() error {
 }
 
 // sync forces the log to stable storage (flushing the buffer first).
+// A closed writer has nothing left to sync.
 func (w *walWriter) sync() error {
-	if err := w.flush(); err != nil {
+	if err := w.flush(); err != nil || w.f == nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
@@ -233,35 +251,17 @@ func (w *walWriter) reset() error {
 	return w.sync()
 }
 
+// close syncs the log and releases the file.
 func (w *walWriter) close() error {
-	if w == nil || w.f == nil {
+	if w.f == nil {
 		return nil
 	}
-	flushErr := w.flush()
-	err := w.f.Close()
+	err := w.sync()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
 	w.f = nil
-	if err == nil {
-		err = flushErr
-	}
 	return err
-}
-
-// replayWAL reads every intact record from the log. A torn or corrupt
-// tail (short frame, short payload, or CRC mismatch) ends the replay at
-// the last good frame and is reported through truncatedAt >= 0; the
-// caller truncates the file there before appending again. A missing file
-// replays to nothing. Damage before the tail — an unreadable header —
-// is a hard error: it means the file is not a WAL at all.
-func replayWAL(path string) (recs []Record, goodSize int64, truncatedAt int64, err error) {
-	goodSize, truncatedAt, err = replayFrames(path, walMagic, "wal", func(payload []byte) error {
-		var rec Record
-		if json.Unmarshal(payload, &rec) != nil {
-			return ErrTornFrame // checksummed but undecodable
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	return recs, goodSize, truncatedAt, err
 }
 
 // replayFrames reads a framed file — magic, then frames — handing each
