@@ -27,11 +27,12 @@ race:
 # and Delete racing Flush and Snapshot against the single committer
 # goroutine, at higher iteration counts than the package-wide pass; it
 # also reruns the seeded random histories (leader, cut-and-reopen
-# recovery, follower apply, journal) and the follower's compaction at a
-# replication gap.
+# recovery, follower apply, journal), the follower's compaction at a
+# replication gap, and an in-window tail served while the writer lock
+# is held.
 race-store:
 	$(GO) test -race -count=2 ./internal/store/ ./internal/serve/
-	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap' ./internal/store/
+	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap|TestTailSince' ./internal/store/
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run.
@@ -39,10 +40,12 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Catalog-index concurrency: feasibility reads racing Update/Remove
-# rebuilds and matrix builds racing index flips (one snapshot per
-# build), with more iterations than the catch-all race run gives them.
+# rebuilds, matrix builds racing index flips (one snapshot per build),
+# and concurrent calls on one kept IncrementalMatrix racing flips, plus
+# its random histories, with more iterations than the catch-all race
+# run gives them.
 race-match:
-	$(GO) test -race -count=2 -run 'TestCatalogIndex|TestMatchMatrix|TestFindSubstitutes' ./internal/match/
+	$(GO) test -race -count=2 -run 'TestCatalogIndex|TestMatchMatrix|TestFindSubstitutes|TestIncrementalMatrix' ./internal/match/
 
 # Lifecycle concurrency: concurrent probe sweeps, /watch long-pollers
 # racing log appends, repair-queue approvals racing enqueues, and

@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/match"
+	"dexa/internal/module"
 	"dexa/internal/simulation"
 	"dexa/internal/store"
 )
@@ -292,4 +294,56 @@ func BenchmarkPlanMix(b *testing.B) {
 		b.ResetTimer()
 		run(b, p)
 	})
+}
+
+// TestLikeScoresMemoisedPerLikeSet: a view keeps each class's like=
+// score per Like set. Scoring a group twice against one set reads the
+// kept scores, and a second set of the same module (a write landing
+// while the view is kept) is scored afresh; every score equals a direct
+// likeAgreement, and a call's own classes (nil memo) keep nothing.
+func TestLikeScoresMemoisedPerLikeSet(t *testing.T) {
+	c := sharedCatalog(t)
+	p := c.keyedPlanner()
+	v := NewView(p.Ont, p.Reg, p.Keyed)
+	var sc match.CompareScratch
+	var g *sigGroup
+	var like *module.Module
+	var full *dataexample.KeyedSet
+	for _, cand := range v.groups {
+		if len(v.classesOf(cand, &sc)) == 0 {
+			continue
+		}
+		for _, m := range cand.members {
+			if set := v.set(m.ID); set != nil && set.Len() > 1 {
+				g, like, full = cand, m, set
+			}
+		}
+		if g != nil {
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("no group member with two examples")
+	}
+	shrunk := full.Examples()[:1].Keyed()
+	check := func(set *dataexample.KeyedSet, memo *planMemo, wantKept int) {
+		t.Helper()
+		got := v.liked(g.classes, like, set, memo, &sc)
+		if got[0].likeScore == 0 {
+			t.Fatalf("%s agrees with no class of its own group; the test is vacuous", like.ID)
+		}
+		for _, bc := range got {
+			if want := v.likeAgreement(like, set, bc, &sc); bc.likeScore != want {
+				t.Errorf("class %d scored %v, want %v", bc.id, bc.likeScore, want)
+			}
+		}
+		if kept := len(v.memo.likes); kept != wantKept {
+			t.Errorf("memo keeps %d scores, want %d", kept, wantKept)
+		}
+	}
+	n := len(g.classes)
+	check(full, v.memo, n)
+	check(full, v.memo, n)
+	check(shrunk, v.memo, 2*n)
+	check(full.Examples().Keyed(), nil, 2*n)
 }

@@ -249,7 +249,7 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 			slots[i] = v.classesOf(g, &sc)
 			if scored != nil {
 				if _, ok := scored[g]; !ok {
-					scored[g] = v.liked(slots[i], like, likeSet, &sc)
+					scored[g] = v.liked(slots[i], like, likeSet, memo, &sc)
 				}
 				slots[i] = scored[g]
 			}

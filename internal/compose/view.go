@@ -39,7 +39,9 @@ type View struct {
 //     by (In, Out, depth), the depth clamped to the number of groups;
 //   - plans: each built plan — workflow, steps, rationale, verification
 //     verdict and witness — keyed by In, Out and the behavior classes it
-//     picked (see planKey). Its per-call rank is not kept.
+//     picked (see planKey). Its per-call rank is not kept;
+//   - likes: each behavior class's like= score, keyed by the Like
+//     module's ID, its keyed set and the class (see likeKey).
 //
 // A call whose MustAvoid thinned the groups plans over classes of its
 // own and bypasses the memo. A plan whose verification failed in
@@ -48,6 +50,16 @@ type planMemo struct {
 	mu     sync.Mutex
 	chains map[chainKey][][]*sigGroup
 	plans  map[string]Plan
+	likes  map[likeKey]float64
+}
+
+// likeKey names one like= score: the Like module, the keyed set it was
+// scored from (sets are immutable and the key holds it, so the same
+// pointer means the same content) and the view-wide id of the class.
+type likeKey struct {
+	like  string
+	set   *dataexample.KeyedSet
+	class uint32
 }
 
 type chainKey struct {
@@ -90,6 +102,27 @@ func planKey(buf []byte, cs Constraints, slots [][]*behaviorClass, idx []int) []
 		buf = binary.LittleEndian.AppendUint32(buf, slots[i][j].id)
 	}
 	return buf
+}
+
+// likeScore returns the score kept at key. A nil memo keeps none.
+func (m *planMemo) likeScore(key likeKey) (float64, bool) {
+	if m == nil {
+		return 0, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	score, ok := m.likes[key]
+	return score, ok
+}
+
+// keepLike stores score at key; a nil memo drops it.
+func (m *planMemo) keepLike(key likeKey, score float64) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.likes[key] = score
 }
 
 // plan returns the plan kept at key.
@@ -171,7 +204,7 @@ type behaviorClass struct {
 // group is first partitioned, and the Like module's once per Plan call.
 func NewView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *View {
 	v := newView(ont, reg, keyed)
-	v.memo = &planMemo{chains: map[chainKey][][]*sigGroup{}, plans: map[string]Plan{}}
+	v.memo = &planMemo{chains: map[chainKey][][]*sigGroup{}, plans: map[string]Plan{}, likes: map[likeKey]float64{}}
 	return v
 }
 
@@ -362,13 +395,20 @@ func (v *View) partition(members []*module.Module, sc *match.CompareScratch) []*
 
 // liked returns copies of classes scored against the Like module's
 // stored examples and stable-sorted most agreeing first, so ties keep
-// the view's size-then-ID order.
-func (v *View) liked(classes []*behaviorClass, like *module.Module, likeSet *dataexample.KeyedSet, sc *match.CompareScratch) []*behaviorClass {
+// the view's size-then-ID order. Scores are read from and kept in memo,
+// which is nil for a call's own classes.
+func (v *View) liked(classes []*behaviorClass, like *module.Module, likeSet *dataexample.KeyedSet, memo *planMemo, sc *match.CompareScratch) []*behaviorClass {
 	scored := make([]behaviorClass, len(classes))
 	out := make([]*behaviorClass, len(classes))
 	for i, bc := range classes {
 		scored[i] = *bc
-		scored[i].likeScore = v.likeAgreement(like, likeSet, bc, sc)
+		key := likeKey{like.ID, likeSet, bc.id}
+		score, ok := memo.likeScore(key)
+		if !ok {
+			score = v.likeAgreement(like, likeSet, bc, sc)
+			memo.keepLike(key, score)
+		}
+		scored[i].likeScore = score
 		out[i] = &scored[i]
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].likeScore > out[j].likeScore })

@@ -362,7 +362,9 @@ func BenchmarkCompareSets(b *testing.B) {
 // ordered pair; warm is the serving steady state, with the signature
 // index and interned sets built once; churn is warm with 5 annotations
 // re-pointed to alternate interned sets before every build, as a
-// /matches rebuild under steady writes sees them.
+// /matches rebuild under steady writes sees them; incremental is churn
+// through one IncrementalMatrix, which realigns only the pairs of the 5
+// changed modules, as /matches does.
 func BenchmarkMatchMatrix(b *testing.B) {
 	c := fullCatalog(b)
 	ctx := context.Background()
@@ -400,7 +402,10 @@ func BenchmarkMatchMatrix(b *testing.B) {
 			}
 		}
 	})
-	b.Run("churn", func(b *testing.B) {
+	// churn re-points 5 annotations to alternate interned sets before
+	// every build, as a /matches rebuild under steady writes sees them,
+	// and builds through build.
+	churn := func(b *testing.B, build func(src match.KeyedSource) error) {
 		keyed := c.keyed(tab)
 		// alt holds, per churned module, its full set and the set without
 		// its last example, both interned once.
@@ -415,17 +420,33 @@ func BenchmarkMatchMatrix(b *testing.B) {
 		if len(churned) < 5 {
 			b.Fatalf("only %d modules with more than one example", len(churned))
 		}
-		cmp := warm()
 		src := source(keyed)
+		if err := build(src); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k, id := range churned {
 				keyed[id] = alt[k][(i+1)%2]
 			}
-			if _, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, src); err != nil {
+			if err := build(src); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("churn", func(b *testing.B) {
+		cmp := warm()
+		churn(b, func(src match.KeyedSource) error {
+			_, err := cmp.MatchMatrixFromKeyedSets(ctx, c.mods, src)
+			return err
+		})
+	})
+	b.Run("incremental", func(b *testing.B) {
+		im := match.NewIncrementalMatrix(warm())
+		churn(b, func(src match.KeyedSource) error {
+			_, err := im.Matrix(ctx, c.mods, src)
+			return err
+		})
 	})
 }

@@ -105,7 +105,7 @@ func TestCatalogIndexPairAgreesWithRow(t *testing.T) {
 		all := append(append([]*module.Module{}, mods...), outsider)
 		w := (len(all) + 63) / 64
 		for _, mode := range []Mode{ModeExact, ModeRelaxed} {
-			open := ix.openRows(all, mode)
+			open, _ := ix.openRows(all, mode)
 			for i, target := range all {
 				feas := ix.Feasibility(target, mode)
 				for j, cand := range all {

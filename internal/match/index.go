@@ -201,8 +201,14 @@ func (ix *CatalogIndex) rebuildLocked() {
 }
 
 // Generation returns a counter that increments on every rebuild; caches
-// keyed on catalog state fold it into their keys.
-func (ix *CatalogIndex) Generation() uint64 { return ix.generation.Load() }
+// keyed on catalog state fold it into their keys. A nil index is at
+// generation 0.
+func (ix *CatalogIndex) Generation() uint64 {
+	if ix == nil {
+		return 0
+	}
+	return ix.generation.Load()
+}
 
 // Len returns the number of indexed modules.
 func (ix *CatalogIndex) Len() int {
@@ -317,16 +323,17 @@ func (ix *CatalogIndex) Feasibility(target *module.Module, mode Mode) *Feasibili
 // not hold are always open. The diagonal is unspecified. Because every
 // row comes from one snapshot, a concurrent Update or Remove lands
 // wholly before or wholly after a build. A nil index leaves every
-// direction open.
-func (ix *CatalogIndex) openRows(mods []*module.Module, mode Mode) []uint64 {
+// direction open. gen is the generation the rows were read at (0 for a
+// nil index).
+func (ix *CatalogIndex) openRows(mods []*module.Module, mode Mode) (rows []uint64, gen uint64) {
 	n := len(mods)
 	w := (n + 63) / 64
-	rows := make([]uint64, n*w)
+	rows = make([]uint64, n*w)
 	if ix == nil {
 		for i := 0; i < n; i++ {
 			fillBits(rows[i*w:(i+1)*w], n)
 		}
-		return rows
+		return rows, 0
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -360,7 +367,7 @@ func (ix *CatalogIndex) openRows(mods []*module.Module, mode Mode) []uint64 {
 			}
 		})
 	}
-	return rows
+	return rows, ix.generation.Load()
 }
 
 // feasQuery is the scratch state of Feasibility rows: the live bitset

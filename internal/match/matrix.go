@@ -2,16 +2,11 @@ package match
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/module"
-	"dexa/internal/telemetry"
 )
 
 // KeyedSource yields the key-interned example set annotating one module.
@@ -90,7 +85,11 @@ type matrixInputs struct {
 }
 
 func resolveMatrixInputs(mods []*module.Module, source KeyedSource) matrixInputs {
-	var in matrixInputs
+	in := matrixInputs{
+		ids:   make([]string, 0, len(mods)),
+		sigs:  make([]*module.Module, 0, len(mods)),
+		keyed: make([]*dataexample.KeyedSet, 0, len(mods)),
+	}
 	seen := make(map[string]bool, len(mods))
 	for _, m := range mods {
 		if m == nil || seen[m.ID] {
@@ -106,8 +105,11 @@ func resolveMatrixInputs(mods []*module.Module, source KeyedSource) matrixInputs
 		in.sigs = append(in.sigs, m)
 		in.keyed = append(in.keyed, set)
 	}
-	// Sort the three columns together by module ID.
-	sort.Sort(byMatrixID{&in})
+	// Sort the three columns together by module ID; a registry lists its
+	// modules sorted already.
+	if !sort.IsSorted(byMatrixID{&in}) {
+		sort.Sort(byMatrixID{&in})
+	}
 	sort.Strings(in.missing)
 	return in
 }
@@ -149,165 +151,14 @@ type matrixScratch struct {
 //
 // When the Comparer carries a CatalogIndex, only the pairs its
 // feasibility rows leave open in at least one direction are visited;
-// every other pair is pruned without a mapping attempt.
+// every other pair is pruned without a mapping attempt. Beyond the
+// feasibility queries a build costs O(n + feasible pairs).
+//
+// It is an IncrementalMatrix build from no kept state; a caller that
+// builds repeatedly over slowly changing sets keeps one IncrementalMatrix
+// instead and pays only for the pairs that changed.
 func (c *Comparer) MatchMatrixFromKeyedSets(ctx context.Context, mods []*module.Module, source KeyedSource) (*MatchMatrix, error) {
-	_, span := telemetry.StartSpan(ctx, "match.matrix")
-	defer span.End()
-
-	in := resolveMatrixInputs(mods, source)
-	n := len(in.ids)
-	mm := &MatchMatrix{
-		Mode:    c.Mode.String(),
-		Modules: in.ids,
-		Missing: in.missing,
-		Cells:   []MatrixCell{},
-		Stats:   MatrixStats{Modules: n, Pairs: n * (n - 1)},
-	}
-	if n < 2 {
-		return mm, ctx.Err()
-	}
-	if err := c.buildMatrix(ctx, span, mm, &in); err != nil {
-		return nil, err
-	}
-	return mm, nil
-}
-
-// buildMatrix is the sweep behind MatchMatrixFromKeyedSets. It reads
-// every row's open directions from one index snapshot, computes only the
-// unordered pairs a < b open in at least one direction, and emits their
-// cells row by row in (target, candidate) order, so beyond the
-// feasibility queries a build costs O(n + feasible pairs). A pair it
-// never visits is pruned both ways, and a direction it emits no cell for
-// is Incomparable, so both counts follow from the visited cells.
-func (c *Comparer) buildMatrix(ctx context.Context, span *telemetry.Span, mm *MatchMatrix, in *matrixInputs) error {
-	met := newMatchMetrics(c.Metrics)
-	n := len(in.ids)
-	w := (n + 63) / 64
-	open := c.Index.openRows(in.sigs, c.Mode)
-	isOpen := func(a, b int) bool { return hasBit(open[a*w:], b) }
-	// visit is open made symmetric: bit b of row a is set when the pair
-	// {a, b} is open at least one way. start[a] is the index of row a's
-	// first pair a < b in pairs.
-	visit := make([]uint64, n*w)
-	for a := 0; a < n; a++ {
-		forBits(open[a*w:(a+1)*w], 0, func(b int) {
-			if a != b {
-				setBit(visit[a*w:], b)
-				setBit(visit[b*w:], a)
-			}
-		})
-	}
-	start := make([]int, n+1)
-	for a := 0; a < n; a++ {
-		start[a+1] = start[a] + countBits(visit[a*w:(a+1)*w], a+1)
-	}
-	pairs := make([]pairCells, start[n])
-
-	// Workers claim rows through an atomic counter and carry their own
-	// scratch, so a warm sweep allocates nothing per pair; each writes
-	// only its own rows' span of pairs.
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	sweep := func() {
-		var sc matrixScratch
-		for {
-			a := int(next.Add(1)) - 1
-			if a >= n-1 || ctx.Err() != nil {
-				return
-			}
-			k := start[a]
-			forBits(visit[a*w:(a+1)*w], a+1, func(b int) {
-				pairs[k].fwd, pairs[k].rev = c.computePair(in, a, b, isOpen(a, b), isOpen(b, a), &sc, &met)
-				k++
-			})
-		}
-	}
-	if workers = min(workers, n-1); workers <= 1 {
-		sweep()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sweep()
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Row t's cells with candidate c > t are the fwd cells of its own
-	// pairs, in order. Those with c < t are the rev cells of pairs (c, t),
-	// and pair (c, t) is always the next one of row c not yet emitted,
-	// because every row before t has already consumed its own.
-	kept := 0
-	for _, p := range pairs {
-		if p.fwd.verdict != Incomparable {
-			kept++
-		}
-		if p.rev.verdict != Incomparable {
-			kept++
-		}
-	}
-	mm.Cells = make([]MatrixCell, 0, kept)
-	st := &mm.Stats
-	st.Pruned = st.Pairs - 2*len(pairs)
-	nextRev := append([]int(nil), start[:n]...)
-	for t := 0; t < n; t++ {
-		k := start[t]
-		forBits(visit[t*w:(t+1)*w], 0, func(c int) {
-			var cl cell
-			if c < t {
-				cl = pairs[nextRev[c]].rev
-				nextRev[c]++
-			} else {
-				cl = pairs[k].fwd
-				k++
-			}
-			switch {
-			case !isOpen(t, c):
-				st.Pruned++
-			case cl.aligned:
-				st.Compared++
-			case cl.mirrored:
-				st.Mirrored++
-			}
-			switch cl.verdict {
-			case Incomparable:
-				return
-			case Equivalent:
-				st.Equivalent++
-			case Overlapping:
-				st.Overlapping++
-			case Disjoint:
-				st.Disjoint++
-			}
-			mm.Cells = append(mm.Cells, MatrixCell{
-				Target:    in.ids[t],
-				Candidate: in.ids[c],
-				Verdict:   cl.verdict.String(),
-				Score:     cl.score,
-				Compared:  cl.compared,
-				Agreeing:  cl.agreeing,
-			})
-		})
-	}
-	st.Incomparable = st.Pairs - st.Equivalent - st.Overlapping - st.Disjoint
-
-	met.comparisons.Add(uint64(st.Compared))
-	met.pruned.Add(uint64(st.Pruned))
-	span.Annotate("modules", strconv.Itoa(n))
-	span.Annotate("pairs", strconv.Itoa(st.Pairs))
-	span.Annotate("pruned", strconv.Itoa(st.Pruned))
-	span.Annotate("compared", strconv.Itoa(st.Compared))
-	span.Annotate("mirrored", strconv.Itoa(st.Mirrored))
-	return nil
+	return NewIncrementalMatrix(c).Matrix(ctx, mods, source)
 }
 
 // computePair settles both ordered directions of the unordered pair

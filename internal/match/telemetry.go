@@ -12,6 +12,9 @@ type matchMetrics struct {
 	searches    *telemetry.Counter
 	comparisons *telemetry.Counter
 	pruned      *telemetry.Counter
+	// reusedPairs counts matrix pairs whose cells a rebuild copied from
+	// the previous build instead of aligning them again.
+	reusedPairs *telemetry.Counter
 	// matrixCells observes the latency of one all-pairs matrix cell
 	// (mapping + example alignment), in seconds.
 	matrixCells *telemetry.Histogram
@@ -22,6 +25,7 @@ func newMatchMetrics(r *telemetry.Registry) matchMetrics {
 		searches:    r.Counter("dexa_match_searches_total", "Substitute searches performed."),
 		comparisons: r.Counter("dexa_match_comparisons_total", "Candidate example comparisons performed."),
 		pruned:      r.Counter("dexa_match_pruned_total", "Candidates pruned by the signature index before example comparison."),
+		reusedPairs: r.Counter("dexa_match_matrix_reused_pairs_total", "Match-matrix pairs a rebuild copied from the previous build instead of realigning."),
 		matrixCells: r.Histogram("dexa_match_matrix_cell_seconds", "Latency of one match-matrix cell (mapping + example alignment).", nil),
 	}
 }

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
@@ -65,21 +66,22 @@ func (s *Server) matrixStateKey() string {
 // the key. Content-derived, it agrees across a leader, its followers and
 // a restarted node holding the same catalog.
 func (s *Server) contentStateKey(indexGen uint64) string {
-	h := sha256.New()
-	io.WriteString(h, s.Comparer.Mode.String())
-	h.Write([]byte{0})
+	// One buffer hashed at once: a string written to the hash one by one
+	// is copied to the heap each time.
+	buf := append([]byte(s.Comparer.Mode.String()), 0)
 	if s.Comparer.Index != nil {
-		fmt.Fprintf(h, "g%d", indexGen)
-		h.Write([]byte{0})
+		buf = fmt.Appendf(buf, "g%d", indexGen)
+		buf = append(buf, 0)
 	}
 	for _, id := range s.Registry.IDs() {
 		hash, _ := s.Store.Hash(id)
-		io.WriteString(h, id)
-		h.Write([]byte{0})
-		io.WriteString(h, hash)
-		h.Write([]byte{0})
+		buf = append(buf, id...)
+		buf = append(buf, 0)
+		buf = append(buf, hash...)
+		buf = append(buf, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])[:32]
 }
 
 // subsKey is what one target's substitute ranking depends on: the
@@ -200,11 +202,96 @@ func (s *Server) buildMatches(ctx context.Context, src *matrixSource) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	mm, err := s.Comparer.MatchMatrixFromKeyedSets(ctx, s.Registry.Modules(), source)
+	return s.matrix.body(ctx, s.Comparer, s.Registry.Modules(), source, !s.clusterMode(),
+		matchesResponse{State: src.state, Partial: len(src.failed) > 0, FailedShards: src.failed})
+}
+
+// matrixBuilder is what /matches keeps from one build to the next: an
+// IncrementalMatrix, which realigns only the pairs whose sets changed,
+// and the last body's cells with each one's encoded JSON fragment, so a
+// body encodes only its new or changed cells and copies the rest. The
+// fragments are slices of the last body, which the /matches memo holds
+// anyway.
+type matrixBuilder struct {
+	mu    sync.Mutex
+	im    *match.IncrementalMatrix
+	cells []match.MatrixCell // the last body's cells, in (target, candidate) order
+	frags [][]byte           // frags[i]: cells[i] as encoded in the last body
+}
+
+// emptyCells is an empty cell list as encodeJSONBody renders it inside
+// a matchesResponse. A raw newline never occurs inside an encoded
+// string, so it matches only the matrix's own cells field.
+var emptyCells = []byte("\n    \"cells\": []")
+
+// In a matchesResponse body a cell object's braces sit at cellIndent
+// (its fields one indent deeper), and the cell list's closing bracket
+// starts a line at cellsClose.
+const (
+	cellIndent = "      "
+	cellsClose = "\n    "
+)
+
+// body builds the matrix over mods and source and returns resp carrying
+// it, rendered byte for byte as encodeJSONBody renders it. keep says
+// that source hands out the store's own sets, whose pointers persist
+// from one build to the next; only then is the IncrementalMatrix used. A
+// cluster gather decodes new sets every time, so a kept builder would
+// copy nothing and only pin the last gather's sets.
+func (b *matrixBuilder) body(ctx context.Context, cmp *match.Comparer, mods []*module.Module, source match.KeyedSource, keep bool, resp matchesResponse) ([]byte, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	build := cmp.MatchMatrixFromKeyedSets
+	if keep {
+		if b.im == nil {
+			b.im = match.NewIncrementalMatrix(cmp)
+		}
+		build = b.im.Matrix
+	}
+	mm, err := build(ctx, mods, source)
 	if err != nil {
 		return nil, fmt.Errorf("building match matrix: %w", err)
 	}
-	return encodeJSONBody(matchesResponse{State: src.state, Matrix: mm, Partial: len(src.failed) > 0, FailedShards: src.failed})
+	// Encode the response around an empty cell list, then splice the
+	// cells' fragments in between its brackets. Both cell lists are in
+	// (target, candidate) order, so one merge finds the kept fragments.
+	skeleton := *mm
+	skeleton.Cells = []match.MatrixCell{}
+	resp.Matrix = &skeleton
+	skel, err := encodeJSONBody(resp)
+	if err != nil || len(mm.Cells) == 0 {
+		return skel, err
+	}
+	frags := make([][]byte, len(mm.Cells))
+	size := len(skel) + len(cellsClose)
+	j := 0
+	for i, c := range mm.Cells {
+		for j < len(b.cells) && (b.cells[j].Target < c.Target ||
+			b.cells[j].Target == c.Target && b.cells[j].Candidate < c.Candidate) {
+			j++
+		}
+		if j < len(b.cells) && b.cells[j] == c {
+			frags[i] = b.frags[j]
+		} else if frags[i], err = json.MarshalIndent(c, cellIndent, "  "); err != nil {
+			return nil, err
+		}
+		size += len(",\n"+cellIndent) + len(frags[i])
+	}
+	at := bytes.Index(skel, emptyCells) + len(emptyCells) - 1 // the closing ]
+	body := make([]byte, 0, size)
+	body = append(body, skel[:at]...)
+	for i, f := range frags {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, "\n"+cellIndent...)
+		body = append(body, f...)
+		frags[i] = body[len(body)-len(f) : len(body) : len(body)]
+	}
+	body = append(body, cellsClose...)
+	body = append(body, skel[at:]...)
+	b.cells, b.frags = mm.Cells, frags
+	return body, nil
 }
 
 // writeBody writes pre-encoded JSON bytes as a 200.

@@ -110,6 +110,7 @@ type Server struct {
 	stateKey versioned[catalogVersion, string]
 	catalog  versioned[catalogVersion, etagged]
 	matches  versioned[string, []byte]
+	matrix   matrixBuilder // what a /matches build keeps for the next
 	view     versioned[viewKey, *compose.View]
 	subs     sync.Map // target module ID -> *versioned[subsKey, match.Substitutes]
 

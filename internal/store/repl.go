@@ -136,27 +136,22 @@ func (s *Store) ReplicationChanged(cursor uint64) <-chan struct{} {
 // delta is gone: TailSince instead returns the full live state as put
 // records with reset=true, and the follower must replace its state via
 // ResetReplicated rather than apply the batch incrementally.
+//
+// A cursor inside the window (caught up included) is served from the
+// window under its own mutex alone, so a tail never waits behind a
+// commit. Only the reset stream takes the writer lock.
 func (s *Store) TailSince(cursor uint64, limit int) (recs []Record, next uint64, reset bool) {
-	// The consistent cut needs the writer lock: the window and the shard
-	// maps must agree when a reset snapshot is taken.
+	if recs, next, ok := s.repl.tail(cursor, limit); ok {
+		return recs, next, false
+	}
+	// The consistent cut needs the writer lock: the shard maps and the
+	// sequence must agree when a reset snapshot is taken. A commit may
+	// have moved the window before the lock was had, so check it again.
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	s.repl.mu.Lock()
-	low, head := s.repl.low, s.repl.head
-	if cursor >= low && cursor <= head {
-		if cursor == head {
-			s.repl.mu.Unlock()
-			return nil, head, false
-		}
-		tail := s.repl.recs[cursor-low:]
-		if limit > 0 && len(tail) > limit {
-			tail = tail[:limit]
-		}
-		recs = append([]Record(nil), tail...)
-		s.repl.mu.Unlock()
-		return recs, cursor + uint64(len(recs)), false
+	if recs, next, ok := s.repl.tail(cursor, limit); ok {
+		return recs, next, false
 	}
-	s.repl.mu.Unlock()
 	// Cursor predates the window (the delta is gone) or lies beyond the
 	// head (the follower outlived a leader whose WAL tail was torn — a
 	// divergent history): either way the incremental contract is broken,
@@ -172,6 +167,25 @@ func (s *Store) TailSince(cursor uint64, limit int) (recs []Record, next uint64,
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, s.seq, true
+}
+
+// tail copies the window's records with sequence > cursor, up to limit,
+// and reports false when the cursor lies outside the window.
+func (r *repl) tail(cursor uint64, limit int) (recs []Record, next uint64, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cursor < r.low || cursor > r.head {
+		return nil, 0, false
+	}
+	if cursor == r.head {
+		return nil, r.head, true
+	}
+	tail := r.recs[cursor-r.low:]
+	if limit > 0 && len(tail) > limit {
+		tail = tail[:limit]
+	}
+	recs = append([]Record(nil), tail...)
+	return recs, cursor + uint64(len(recs)), true
 }
 
 // ApplyReplicatedBatch applies a contiguous batch of leader records to

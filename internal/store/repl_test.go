@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/telemetry"
@@ -278,6 +279,66 @@ func TestReplicationWindowEviction(t *testing.T) {
 	recs, next, reset := leader.TailSince(9, 0)
 	if reset || len(recs) != 1 || recs[0].Seq != 10 || next != 10 {
 		t.Fatalf("recent cursor: recs=%d reset=%v next=%d", len(recs), reset, next)
+	}
+}
+
+// TestTailSinceInWindowWithoutWriterLock: with the writer lock held, as
+// a commit in flight holds it, a tail inside the replication window —
+// behind the head or caught up — still returns, while a cursor before
+// the window, which needs the consistent cut of a reset stream, waits
+// for the lock and then gets its reset.
+func TestTailSinceInWindowWithoutWriterLock(t *testing.T) {
+	leader := mustOpen(t, "")
+	leader.repl.window = 4
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		if _, _, err := leader.Put(id, replSet(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type tailed struct {
+		recs  []Record
+		next  uint64
+		reset bool
+	}
+	tail := func(cursor uint64) <-chan tailed {
+		ch := make(chan tailed, 1)
+		go func() {
+			recs, next, reset := leader.TailSince(cursor, 0)
+			ch <- tailed{recs, next, reset}
+		}()
+		return ch
+	}
+	leader.logMu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			leader.logMu.Unlock()
+		}
+	}()
+	for _, c := range []struct {
+		cursor, next uint64
+		recs         int
+	}{{4, 6, 2}, {6, 6, 0}} {
+		select {
+		case got := <-tail(c.cursor):
+			if got.reset || len(got.recs) != c.recs || got.next != c.next {
+				t.Fatalf("cursor %d: %d records, next %d, reset %v; want %d records, next %d",
+					c.cursor, len(got.recs), got.next, got.reset, c.recs, c.next)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("in-window TailSince(%d) waited for the writer lock", c.cursor)
+		}
+	}
+	reset := tail(0)
+	select {
+	case <-reset:
+		t.Fatal("a reset stream was cut without the writer lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	leader.logMu.Unlock()
+	locked = false
+	if got := <-reset; !got.reset || len(got.recs) != 6 || got.next != 6 {
+		t.Fatalf("cursor 0: %d records, next %d, reset %v; want a 6-record reset at 6", len(got.recs), got.next, got.reset)
 	}
 }
 
