@@ -1,16 +1,7 @@
-// Command dexa-compose suggests module compositions guided by data
-// examples (the paper's §8 future-work item): chains of catalog modules
-// leading from a source concept to a goal concept, certified by flowing a
-// real data-example value through each chain.
+// Command dexa-compose synthesizes verified workflows guided by data
+// examples (the paper's §8 future-work item), under constraints:
 //
-// Usage:
-//
-//	dexa-compose -from DNASequence -to KEGGPathwayID
-//	dexa-compose -from UniprotAccession -to GOTermList -depth 2
-//
-// The planner mode synthesizes *verified workflows* under constraints:
-//
-//	dexa-compose -in DNASequence -out AccessionList
+//	dexa-compose -in DNASequence -out KEGGPathwayID
 //	dexa-compose -in DNASequence -out AccessionList -avoid RNASequence
 //	dexa-compose -in ProteinSequence -out AccessionList -like blastSearch
 //	dexa-compose -in DNASequence -out AccessionList -save plans/
@@ -37,6 +28,7 @@ import (
 	"strings"
 
 	"dexa/internal/compose"
+	"dexa/internal/core"
 	"dexa/internal/dataexample"
 	"dexa/internal/simulation"
 )
@@ -55,95 +47,48 @@ func (m *multiFlag) Set(v string) error {
 }
 
 func main() {
-	from := flag.String("from", "", "source ontology concept (chain-suggestion mode)")
-	to := flag.String("to", "", "goal ontology concept (chain-suggestion mode)")
-	in := flag.String("in", "", "workflow input concept (planner mode)")
-	out := flag.String("out", "", "workflow output concept (planner mode)")
+	in := flag.String("in", "", "workflow input concept")
+	out := flag.String("out", "", "workflow output concept")
 	var use, avoid multiFlag
 	flag.Var(&use, "use", "concept that must flow through the plan (repeatable)")
 	flag.Var(&avoid, "avoid", "concept no step parameter may touch (repeatable)")
 	like := flag.String("like", "", "module ID whose observed behavior biases the ranking")
 	depth := flag.Int("depth", 4, "maximum chain length")
-	limit := flag.Int("limit", 10, "maximum chains/plans to print")
+	limit := flag.Int("limit", 10, "maximum plans to print")
 	save := flag.String("save", "", "directory to write each plan's workflow artifact into")
 	flag.Parse()
 
-	planner := *in != "" || *out != ""
-	if planner && (*in == "" || *out == "") {
-		fmt.Fprintln(os.Stderr, "planner mode requires both -in and -out")
-		os.Exit(2)
-	}
-	if !planner && (*from == "" || *to == "") {
-		fmt.Fprintln(os.Stderr, "usage: dexa-compose -in <concept> -out <concept> [-use C] [-avoid C] [-like id]\n       dexa-compose -from <concept> -to <concept> [-depth N]")
+	if *in == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "usage: dexa-compose -in <concept> -out <concept> [-use C] [-avoid C] [-like id] [-depth N] [-limit N] [-save dir]")
 		os.Exit(2)
 	}
 
 	fmt.Fprintln(os.Stderr, "building experimental universe...")
 	u := simulation.NewUniverse()
-
-	if planner {
-		runPlanner(u, compose.Constraints{
-			In: *in, Out: *out,
-			MustUse: use, MustAvoid: avoid,
-			Like:     *like,
-			MaxDepth: *depth, MaxPlans: *limit,
-		}, *save)
-		return
-	}
-
-	c := compose.NewComposer(u.Ont, u.Pool)
-	c.MaxDepth = *depth
-	c.MaxChains = *limit
-
-	chains, err := c.Suggest(*from, *to, u.Registry.Available())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if len(chains) == 0 {
-		fmt.Printf("no chains from %s to %s within depth %d\n", *from, *to, *depth)
-		return
-	}
-	fmt.Printf("chains from %s to %s:\n", *from, *to)
-	for _, ch := range chains {
-		status := "uncertified"
-		if ch.Certified {
-			status = "CERTIFIED"
-		}
-		fmt.Printf("  [%s] %s\n", status, ch)
-		for _, w := range ch.Witness {
-			fmt.Printf("      %s\n", w)
-		}
-	}
+	runPlanner(u, compose.Constraints{
+		In: *in, Out: *out,
+		MustUse: use, MustAvoid: avoid,
+		Like:     *like,
+		MaxDepth: *depth, MaxPlans: *limit,
+	}, *save)
 }
 
 // runPlanner synthesizes constraint-guided workflows over the simulated
 // catalog, annotating modules on demand (memoized; generation is
 // deterministic, so repeated runs emit byte-identical plans).
 func runPlanner(u *simulation.Universe, cs compose.Constraints, saveDir string) {
-	memo := map[string]dataexample.Set{}
+	gen := core.NewCachedGenerator(u.Gen)
 	p := &compose.Planner{
 		Ont: u.Ont,
 		Reg: u.Registry,
 		Examples: func(id string) (dataexample.Set, bool) {
-			if set, ok := memo[id]; ok {
-				return set, set != nil
-			}
 			e, ok := u.Registry.Get(id)
 			if !ok {
-				memo[id] = nil
 				return nil, false
 			}
-			set, _, err := u.Gen.Generate(e.Module)
-			if err != nil {
-				memo[id] = nil
-				return nil, false
-			}
-			memo[id] = set
-			return set, true
+			set, _, err := gen.Generate(e.Module)
+			return set, err == nil && len(set) > 0
 		},
-		MaxDepth: cs.MaxDepth,
-		MaxPlans: cs.MaxPlans,
 	}
 	plans, err := p.Plan(cs)
 	if err != nil {
@@ -151,7 +96,7 @@ func runPlanner(u *simulation.Universe, cs compose.Constraints, saveDir string) 
 		os.Exit(1)
 	}
 	if len(plans) == 0 {
-		fmt.Printf("no plans from %s to %s within depth %d\n", cs.In, cs.Out, p.MaxDepth)
+		fmt.Printf("no plans from %s to %s within depth %d\n", cs.In, cs.Out, cs.MaxDepth)
 		return
 	}
 	fmt.Printf("plans from %s to %s:\n\n", cs.In, cs.Out)

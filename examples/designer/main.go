@@ -4,7 +4,8 @@
 // pathway its protein product belongs to. The session uses the module
 // registry the way Figure 3 step 3 intends: search the registry, read
 // annotation cards with data examples and behaviour hints, then let the
-// composer (the paper's §8 future-work item) suggest certified chains.
+// planner (the paper's §8 future-work item) synthesize workflows, each
+// verified by enactment on a stored data example.
 //
 // Run with: go run ./examples/designer
 package main
@@ -12,8 +13,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"dexa/internal/compose"
+	"dexa/internal/core"
+	"dexa/internal/dataexample"
 	"dexa/internal/explore"
 	"dexa/internal/simulation"
 )
@@ -36,23 +40,31 @@ func main() {
 	fmt.Println("\n--- annotation card ---")
 	fmt.Print(explore.Card(entry.Module, set, rep))
 
-	// 3. Ask the composer for certified chains from DNA to a pathway.
-	fmt.Println("\n--- composition search: DNASequence -> KEGGPathwayID ---")
-	comp := compose.NewComposer(u.Ont, u.Pool)
-	comp.MaxDepth = 4
-	comp.MaxChains = 5
-	chains, err := comp.Suggest(simulation.CDNASequence, simulation.CKEGGPathwayID, u.Registry.Available())
+	// 3. Ask the planner for verified workflows from DNA to a pathway.
+	fmt.Println("\n--- workflow synthesis: DNASequence -> KEGGPathwayID ---")
+	gen := core.NewCachedGenerator(u.Gen)
+	planner := &compose.Planner{Ont: u.Ont, Reg: u.Registry, Examples: func(id string) (dataexample.Set, bool) {
+		e, _ := u.Registry.Get(id)
+		set, _, err := gen.Generate(e.Module)
+		return set, err == nil && len(set) > 0
+	}}
+	plans, err := planner.Plan(compose.Constraints{In: simulation.CDNASequence, Out: simulation.CKEGGPathwayID})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, ch := range chains {
-		status := "uncertified"
-		if ch.Certified {
-			status = "CERTIFIED"
+	for _, plan := range plans {
+		status := "UNVERIFIED"
+		if plan.Verified {
+			status = "VERIFIED"
 		}
-		fmt.Printf("[%s] %s\n", status, ch)
-		for _, w := range ch.Witness {
-			fmt.Printf("    %s\n", w)
+		fmt.Printf("[%s] %s\n", status, plan.Chain())
+		for _, step := range plan.Steps {
+			if len(step.Equivalent) > 0 {
+				fmt.Printf("    %s interchangeable with %s\n", step.Module, strings.Join(step.Equivalent, ", "))
+			}
+		}
+		for name, w := range plan.Witness {
+			fmt.Printf("    witness %s = %s\n", name, w)
 		}
 	}
 }

@@ -190,10 +190,10 @@ func TestPlanGoldenDigest(t *testing.T) {
 
 // TestPlanAllocBudget bounds the allocations of one fixed Plan call over
 // store-interned sets, shaped like the e2e plan workload's requests
-// (depth 2, three plans), over a view built for the call, which keeps no
-// memo. The budget is the measured count (852) with under 10% headroom;
-// the planner that aligned raw sets through match.CompareExampleSets
-// allocated 2,662 on the same call.
+// (depth 2, three plans), over a view built for the call. The budget is
+// the measured count (865) with under 10% headroom; 852 while a view
+// built for one call kept no memo, and the planner that aligned raw sets
+// through match.CompareExampleSets allocated 2,662 on the same call.
 func TestPlanAllocBudget(t *testing.T) {
 	c := sharedCatalog(t)
 	p := c.keyedPlanner()
@@ -300,7 +300,8 @@ func BenchmarkPlanMix(b *testing.B) {
 // score per Like set. Scoring a group twice against one set reads the
 // kept scores, and a second set of the same module (a write landing
 // while the view is kept) is scored afresh; every score equals a direct
-// likeAgreement, and a call's own classes (nil memo) keep nothing.
+// likeAgreement, and a child view (an avoid= request's) keeps its scores
+// in its own memo, not its parent's.
 func TestLikeScoresMemoisedPerLikeSet(t *testing.T) {
 	c := sharedCatalog(t)
 	p := c.keyedPlanner()
@@ -326,24 +327,28 @@ func TestLikeScoresMemoisedPerLikeSet(t *testing.T) {
 		t.Fatal("no group member with two examples")
 	}
 	shrunk := full.Examples()[:1].Keyed()
-	check := func(set *dataexample.KeyedSet, memo *planMemo, wantKept int) {
+	check := func(w *View, set *dataexample.KeyedSet, wantKept int) {
 		t.Helper()
-		got := v.liked(g.classes, like, set, memo, &sc)
+		got := w.liked(g.classes, like, set, &sc)
 		if got[0].likeScore == 0 {
 			t.Fatalf("%s agrees with no class of its own group; the test is vacuous", like.ID)
 		}
 		for _, bc := range got {
-			if want := v.likeAgreement(like, set, bc, &sc); bc.likeScore != want {
+			if want := w.likeAgreement(like, set, bc, &sc); bc.likeScore != want {
 				t.Errorf("class %d scored %v, want %v", bc.id, bc.likeScore, want)
 			}
 		}
-		if kept := len(v.memo.likes); kept != wantKept {
+		if kept := len(w.memo.likes); kept != wantKept {
 			t.Errorf("memo keeps %d scores, want %d", kept, wantKept)
 		}
 	}
 	n := len(g.classes)
-	check(full, v.memo, n)
-	check(full, v.memo, n)
-	check(shrunk, v.memo, 2*n)
-	check(full.Examples().Keyed(), nil, 2*n)
+	check(v, full, n)
+	check(v, full, n)
+	check(v, shrunk, 2*n)
+	child := &View{ont: v.ont, keyed: v.keyed, groups: v.groups, classIDs: v.classIDs, memo: newPlanMemo()}
+	check(child, full.Examples().Keyed(), n)
+	if kept := len(v.memo.likes); kept != 2*n {
+		t.Errorf("parent memo keeps %d scores after a child's scoring, want %d", kept, 2*n)
+	}
 }

@@ -1,3 +1,24 @@
+// Package compose implements the paper's second §8 future-work item:
+// data examples guiding module composition. The planner is a
+// constraint-guided synthesizer (Lamprecht et al., "Constraint-Guided
+// Workflow Composition Based on the EDAM Ontology", applied to the data-
+// example-annotated catalog): given an input concept, an output concept
+// and constraints, it plans multi-step workflow.Workflow chains by
+// backward search over parameter signatures, then uses data-example
+// comparison to split task-identical candidates into behavior classes —
+// the NW/SW/k-mer aligner trio shares one signature but three behaviors,
+// and the planner emits one plan per behavior, not one plan treating them
+// as interchangeable. Every plan is checked with workflow.Verify
+// (validate + enact on a stored data example), which prunes chains that
+// only look compatible on paper (the signature-level false positives
+// that §6 shows are common). A View memoises the chains and the verified
+// plans, so each is searched and verified once per catalog state (see
+// planMemo).
+//
+// All behavior comparisons run over keyed example sets
+// (dataexample.KeyedSet, match.CompareKeyedSets): canonical keys are
+// computed once per set — at write time for store-interned sets — and
+// never per compared pair.
 package compose
 
 import (
@@ -16,24 +37,6 @@ import (
 	"dexa/internal/typesys"
 	"dexa/internal/workflow"
 )
-
-// The constraint-guided synthesizer (Lamprecht et al., "Constraint-Guided
-// Workflow Composition Based on the EDAM Ontology", applied to the data-
-// example-annotated catalog): given an input concept, an output concept
-// and constraints, plan multi-step workflow.Workflow chains by backward
-// search over parameter signatures, then use data-example comparison to
-// split task-identical candidates into behavior classes — the NW/SW/k-mer
-// aligner trio shares one signature but three behaviors, and the planner
-// emits one plan per behavior, not one plan treating them as
-// interchangeable. Every plan is checked with workflow.Verify (validate +
-// enact on a stored data example). A View memoises the chains and the
-// verified plans, so each is searched and verified once per catalog
-// state (see planMemo).
-//
-// All behavior comparisons run over keyed example sets
-// (dataexample.KeyedSet, match.CompareKeyedSets): canonical keys are
-// computed once per set — at write time for store-interned sets — and
-// never per compared pair.
 
 // Constraints scopes a planning request.
 type Constraints struct {
@@ -141,31 +144,16 @@ type Planner struct {
 	// View, when set, is planned over instead of a view built per Plan
 	// call from Keyed or Examples (see View).
 	View *View
-	// MaxDepth bounds chain length in steps (default 4); MaxPlans the
-	// ranked plans returned (default 5).
-	MaxDepth int
-	MaxPlans int
 }
 
-// Search caps keeping the plan space bounded on large catalogs.
+// The Constraints defaults, and the search caps keeping the plan space
+// bounded on large catalogs.
 const (
+	defaultMaxDepth   = 4
+	defaultMaxPlans   = 5
 	maxChains         = 64
 	maxCombosPerChain = 16
 )
-
-func (p *Planner) maxDepth() int {
-	if p.MaxDepth > 0 {
-		return p.MaxDepth
-	}
-	return 4
-}
-
-func (p *Planner) maxPlans() int {
-	if p.MaxPlans > 0 {
-		return p.MaxPlans
-	}
-	return 5
-}
 
 // Stats describes the view work of one Plan call.
 type Stats struct {
@@ -195,7 +183,8 @@ func (p *Planner) Plan(cs Constraints) ([]Plan, error) {
 // warm view a call only scores classes against Like, filters MustUse,
 // ranks and truncates: the chains and the verified plans come from the
 // view's memo. A MustAvoid that thins the groups makes the call plan
-// over groups of its own, searching and verifying afresh.
+// over a child view of its own (see View.avoiding), searching and
+// verifying afresh.
 func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 	if !p.Ont.Has(cs.In) {
 		return nil, Stats{}, fmt.Errorf("compose: unknown input concept %q", cs.In)
@@ -209,27 +198,23 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 		}
 	}
 	if cs.MaxDepth == 0 {
-		cs.MaxDepth = p.maxDepth()
+		cs.MaxDepth = defaultMaxDepth
 	}
 	if cs.MaxPlans == 0 {
-		cs.MaxPlans = p.maxPlans()
+		cs.MaxPlans = defaultMaxPlans
 	}
 
 	v := p.View
 	if v == nil {
-		v = newView(p.Ont, p.Reg, p.keyed())
+		v = NewView(p.Ont, p.Reg, p.keyed())
 	}
-	groups, whole := v.avoiding(cs.MustAvoid)
-	memo := v.memo
-	if !whole {
-		memo = nil // this call's groups and classes: keying on them would leak entries
-	}
-	st := Stats{Groups: len(groups)}
+	v = v.avoiding(cs.MustAvoid)
+	st := Stats{Groups: len(v.groups)}
 	// A chain never repeats a group, so depths past len(groups) search
 	// alike and share one entry.
 	var chains [][]*sigGroup
-	chains, st.ChainsHit = memo.chainsFor(chainKey{cs.In, cs.Out, min(cs.MaxDepth, len(groups))},
-		func() [][]*sigGroup { return p.findChains(cs, groups) })
+	chains, st.ChainsHit = v.memo.chainsFor(chainKey{cs.In, cs.Out, min(cs.MaxDepth, len(v.groups))},
+		func() [][]*sigGroup { return p.findChains(cs, v.groups) })
 
 	var sc match.CompareScratch
 	var like *module.Module
@@ -249,14 +234,14 @@ func (p *Planner) PlanStats(cs Constraints) ([]Plan, Stats, error) {
 			slots[i] = v.classesOf(g, &sc)
 			if scored != nil {
 				if _, ok := scored[g]; !ok {
-					scored[g] = v.liked(slots[i], like, likeSet, memo, &sc)
+					scored[g] = v.liked(slots[i], like, likeSet, &sc)
 				}
 				slots[i] = scored[g]
 			}
 		}
-		plans = p.expand(plans, cs, slots, memo, &st)
+		plans = p.expand(plans, cs, slots, v.memo, &st)
 	}
-	for _, g := range groups {
+	for _, g := range v.groups {
 		if g.thinned && g.classes != nil {
 			st.Repartitioned++
 		}
@@ -384,21 +369,16 @@ func (p *Planner) expand(plans []Plan, cs Constraints, slots [][]*behaviorClass,
 // or built now and offered to memo. The rank is the call's own, since
 // like= reorders the slots.
 func (p *Planner) planFor(cs Constraints, slots [][]*behaviorClass, idx []int, memo *planMemo, st *Stats) Plan {
-	var plan Plan
 	var buf [128]byte
-	var key []byte
-	hit := false
-	if memo != nil {
-		key = planKey(buf[:0], cs, slots, idx)
-		plan, hit = memo.plan(key)
-	}
+	key := planKey(buf[:0], cs, slots, idx)
+	plan, hit := memo.plan(key)
 	if hit {
 		st.Reused++
 	} else {
 		var keep bool
 		plan, keep = p.build(cs, slots, idx)
 		st.Built++
-		if memo != nil && keep {
+		if keep {
 			plan = memo.keep(key, plan)
 		}
 	}
@@ -568,4 +548,19 @@ func (p *Planner) planUses(plan Plan, concept string) bool {
 		}
 	}
 	return false
+}
+
+// primaryInput and primaryOutput are a module's data-carrying ports:
+// its first input and its first output.
+func primaryInput(m *module.Module) module.Parameter { return m.Inputs[0] }
+
+func primaryOutput(m *module.Module) module.Parameter { return m.Outputs[0] }
+
+func truncateValue(v typesys.Value, n int) string {
+	s := v.String()
+	s = strings.ReplaceAll(s, "\n", "\\n")
+	if len(s) > n {
+		return s[:n] + "…"
+	}
+	return s
 }

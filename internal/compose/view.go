@@ -21,15 +21,17 @@ import (
 // None of it depends on more of the request than its concepts and depth,
 // so a server keeps one View per catalog version and plans every
 // /compose call over it; a Planner without one builds a fresh View per
-// Plan call, with no memo, since no second call reads it. A group is
-// partitioned into classes the first time a chain needs it and kept from
-// then on. A View is safe for concurrent Plan calls.
+// Plan call. A group is partitioned into classes the first time a chain
+// needs it and kept from then on. A View is safe for concurrent Plan
+// calls.
 type View struct {
-	ont      *ontology.Ontology
-	keyed    KeyedFunc
-	groups   []*sigGroup   // ordered by signature key
-	classIDs atomic.Uint32 // numbers behavior classes as they are partitioned
-	memo     *planMemo     // nil on a per-call view
+	ont    *ontology.Ontology
+	keyed  KeyedFunc
+	groups []*sigGroup // ordered by signature key
+	// classIDs numbers behavior classes as they are partitioned; a child
+	// view (see avoiding) shares its parent's.
+	classIDs *atomic.Uint32
+	memo     *planMemo
 }
 
 // planMemo is what planning derives from a view and the request's
@@ -43,9 +45,9 @@ type View struct {
 //   - likes: each behavior class's like= score, keyed by the Like
 //     module's ID, its keyed set and the class (see likeKey).
 //
-// A call whose MustAvoid thinned the groups plans over classes of its
-// own and bypasses the memo. A plan whose verification failed in
-// enactment is not kept: a module may fail transiently.
+// A call whose MustAvoid thinned the groups plans over a child view with
+// a memo of its own. A plan whose verification failed in enactment is
+// not kept: a module may fail transiently.
 type planMemo struct {
 	mu     sync.Mutex
 	chains map[chainKey][][]*sigGroup
@@ -67,13 +69,14 @@ type chainKey struct {
 	depth   int
 }
 
+func newPlanMemo() *planMemo {
+	return &planMemo{chains: map[chainKey][][]*sigGroup{}, plans: map[string]Plan{}, likes: map[likeKey]float64{}}
+}
+
 // chainsFor returns the chains at key and whether they came from the
-// memo, searching with find on a miss. A nil memo always searches.
-// Searches run outside the lock; concurrent misses keep the first.
+// memo, searching with find on a miss. Searches run outside the lock;
+// concurrent misses keep the first.
 func (m *planMemo) chainsFor(key chainKey, find func() [][]*sigGroup) ([][]*sigGroup, bool) {
-	if m == nil {
-		return find(), false
-	}
 	m.mu.Lock()
 	chains, ok := m.chains[key]
 	m.mu.Unlock()
@@ -104,22 +107,16 @@ func planKey(buf []byte, cs Constraints, slots [][]*behaviorClass, idx []int) []
 	return buf
 }
 
-// likeScore returns the score kept at key. A nil memo keeps none.
+// likeScore returns the score kept at key.
 func (m *planMemo) likeScore(key likeKey) (float64, bool) {
-	if m == nil {
-		return 0, false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	score, ok := m.likes[key]
 	return score, ok
 }
 
-// keepLike stores score at key; a nil memo drops it.
+// keepLike stores score at key.
 func (m *planMemo) keepLike(key likeKey, score float64) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.likes[key] = score
@@ -149,9 +146,6 @@ func (m *planMemo) keep(key []byte, plan Plan) Plan {
 // Memoised reports how many chain searches and built plans the view's
 // memo holds.
 func (v *View) Memoised() (chains, plans int) {
-	if v.memo == nil {
-		return 0, 0
-	}
 	v.memo.mu.Lock()
 	defer v.memo.mu.Unlock()
 	return len(v.memo.chains), len(v.memo.plans)
@@ -178,7 +172,8 @@ type sigGroup struct {
 	// next links the groups sharing this one's concept pair but not its
 	// structural types, while grouping.
 	next *sigGroup
-	// thinned marks a per-call group that MustAvoid cut out of a view's.
+	// thinned marks a child view's group that MustAvoid cut out of its
+	// parent's.
 	thinned bool
 
 	once    sync.Once
@@ -188,7 +183,7 @@ type sigGroup struct {
 // behaviorClass is a set of group members whose stored example sets are
 // pairwise equivalent under an exact parameter mapping.
 type behaviorClass struct {
-	id        uint32 // unique within the view; a like= copy keeps it
+	id        uint32 // unique within the view and its children; a like= copy keeps it
 	rep       *module.Module
 	members   []*module.Module // sorted by ID; rep is members[0]
 	repSet    *dataexample.KeyedSet
@@ -203,13 +198,6 @@ type behaviorClass struct {
 // group's members are too. keyed resolves a module's stored set when its
 // group is first partitioned, and the Like module's once per Plan call.
 func NewView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *View {
-	v := newView(ont, reg, keyed)
-	v.memo = &planMemo{chains: map[chainKey][][]*sigGroup{}, plans: map[string]Plan{}, likes: map[likeKey]float64{}}
-	return v
-}
-
-// newView is NewView without the memo: the view of one Plan call.
-func newView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *View {
 	type semPair struct{ in, out string }
 	type placement struct {
 		m *module.Module
@@ -218,7 +206,7 @@ func newView(ont *ontology.Ontology, reg *registry.Registry, keyed KeyedFunc) *V
 	mods := reg.Available()
 	placed := make([]placement, 0, len(mods))
 	buckets := make(map[semPair]*sigGroup, len(mods))
-	v := &View{ont: ont, keyed: keyed}
+	v := &View{ont: ont, keyed: keyed, classIDs: new(atomic.Uint32), memo: newPlanMemo()}
 	for _, m := range mods {
 		if !m.Bound() || len(m.Inputs) == 0 || len(m.Outputs) == 0 {
 			continue
@@ -275,16 +263,19 @@ func (v *View) classesOf(g *sigGroup, sc *match.CompareScratch) []*behaviorClass
 	return g.classes
 }
 
-// avoiding returns the view's groups with every module that carries a
-// MustAvoid concept dropped, and whether that left them whole. A group
-// that lost members is replaced by a fresh group over the rest,
-// partitioned anew when a chain needs it: a dropped member may have been
-// the only link joining two classes. A group left empty is dropped. When
-// MustAvoid touches no member the view's own groups, classes and all,
-// come back.
-func (v *View) avoiding(avoid []string) ([]*sigGroup, bool) {
+// avoiding returns the view to plan a MustAvoid request over: v itself
+// when MustAvoid touches none of its members, and otherwise a child view
+// with every module that carries a MustAvoid concept dropped. The child
+// keeps v's untouched groups, classes and all; a group that lost members
+// is replaced by a fresh group over the rest, partitioned anew when a
+// chain needs it (a dropped member may have been the only link joining
+// two classes), and a group left empty is dropped. The child's memo is
+// its own, since its groups are, but it numbers classes from v's
+// counter: a chain may mix v's groups with thinned ones, and a plan key
+// names classes by id alone.
+func (v *View) avoiding(avoid []string) *View {
 	if len(avoid) == 0 {
-		return v.groups, true
+		return v
 	}
 	whole := true
 	out := make([]*sigGroup, 0, len(v.groups))
@@ -310,9 +301,9 @@ func (v *View) avoiding(avoid []string) ([]*sigGroup, bool) {
 		whole = false
 	}
 	if whole {
-		return v.groups, true
+		return v
 	}
-	return out, false
+	return &View{ont: v.ont, keyed: v.keyed, groups: out, classIDs: v.classIDs, memo: newPlanMemo()}
 }
 
 // partition splits task-identical members into behavior classes: two
@@ -395,18 +386,18 @@ func (v *View) partition(members []*module.Module, sc *match.CompareScratch) []*
 
 // liked returns copies of classes scored against the Like module's
 // stored examples and stable-sorted most agreeing first, so ties keep
-// the view's size-then-ID order. Scores are read from and kept in memo,
-// which is nil for a call's own classes.
-func (v *View) liked(classes []*behaviorClass, like *module.Module, likeSet *dataexample.KeyedSet, memo *planMemo, sc *match.CompareScratch) []*behaviorClass {
+// the view's size-then-ID order. Scores are read from and kept in the
+// view's memo.
+func (v *View) liked(classes []*behaviorClass, like *module.Module, likeSet *dataexample.KeyedSet, sc *match.CompareScratch) []*behaviorClass {
 	scored := make([]behaviorClass, len(classes))
 	out := make([]*behaviorClass, len(classes))
 	for i, bc := range classes {
 		scored[i] = *bc
 		key := likeKey{like.ID, likeSet, bc.id}
-		score, ok := memo.likeScore(key)
+		score, ok := v.memo.likeScore(key)
 		if !ok {
 			score = v.likeAgreement(like, likeSet, bc, sc)
-			memo.keepLike(key, score)
+			v.memo.keepLike(key, score)
 		}
 		scored[i].likeScore = score
 		out[i] = &scored[i]

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"dexa/internal/dataexample"
 	"dexa/internal/module"
@@ -32,9 +31,6 @@ type CachedGenerator struct {
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 var (
@@ -76,23 +72,10 @@ func (c *CachedGenerator) GenerateContext(ctx context.Context, m *module.Module)
 		c.entries[m.ID] = e
 	}
 	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	e.once.Do(func() {
 		e.set, e.rep, e.err = c.gen.GenerateContext(ctx, m)
 	})
 	return e.set, e.rep, e.err
-}
-
-// CacheStats reports how many Generate calls were served from the memo
-// (hits) versus how many created a new entry and ran the heuristic
-// (misses). Exported as dexa_example_cache_{hits,misses}_total by the
-// telemetry layer.
-func (c *CachedGenerator) CacheStats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // Forget drops the memoized result for the module ID, so the next Generate

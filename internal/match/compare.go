@@ -119,13 +119,6 @@ func NewComparer(ont *ontology.Ontology, gen ExampleSource) *Comparer {
 	return &Comparer{Ont: ont, Gen: gen}
 }
 
-// NewCachedComparer builds a Comparer that memoizes generated example
-// sets per module, so comparing one catalog against itself (or many
-// targets against the same candidates) generates each set once.
-func NewCachedComparer(ont *ontology.Ontology, gen *core.Generator) *Comparer {
-	return &Comparer{Ont: ont, Gen: core.NewCachedGenerator(gen)}
-}
-
 // Compare generates data examples for both live modules and classifies
 // their behaviour. Because both sets draw partition values from the same
 // pool deterministically, examples over mapped parameters with the same

@@ -378,13 +378,21 @@ func TestFindSubstitutes(t *testing.T) {
 	if len(subs.Skipped) != 0 {
 		t.Errorf("skipped = %v, want none", subs.Skipped)
 	}
-	best, err := f.cmp.BestSubstitute(un, candidates)
+	// The top-ranked substitute, or nil when none qualifies.
+	top := func(available []*module.Module) (*Candidate, error) {
+		subs, err := f.cmp.FindSubstitutes(un, available)
+		if err != nil || len(subs.Ranked) == 0 {
+			return nil, err
+		}
+		return &subs.Ranked[0], nil
+	}
+	best, err := top(candidates)
 	if err != nil || best == nil || best.Module.ID != "aa-equiv" {
 		t.Errorf("best = %+v, %v", best, err)
 	}
 
 	// The target itself is skipped; no candidates -> nil.
-	none, err := f.cmp.BestSubstitute(un, []*module.Module{target})
+	none, err := top([]*module.Module{target})
 	if err != nil || none != nil {
 		t.Errorf("self-match = %+v, %v", none, err)
 	}

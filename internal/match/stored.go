@@ -16,19 +16,15 @@ type StoredExamples interface {
 	Get(id string) (dataexample.Set, string, bool)
 }
 
-// FindSubstitutesStored runs the substitute search for a module whose
-// behaviour is known only through stored examples — the workflow-decay
-// scenario of §6: the module can no longer be invoked, but its persisted
-// annotation still describes what it used to do. The target's examples
-// are read from st; candidates are generated through the Comparer's
-// ExampleSource as usual (which may itself be store-backed, in which
-// case the whole search runs against persisted annotations).
-func (c *Comparer) FindSubstitutesStored(st StoredExamples, target *module.Module, available []*module.Module) (Substitutes, error) {
-	return c.FindSubstitutesStoredContext(context.Background(), st, target, available)
-}
-
-// FindSubstitutesStoredContext is FindSubstitutesStored with a context,
-// so request-scoped tracing reaches the search span.
+// FindSubstitutesStoredContext runs the substitute search for a module
+// whose behaviour is known only through stored examples — the
+// workflow-decay scenario of §6: the module can no longer be invoked, but
+// its persisted annotation still describes what it used to do. The
+// target's examples are read from st; candidates are generated through
+// the Comparer's ExampleSource as usual (which may itself be
+// store-backed, in which case the whole search runs against persisted
+// annotations). The context carries request-scoped tracing to the search
+// span.
 func (c *Comparer) FindSubstitutesStoredContext(ctx context.Context, st StoredExamples, target *module.Module, available []*module.Module) (Substitutes, error) {
 	if target == nil {
 		return Substitutes{}, fmt.Errorf("match: nil target module")

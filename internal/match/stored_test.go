@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestFindSubstitutesStored(t *testing.T) {
 	st := mapStore{"decayed": set}
 	target.Bind(nil)
 
-	subs, err := f.cmp.FindSubstitutesStored(st, target, []*module.Module{same, other})
+	subs, err := f.cmp.FindSubstitutesStoredContext(context.Background(), st, target, []*module.Module{same, other})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestFindSubstitutesStoredErrors(t *testing.T) {
 	cand := seqModule("cand", prefixer("X:"))
 
 	// Nothing stored for the target: the search cannot run.
-	_, err := f.cmp.FindSubstitutesStored(mapStore{}, target, []*module.Module{cand})
+	_, err := f.cmp.FindSubstitutesStoredContext(context.Background(), mapStore{}, target, []*module.Module{cand})
 	if err == nil || !strings.Contains(err.Error(), "no stored examples") {
 		t.Fatalf("err = %v, want no-stored-examples failure", err)
 	}
-	if _, err := f.cmp.FindSubstitutesStored(mapStore{}, nil, nil); err == nil {
+	if _, err := f.cmp.FindSubstitutesStoredContext(context.Background(), mapStore{}, nil, nil); err == nil {
 		t.Fatal("nil target must error")
 	}
 }

@@ -195,13 +195,3 @@ func (c *Comparer) FindSubstitutesContext(ctx context.Context, target Unavailabl
 	})
 	return out, nil
 }
-
-// BestSubstitute returns the top-ranked substitute, or nil when none
-// qualifies.
-func (c *Comparer) BestSubstitute(target Unavailable, available []*module.Module) (*Candidate, error) {
-	subs, err := c.FindSubstitutes(target, available)
-	if err != nil || len(subs.Ranked) == 0 {
-		return nil, err
-	}
-	return &subs.Ranked[0], nil
-}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dexa/internal/core"
 	"dexa/internal/module"
 	"dexa/internal/typesys"
 )
@@ -156,7 +157,7 @@ func TestCachedComparerGeneratesOncePerModule(t *testing.T) {
 	target := counted("target")
 	cands := []*module.Module{counted("c1"), counted("c2"), counted("c3")}
 
-	cmp := NewCachedComparer(f.ont, f.gen)
+	cmp := &Comparer{Ont: f.ont, Gen: core.NewCachedGenerator(f.gen)}
 	for _, c := range cands {
 		if _, err := cmp.Compare(target, c); err != nil {
 			t.Fatal(err)

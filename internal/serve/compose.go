@@ -111,13 +111,7 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.Annotate("view", how)
-	planner := &compose.Planner{
-		Ont:      s.Comparer.Ont,
-		Reg:      s.Registry,
-		View:     view,
-		MaxDepth: depth,
-		MaxPlans: limit,
-	}
+	planner := &compose.Planner{Ont: s.Comparer.Ont, Reg: s.Registry, View: view}
 	plans, stats, err := planner.PlanStats(compose.Constraints{
 		In: in, Out: out,
 		MustUse:   multiParam(q, "use"),

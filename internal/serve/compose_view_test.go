@@ -129,7 +129,7 @@ func (f *viewFixture) oracle(t *testing.T, query string) []byte {
 		t.Fatal(err)
 	}
 	depth, _ := strconv.Atoi(q.Get("depth"))
-	p := &compose.Planner{Ont: f.ont, Reg: f.reg, Keyed: f.srv.storeKeyed, MaxDepth: depth}
+	p := &compose.Planner{Ont: f.ont, Reg: f.reg, Keyed: f.srv.storeKeyed}
 	plans, err := p.Plan(compose.Constraints{
 		In: q.Get("in"), Out: q.Get("out"), MustUse: q["use"], MustAvoid: q["avoid"],
 		Like: q.Get("like"), MaxDepth: depth,

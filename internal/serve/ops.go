@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"dexa/internal/core"
 	"dexa/internal/ontology"
 	"dexa/internal/store"
 	"dexa/internal/telemetry"
@@ -68,16 +67,4 @@ func InstrumentSource(r *telemetry.Registry, src *store.Source) {
 		func() float64 { return float64(src.Runs()) })
 	r.CounterFunc("dexa_singleflight_dedup_hits_total", "Generate/Refresh calls deduplicated onto an in-flight run.",
 		func() float64 { return float64(src.SharedHits()) })
-}
-
-// InstrumentExampleCache exports a CachedGenerator's memo counters as
-// dexa_example_cache_{hits,misses}_total.
-func InstrumentExampleCache(r *telemetry.Registry, cg *core.CachedGenerator) {
-	if r == nil || cg == nil {
-		return
-	}
-	r.CounterFunc("dexa_example_cache_hits_total", "Generate calls served from the in-process example memo.",
-		func() float64 { hits, _ := cg.CacheStats(); return float64(hits) })
-	r.CounterFunc("dexa_example_cache_misses_total", "Generate calls that ran the heuristic and filled the memo.",
-		func() float64 { _, misses := cg.CacheStats(); return float64(misses) })
 }

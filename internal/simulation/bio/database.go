@@ -202,21 +202,6 @@ func (db *Database) GenesByEnzyme(enzyme string) []string {
 	return out
 }
 
-// AccessionsByGOTerm returns the Uniprot accessions of entries annotated
-// with the given GO term, in index order.
-func (db *Database) AccessionsByGOTerm(term string) []string {
-	var out []string
-	for _, e := range db.entries {
-		for _, g := range e.GOTerms {
-			if g == term {
-				out = append(out, e.Accession)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Family returns the homology family index of entry i.
 func (db *Database) Family(i int) int { return i % familyCount }
 
