@@ -132,7 +132,7 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Nine targets take about four and a half minutes, so ci does not run
+# Eleven targets take about five and a half minutes, so ci does not run
 # it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \

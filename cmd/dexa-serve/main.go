@@ -322,8 +322,8 @@ func main() {
 	}
 	if profile.Enabled() {
 		inj := faults.NewInjector(*chaosSeed, faults.Plan{Default: profile})
-		restHandler = faults.Middleware(restHandler, inj, nil)
-		soapHandler = faults.Middleware(soapHandler, inj, nil)
+		restHandler = faults.Middleware(restHandler, inj)
+		soapHandler = faults.Middleware(soapHandler, inj)
 		fmt.Fprintf(os.Stderr, "chaos enabled: %.0f%% transient faults, %.0f%% latency spikes of %v, seed %d\n",
 			100*profile.TransientRate(), 100*profile.Latency, profile.LatencyAmount, *chaosSeed)
 	}

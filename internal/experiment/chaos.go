@@ -143,9 +143,9 @@ func RunChaosExperiment(u *simulation.Universe, cfg ChaosConfig) (*ChaosOutcome,
 	// sweep serves the modules behind chaotic REST/SOAP transports and
 	// generates through bind, returning per-module covered classes.
 	sweep := func(gen *core.Generator, bind func(m *module.Module, restURL, soapURL string), inj *faults.Injector) (map[string]map[string]bool, int, error) {
-		restSrv := httptest.NewServer(faults.Middleware(transport.RESTHandler(u.Registry), inj, nil))
+		restSrv := httptest.NewServer(faults.Middleware(transport.RESTHandler(u.Registry), inj))
 		defer restSrv.Close()
-		soapSrv := httptest.NewServer(faults.Middleware(transport.SOAPHandler(u.Registry), inj, nil))
+		soapSrv := httptest.NewServer(faults.Middleware(transport.SOAPHandler(u.Registry), inj))
 		defer soapSrv.Close()
 		covered := make(map[string]map[string]bool, len(mods))
 		examples := 0

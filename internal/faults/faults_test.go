@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"dexa/internal/module"
+	"dexa/internal/registry"
+	"dexa/internal/transport"
 	"dexa/internal/typesys"
 )
 
@@ -146,7 +148,7 @@ func TestMiddlewareInjectsStatusFaults(t *testing.T) {
 		{Profile{Unavailable: 1}, http.StatusServiceUnavailable},
 	} {
 		inj := NewInjector(1, Plan{Default: tc.profile})
-		srv := httptest.NewServer(Middleware(okHandler(), inj, nil))
+		srv := httptest.NewServer(Middleware(okHandler(), inj))
 		resp, err := http.Get(srv.URL + "/modules/m/invoke")
 		if err != nil {
 			t.Fatalf("GET: %v", err)
@@ -161,7 +163,7 @@ func TestMiddlewareInjectsStatusFaults(t *testing.T) {
 
 func TestMiddlewareConnReset(t *testing.T) {
 	inj := NewInjector(1, Plan{Default: Profile{ConnReset: 1}})
-	srv := httptest.NewServer(Middleware(okHandler(), inj, nil))
+	srv := httptest.NewServer(Middleware(okHandler(), inj))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/modules/m/invoke")
 	if err == nil {
@@ -172,7 +174,7 @@ func TestMiddlewareConnReset(t *testing.T) {
 
 func TestMiddlewareTruncateAndGarbage(t *testing.T) {
 	inj := NewInjector(1, Plan{Default: Profile{Truncate: 1}})
-	srv := httptest.NewServer(Middleware(okHandler(), inj, nil))
+	srv := httptest.NewServer(Middleware(okHandler(), inj))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/modules/m/invoke")
 	if err != nil {
@@ -186,7 +188,7 @@ func TestMiddlewareTruncateAndGarbage(t *testing.T) {
 	}
 
 	inj = NewInjector(1, Plan{Default: Profile{Garbage: 1}})
-	srv2 := httptest.NewServer(Middleware(okHandler(), inj, nil))
+	srv2 := httptest.NewServer(Middleware(okHandler(), inj))
 	defer srv2.Close()
 	resp, err = http.Get(srv2.URL + "/modules/m/invoke")
 	if err != nil {
@@ -234,17 +236,25 @@ func TestRoundTripperFaults(t *testing.T) {
 	}
 }
 
-func TestRESTModuleOf(t *testing.T) {
-	for _, tc := range []struct{ path, want string }{
-		{"/modules/getRecord/invoke", "getRecord"},
-		{"/rest/modules/getRecord/invoke", "getRecord"},
-		{"/modules/getRecord", "getRecord"},
-		{"/modules", ""},
-		{"/soap", ""},
-	} {
-		req := httptest.NewRequest(http.MethodGet, "http://x"+tc.path, nil)
-		if got := RESTModuleOf(req); got != tc.want {
-			t.Fatalf("RESTModuleOf(%s) = %q, want %q", tc.path, got, tc.want)
+// TestMiddlewareChargesSOAPCallsPerModule: a SOAP call is charged to the
+// module its SOAPAction header names, so two SOAP modules flap in windows
+// of their own rather than sharing one.
+func TestMiddlewareChargesSOAPCallsPerModule(t *testing.T) {
+	reg := registry.New()
+	for _, id := range []string{"a", "b"} {
+		m := &module.Module{ID: id, Name: id, Form: module.FormSOAP,
+			Inputs:  []module.Parameter{{Name: "seq", Struct: typesys.StringType}},
+			Outputs: []module.Parameter{{Name: "out", Struct: typesys.StringType}}}
+		m.Bind(echoExec())
+		reg.MustRegister(m)
+	}
+	inj := NewInjector(1, Plan{Default: Profile{FlapEvery: 1, FlapFor: 1}})
+	srv := httptest.NewServer(Middleware(transport.SOAPHandler(reg), inj))
+	defer srv.Close()
+	for _, id := range []string{"a", "b"} {
+		ex := &transport.SOAPExecutor{Endpoint: srv.URL, ModuleID: id}
+		if _, err := ex.Invoke(map[string]typesys.Value{"seq": typesys.Str("x")}); err != nil {
+			t.Fatalf("first call to %s: %v", id, err)
 		}
 	}
 }

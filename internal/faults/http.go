@@ -6,78 +6,40 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"dexa/internal/transport"
 )
 
-// RESTModuleOf extracts the module ID from a REST wire-format request
-// path (".../modules/{id}" or ".../modules/{id}/invoke"); it returns ""
-// for anything else, which selects the plan's default profile.
-func RESTModuleOf(r *http.Request) string {
-	path := r.URL.Path
-	idx := strings.Index(path, "/modules/")
-	if idx < 0 {
-		return ""
-	}
-	rest := path[idx+len("/modules/"):]
-	rest = strings.TrimSuffix(rest, "/invoke")
-	if strings.Contains(rest, "/") {
-		return ""
-	}
-	return rest
-}
-
-// Middleware wraps an HTTP handler with server-side fault injection.
-// moduleOf maps a request to the module it targets (nil means
-// RESTModuleOf). Injected faults:
-//
-//   - conn-reset: the connection is aborted mid-response (the client sees
-//     EOF / connection reset), via http.ErrAbortHandler.
-//   - throttle / unavailable: 429 / 503 with a text body — deliberately
-//     not the JSON/XML wire format, like a real load balancer answering
-//     for a dead backend.
-//   - truncate: the inner handler runs, but only half its response body
-//     is sent.
-//   - garbage: a 200 carrying undecodable junk.
-//   - latency: the answer is delayed, then served normally.
-func Middleware(h http.Handler, inj *Injector, moduleOf func(*http.Request) string) http.Handler {
-	if moduleOf == nil {
-		moduleOf = RESTModuleOf
-	}
+// Middleware wraps an HTTP handler with server-side fault injection: the
+// handler's answer passes through a RoundTripper over the same injector,
+// so both sides inject the same fault shapes. A connection reset aborts
+// the connection mid-response via http.ErrAbortHandler; a truncated
+// answer is the handler's own, cut in half.
+func Middleware(h http.Handler, inj *Injector) http.Handler {
+	rt := &RoundTripper{Base: handlerTransport{h}, Inj: inj}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch inj.Decide(moduleOf(r)) {
-		case FaultConnReset:
+		resp, err := rt.RoundTrip(r)
+		if err != nil {
 			panic(http.ErrAbortHandler)
-		case FaultThrottle:
-			http.Error(w, "fault injection: rate limit exceeded", http.StatusTooManyRequests)
-			return
-		case FaultUnavailable:
-			http.Error(w, "fault injection: upstream unavailable", http.StatusServiceUnavailable)
-			return
-		case FaultGarbage:
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("\x1f\x8b\x00garbage\xffnot-a-wire-format\x00\x02"))
-			return
-		case FaultTruncate:
-			rec := &captureWriter{header: http.Header{}, status: http.StatusOK}
-			h.ServeHTTP(rec, r)
-			for k, vs := range rec.header {
-				for _, v := range vs {
-					w.Header().Add(k, v)
-				}
-			}
-			w.WriteHeader(rec.status)
-			body := rec.buf.Bytes()
-			_, _ = w.Write(body[:len(body)/2])
-			return
-		case FaultLatency:
-			inj.sleep(inj.Profile(moduleOf(r)).LatencyAmount)
 		}
-		h.ServeHTTP(w, r)
+		for k, vs := range resp.Header {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
 	})
 }
 
-// captureWriter buffers a handler's full response so the middleware can
-// replay a mutated version of it.
+// handlerTransport answers a round trip with an in-process handler.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := &captureWriter{header: http.Header{}, status: http.StatusOK}
+	t.h.ServeHTTP(rec, r)
+	return &http.Response{StatusCode: rec.status, Header: rec.header, Body: io.NopCloser(&rec.buf), Request: r}, nil
+}
+
+// captureWriter buffers a handler's full response.
 type captureWriter struct {
 	header http.Header
 	status int
@@ -96,13 +58,21 @@ var ErrInjectedReset = errors.New("fault injection: connection reset by peer")
 
 // RoundTripper wraps an http.RoundTripper with client-side fault
 // injection, for chaos against servers that cannot be wrapped themselves.
+// Each request is charged to the module transport.ModuleOf names.
+// Injected faults:
+//
+//   - conn-reset: the round trip fails with ErrInjectedReset.
+//   - throttle / unavailable: 429 / 503 with a text body — deliberately
+//     not the JSON/XML wire format, like a real load balancer answering
+//     for a dead backend.
+//   - truncate: the real answer arrives with half its body.
+//   - garbage: a 200 carrying undecodable junk.
+//   - latency: the answer is delayed, then served normally.
 type RoundTripper struct {
 	// Base performs real round trips; nil means http.DefaultTransport.
 	Base http.RoundTripper
 	// Inj decides the fault per request.
 	Inj *Injector
-	// ModuleOf maps requests to module IDs; nil means RESTModuleOf.
-	ModuleOf func(*http.Request) string
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -111,11 +81,7 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	moduleOf := t.ModuleOf
-	if moduleOf == nil {
-		moduleOf = RESTModuleOf
-	}
-	id := moduleOf(req)
+	id := transport.ModuleOf(req)
 	switch t.Inj.Decide(id) {
 	case FaultConnReset:
 		return nil, ErrInjectedReset

@@ -1,49 +1,15 @@
 package registry
 
-import (
-	"fmt"
-
-	"dexa/internal/dataexample"
-)
+import "dexa/internal/dataexample"
 
 // ExampleStore is the slice of the persistent example store the registry
-// uses for store-backed persistence of its annotations. *store.Store
-// satisfies it. The interface lives here (rather than importing
-// internal/store) so the registry stays a leaf package: anything that
-// can put, get and enumerate example sets can back it.
+// hydrates its annotations from. *store.Store satisfies it. The interface
+// lives here (rather than importing internal/store) so the registry stays
+// a leaf package: anything that can get and enumerate example sets can
+// back it.
 type ExampleStore interface {
-	Put(id string, set dataexample.Set) (hash string, changed bool, err error)
 	Get(id string) (dataexample.Set, string, bool)
 	IDs() []string
-}
-
-// SaveExamplesTo pushes every annotated entry's example set into the
-// store and reports how many stored sets actually changed (unchanged
-// sets are content-hash no-ops). Entries without examples are skipped —
-// an empty annotation is "not yet generated", not "known empty".
-func (r *Registry) SaveExamplesTo(st ExampleStore) (changed int, err error) {
-	r.mu.RLock()
-	type pair struct {
-		id  string
-		set dataexample.Set
-	}
-	pairs := make([]pair, 0, len(r.entries))
-	for id, e := range r.entries {
-		if len(e.Examples) > 0 {
-			pairs = append(pairs, pair{id, e.Examples})
-		}
-	}
-	r.mu.RUnlock()
-	for _, p := range pairs {
-		_, ch, err := st.Put(p.id, p.set)
-		if err != nil {
-			return changed, fmt.Errorf("registry: storing examples for %s: %w", p.id, err)
-		}
-		if ch {
-			changed++
-		}
-	}
-	return changed, nil
 }
 
 // LoadExamplesFrom pulls stored example sets into the matching registry

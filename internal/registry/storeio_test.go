@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"sort"
 	"testing"
 
 	"dexa/internal/dataexample"
@@ -13,32 +12,10 @@ func TestSaveLoadExamplesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New()
-	r.MustRegister(persistModule("a"))
-	r.MustRegister(persistModule("b"))
-	r.MustRegister(persistModule("bare")) // never annotated
-	if err := r.SetExamples("a", persistExamples("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetExamples("b", persistExamples("b")); err != nil {
-		t.Fatal(err)
-	}
-
-	changed, err := r.SaveExamplesTo(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed != 2 {
-		t.Errorf("first save changed %d sets, want 2", changed)
-	}
-	ids := st.IDs()
-	sort.Strings(ids)
-	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
-		t.Errorf("store holds %v, want [a b] (bare entries must be skipped)", ids)
-	}
-	// A second save with identical annotations is all content no-ops.
-	if changed, err = r.SaveExamplesTo(st); err != nil || changed != 0 {
-		t.Errorf("idempotent save changed %d sets (err %v), want 0", changed, err)
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := st.Put(id, persistExamples(id)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A fresh registry hydrates from the store; store-only modules the

@@ -155,18 +155,7 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 		return
 	}
 	reply := cluster.SubstitutesReply{Shard: s.Cluster.Self}
-	for _, c := range subs.Ranked {
-		reply.Substitutes = append(reply.Substitutes, cluster.SubstituteEntry{
-			ID:       c.Module.ID,
-			Verdict:  c.Result.Verdict.String(),
-			Score:    c.Result.Score(),
-			Compared: c.Result.Compared,
-			Agreeing: c.Result.Agreeing,
-		})
-	}
-	for _, sk := range subs.Skipped {
-		reply.Skipped = append(reply.Skipped, cluster.SkippedEntry{ID: sk.ModuleID, Reason: sk.Reason})
-	}
+	reply.Substitutes, reply.Skipped = substituteEntries(subs.Ranked, subs.Skipped)
 	writeJSON(w, http.StatusOK, reply)
 }
 
@@ -244,14 +233,10 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, targ
 	if limit > 0 && len(ranked) > limit {
 		ranked = ranked[:limit]
 	}
-	resp := substitutesResponse{Target: id, Hash: hash, Partial: res.Partial, FailedShards: res.FailedShards}
-	for _, c := range ranked {
-		resp.Substitutes = append(resp.Substitutes, substituteInfo(c))
-	}
-	for _, sk := range res.Skipped {
-		resp.Skipped = append(resp.Skipped, skippedInfo(sk))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, substitutesResponse{
+		Target: id, Hash: hash, Substitutes: ranked, Skipped: res.Skipped,
+		Partial: res.Partial, FailedShards: res.FailedShards,
+	})
 }
 
 // ownersOf names, in membership order, the shards that own at least one

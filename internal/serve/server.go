@@ -466,19 +466,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type substituteInfo struct {
-	ID       string  `json:"id"`
-	Verdict  string  `json:"verdict"`
-	Score    float64 `json:"score"`
-	Compared int     `json:"compared"`
-	Agreeing int     `json:"agreeing"`
-}
-
 type substitutesResponse struct {
-	Target      string           `json:"target"`
-	Hash        string           `json:"hash"`
-	Substitutes []substituteInfo `json:"substitutes"`
-	Skipped     []skippedInfo    `json:"skipped,omitempty"`
+	Target      string                    `json:"target"`
+	Hash        string                    `json:"hash"`
+	Substitutes []cluster.SubstituteEntry `json:"substitutes"`
+	Skipped     []cluster.SkippedEntry    `json:"skipped,omitempty"`
 	// Cluster mode only: a scatter with failed shards degrades to a
 	// partial ranking instead of failing. Absent on healthy answers, so
 	// the healthy-cluster body stays byte-identical to a single node's.
@@ -499,11 +491,6 @@ func parseLimitParam(w http.ResponseWriter, q url.Values) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-type skippedInfo struct {
-	ID     string `json:"id"`
-	Reason string `json:"reason"`
 }
 
 func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
@@ -542,8 +529,15 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		ranked = ranked[:limit]
 	}
 	resp := substitutesResponse{Target: m.ID, Hash: hash}
+	resp.Substitutes, resp.Skipped = substituteEntries(ranked, subs.Skipped)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// substituteEntries renders ranked candidates and skipped ones in the
+// wire form a single node's /substitutes and a shard's reply share.
+func substituteEntries(ranked []match.Candidate, skipped []match.Skipped) (subs []cluster.SubstituteEntry, skips []cluster.SkippedEntry) {
 	for _, c := range ranked {
-		resp.Substitutes = append(resp.Substitutes, substituteInfo{
+		subs = append(subs, cluster.SubstituteEntry{
 			ID:       c.Module.ID,
 			Verdict:  c.Result.Verdict.String(),
 			Score:    c.Result.Score(),
@@ -551,10 +545,10 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 			Agreeing: c.Result.Agreeing,
 		})
 	}
-	for _, sk := range subs.Skipped {
-		resp.Skipped = append(resp.Skipped, skippedInfo{ID: sk.ModuleID, Reason: sk.Reason})
+	for _, sk := range skipped {
+		skips = append(skips, cluster.SkippedEntry{ID: sk.ModuleID, Reason: sk.Reason})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return subs, skips
 }
 
 type statsResponse struct {

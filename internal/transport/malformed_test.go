@@ -157,6 +157,19 @@ func TestRESTExecutorGarbled200IsMalformedTransient(t *testing.T) {
 	}
 }
 
+// TestRESTExecutorEmpty200IsMalformedTransient: a 200 that decodes but
+// carries neither outputs nor an error is no answer at all — every module
+// declares an output — so it is retryable wire corruption, as the SOAP
+// executor treats an envelope without a response.
+func TestRESTExecutorEmpty200IsMalformedTransient(t *testing.T) {
+	srv := faultyServer(t, http.StatusOK, "{}")
+	ex := &RESTExecutor{BaseURL: srv.URL, ModuleID: "reverse"}
+	_, err := ex.Invoke(seqInput())
+	if kind, ok := module.FaultKindOf(err); !ok || kind != module.FaultMalformed {
+		t.Fatalf("err = %v, want malformed transient", err)
+	}
+}
+
 func TestRESTExecutorConnectionRefusedIsTransient(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	url := srv.URL

@@ -1,18 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 
 	"dexa/internal/module"
 	"dexa/internal/registry"
-	"dexa/internal/telemetry"
 	"dexa/internal/typesys"
 )
 
@@ -26,13 +23,13 @@ import (
 //	GET {base}/modules/{id}       -> signature JSON
 
 type restInvokeRequest struct {
-	Inputs map[string]json.RawMessage `json:"inputs"`
+	Inputs restValues `json:"inputs"`
 }
 
 type restInvokeResponse struct {
-	Outputs map[string]json.RawMessage `json:"outputs,omitempty"`
-	Error   string                     `json:"error,omitempty"`
-	Kind    string                     `json:"kind,omitempty"`
+	Outputs restValues `json:"outputs,omitempty"`
+	Error   string     `json:"error,omitempty"`
+	Kind    string     `json:"kind,omitempty"`
 }
 
 type restParam struct {
@@ -49,43 +46,108 @@ type restSignature struct {
 	Outputs []restParam `json:"outputs"`
 }
 
+// restValues is named values on the REST wire: one JSON object of
+// tagged values.
+type restValues map[string]typesys.Value
+
+func (vs restValues) MarshalJSON() ([]byte, error) {
+	raw := make(map[string]json.RawMessage, len(vs))
+	for name, v := range vs {
+		data, err := typesys.MarshalValue(v)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		raw[name] = data
+	}
+	return json.Marshal(raw)
+}
+
+func (vs *restValues) UnmarshalJSON(data []byte) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	*vs = make(restValues, len(raw))
+	for name, data := range raw {
+		v, err := typesys.UnmarshalValue(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		(*vs)[name] = v
+	}
+	return nil
+}
+
+// restFaultKinds spells, by HTTP status, the kind of a REST error body.
+var restFaultKinds = map[int]string{400: "validation", 404: "not-found", 422: "execution", 500: "validation"}
+
+// jsonLine renders v as one JSON document and a newline.
+func jsonLine(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	return append(data, '\n'), err
+}
+
+type restCodec struct{}
+
+func (restCodec) spanName() string    { return "transport.rest" }
+func (restCodec) contentType() string { return "application/json" }
+
+func (restCodec) encodeRequest(_ string, inputs map[string]typesys.Value, _ http.Header) ([]byte, error) {
+	return json.Marshal(restInvokeRequest{Inputs: inputs})
+}
+
+func (restCodec) decodeRequest(r *http.Request, body []byte) (string, map[string]typesys.Value, error) {
+	var req restInvokeRequest
+	err := json.Unmarshal(body, &req)
+	return r.PathValue("id"), req.Inputs, err
+}
+
+func (restCodec) encodeResponse(_ string, outs map[string]typesys.Value) ([]byte, error) {
+	return jsonLine(restInvokeResponse{Outputs: outs})
+}
+
+func (restCodec) decodeResponse(body []byte) (map[string]typesys.Value, *remoteFault, error) {
+	var resp restInvokeResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, nil, err
+	}
+	if resp.Error != "" {
+		return nil, &remoteFault{kind: resp.Kind, msg: resp.Error}, nil
+	}
+	return resp.Outputs, nil, nil
+}
+
+func (restCodec) encodeFault(status int, msg string) []byte {
+	data, _ := jsonLine(restInvokeResponse{Error: msg, Kind: restFaultKinds[status]})
+	return data
+}
+
 // RESTHandler serves the modules of a registry over the REST wire format.
 // Unavailable modules answer 404, which models provider decay faithfully:
 // a retired service endpoint simply disappears.
 func RESTHandler(reg *registry.Registry) http.Handler {
+	var c restCodec
 	mux := http.NewServeMux()
-	mux.HandleFunc("/modules", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /modules", func(w http.ResponseWriter, r *http.Request) {
 		var ids []string
 		for _, m := range reg.Available() {
 			ids = append(ids, m.ID)
 		}
 		sort.Strings(ids)
-		writeJSON(w, http.StatusOK, ids)
+		data, _ := jsonLine(ids)
+		reply(w, c, http.StatusOK, data)
 	})
-	mux.HandleFunc("/modules/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/modules/")
-		if id, ok := strings.CutSuffix(rest, "/invoke"); ok {
-			if r.Method != http.MethodPost {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
-			handleRESTInvoke(reg, id, w, r)
-			return
-		}
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		m, available, ok := reg.Lookup(rest)
+	mux.HandleFunc("GET /modules/{id}", func(w http.ResponseWriter, r *http.Request) {
+		m, available, ok := reg.Lookup(r.PathValue("id"))
 		if !ok || !available {
-			writeJSON(w, http.StatusNotFound, restInvokeResponse{Error: "unknown module", Kind: "not-found"})
+			reply(w, c, http.StatusNotFound, c.encodeFault(http.StatusNotFound, "unknown module"))
 			return
 		}
-		writeJSON(w, http.StatusOK, signatureOf(m))
+		data, _ := jsonLine(signatureOf(m))
+		reply(w, c, http.StatusOK, data)
+	})
+	mux.HandleFunc("POST /modules/{id}/invoke", func(w http.ResponseWriter, r *http.Request) {
+		serveInvoke(reg, c, w, r)
 	})
 	return mux
 }
@@ -101,63 +163,11 @@ func signatureOf(m *module.Module) restSignature {
 	return sig
 }
 
-func handleRESTInvoke(reg *registry.Registry, id string, w http.ResponseWriter, r *http.Request) {
-	m, available, ok := reg.Lookup(id)
-	if !ok || !available {
-		writeJSON(w, http.StatusNotFound, restInvokeResponse{Error: "unknown module", Kind: "not-found"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, restInvokeResponse{Error: err.Error(), Kind: "validation"})
-		return
-	}
-	var req restInvokeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, restInvokeResponse{Error: err.Error(), Kind: "validation"})
-		return
-	}
-	inputs := make(map[string]typesys.Value, len(req.Inputs))
-	for name, raw := range req.Inputs {
-		v, err := typesys.UnmarshalValue(raw)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, restInvokeResponse{Error: fmt.Sprintf("input %s: %v", name, err), Kind: "validation"})
-			return
-		}
-		inputs[name] = v
-	}
-	outs, err := m.Invoke(inputs)
-	if err != nil {
-		if module.IsExecutionError(err) {
-			writeJSON(w, http.StatusUnprocessableEntity, restInvokeResponse{Error: err.Error(), Kind: "execution"})
-		} else {
-			writeJSON(w, http.StatusBadRequest, restInvokeResponse{Error: err.Error(), Kind: "validation"})
-		}
-		return
-	}
-	resp := restInvokeResponse{Outputs: map[string]json.RawMessage{}}
-	for name, v := range outs {
-		data, err := typesys.MarshalValue(v)
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, restInvokeResponse{Error: err.Error(), Kind: "validation"})
-			return
-		}
-		resp.Outputs[name] = data
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // RESTExecutor invokes a remote module over the REST wire format. It
 // implements module.Executor and module.ContextExecutor, so a local
 // module.Module proxy can be bound to it. Errors are classified: network
-// faults, timeouts, throttling, 5xx answers, and garbled 200 bodies
-// surface as *module.TransientError (retryable); wire-format error
+// faults, timeouts, throttling, 5xx answers, and garbled or empty 200
+// bodies surface as *module.TransientError (retryable); wire-format error
 // answers remain plain errors, which the module layer wraps as abnormal
 // terminations.
 type RESTExecutor struct {
@@ -181,79 +191,8 @@ func (e *RESTExecutor) Invoke(inputs map[string]typesys.Value) (map[string]types
 // telemetry tracer rides in ctx the round-trip is recorded as a
 // "transport.rest" span; transient transport faults mark it failed.
 func (e *RESTExecutor) InvokeContext(ctx context.Context, inputs map[string]typesys.Value) (map[string]typesys.Value, error) {
-	ctx, span := telemetry.StartSpan(ctx, "transport.rest")
-	span.Annotate("module", e.ModuleID)
-	outs, err := e.invokeContext(ctx, inputs)
-	if module.IsTransient(err) {
-		span.Fail(err)
-	}
-	span.End()
-	return outs, err
-}
-
-func (e *RESTExecutor) invokeContext(ctx context.Context, inputs map[string]typesys.Value) (map[string]typesys.Value, error) {
-	req := restInvokeRequest{Inputs: map[string]json.RawMessage{}}
-	for name, v := range inputs {
-		data, err := typesys.MarshalValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("transport: encoding input %s: %w", name, err)
-		}
-		req.Inputs[name] = data
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	url := strings.TrimSuffix(e.BaseURL, "/") + "/modules/" + e.ModuleID + "/invoke"
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := clientOrDefault(e.Client).Do(httpReq)
-	if err != nil {
-		return nil, classifyDialErr(e.ModuleID, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
-	if err != nil {
-		return nil, module.Transient(e.ModuleID, module.FaultConnection, fmt.Errorf("reading response: %w", err))
-	}
-	if len(body) > maxResponseBody {
-		return nil, module.Transient(e.ModuleID, module.FaultMalformed, fmt.Errorf("response exceeds %d-byte limit", maxResponseBody))
-	}
-	// Status first: a proxy's 502 HTML page or a load balancer's plain-text
-	// 429 must classify by status, not die in the JSON decoder.
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			return nil, classifyStatus(e.ModuleID, resp.StatusCode, body)
-		}
-		var out restInvokeResponse
-		if looksLikeWireFormat(body, "{") && json.Unmarshal(body, &out) == nil && out.Error != "" {
-			return nil, fmt.Errorf("transport: remote %s: %s", out.Kind, out.Error)
-		}
-		return nil, classifyStatus(e.ModuleID, resp.StatusCode, body)
-	}
-	var out restInvokeResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		// A 200 that does not decode is wire corruption (truncated or
-		// garbled in flight) — transient, retryable.
-		return nil, module.Transient(e.ModuleID, module.FaultMalformed,
-			fmt.Errorf("decoding response: %w (body %s)", err, bodySnippet(body)))
-	}
-	if out.Error != "" {
-		return nil, fmt.Errorf("transport: remote %s: %s", out.Kind, out.Error)
-	}
-	values := make(map[string]typesys.Value, len(out.Outputs))
-	for name, raw := range out.Outputs {
-		v, err := typesys.UnmarshalValue(raw)
-		if err != nil {
-			return nil, module.Transient(e.ModuleID, module.FaultMalformed,
-				fmt.Errorf("decoding output %s: %w", name, err))
-		}
-		values[name] = v
-	}
-	return values, nil
+	return roundTrip(ctx, restCodec{}, e.Client, url, e.ModuleID, inputs)
 }
 
 // ListRemoteModules fetches the IDs of the modules available at a REST
@@ -265,9 +204,9 @@ func ListRemoteModules(baseURL string, client *http.Client) ([]string, error) {
 		return nil, classifyDialErr("", err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody+1))
+	body, err := readBody("", resp)
 	if err != nil {
-		return nil, module.Transient("", module.FaultConnection, fmt.Errorf("reading module list: %w", err))
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, classifyStatus("", resp.StatusCode, body)

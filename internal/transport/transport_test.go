@@ -332,6 +332,25 @@ func TestXMLValueErrors(t *testing.T) {
 	}
 }
 
+func TestModuleOf(t *testing.T) {
+	for _, tc := range []struct{ path, soapAction, want string }{
+		{"/modules/getRecord/invoke", "", "getRecord"},
+		{"/rest/modules/getRecord/invoke", "", "getRecord"},
+		{"/modules/getRecord", "", "getRecord"},
+		{"/modules", "", ""},
+		{"/soap", "", ""},
+		{"/soap", `"getRecord"`, "getRecord"},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "http://x"+tc.path, nil)
+		if tc.soapAction != "" {
+			req.Header.Set("SOAPAction", tc.soapAction)
+		}
+		if got := ModuleOf(req); got != tc.want {
+			t.Fatalf("ModuleOf(%s, SOAPAction %s) = %q, want %q", tc.path, tc.soapAction, got, tc.want)
+		}
+	}
+}
+
 func TestRESTMethodNotAllowed(t *testing.T) {
 	_, restSrv, _ := newServerFixture(t)
 	resp, err := http.Post(restSrv.URL+"/modules", "application/json", strings.NewReader("{}"))

@@ -64,8 +64,7 @@ func valueToXML(v typesys.Value) (xmlValue, error) {
 			if err != nil {
 				return xmlValue{}, err
 			}
-			xc := x
-			out.Fields = append(out.Fields, xmlField{Name: name, Value: &xc})
+			out.Fields = append(out.Fields, xmlField{Name: name, Value: &x})
 		}
 		return out, nil
 	default:
