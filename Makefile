@@ -34,11 +34,12 @@ race:
 # goroutine, at higher iteration counts than the package-wide pass; it
 # also reruns the seeded random histories (leader, cut-and-reopen
 # recovery, follower apply, journal), the follower's compaction at a
-# replication gap, and an in-window tail served while the writer lock
-# is held.
+# replication gap, an in-window tail served while the writer lock is
+# held, and reads of a record's set, hash and version racing a writer
+# that alternates two contents.
 race-store:
 	$(GO) test -race -count=2 ./internal/store/ ./internal/serve/
-	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap|TestTailSince' ./internal/store/
+	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap|TestTailSince|TestGetVersionedConsistent' ./internal/store/
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run.

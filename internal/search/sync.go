@@ -32,16 +32,14 @@ type Syncer struct {
 
 // stored fetches a module's stored set and version (empty when the store
 // is absent or the module unannotated — the module still gets keyword
-// and concept postings, just no behavior class).
+// and concept postings, just no behavior class). Both come from one
+// record: an old set indexed under a new version would make Resync skip
+// the document until the module's next write.
 func (s *Syncer) stored(id string) (dataexample.Set, uint64) {
 	if s.Store == nil {
 		return nil, 0
 	}
-	set, _, ok := s.Store.Get(id)
-	if !ok {
-		return nil, 0
-	}
-	version, _ := s.Store.Version(id)
+	set, _, version, _ := s.Store.GetVersioned(id)
 	return set, version
 }
 

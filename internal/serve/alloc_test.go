@@ -95,3 +95,68 @@ func TestComposeAllocBudget(t *testing.T) {
 		t.Errorf("warm /compose allocates %.0f, budget %d", n, budget)
 	}
 }
+
+// TestExamplesAllocBudget: a warm /modules/{id}/examples writes the body
+// kept for the stored record, and a revalidation with its ETag answers
+// 304 before the memo is read: what allocates is the route's
+// instrumentation, the module lookup and the response headers. Both
+// budgets are the measured count (13) with under 10% headroom; the
+// per-request encode allocated 62 on the same 200.
+func TestExamplesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	f := newFixture(t, "")
+	post(t, f.ts.URL+"/modules/alpha/generate")
+	etag := serveGet(f.srv.Handler(), "/modules/alpha/examples", "").Header().Get("ETag")
+	for _, c := range []struct {
+		name   string
+		etag   string
+		status int
+		budget float64
+	}{
+		{"warm 200", "", http.StatusOK, 14},
+		{"304", etag, http.StatusNotModified, 14},
+	} {
+		n, status := getAllocs(t, f.srv, "/modules/alpha/examples", c.etag)
+		if status != c.status {
+			t.Fatalf("%s: status %d, want %d", c.name, status, c.status)
+		}
+		if n > c.budget {
+			t.Errorf("%s /examples allocates %.0f, budget %.0f", c.name, n, c.budget)
+		}
+	}
+}
+
+// TestSubstitutesAllocBudget: a warm /modules/{id}/substitutes writes
+// the body kept for its subsKey, and a revalidation answers 304 before
+// the memo is read. Both budgets are the measured count (15) with under
+// 10% headroom; rebuilding the wire entries from the memoised ranking
+// and encoding them allocated 23 on the same 200.
+func TestSubstitutesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	f := newFixture(t, "")
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		post(t, f.ts.URL+"/modules/"+id+"/generate")
+	}
+	etag := serveGet(f.srv.Handler(), "/modules/alpha/substitutes", "").Header().Get("ETag")
+	for _, c := range []struct {
+		name   string
+		etag   string
+		status int
+		budget float64
+	}{
+		{"warm 200", "", http.StatusOK, 16},
+		{"304", etag, http.StatusNotModified, 16},
+	} {
+		n, status := getAllocs(t, f.srv, "/modules/alpha/substitutes", c.etag)
+		if status != c.status {
+			t.Fatalf("%s: status %d, want %d", c.name, status, c.status)
+		}
+		if n > c.budget {
+			t.Errorf("%s /substitutes allocates %.0f, budget %.0f", c.name, n, c.budget)
+		}
+	}
+}

@@ -108,11 +108,10 @@ func (s *Server) handleClusterSets(w http.ResponseWriter, r *http.Request) {
 		Sets:  make(map[string]cluster.StoredSet, s.Store.Len()),
 	}
 	for _, id := range s.Store.IDs() {
-		set, hash, ok := s.Store.Get(id)
+		set, hash, version, ok := s.Store.GetVersioned(id)
 		if !ok {
 			continue
 		}
-		version, _ := s.Store.Version(id)
 		payload.Sets[id] = cluster.StoredSet{Hash: hash, Version: version, Examples: set}
 	}
 	writeJSON(w, http.StatusOK, payload)

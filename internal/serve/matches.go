@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"dexa/internal/cluster"
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
 	"dexa/internal/module"
@@ -303,28 +304,47 @@ func writeBody(w http.ResponseWriter, body []byte) {
 
 // encodeJSONBody renders v exactly as writeJSON does (two-space indent,
 // trailing newline, HTML-escaped), so cached bytes are indistinguishable
-// from a per-request encode.
+// from a per-request encode. The body's capacity is exactly its length:
+// appending the newline to MarshalIndent's slice can reallocate it with
+// spare capacity, and memos keep these bodies as long as their keys hold.
 func encodeJSONBody(v any) ([]byte, error) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	return append(body, '\n'), nil
+	out := make([]byte, len(body)+1)
+	copy(out, body)
+	out[len(body)] = '\n'
+	return out, nil
 }
 
-// warmedSubstitutes returns the target's substitute ranking at key:
-// the memoised one while the key holds, a fresh search otherwise. Each
-// target has its own memo, so identical searches arriving together
-// collapse onto one run while searches for different targets proceed
-// side by side.
-func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, key subsKey) (match.Substitutes, error) {
-	memo, ok := s.subs.Load(target.ID)
-	if !ok {
-		memo, _ = s.subs.LoadOrStore(target.ID, new(versioned[subsKey, match.Substitutes]))
-	}
-	subs, _, err := memo.(*versioned[subsKey, match.Substitutes]).get(key, func() (match.Substitutes, bool, error) {
-		subs, err := s.Comparer.FindSubstitutesStoredContext(r.Context(), s.Store, target, s.Registry.Available())
-		return subs, true, err
+// subsAnswer is what a target's /substitutes keeps per subsKey: the
+// ranking and the skipped candidates in wire form, and the whole body,
+// encoded once, which every request without a truncating limit= writes.
+type subsAnswer struct {
+	ranked  []cluster.SubstituteEntry
+	skipped []cluster.SkippedEntry
+	body    []byte
+}
+
+// warmedSubstitutes returns the target's substitute answer at key: the
+// memoised one while the key holds, otherwise a fresh search with set,
+// the stored examples key.hash names.
+func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, set dataexample.Set, key subsKey) (subsAnswer, error) {
+	memo := memoFor[subsKey, subsAnswer](&s.subs, target.ID)
+	ans, hit, err := memo.get(key, func() (subsAnswer, bool, error) {
+		subs, err := s.Comparer.FindSubstitutesContext(r.Context(),
+			match.Unavailable{Signature: target, Examples: set}, s.Registry.Available())
+		if err != nil {
+			return subsAnswer{}, false, err
+		}
+		var a subsAnswer
+		a.ranked, a.skipped = substituteEntries(subs.Ranked, subs.Skipped)
+		a.body, err = encodeJSONBody(substitutesResponse{
+			Target: target.ID, Hash: key.hash, Substitutes: a.ranked, Skipped: a.skipped,
+		})
+		return a, true, err
 	})
-	return subs, err
+	s.memoMetrics().subs.record(hit)
+	return ans, err
 }

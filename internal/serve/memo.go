@@ -1,6 +1,10 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+
+	"dexa/internal/telemetry"
+)
 
 // versioned memoizes one answer derived from catalog state together with
 // the key it was derived at: a catalogVersion, a state string, or any
@@ -32,4 +36,46 @@ func (m *versioned[K, V]) get(key K, build func() (V, bool, error)) (V, bool, er
 		m.ok, m.key, m.val = true, key, v
 	}
 	return v, false, err
+}
+
+// memoFor returns the memo kept for module id in m, adding an empty one
+// on first use. Each module has its own memo, so identical misses
+// arriving together collapse onto one build while builds for different
+// modules proceed side by side.
+func memoFor[K comparable, V any](m *sync.Map, id string) *versioned[K, V] {
+	memo, ok := m.Load(id)
+	if !ok {
+		memo, _ = m.LoadOrStore(id, new(versioned[K, V]))
+	}
+	return memo.(*versioned[K, V])
+}
+
+// memoCounter counts one per-module memo's lookups by outcome.
+type memoCounter struct{ hit, miss *telemetry.Counter }
+
+func (c memoCounter) record(hit bool) {
+	if hit {
+		c.hit.Inc()
+	} else {
+		c.miss.Inc()
+	}
+}
+
+// memoCounters are the dexa_serve_memo_total handles of the /examples
+// and /substitutes memos, resolved once per Server so a warm request
+// records without a label lookup. A miss on /substitutes is a live
+// substitute search; a hit writes kept bytes.
+type memoCounters struct{ examples, subs memoCounter }
+
+func (s *Server) memoMetrics() *memoCounters {
+	s.memoOnce.Do(func() {
+		v := s.Telemetry.CounterVec("dexa_serve_memo_total",
+			"Per-module /examples and /substitutes memo lookups: a hit writes kept bytes, a miss encodes afresh (on /substitutes after a live search).",
+			"memo", "result")
+		s.memoStats = memoCounters{
+			examples: memoCounter{v.With("examples", "hit"), v.With("examples", "miss")},
+			subs:     memoCounter{v.With("substitutes", "hit"), v.With("substitutes", "miss")},
+		}
+	})
+	return &s.memoStats
 }

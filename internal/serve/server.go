@@ -8,8 +8,9 @@
 //	                                     encoded once per catalog state, ETag = hash of
 //	                                     the bytes, If-None-Match answers 304
 //	GET  /modules/{id}                 — one module's signature, health and annotation metadata
-//	GET  /modules/{id}/examples        — the stored example set; ETag = content hash,
-//	                                     If-None-Match answers 304 without touching the set
+//	GET  /modules/{id}/examples        — the stored example set, encoded once per stored
+//	                                     record; ETag = content hash, If-None-Match
+//	                                     answers 304 without touching the set
 //	POST /modules/{id}/generate        — on-demand annotation through the store-backed
 //	                                     source: concurrent identical requests collapse to
 //	                                     one generator run (singleflight), the result is
@@ -106,13 +107,18 @@ type Server struct {
 	// annotations, availability flips and signature changes invalidate
 	// them without any hook: the matrix state key, the /catalog body and
 	// the /compose view per catalogVersion, the /matches body per state
-	// key, and each target's /substitutes ranking per subsKey.
+	// key, each target's /substitutes answer per subsKey, and each
+	// module's /examples body per examplesKey.
 	stateKey versioned[catalogVersion, string]
 	catalog  versioned[catalogVersion, etagged]
 	matches  versioned[string, []byte]
 	matrix   matrixBuilder // what a /matches build keeps for the next
 	view     versioned[viewKey, *compose.View]
-	subs     sync.Map // target module ID -> *versioned[subsKey, match.Substitutes]
+	subs     sync.Map // target module ID -> *versioned[subsKey, subsAnswer]
+	examples sync.Map // module ID -> *versioned[examplesKey, []byte]
+
+	memoOnce  sync.Once
+	memoStats memoCounters
 
 	// drain is closed by BeginDrain: long-poll handlers (/watch here, the
 	// cluster WAL feed in its own package) answer parked and new waiters
@@ -335,12 +341,10 @@ func (s *Server) handleModule(w http.ResponseWriter, r *http.Request) {
 		Inputs: params(m.Inputs), Outputs: params(m.Outputs),
 		Available: available,
 	}
-	if set, hash, ok := s.Store.Get(m.ID); ok {
+	if set, hash, version, ok := s.Store.GetVersioned(m.ID); ok {
 		info.Examples = len(set)
 		info.Hash = hash
-		if v, ok := s.Store.Version(m.ID); ok {
-			info.Version = v
-		}
+		info.Version = version
 	}
 	if h, ok := s.Registry.HealthOf(m.ID); ok && h != (registry.Health{}) {
 		info.Health = &healthInfo{
@@ -392,6 +396,18 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	return true
 }
 
+// examplesKey is what a module's /examples body depends on: its stored
+// record's content hash and version. Equal hashes mean equal canonical
+// bytes, so the pair fixes the body; a version restarts at 1 after a
+// delete, and the hash still tells the contents apart.
+type examplesKey struct {
+	hash    string
+	version uint64
+}
+
+// handleExamples serves a module's stored example set, encoded once per
+// stored record: set, hash and version are read from one record, and
+// the body they render is kept until the record changes.
 func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	m, _, ok := s.lookup(w, r)
 	if !ok {
@@ -400,7 +416,7 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	if s.redirectToOwner(w, r, m.ID) {
 		return
 	}
-	set, hash, ok := s.Store.Get(m.ID)
+	set, hash, version, ok := s.Store.GetVersioned(m.ID)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate to annotate it)", m.ID)
 		return
@@ -408,10 +424,19 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	if notModified(w, r, `"`+hash+`"`) {
 		return
 	}
-	version, _ := s.Store.Version(m.ID)
-	writeJSON(w, http.StatusOK, examplesResponse{
-		Module: m.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
+	memo := memoFor[examplesKey, []byte](&s.examples, m.ID)
+	body, hit, err := memo.get(examplesKey{hash, version}, func() ([]byte, bool, error) {
+		body, err := encodeJSONBody(examplesResponse{
+			Module: m.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
+		})
+		return body, true, err
 	})
+	s.memoMetrics().examples.record(hit)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding examples for %s: %v", m.ID, err)
+		return
+	}
+	writeBody(w, body)
 }
 
 type generateResponse struct {
@@ -506,7 +531,7 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		s.scatterSubstitutes(w, r, m)
 		return
 	}
-	hash, ok := s.Store.Hash(m.ID)
+	set, hash, ok := s.Store.Get(m.ID)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
 		return
@@ -519,18 +544,18 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 	if notModified(w, r, key.etag()) {
 		return
 	}
-	subs, err := s.warmedSubstitutes(r, m, key)
+	ans, err := s.warmedSubstitutes(r, m, set, key)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "substitute search for %s: %v", m.ID, err)
 		return
 	}
-	ranked := subs.Ranked
-	if limit > 0 && len(ranked) > limit {
-		ranked = ranked[:limit]
+	if limit == 0 || limit >= len(ans.ranked) {
+		writeBody(w, ans.body)
+		return
 	}
-	resp := substitutesResponse{Target: m.ID, Hash: hash}
-	resp.Substitutes, resp.Skipped = substituteEntries(ranked, subs.Skipped)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, substitutesResponse{
+		Target: m.ID, Hash: hash, Substitutes: ans.ranked[:limit], Skipped: ans.skipped,
+	})
 }
 
 // substituteEntries renders ranked candidates and skipped ones in the

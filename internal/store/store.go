@@ -22,8 +22,8 @@
 //     which makes re-annotation sweeps cheap and gives the serving layer
 //     free ETags.
 //
-// Concurrency: any number of readers may call Get/Hash/Version/IDs/Len/
-// Stats concurrently with writers. Writers (Put/Delete/Snapshot/Flush)
+// Concurrency: any number of readers may call Get/GetVersioned/Hash/
+// Version/IDs/Len/Stats concurrently with writers. Writers (Put/Delete/Snapshot/Flush)
 // are serialized internally on the log mutex, so WAL order, sequence
 // numbers and the index always agree. Callers must treat returned
 // example sets as read-only; the store hands out the same backing slice
@@ -324,16 +324,25 @@ func (s *Store) Delete(id string) error {
 // Get returns the stored example set and its content hash. The returned
 // set is shared and must be treated as read-only.
 func (s *Store) Get(id string) (dataexample.Set, string, bool) {
+	set, hash, _, ok := s.GetVersioned(id)
+	return set, hash, ok
+}
+
+// GetVersioned returns the stored example set, its content hash and its
+// version, all from one record: a write landing between a Get and a
+// Version call would pair one record's set and hash with the next
+// record's version.
+func (s *Store) GetVersioned(id string) (dataexample.Set, string, uint64, bool) {
 	s.gets.Add(1)
 	sh := s.shard(id)
 	sh.mu.RLock()
 	r, ok := sh.recs[id]
 	sh.mu.RUnlock()
 	if !ok {
-		return nil, "", false
+		return nil, "", 0, false
 	}
 	s.hits.Add(1)
-	return r.set, r.hash, true
+	return r.set, r.hash, r.version, true
 }
 
 // GetKeyed returns the stored example set in its keyed, symbol-interned

@@ -374,6 +374,57 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 }
 
+// TestGetVersionedConsistent: GetVersioned reads set, hash and version
+// from one record while a writer alternates two contents on one module,
+// so odd versions always carry the first content and even versions the
+// second. Separate Get and Version calls pair a record's hash with the
+// next record's version when a write lands between them.
+func TestGetVersionedConsistent(t *testing.T) {
+	s, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sets := [2]dataexample.Set{testSet(t, "odd", 1), testSet(t, "even", 2)}
+	var hashes [2]string
+	for i, set := range sets {
+		if hashes[i], err = HashSet(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writes = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < writes; i++ {
+			if _, _, err := s.Put("m", sets[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	reads := 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		set, hash, version, ok := s.GetVersioned("m")
+		if !ok {
+			continue
+		}
+		want := (version + 1) % 2 // version 1 is sets[0]
+		if hash != hashes[want] || len(set) != len(sets[want]) {
+			t.Fatalf("read %d: version %d carries hash %s with %d examples, want hash %s with %d",
+				reads, version, hash, len(set), hashes[want], len(sets[want]))
+		}
+	}
+	if _, _, version, _ := s.GetVersioned("m"); version != writes {
+		t.Errorf("final version %d, want %d", version, writes)
+	}
+}
+
 // readFixture opens an in-memory store holding 64 annotated modules and
 // returns it with their IDs.
 func readFixture(tb testing.TB) (*Store, []string) {

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
 	"dexa/internal/module"
 	"dexa/internal/registry"
+	"dexa/internal/typesys"
 )
 
 // ModuleOf names the module a wire-format request targets: the {id} of a
@@ -26,7 +28,7 @@ func ModuleOf(r *http.Request) string {
 // serveInvoke is the server half of a remote invocation, for either wire
 // format: read the capped body, decode the call, look the module up,
 // invoke it and answer with its outputs. An execution error (the module
-// rejected this input) answers 422; a call that is not well formed, or
+// rejected this input, or its executor panicked) answers 422; a call that is not well formed, or
 // that the module refuses before running, answers 400; an unknown or
 // retired module answers 404.
 func serveInvoke(reg *registry.Registry, c codec, w http.ResponseWriter, r *http.Request) {
@@ -50,7 +52,7 @@ func serveInvoke(reg *registry.Registry, c codec, w http.ResponseWriter, r *http
 		fail(http.StatusNotFound, "unknown module "+id)
 		return
 	}
-	outs, err := m.Invoke(inputs)
+	outs, err := invokeRecovered(m, inputs)
 	if err != nil {
 		status := http.StatusBadRequest
 		if module.IsExecutionError(err) {
@@ -65,6 +67,19 @@ func serveInvoke(reg *registry.Registry, c codec, w http.ResponseWriter, r *http
 		return
 	}
 	reply(w, c, http.StatusOK, data)
+}
+
+// invokeRecovered invokes m, turning a panic in its executor into an
+// execution error: the module terminated abnormally on this input. Left
+// to net/http, the panic would drop the connection, and the caller would
+// see a transient connection fault and retry it.
+func invokeRecovered(m *module.Module, inputs map[string]typesys.Value) (outs map[string]typesys.Value, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			outs, err = nil, &module.ExecutionError{ModuleID: m.ID, Err: fmt.Errorf("panic: %v", p)}
+		}
+	}()
+	return m.Invoke(inputs)
 }
 
 // reply writes one body in the codec's media type.

@@ -198,6 +198,46 @@ func TestSOAPExecutionFault(t *testing.T) {
 	}
 }
 
+// TestExecutorPanicIsExecutionFault: a module whose executor panics is
+// answered, in either wire format, with the format's execution fault, so
+// a remote caller records an abnormal termination and does not retry.
+// Unrecovered, the panic drops the connection and the caller sees a
+// transient connection fault.
+func TestExecutorPanicIsExecutionFault(t *testing.T) {
+	sig := func(id string) *module.Module {
+		return &module.Module{
+			ID: id, Name: id, Form: module.FormREST,
+			Inputs:  []module.Parameter{{Name: "seq", Struct: typesys.StringType, Semantic: "Seq"}},
+			Outputs: []module.Parameter{{Name: "out", Struct: typesys.StringType, Semantic: "Seq"}},
+		}
+	}
+	reg := registry.New()
+	boom := sig("boom")
+	boom.Bind(module.ExecFunc(func(map[string]typesys.Value) (map[string]typesys.Value, error) {
+		panic("index out of range")
+	}))
+	reg.MustRegister(boom)
+	restSrv := httptest.NewServer(RESTHandler(reg))
+	defer restSrv.Close()
+	soapSrv := httptest.NewServer(SOAPHandler(reg))
+	defer soapSrv.Close()
+
+	for _, c := range []struct {
+		name string
+		exec module.Executor
+	}{
+		{"rest", &RESTExecutor{BaseURL: restSrv.URL, ModuleID: "boom"}},
+		{"soap", &SOAPExecutor{Endpoint: soapSrv.URL, ModuleID: "boom"}},
+	} {
+		proxy := sig("boom-proxy")
+		proxy.Bind(c.exec)
+		_, err := proxy.Invoke(map[string]typesys.Value{"seq": typesys.Str("ACGT")})
+		if !module.IsExecutionError(err) || module.IsTransient(err) {
+			t.Errorf("%s: panicking executor gave %v, want an execution error that is not transient", c.name, err)
+		}
+	}
+}
+
 func TestSOAPFaults(t *testing.T) {
 	_, _, soapSrv := newServerFixture(t)
 	exec := &SOAPExecutor{Endpoint: soapSrv.URL, ModuleID: "ghost"}
