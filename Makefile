@@ -35,11 +35,12 @@ race:
 # also reruns the seeded random histories (leader, cut-and-reopen
 # recovery, follower apply, journal), the follower's compaction at a
 # replication gap, an in-window tail served while the writer lock is
-# held, and reads of a record's set, hash and version racing a writer
-# that alternates two contents.
+# held, and reads of a record's set, hash and version — in the store,
+# and through /generate's answer — racing a writer that alternates two
+# contents.
 race-store:
 	$(GO) test -race -count=2 ./internal/store/ ./internal/serve/
-	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap|TestTailSince|TestGetVersionedConsistent' ./internal/store/
+	$(GO) test -race -count=4 -run 'TestGroupCommit|TestPutBatch|TestStoreParallelPut|TestCrashRecovery|TestStoreRandomHistory|TestApplyReplicatedCompactsAtGap|TestTailSince|TestGetVersionedConsistent|TestGenerateAnswersOneRecord' ./internal/store/ ./internal/serve/
 
 # One iteration of every benchmark: catches benchmarks that no longer
 # compile or crash without paying for a full measurement run.
@@ -93,8 +94,12 @@ cluster-smoke:
 # mutations, and the serve-layer search/compose endpoints (single-node
 # and scatter-gather; TestComposeDuringFlips races /compose's cached
 # per-version view, its lazy class partition and its memo of chains and
-# verified plans against availability flips and store writes), with more
-# iterations than the catch-all race run gives them. The last line races
+# verified plans against availability flips and store writes;
+# TestComposeFullCatalogBodies serves every golden request of the full
+# simulated catalog twice and compares each spliced body, first rendered
+# and then from the plan entries kept with the memoised plans, with a
+# whole encode of a per-call planner's plans), with more iterations than
+# the catch-all race run gives them. The last line races
 # one shared planner view, partition and memo, over the whole simulated
 # catalog.
 race-search:

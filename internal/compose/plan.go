@@ -84,43 +84,52 @@ type Plan struct {
 	// or why verification failed.
 	Rationale string `json:"rationale,omitempty"`
 
-	rank  int       // tie-break: sum of the slots' class-rank indices, per call
-	chain string    // the step modules, "a -> b -> c"
-	wire  *wireForm // the memoised plan's Save rendering, shared by its copies
+	rank  int    // tie-break: sum of the slots' class-rank indices, per call
+	chain string // the step modules, "a -> b -> c"
+	entry *entry // the memoised plan's rendering, shared by its copies
 }
 
-// wireForm is a memoised plan's workflow in the Save wire format,
-// rendered on first use.
-type wireForm struct {
+// entry is a memoised plan's rendering (see Plan.Rendered), made on
+// first use.
+type entry struct {
 	once sync.Once
 	data []byte
+	err  error
 }
 
 // Chain renders "a -> b -> c".
 func (p Plan) Chain() string { return p.chain }
 
 // WorkflowJSON returns the plan's workflow in the workflow.Save wire
-// format, or nil when it has none or it fails to render. A memoised plan
-// renders once per catalog state; the bytes are shared and must not be
-// modified.
+// format, or nil when it has none or it fails to render.
 func (p Plan) WorkflowJSON() []byte {
 	if p.Workflow == nil {
 		return nil
 	}
-	if p.wire == nil {
-		return saveWorkflow(p.Workflow)
-	}
-	p.wire.once.Do(func() { p.wire.data = saveWorkflow(p.Workflow) })
-	return p.wire.data
-}
-
-func saveWorkflow(wf *workflow.Workflow) []byte {
 	var buf bytes.Buffer
-	if err := wf.Save(&buf); err != nil {
+	if err := p.Workflow.Save(&buf); err != nil {
 		return nil
 	}
-	return bytes.Clone(buf.Bytes()) // without the buffer's spare capacity
+	return buf.Bytes()
+}
 
+// Rendered returns render(p) and whether the bytes were kept from an
+// earlier call. A memoised plan renders once per catalog state and
+// shares the bytes with every copy, so every caller must pass the same
+// render and must not modify the bytes; any other plan renders per
+// call.
+func (p Plan) Rendered(render func(Plan) ([]byte, error)) (data []byte, kept bool, err error) {
+	if p.entry == nil {
+		data, err = render(p)
+		return data, false, err
+	}
+	kept = true
+	p.entry.once.Do(func() {
+		data, p.entry.err = render(p)
+		p.entry.data = bytes.Clone(data) // kept without spare capacity
+		kept = false
+	})
+	return p.entry.data, kept, p.entry.err
 }
 
 // ExampleFunc resolves a module's stored data-example set. The CLI backs

@@ -41,7 +41,8 @@ type View struct {
 //     by (In, Out, depth), the depth clamped to the number of groups;
 //   - plans: each built plan — workflow, steps, rationale, verification
 //     verdict and witness — keyed by In, Out and the behavior classes it
-//     picked (see planKey). Its per-call rank is not kept;
+//     picked (see planKey), and once rendered its rendering (see
+//     Plan.Rendered). Its per-call rank is not kept;
 //   - likes: each behavior class's like= score, keyed by the Like
 //     module's ID, its keyed set and the class (see likeKey).
 //
@@ -138,7 +139,7 @@ func (m *planMemo) keep(key []byte, plan Plan) Plan {
 	if prev, ok := m.plans[string(key)]; ok {
 		return prev
 	}
-	plan.wire = new(wireForm)
+	plan.entry = new(entry)
 	m.plans[string(key)] = plan
 	return plan
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"dexa/internal/cluster"
+	"dexa/internal/compose"
 	"dexa/internal/core"
 	"dexa/internal/instances"
 	"dexa/internal/match"
@@ -713,7 +715,10 @@ func TestWatchDrainReleasesWaiters(t *testing.T) {
 // TestClusterShardFailureNotFoundByStatus: a shard that fails with a 500
 // is a shard failure even when its URL contains "404". /substitutes for a
 // module it owns answers 502, not 404, and /compose lists its modules in
-// failedModules and flags the plan set partial.
+// failedModules and flags the plan set partial. The partial /compose body
+// equals, byte for byte, the whole rendering of a per-call planner's
+// plans over the reachable annotations with partial and failedModules
+// set after count.
 func TestClusterShardFailureNotFoundByStatus(t *testing.T) {
 	o, p, reg := clusterUniverse(t)
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -767,5 +772,19 @@ func TestClusterShardFailureNotFoundByStatus(t *testing.T) {
 	mustUnmarshal(t, body, &resp)
 	if !resp.Partial || strings.Join(resp.FailedModules, ",") != strings.Join(foreign, ",") {
 		t.Errorf("compose partial=%v failedModules=%v, want partial with %v", resp.Partial, resp.FailedModules, foreign)
+	}
+	// s1's store holds exactly the sets the partial gather reaches.
+	plans, err := (&compose.Planner{Ont: o, Reg: reg, Keyed: cn.srv.storeKeyed}).Plan(compose.Constraints{In: "Seq", Out: "Acc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := newComposeResponse("Seq", "Acc", plans)
+	oracle.Partial, oracle.FailedModules = true, foreign
+	want, err := encodeJSONBody(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) == 0 || !bytes.Equal(body, want) {
+		t.Errorf("partial compose body of %d plans differs from the oracle\n got: %s\nwant: %s", len(plans), body, want)
 	}
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
 	"slices"
@@ -33,8 +35,9 @@ import (
 // fixed catalog. Signature groups, behavior classes, chains and verified
 // plans come from a view memoised per catalog state (see composeView and
 // compose.View); a warm request only scores like=, filters use=, ranks
-// and encodes, and only an avoid= that thins the groups searches and
-// verifies afresh. In cluster mode the view is built from every
+// and splices the plans' kept entries into the body (see composeBody),
+// and only an avoid= that thins the groups searches, verifies and
+// renders afresh. In cluster mode the view is built from every
 // shard's gathered sets, once per cluster state; a failed shard degrades
 // the synthesis to a partial one over the reachable annotations.
 
@@ -132,29 +135,81 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 	}
 	span.Annotate("chains", chains)
 	span.Annotate("plans", strconv.Itoa(stats.Reused)+"/"+strconv.Itoa(stats.Built))
-	resp := newComposeResponse(in, out, plans)
-	if len(failed) > 0 {
-		resp.Partial = true
-		resp.FailedModules = failed
+	body, kept, err := composeBody(in, out, plans, failed)
+	if err != nil {
+		span.Fail(err)
+		writeError(w, http.StatusInternalServerError, "encoding compose response: %v", err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	span.Annotate("entries", strconv.Itoa(kept)+"/"+strconv.Itoa(len(plans)-kept))
+	writeBody(w, body)
 }
 
-// newComposeResponse renders plans as the /compose body.
-func newComposeResponse(in, out string, plans []compose.Plan) composeResponse {
-	resp := composeResponse{In: in, Out: out, Plans: []composePlan{}}
-	for _, p := range plans {
-		resp.Plans = append(resp.Plans, composePlan{
-			Chain:     p.Chain(),
-			Steps:     p.Steps,
-			Verified:  p.Verified,
-			Witness:   p.Witness,
-			Rationale: p.Rationale,
-			Workflow:  p.WorkflowJSON(),
-		})
+// In a composeResponse body a plan object's braces sit at planIndent
+// and its fields one indent deeper; emptyPlans is an empty plan list as
+// encodeJSONBody renders it there.
+const planIndent = "    "
+
+var emptyPlans = []byte("\n  \"plans\": []")
+
+// renderComposePlan renders p as its /compose entry: the composePlan
+// object byte for byte as encodeJSONBody renders it inside a
+// composeResponse. A memoised plan keeps the entry (see
+// compose.Plan.Rendered), so its workflow is saved, compacted and
+// re-indented once per catalog state.
+func renderComposePlan(p compose.Plan) ([]byte, error) {
+	return json.MarshalIndent(composePlan{
+		Chain:     p.Chain(),
+		Steps:     p.Steps,
+		Verified:  p.Verified,
+		Witness:   p.Witness,
+		Rationale: p.Rationale,
+		Workflow:  p.WorkflowJSON(),
+	}, planIndent, "  ")
+}
+
+// composeBody renders the /compose body of plans, byte for byte as
+// encodeJSONBody renders their composeResponse, and counts the plans
+// whose entries were kept: it encodes the envelope around an empty plan
+// list, splices each plan's entry in between its brackets and ends the
+// body with a newline. failed, when not empty, marks the answer partial.
+func composeBody(in, out string, plans []compose.Plan, failed []string) (body []byte, kept int, err error) {
+	entries := make([][]byte, len(plans))
+	for i, p := range plans {
+		var hit bool
+		if entries[i], hit, err = p.Rendered(renderComposePlan); err != nil {
+			return nil, 0, fmt.Errorf("plan %s: %w", p.Chain(), err)
+		}
+		if hit {
+			kept++
+		}
 	}
-	resp.Count = len(resp.Plans)
-	return resp
+	skel, err := json.MarshalIndent(composeResponse{
+		In: in, Out: out, Plans: []composePlan{}, Count: len(plans),
+		Partial: len(failed) > 0, FailedModules: failed,
+	}, "", "  ")
+	if err != nil {
+		return nil, 0, err
+	}
+	at := bytes.Index(skel, emptyPlans) + len(emptyPlans) - 1 // the closing ]
+	size := len(skel) + len("\n\n  ")
+	for _, e := range entries {
+		size += len(",\n"+planIndent) + len(e)
+	}
+	body = make([]byte, 0, size)
+	body = append(body, skel[:at]...)
+	for i, e := range entries {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, "\n"+planIndent...)
+		body = append(body, e...)
+	}
+	if len(entries) > 0 {
+		body = append(body, "\n  "...)
+	}
+	body = append(body, skel[at:]...)
+	return append(body, '\n'), kept, nil
 }
 
 // viewKey is the catalog state a /compose view reflects: the

@@ -120,6 +120,25 @@ var viewQueries = []string{
 	"in=DNA&out=Acc&depth=1&use=DNA",
 }
 
+// newComposeResponse renders plans as the /compose body, whole, as the
+// handler rendered it before each plan's entry was kept: the oracle the
+// spliced bodies are compared with.
+func newComposeResponse(in, out string, plans []compose.Plan) composeResponse {
+	resp := composeResponse{In: in, Out: out, Plans: []composePlan{}}
+	for _, p := range plans {
+		resp.Plans = append(resp.Plans, composePlan{
+			Chain:     p.Chain(),
+			Steps:     p.Steps,
+			Verified:  p.Verified,
+			Witness:   p.Witness,
+			Rationale: p.Rationale,
+			Workflow:  p.WorkflowJSON(),
+		})
+	}
+	resp.Count = len(resp.Plans)
+	return resp
+}
+
 // oracle renders the /compose body of a freshly built planner — a view
 // built for the one call from the store as it is now.
 func (f *viewFixture) oracle(t *testing.T, query string) []byte {

@@ -106,9 +106,10 @@ type Server struct {
 	// moves whenever the answer may change (see versioned), so stored
 	// annotations, availability flips and signature changes invalidate
 	// them without any hook: the matrix state key, the /catalog body and
-	// the /compose view per catalogVersion, the /matches body per state
-	// key, each target's /substitutes answer per subsKey, and each
-	// module's /examples body per examplesKey.
+	// the /compose view per catalogVersion (its memoised plans keep their
+	// rendered /compose entries, see renderComposePlan), the /matches
+	// body per state key, each target's /substitutes answer per subsKey,
+	// and each module's /examples body per examplesKey.
 	stateKey versioned[catalogVersion, string]
 	catalog  versioned[catalogVersion, etagged]
 	matches  versioned[string, []byte]
@@ -468,23 +469,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("refresh"); v != "" {
 		refresh, _ = strconv.ParseBool(v)
 	}
+	// The set, its count and its hash come from one stored record, so
+	// a concurrent write cannot pair this set with the next one's hash.
 	var (
 		set     dataexample.Set
+		hash    string
 		changed bool
 		err     error
 	)
 	if refresh {
-		set, _, changed, err = s.Source.RefreshContext(r.Context(), m)
+		set, hash, _, changed, err = s.Source.RefreshStored(r.Context(), m)
 	} else {
 		var rep *core.Report
-		set, rep, err = s.Source.GenerateContext(r.Context(), m)
+		set, hash, rep, err = s.Source.GenerateStored(r.Context(), m)
 		changed = rep != nil // a nil report means the set came from the store
 	}
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "generating examples for %s: %v", m.ID, err)
 		return
 	}
-	hash, _ := s.Store.Hash(m.ID)
 	w.Header().Set("ETag", `"`+hash+`"`)
 	writeJSON(w, http.StatusOK, generateResponse{
 		Module: m.ID, Hash: hash, Count: len(set), Cached: !changed, Changed: changed, Examples: set,

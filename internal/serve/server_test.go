@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dexa/internal/core"
+	"dexa/internal/dataexample"
 	"dexa/internal/instances"
 	"dexa/internal/match"
 	"dexa/internal/module"
@@ -370,6 +371,57 @@ func TestExamplesLifecycleAndETag(t *testing.T) {
 
 // TestGenerateThunderingHerd is the serving-layer acceptance criterion:
 // N identical concurrent generation requests cause exactly one
+// TestGenerateAnswersOneRecord: a /generate answer's examples, count,
+// hash and ETag come from one stored record while a writer alternates two
+// contents of the module. Reading the hash apart from the set paired one
+// record's examples with the next record's hash when a write landed in
+// between.
+func TestGenerateAnswersOneRecord(t *testing.T) {
+	f := newFixture(t, "")
+	sets := [2]dataexample.Set{prefixSet("X:")[:1], prefixSet("Y:")}
+	h := f.srv.Handler()
+	done := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := f.st.Put("alpha", sets[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 3000; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/modules/alpha/generate", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		var gen struct {
+			Hash     string          `json:"hash"`
+			Count    int             `json:"count"`
+			Examples dataexample.Set `json:"examples"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &gen); err != nil {
+			t.Fatal(err)
+		}
+		want, err := store.HashSet(gen.Examples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen.Hash != want || gen.Count != len(gen.Examples) || rec.Header().Get("ETag") != `"`+want+`"` {
+			t.Fatalf("request %d: hash %s, count %d, ETag %s for %d examples hashing to %s",
+				i, gen.Hash, gen.Count, rec.Header().Get("ETag"), len(gen.Examples), want)
+		}
+	}
+}
+
 // generator run.
 func TestGenerateThunderingHerd(t *testing.T) {
 	f := newFixture(t, "")

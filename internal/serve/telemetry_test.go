@@ -432,9 +432,11 @@ func TestOpsPprofGate(t *testing.T) {
 // its behavior-class view (built for a new catalog state, a hit on the
 // cached one), how many signature groups it planned over, how many
 // groups avoid= thinned and re-split into classes, whether its chains
-// came from the view's memo, and how many plans it reused from the memo
-// and built. A second identical request finds its chains and every plan
-// memoised; an avoid= that thins or drops a group bypasses the memo.
+// came from the view's memo, how many plans it reused from the memo and
+// built, and how many plan entries it wrote as kept bytes and rendered.
+// A second identical request finds its chains, every plan and every
+// entry memoised; an avoid= that thins or drops a group bypasses the
+// memo, and renders its entries again when repeated.
 func TestComposePlanSpan(t *testing.T) {
 	f := newViewFixture(t)
 	serve := func(query string) map[string]string {
@@ -464,16 +466,17 @@ func TestComposePlanSpan(t *testing.T) {
 		flip  string
 		want  map[string]string
 	}{
-		{"in=DNA&out=Acc", "", map[string]string{"view": "built", "groups": "3", "repartitioned": "0", "chains": "built", "plans": "0/5"}},
-		{"in=DNA&out=Acc", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "0", "chains": "hit", "plans": "5/0"}},
+		{"in=DNA&out=Acc", "", map[string]string{"view": "built", "groups": "3", "repartitioned": "0", "chains": "built", "plans": "0/5", "entries": "0/5"}},
+		{"in=DNA&out=Acc", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "0", "chains": "hit", "plans": "5/0", "entries": "5/0"}},
 		// like= reorders the classes but plans the same ones.
-		{"in=DNA&out=Acc&like=alpha", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "0", "chains": "hit", "plans": "5/0"}},
+		{"in=DNA&out=Acc&like=alpha", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "0", "chains": "hit", "plans": "5/0", "entries": "5/0"}},
 		// beta carries Note: the Seq->Acc group loses it and is re-split.
-		{"in=Seq&out=Acc&avoid=Note", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "1", "chains": "built", "plans": "0/2"}},
+		{"in=Seq&out=Acc&avoid=Note", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "1", "chains": "built", "plans": "0/2", "entries": "0/2"}},
+		{"in=Seq&out=Acc&avoid=Note", "", map[string]string{"view": "hit", "groups": "3", "repartitioned": "1", "chains": "built", "plans": "0/2", "entries": "0/2"}},
 		// trans carries Prot: its group empties and drops out.
-		{"in=DNA&out=Acc&avoid=Prot", "", map[string]string{"view": "hit", "groups": "2", "repartitioned": "0", "chains": "built", "plans": "0/3"}},
-		{"in=DNA&out=Acc", "delta", map[string]string{"view": "built", "groups": "2", "repartitioned": "0", "chains": "built", "plans": "0/4"}},
-		{"in=DNA&out=Acc", "", map[string]string{"view": "hit", "groups": "2", "repartitioned": "0", "chains": "hit", "plans": "4/0"}},
+		{"in=DNA&out=Acc&avoid=Prot", "", map[string]string{"view": "hit", "groups": "2", "repartitioned": "0", "chains": "built", "plans": "0/3", "entries": "0/3"}},
+		{"in=DNA&out=Acc", "delta", map[string]string{"view": "built", "groups": "2", "repartitioned": "0", "chains": "built", "plans": "0/4", "entries": "0/4"}},
+		{"in=DNA&out=Acc", "", map[string]string{"view": "hit", "groups": "2", "repartitioned": "0", "chains": "hit", "plans": "4/0", "entries": "4/0"}},
 	} {
 		if step.flip != "" {
 			if err := f.reg.SetAvailable(step.flip, false); err != nil {

@@ -22,13 +22,15 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	set  dataexample.Set
+	hash string
 	rep  *core.Report
 	err  error
 }
 
-// do runs fn once per concurrent burst of callers sharing key. shared
-// reports whether this caller received another caller's result.
-func (g *flightGroup) do(key string, fn func() (dataexample.Set, *core.Report, error)) (set dataexample.Set, rep *core.Report, err error, shared bool) {
+// do runs fn once per concurrent burst of callers sharing key. fn
+// returns a stored set with its content hash. shared reports whether
+// this caller received another caller's result.
+func (g *flightGroup) do(key string, fn func() (dataexample.Set, string, *core.Report, error)) (set dataexample.Set, hash string, rep *core.Report, err error, shared bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
@@ -36,16 +38,16 @@ func (g *flightGroup) do(key string, fn func() (dataexample.Set, *core.Report, e
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.set, c.rep, c.err, true
+		return c.set, c.hash, c.rep, c.err, true
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.set, c.rep, c.err = fn()
+	c.set, c.hash, c.rep, c.err = fn()
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.set, c.rep, c.err, false
+	return c.set, c.hash, c.rep, c.err, false
 }

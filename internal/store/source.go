@@ -58,32 +58,42 @@ func (s *Source) Generate(m *module.Module) (dataexample.Set, *core.Report, erro
 	return s.GenerateContext(context.Background(), m)
 }
 
-// GenerateContext is Generate with a context. Only the caller that
-// actually runs the generator propagates its context into the run;
-// followers deduplicated onto an in-flight generation share the leader's
-// result (and the leader's context). The store lookup and the flight are
-// recorded as a "store.generate" span when a tracer is attached.
+// GenerateContext is Generate with a context (see GenerateStored).
 func (s *Source) GenerateContext(ctx context.Context, m *module.Module) (dataexample.Set, *core.Report, error) {
-	if set, _, ok := s.st.Get(m.ID); ok {
-		return set, nil, nil
+	set, _, rep, err := s.GenerateStored(ctx, m)
+	return set, rep, err
+}
+
+// GenerateStored is GenerateContext also returning the set's content
+// hash, both from one stored record: a write landing between a Generate
+// and a Store.Hash call would pair one record's set with the next
+// record's hash. Only the caller that actually runs the generator
+// propagates its context into the run; followers deduplicated onto an
+// in-flight generation share the leader's result (and the leader's
+// context). The store lookup and the flight are recorded as a
+// "store.generate" span when a tracer is attached.
+func (s *Source) GenerateStored(ctx context.Context, m *module.Module) (dataexample.Set, string, *core.Report, error) {
+	if set, hash, ok := s.st.Get(m.ID); ok {
+		return set, hash, nil, nil
 	}
 	ctx, span := telemetry.StartSpan(ctx, "store.generate")
 	span.Annotate("module", m.ID)
-	set, rep, err, shared := s.flight.do(m.ID, func() (dataexample.Set, *core.Report, error) {
+	set, hash, rep, err, shared := s.flight.do(m.ID, func() (dataexample.Set, string, *core.Report, error) {
 		// Double-check under the flight: a previous leader may have landed
 		// the set between our miss and our takeoff.
-		if set, _, ok := s.st.Get(m.ID); ok {
-			return set, nil, nil
+		if set, hash, ok := s.st.Get(m.ID); ok {
+			return set, hash, nil, nil
 		}
 		s.runs.Add(1)
 		set, rep, err := core.GenerateWithContext(ctx, s.gen, m)
 		if err != nil {
-			return nil, rep, err
+			return nil, "", rep, err
 		}
-		if _, _, err := s.st.Put(m.ID, set); err != nil {
-			return nil, rep, err
+		hash, _, err := s.st.Put(m.ID, set)
+		if err != nil {
+			return nil, "", rep, err
 		}
-		return set, rep, nil
+		return set, hash, rep, nil
 	})
 	if shared {
 		s.sharedHits.Add(1)
@@ -91,7 +101,7 @@ func (s *Source) GenerateContext(ctx context.Context, m *module.Module) (dataexa
 	}
 	span.Fail(err)
 	span.End()
-	return set, rep, err
+	return set, hash, rep, err
 }
 
 // Refresh regenerates the module's examples unconditionally (bypassing
@@ -99,12 +109,14 @@ func (s *Source) GenerateContext(ctx context.Context, m *module.Module) (dataexa
 // persists the result. It reports whether the stored content actually
 // changed — re-annotation of a stable module is a content-hash no-op.
 func (s *Source) Refresh(m *module.Module) (set dataexample.Set, rep *core.Report, changed bool, err error) {
-	return s.RefreshContext(context.Background(), m)
+	set, _, rep, changed, err = s.RefreshStored(context.Background(), m)
+	return set, rep, changed, err
 }
 
-// RefreshContext is Refresh with a context, recorded as a
-// "store.refresh" span when a tracer is attached.
-func (s *Source) RefreshContext(ctx context.Context, m *module.Module) (set dataexample.Set, rep *core.Report, changed bool, err error) {
+// RefreshStored is Refresh with a context, also returning the content
+// hash of the record the refresh wrote (see GenerateStored). It is
+// recorded as a "store.refresh" span when a tracer is attached.
+func (s *Source) RefreshStored(ctx context.Context, m *module.Module) (set dataexample.Set, hash string, rep *core.Report, changed bool, err error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.refresh")
 	span.Annotate("module", m.ID)
 	defer func() {
@@ -112,25 +124,25 @@ func (s *Source) RefreshContext(ctx context.Context, m *module.Module) (set data
 		span.End()
 	}()
 	var didChange bool
-	set, rep, err, shared := s.flight.do("refresh\x00"+m.ID, func() (dataexample.Set, *core.Report, error) {
+	set, hash, rep, err, shared := s.flight.do("refresh\x00"+m.ID, func() (dataexample.Set, string, *core.Report, error) {
 		s.runs.Add(1)
 		set, rep, err := core.GenerateWithContext(ctx, s.gen, m)
 		if err != nil {
-			return nil, rep, err
+			return nil, "", rep, err
 		}
-		_, ch, err := s.st.Put(m.ID, set)
+		hash, ch, err := s.st.Put(m.ID, set)
 		if err != nil {
-			return nil, rep, err
+			return nil, "", rep, err
 		}
 		didChange = ch
-		return set, rep, nil
+		return set, hash, rep, nil
 	})
 	if shared {
 		s.sharedHits.Add(1)
 		span.Annotate("deduplicated", "true")
 		// A concurrent refresh did the work; whether the content changed
 		// belongs to that caller. For this one nothing further changed.
-		return set, rep, false, err
+		return set, hash, rep, false, err
 	}
-	return set, rep, didChange, err
+	return set, hash, rep, didChange, err
 }
