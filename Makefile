@@ -138,8 +138,7 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Eleven targets take about five and a half minutes, so ci does not run
-# it.
+# Twelve targets take about six minutes, so ci does not run it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \

@@ -78,7 +78,8 @@ func TestCatalogAllocBudget(t *testing.T) {
 // only orders the classes by their kept like= scores, ranks the memoised
 // plans and splices the entries kept with them into the encoded
 // envelope; its query is parsed once, limit= included. The budget is the
-// measured count (46) with under 10% headroom; before the plan memo the
+// measured count (47, one of them encodeJSONBody's exact-size copy of
+// the envelope) with under 10% headroom; before the plan memo the
 // same request allocated 493, 87 while limit= re-parsed the query, 81
 // while like= was scored afresh on every request, and 65 while each
 // plan's memoised workflow bytes were compacted and re-indented into a

@@ -170,11 +170,7 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 // single-node search when every contacted shard answers; a failed shard
 // degrades the response to a partial ranking flagged as such, and a
 // dead shard that owns no feasible candidate does not degrade it at all.
-func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module) {
-	limit, ok := parseLimitParam(w, r.URL.Query())
-	if !ok {
-		return
-	}
+func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module, limit int) {
 	id := target.ID
 	ctx, span := telemetry.StartSpan(r.Context(), "cluster.substitutes")
 	defer span.End()

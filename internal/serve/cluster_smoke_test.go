@@ -435,7 +435,7 @@ func TestClusterSubstitutesScatterSpan(t *testing.T) {
 		req := httptest.NewRequest(http.MethodGet, "/modules/"+id+"/substitutes", nil)
 		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
 		rec := httptest.NewRecorder()
-		srv.scatterSubstitutes(rec, req, m)
+		srv.scatterSubstitutes(rec, req, m, 0)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("substitutes(%s): status %d: %s", id, rec.Code, rec.Body)
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -142,15 +141,8 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.Annotate("entries", strconv.Itoa(kept)+"/"+strconv.Itoa(len(plans)-kept))
-	writeBody(w, body)
+	respond(w, http.StatusOK, answer{body: body})
 }
-
-// In a composeResponse body a plan object's braces sit at planIndent
-// and its fields one indent deeper; emptyPlans is an empty plan list as
-// encodeJSONBody renders it there.
-const planIndent = "    "
-
-var emptyPlans = []byte("\n  \"plans\": []")
 
 // renderComposePlan renders p as its /compose entry: the composePlan
 // object byte for byte as encodeJSONBody renders it inside a
@@ -158,21 +150,21 @@ var emptyPlans = []byte("\n  \"plans\": []")
 // compose.Plan.Rendered), so its workflow is saved, compacted and
 // re-indented once per catalog state.
 func renderComposePlan(p compose.Plan) ([]byte, error) {
-	return json.MarshalIndent(composePlan{
+	return encodeEntry(composePlan{
 		Chain:     p.Chain(),
 		Steps:     p.Steps,
 		Verified:  p.Verified,
 		Witness:   p.Witness,
 		Rationale: p.Rationale,
 		Workflow:  p.WorkflowJSON(),
-	}, planIndent, "  ")
+	}, 1)
 }
 
 // composeBody renders the /compose body of plans, byte for byte as
 // encodeJSONBody renders their composeResponse, and counts the plans
 // whose entries were kept: it encodes the envelope around an empty plan
-// list, splices each plan's entry in between its brackets and ends the
-// body with a newline. failed, when not empty, marks the answer partial.
+// list and splices each plan's entry in between its brackets. failed,
+// when not empty, marks the answer partial.
 func composeBody(in, out string, plans []compose.Plan, failed []string) (body []byte, kept int, err error) {
 	entries := make([][]byte, len(plans))
 	for i, p := range plans {
@@ -184,32 +176,14 @@ func composeBody(in, out string, plans []compose.Plan, failed []string) (body []
 			kept++
 		}
 	}
-	skel, err := json.MarshalIndent(composeResponse{
+	skel, err := encodeJSONBody(composeResponse{
 		In: in, Out: out, Plans: []composePlan{}, Count: len(plans),
 		Partial: len(failed) > 0, FailedModules: failed,
-	}, "", "  ")
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	at := bytes.Index(skel, emptyPlans) + len(emptyPlans) - 1 // the closing ]
-	size := len(skel) + len("\n\n  ")
-	for _, e := range entries {
-		size += len(",\n"+planIndent) + len(e)
-	}
-	body = make([]byte, 0, size)
-	body = append(body, skel[:at]...)
-	for i, e := range entries {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, "\n"+planIndent...)
-		body = append(body, e...)
-	}
-	if len(entries) > 0 {
-		body = append(body, "\n  "...)
-	}
-	body = append(body, skel[at:]...)
-	return append(body, '\n'), kept, nil
+	return splice(skel, "plans", 1, entries), kept, nil
 }
 
 // viewKey is the catalog state a /compose view reflects: the

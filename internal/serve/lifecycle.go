@@ -102,7 +102,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	events, next := log.Since(cursor, limit)
-	writeJSON(w, http.StatusOK, eventsResponse{Events: events, Cursor: next, Total: total})
+	respondJSON(w, http.StatusOK, lifecycleETag(total), eventsResponse{Events: events, Cursor: next, Total: total})
 }
 
 // parseCursor reads the resume cursor from ?cursor=, falling back to an
@@ -159,15 +159,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if quiet {
-		w.Header().Set("ETag", lifecycleETag(cursor))
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusNotModified)
+		respond(w, http.StatusNotModified, answer{etag: lifecycleETag(cursor)})
 		return
 	}
 	events, next := log.Since(cursor, 0)
-	w.Header().Set("ETag", lifecycleETag(next))
-	w.Header().Set("Cache-Control", "no-cache")
-	writeJSON(w, http.StatusOK, eventsResponse{Events: events, Cursor: next, Total: log.Seq()})
+	respondJSON(w, http.StatusOK, lifecycleETag(next), eventsResponse{Events: events, Cursor: next, Total: log.Seq()})
 }
 
 type repairsResponse struct {

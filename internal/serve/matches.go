@@ -1,18 +1,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 
-	"dexa/internal/cluster"
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
 	"dexa/internal/module"
@@ -173,27 +170,26 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) {
 			span.Annotate("sets", strconv.Itoa(src.sets))
 		}()
 	}
-	if len(src.failed) == 0 && notModified(w, r, `"`+src.state+`"`) {
+	etag := `"` + src.state + `"`
+	if len(src.failed) == 0 && notModified(w, r, etag) {
 		return
 	}
 
 	// A partial state round names fewer shards than a complete one, so
-	// its key never equals a kept (complete) answer's.
-	body, _, err := s.matches.get(src.state, func() ([]byte, bool, error) {
+	// its key never equals a kept (complete) answer's. A gather can fail
+	// shards too; a partial answer carries no validator.
+	a, _, err := s.matches.get(src.state, func() (answer, bool, error) {
 		body, err := s.buildMatches(ctx, src)
-		return body, len(src.failed) == 0, err
+		if len(src.failed) > 0 {
+			return answer{body: body}, false, err
+		}
+		return answer{body: body, etag: etag}, true, err
 	})
-	if err != nil || len(src.failed) > 0 {
-		// The validator went out before the build; only a complete
-		// answer keeps it.
-		w.Header().Del("ETag")
-		w.Header().Del("Cache-Control")
-	}
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeBody(w, body)
+	respond(w, http.StatusOK, a)
 }
 
 // buildMatches loads src's sets, builds the matrix from them and encodes
@@ -219,19 +215,6 @@ type matrixBuilder struct {
 	cells []match.MatrixCell // the last body's cells, in (target, candidate) order
 	frags [][]byte           // frags[i]: cells[i] as encoded in the last body
 }
-
-// emptyCells is an empty cell list as encodeJSONBody renders it inside
-// a matchesResponse. A raw newline never occurs inside an encoded
-// string, so it matches only the matrix's own cells field.
-var emptyCells = []byte("\n    \"cells\": []")
-
-// In a matchesResponse body a cell object's braces sit at cellIndent
-// (its fields one indent deeper), and the cell list's closing bracket
-// starts a line at cellsClose.
-const (
-	cellIndent = "      "
-	cellsClose = "\n    "
-)
 
 // body builds the matrix over mods and source and returns resp carrying
 // it, rendered byte for byte as encodeJSONBody renders it. keep says
@@ -260,11 +243,10 @@ func (b *matrixBuilder) body(ctx context.Context, cmp *match.Comparer, mods []*m
 	skeleton.Cells = []match.MatrixCell{}
 	resp.Matrix = &skeleton
 	skel, err := encodeJSONBody(resp)
-	if err != nil || len(mm.Cells) == 0 {
-		return skel, err
+	if err != nil {
+		return nil, err
 	}
 	frags := make([][]byte, len(mm.Cells))
-	size := len(skel) + len(cellsClose)
 	j := 0
 	for i, c := range mm.Cells {
 		for j < len(b.cells) && (b.cells[j].Target < c.Target ||
@@ -273,58 +255,23 @@ func (b *matrixBuilder) body(ctx context.Context, cmp *match.Comparer, mods []*m
 		}
 		if j < len(b.cells) && b.cells[j] == c {
 			frags[i] = b.frags[j]
-		} else if frags[i], err = json.MarshalIndent(c, cellIndent, "  "); err != nil {
+		} else if frags[i], err = encodeEntry(c, 2); err != nil {
 			return nil, err
 		}
-		size += len(",\n"+cellIndent) + len(frags[i])
 	}
-	at := bytes.Index(skel, emptyCells) + len(emptyCells) - 1 // the closing ]
-	body := make([]byte, 0, size)
-	body = append(body, skel[:at]...)
-	for i, f := range frags {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, "\n"+cellIndent...)
-		body = append(body, f...)
-		frags[i] = body[len(body)-len(f) : len(body) : len(body)]
-	}
-	body = append(body, cellsClose...)
-	body = append(body, skel[at:]...)
+	body := splice(skel, "cells", 2, frags)
 	b.cells, b.frags = mm.Cells, frags
 	return body, nil
 }
 
-// writeBody writes pre-encoded JSON bytes as a 200.
-func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-// encodeJSONBody renders v exactly as writeJSON does (two-space indent,
-// trailing newline, HTML-escaped), so cached bytes are indistinguishable
-// from a per-request encode. The body's capacity is exactly its length:
-// appending the newline to MarshalIndent's slice can reallocate it with
-// spare capacity, and memos keep these bodies as long as their keys hold.
-func encodeJSONBody(v any) ([]byte, error) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(body)+1)
-	copy(out, body)
-	out[len(body)] = '\n'
-	return out, nil
-}
-
 // subsAnswer is what a target's /substitutes keeps per subsKey: the
-// ranking and the skipped candidates in wire form, and the whole body,
-// encoded once, which every request without a truncating limit= writes.
+// answer, encoded once, for every request without a truncating limit=,
+// and for one with it the envelope around an empty ranking and each
+// entry's fragment, which points into the answer's body.
 type subsAnswer struct {
-	ranked  []cluster.SubstituteEntry
-	skipped []cluster.SkippedEntry
-	body    []byte
+	answer
+	skel  []byte
+	frags [][]byte
 }
 
 // warmedSubstitutes returns the target's substitute answer at key: the
@@ -338,12 +285,21 @@ func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, set d
 		if err != nil {
 			return subsAnswer{}, false, err
 		}
-		var a subsAnswer
-		a.ranked, a.skipped = substituteEntries(subs.Ranked, subs.Skipped)
-		a.body, err = encodeJSONBody(substitutesResponse{
-			Target: target.ID, Hash: key.hash, Substitutes: a.ranked, Skipped: a.skipped,
-		})
-		return a, true, err
+		ranked, skipped := substituteEntries(subs.Ranked, subs.Skipped)
+		// An empty ranking is nil: it encodes as null, and nothing is spliced.
+		a := subsAnswer{frags: make([][]byte, len(ranked))}
+		if a.skel, err = encodeJSONBody(substitutesResponse{
+			Target: target.ID, Hash: key.hash, Substitutes: ranked[:0], Skipped: skipped,
+		}); err != nil {
+			return subsAnswer{}, false, err
+		}
+		for i, e := range ranked {
+			if a.frags[i], err = encodeEntry(e, 1); err != nil {
+				return subsAnswer{}, false, err
+			}
+		}
+		a.answer = answer{body: splice(a.skel, "substitutes", 1, a.frags), etag: key.etag()}
+		return a, true, nil
 	})
 	s.memoMetrics().subs.record(hit)
 	return ans, err

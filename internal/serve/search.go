@@ -28,8 +28,8 @@ import (
 // revalidates with 304. A catalog mutation between pages answers 410
 // with {"restart": true} — the cursor is bound to the index generation
 // and silently resuming over a shifted ranking would skip or duplicate
-// hits. In cluster mode the query scatter-gathers across the ring (see
-// scatterSearch); otherwise it runs on the local index.
+// hits. In cluster mode the query scatter-gathers across the ring;
+// otherwise it runs on the local index.
 
 // defaultSearchLimit pages /search when no ?limit= is given.
 const defaultSearchLimit = 20
@@ -88,12 +88,33 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	span.Annotate("query", raw)
 	defer span.End()
 
+	// In cluster mode behaves: anchors resolve on their owner shards, the
+	// query fans out with the anchors attached, each shard answers its
+	// owned slice against its full-catalog index — identical postings
+	// statistics on every shard — and the merged ranking equals the
+	// single-node one. It is paginated by the same cursor machinery, bound
+	// to the cluster-wide generation (every shard's index generation), so
+	// any shard's index moving between pages expires the walk as a local
+	// mutation would.
+	var (
+		page  search.Page
+		state string // what the ETag binds to besides the page's query
+		resp  = searchResponse{Query: raw}
+	)
 	if s.clusterMode() {
-		s.scatterSearch(w, r, raw, q, limit, cursor)
-		return
+		var res *cluster.SearchResult
+		if res, err = s.Cluster.Router.Search(r.Context(), raw, q.Behaves); err != nil {
+			writeError(w, http.StatusBadGateway, "cluster search: %v", err)
+			return
+		}
+		h := fnv.New64a()
+		h.Write([]byte(res.StateKey))
+		page, err = search.PaginateHits(res.Hits, h.Sum64(), q.Key(), limit, cursor)
+		state, resp.Partial, resp.FailedShards = res.StateKey, res.Partial, res.FailedShards
+	} else {
+		page, err = s.SearchIndex.Search(q, limit, cursor)
+		state = fmt.Sprintf("%d", page.Generation)
 	}
-
-	page, err := s.SearchIndex.Search(q, limit, cursor)
 	if errors.Is(err, search.ErrCursorExpired) {
 		writeCursorExpired(w)
 		return
@@ -102,63 +123,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if notModified(w, r, `"`+searchETag(fmt.Sprintf("%d", page.Generation), q.Key(), cursor, limit)+`"`) {
-		return
-	}
-	writeJSON(w, http.StatusOK, searchResponse{
-		Query:      raw,
-		Hits:       page.Hits,
-		Count:      len(page.Hits),
-		Total:      page.Total,
-		NextCursor: page.NextCursor,
-		Generation: page.Generation,
-	})
-}
-
-// scatterSearch is the cluster-mode /search: behaves: anchors resolve on
-// their owner shards, the query fans out with the anchors attached, each
-// shard answers its owned slice against its full-catalog index, and the
-// merged ranking — identical postings statistics on every shard — equals
-// the single-node ranking. The merged list is paginated with the same
-// cursor machinery the local path uses; the cursor binds to the
-// cluster-wide generation (every shard's index generation), so any
-// shard's index moving between pages expires the walk just as a local
-// mutation would.
-func (s *Server) scatterSearch(w http.ResponseWriter, r *http.Request, raw string, q search.Query, limit int, cursor string) {
-	res, err := s.Cluster.Router.Search(r.Context(), raw, q.Behaves)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster search: %v", err)
-		return
-	}
-	h := fnv.New64a()
-	h.Write([]byte(res.StateKey))
-	gen := h.Sum64()
-	page, err := search.PaginateHits(res.Hits, gen, q.Key(), limit, cursor)
-	if errors.Is(err, search.ErrCursorExpired) {
-		writeCursorExpired(w)
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	resp.Hits, resp.Count, resp.Total = page.Hits, len(page.Hits), page.Total
+	resp.NextCursor, resp.Generation = page.NextCursor, page.Generation
 	// A partial ranking must not 304 against a complete one, so only
 	// complete results carry the validator.
-	if !res.Partial {
-		if notModified(w, r, `"`+searchETag(res.StateKey, q.Key(), cursor, limit)+`"`) {
+	etag := ""
+	if !resp.Partial {
+		etag = `"` + searchETag(state, q.Key(), cursor, limit) + `"`
+		if notModified(w, r, etag) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, searchResponse{
-		Query:        raw,
-		Hits:         page.Hits,
-		Count:        len(page.Hits),
-		Total:        page.Total,
-		NextCursor:   page.NextCursor,
-		Generation:   page.Generation,
-		Partial:      res.Partial,
-		FailedShards: res.FailedShards,
-	})
+	respondJSON(w, http.StatusOK, etag, resp)
 }
 
 // handleClusterSearch is the shard side of the scatter (POST

@@ -42,13 +42,11 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"dexa/internal/cluster"
@@ -105,18 +103,18 @@ type Server struct {
 	// Every answer derived from catalog state is memoised on a key that
 	// moves whenever the answer may change (see versioned), so stored
 	// annotations, availability flips and signature changes invalidate
-	// them without any hook: the matrix state key, the /catalog body and
-	// the /compose view per catalogVersion (its memoised plans keep their
-	// rendered /compose entries, see renderComposePlan), the /matches
-	// body per state key, each target's /substitutes answer per subsKey,
-	// and each module's /examples body per examplesKey.
+	// them without any hook: the matrix state key, the /catalog answer
+	// and the /compose view per catalogVersion (its memoised plans keep
+	// their rendered /compose entries, see renderComposePlan), the
+	// /matches answer per state key, each target's /substitutes answer
+	// per subsKey, and each module's /examples answer per examplesKey.
 	stateKey versioned[catalogVersion, string]
-	catalog  versioned[catalogVersion, etagged]
-	matches  versioned[string, []byte]
+	catalog  versioned[catalogVersion, answer]
+	matches  versioned[string, answer]
 	matrix   matrixBuilder // what a /matches build keeps for the next
 	view     versioned[viewKey, *compose.View]
 	subs     sync.Map // target module ID -> *versioned[subsKey, subsAnswer]
-	examples sync.Map // module ID -> *versioned[examplesKey, []byte]
+	examples sync.Map // module ID -> *versioned[examplesKey, answer]
 
 	memoOnce  sync.Once
 	memoStats memoCounters
@@ -203,18 +201,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // lookup resolves the path's module ID against the registry, reading
 // the module and its availability together under the registry lock.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (m *module.Module, available, ok bool) {
@@ -240,20 +226,14 @@ type catalogEntry struct {
 	Hash     string `json:"hash,omitempty"`
 }
 
-// etagged is an encoded answer body with its validator.
-type etagged struct {
-	body []byte
-	etag string
-}
-
 // handleCatalog serves the catalog listing, encoded once per
 // catalogVersion. Its ETag hashes the bytes, so nodes holding the same
 // catalog agree on it.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	cat, _, err := s.catalog.get(s.catalogVersion(), func() (etagged, bool, error) {
+	cat, _, err := s.catalog.get(s.catalogVersion(), func() (answer, bool, error) {
 		body, err := encodeJSONBody(s.catalogListing())
 		sum := sha256.Sum256(body)
-		return etagged{body: body, etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, true, err
+		return answer{body: body, etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, true, err
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding catalog: %v", err)
@@ -262,7 +242,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	if notModified(w, r, cat.etag) {
 		return
 	}
-	writeBody(w, cat.body)
+	respond(w, http.StatusOK, cat)
 }
 
 // catalogListing is the /catalog body: every registered module in ID
@@ -367,36 +347,6 @@ type examplesResponse struct {
 	Examples dataexample.Set `json:"examples"`
 }
 
-// etagMatches implements the If-None-Match comparison: a literal "*"
-// matches anything, otherwise any listed entity tag must equal ours
-// (weak validators compare equal under the weak comparison HTTP caching
-// uses).
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// notModified sets the validator headers of a conditional read — the
-// ETag and Cache-Control: no-cache — and answers 304 when the request's
-// If-None-Match matches, reporting whether it did.
-func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Cache-Control", "no-cache")
-	if !etagMatches(r.Header.Get("If-None-Match"), etag) {
-		return false
-	}
-	w.WriteHeader(http.StatusNotModified)
-	return true
-}
-
 // examplesKey is what a module's /examples body depends on: its stored
 // record's content hash and version. Equal hashes mean equal canonical
 // bytes, so the pair fixes the body; a version restarts at 1 after a
@@ -422,22 +372,23 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate to annotate it)", m.ID)
 		return
 	}
-	if notModified(w, r, `"`+hash+`"`) {
+	etag := `"` + hash + `"`
+	if notModified(w, r, etag) {
 		return
 	}
-	memo := memoFor[examplesKey, []byte](&s.examples, m.ID)
-	body, hit, err := memo.get(examplesKey{hash, version}, func() ([]byte, bool, error) {
+	memo := memoFor[examplesKey, answer](&s.examples, m.ID)
+	a, hit, err := memo.get(examplesKey{hash, version}, func() (answer, bool, error) {
 		body, err := encodeJSONBody(examplesResponse{
 			Module: m.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
 		})
-		return body, true, err
+		return answer{body: body, etag: etag}, true, err
 	})
 	s.memoMetrics().examples.record(hit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding examples for %s: %v", m.ID, err)
 		return
 	}
-	writeBody(w, body)
+	respond(w, http.StatusOK, a)
 }
 
 type generateResponse struct {
@@ -488,8 +439,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, "generating examples for %s: %v", m.ID, err)
 		return
 	}
-	w.Header().Set("ETag", `"`+hash+`"`)
-	writeJSON(w, http.StatusOK, generateResponse{
+	respondJSON(w, http.StatusOK, `"`+hash+`"`, generateResponse{
 		Module: m.ID, Hash: hash, Count: len(set), Cached: !changed, Changed: changed, Examples: set,
 	})
 }
@@ -530,17 +480,19 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "substitute search is not enabled on this server")
 		return
 	}
+	// limit= is read before the cluster branch, so a malformed one
+	// answers 400 on a single node and a shard alike.
+	limit, ok := parseLimitParam(w, r.URL.Query())
+	if !ok {
+		return
+	}
 	if s.clusterMode() {
-		s.scatterSubstitutes(w, r, m)
+		s.scatterSubstitutes(w, r, m, limit)
 		return
 	}
 	set, hash, ok := s.Store.Get(m.ID)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
-		return
-	}
-	limit, ok := parseLimitParam(w, r.URL.Query())
-	if !ok {
 		return
 	}
 	key := s.subsKey(hash)
@@ -552,13 +504,13 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, "substitute search for %s: %v", m.ID, err)
 		return
 	}
-	if limit == 0 || limit >= len(ans.ranked) {
-		writeBody(w, ans.body)
+	if limit == 0 || limit >= len(ans.frags) {
+		respond(w, http.StatusOK, ans.answer)
 		return
 	}
-	writeJSON(w, http.StatusOK, substitutesResponse{
-		Target: m.ID, Hash: hash, Substitutes: ans.ranked[:limit], Skipped: ans.skipped,
-	})
+	// The kept fragments stay where they are: splice repoints a copy.
+	body := splice(ans.skel, "substitutes", 1, slices.Clone(ans.frags[:limit]))
+	respond(w, http.StatusOK, answer{body: body, etag: ans.etag})
 }
 
 // substituteEntries renders ranked candidates and skipped ones in the

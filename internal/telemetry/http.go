@@ -191,8 +191,8 @@ func (h *HTTPInstrument) Route(route string, next http.Handler) http.Handler {
 	})
 }
 
-// writeJSON is the compact JSON response helper shared by the telemetry
-// handlers.
+// writeJSON is the JSON response helper shared by the telemetry
+// handlers: two-space indent and a trailing newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
