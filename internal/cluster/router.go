@@ -102,33 +102,47 @@ func (rt *Router) timeout() time.Duration {
 
 // call performs one bounded JSON round trip against a shard's API.
 func (rt *Router) call(ctx context.Context, method, base, path string, in, out any) error {
+	_, err := rt.callIf(ctx, method, base, path, "", in, out)
+	return err
+}
+
+// callIf is call made conditional on etag when it is not empty: the
+// request carries If-None-Match, and a 304 reports modified false and
+// leaves out untouched.
+func (rt *Router) callIf(ctx context.Context, method, base, path, etag string, in, out any) (modified bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.timeout())
 	defer cancel()
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return false, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, base+rt.prefix()+path, body)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
 	resp, err := rt.client().Do(req)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
+	if etag != "" && resp.StatusCode == http.StatusNotModified {
+		return false, nil
+	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Endpoint: base + path, Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
+		return false, &StatusError{Endpoint: base + path, Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return true, json.NewDecoder(resp.Body).Decode(out)
 }
 
 // StatusError is a shard's non-200 answer to an intra-cluster call.
@@ -197,20 +211,34 @@ func fanOut[T any](rt *Router, ctx context.Context, shards []ShardConfig, endpoi
 // shard (the public examples endpoint, so the owner's ETag cache and
 // access instrumentation see the read).
 func (rt *Router) FetchExamples(ctx context.Context, moduleID string) (StoredSet, error) {
+	ss, _, err := rt.FetchExamplesIfChanged(ctx, moduleID, "")
+	return ss, err
+}
+
+// FetchExamplesIfChanged is FetchExamples revalidating the content hash
+// the caller holds: the owner answers 304 while its stored set still has
+// that hash, and then changed is false and no set moves or is decoded.
+// An empty hash fetches unconditionally.
+func (rt *Router) FetchExamplesIfChanged(ctx context.Context, moduleID, hash string) (ss StoredSet, changed bool, err error) {
 	owner := rt.Owner(moduleID)
 	if owner.URL == "" {
-		return StoredSet{}, fmt.Errorf("cluster: no shard owns %q", moduleID)
+		return StoredSet{}, false, fmt.Errorf("cluster: no shard owns %q", moduleID)
 	}
 	var resp struct {
 		Hash     string          `json:"hash"`
 		Version  uint64          `json:"version"`
 		Examples dataexample.Set `json:"examples"`
 	}
-	path := "/modules/" + url.PathEscape(moduleID) + "/examples"
-	if err := rt.call(ctx, http.MethodGet, strings.TrimSuffix(owner.URL, "/"), path, nil, &resp); err != nil {
-		return StoredSet{}, fmt.Errorf("cluster: fetching examples of %s from %s: %w", moduleID, owner.Name, err)
+	etag := ""
+	if hash != "" {
+		etag = `"` + hash + `"`
 	}
-	return StoredSet{Hash: resp.Hash, Version: resp.Version, Examples: resp.Examples}, nil
+	path := "/modules/" + url.PathEscape(moduleID) + "/examples"
+	changed, err = rt.callIf(ctx, http.MethodGet, strings.TrimSuffix(owner.URL, "/"), path, etag, nil, &resp)
+	if err != nil {
+		return StoredSet{}, false, fmt.Errorf("cluster: fetching examples of %s from %s: %w", moduleID, owner.Name, err)
+	}
+	return StoredSet{Hash: resp.Hash, Version: resp.Version, Examples: resp.Examples}, changed, nil
 }
 
 // Substitutes scatter-gathers a substitute search: the candidate list is

@@ -32,8 +32,11 @@ import (
 // (answers are byte-identical to a single node holding the whole
 // catalog; failed shards degrade the response to a partial one instead
 // of failing it), while /examples and /generate for a module another
-// shard owns answer 307 to the owner. A follower node mounts
-// /cluster/info only and serves its replicated slice read-only.
+// shard owns answer 307 to the owner. /substitutes keeps each target's
+// complete answer as a single node does and, warm, only revalidates the
+// target's examples with their owner by one conditional fetch. A
+// follower node mounts /cluster/info only and serves its replicated
+// slice read-only.
 
 func (s *Server) clusterRoutes() []route {
 	rts := []route{
@@ -158,80 +161,109 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// scatterSubstitutes is the cluster-mode /modules/{id}/substitutes: the
-// target's examples come from the local store (owned) or the owner shard
-// (not owned), and the candidate catalog is pruned feasibility-first
-// before it is partitioned by ring owner. Signatures are catalog
-// metadata every node holds, so this node's CatalogIndex prunes exactly
-// the candidates each shard's own FindSubstitutes would — candidates
-// that could only come back Incomparable, which neither rank nor skip —
-// and only shards owning a feasible candidate are contacted (none when
-// no candidate is feasible). The merged ranking is byte-identical to the
-// single-node search when every contacted shard answers; a failed shard
-// degrades the response to a partial ranking flagged as such, and a
-// dead shard that owns no feasible candidate does not degrade it at all.
+// scatterSubstitutes is the cluster-mode /modules/{id}/substitutes. It
+// answers through the single node's warmedSubstitutes, on the same
+// subsKey: the ranking reads only the target's stored set and live
+// invocations of candidates chosen from this node's registry and
+// signature index, never this shard's store. The target's hash comes
+// from the local store (owned) or its owner shard (not owned), where
+// the hash of the kept answer is revalidated by one conditional fetch:
+// a 304 moves no set, and the kept bytes answer without a scatter. The
+// owner is asked warm or cold, so a dead owner fails the request with
+// 502 rather than serve a ranking it could not revalidate.
+//
+// On a miss the candidate catalog is pruned feasibility-first before it
+// is partitioned by ring owner. Signatures are catalog metadata every
+// node holds, so this node's CatalogIndex prunes exactly the candidates
+// each shard's own FindSubstitutes would — candidates that could only
+// come back Incomparable, which neither rank nor skip — and only shards
+// owning a feasible candidate are contacted (none when no candidate is
+// feasible). The merged ranking is byte-identical to the single-node
+// search when every contacted shard answers; a failed shard degrades
+// the response to a partial ranking flagged as such, which is neither
+// validated nor kept, and a dead shard that owns no feasible candidate
+// does not degrade it at all.
 func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module, limit int) {
 	id := target.ID
 	ctx, span := telemetry.StartSpan(r.Context(), "cluster.substitutes")
 	defer span.End()
 	span.Annotate("target", id)
-	var (
-		hash     string
-		examples dataexample.Set
-	)
+	key := s.subsKey("")
+	var examples dataexample.Set
 	if s.Cluster.Owns(id) {
-		set, h, ok := s.Store.Get(id)
+		set, hash, ok := s.Store.Get(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", id)
 			return
 		}
-		hash, examples = h, set
+		key.hash, examples = hash, set
 	} else {
-		ss, err := s.Cluster.Router.FetchExamples(ctx, id)
+		// Only an answer kept at this key's generations can be served
+		// after a 304; for any other the set must move.
+		held := ""
+		if k, ok := memoFor[subsKey, subsAnswer](&s.subs, id).kept(); ok && k.registry == key.registry && k.index == key.index {
+			held = k.hash
+		}
+		ss, changed, err := s.Cluster.Router.FetchExamplesIfChanged(ctx, id, held)
 		if err != nil {
-			status := http.StatusBadGateway
-			if cluster.IsNotFound(err) {
-				status = http.StatusNotFound
-			}
-			writeError(w, status, "%v", err)
+			writeError(w, fetchStatus(err), "%v", err)
 			return
 		}
-		hash, examples = ss.Hash, ss.Examples
-	}
-	var feas *match.Feasibility
-	if ix := s.Comparer.Index; ix != nil {
-		feas = ix.Feasibility(target, s.Comparer.Mode)
-	}
-	avail := s.Registry.Available()
-	considered := 0
-	candidates := make([]string, 0, len(avail))
-	for _, m := range avail {
-		if m.ID == id {
-			continue
-		}
-		considered++
-		if !feas.Prunes(m.ID) {
-			candidates = append(candidates, m.ID)
+		key.hash = held
+		if changed {
+			key.hash, examples = ss.Hash, ss.Examples
 		}
 	}
-	if span != nil {
-		span.Annotate("candidates", strconv.Itoa(considered))
-		span.Annotate("feasible", strconv.Itoa(len(candidates)))
-		span.Annotate("shards", strings.Join(s.ownersOf(candidates), ","))
-	}
-	res, err := s.Cluster.Router.Substitutes(ctx, id, hash, examples, candidates)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "cluster substitute search for %s: %v", id, err)
-		return
-	}
-	ranked := res.Substitutes
-	if limit > 0 && len(ranked) > limit {
-		ranked = ranked[:limit]
-	}
-	writeJSON(w, http.StatusOK, substitutesResponse{
-		Target: id, Hash: hash, Substitutes: ranked, Skipped: res.Skipped,
-		Partial: res.Partial, FailedShards: res.FailedShards,
+	s.warmedSubstitutes(w, r, id, limit, key, func() (substitutesResponse, error) {
+		hash := key.hash
+		if examples == nil {
+			// The owner confirmed the kept hash, but the memo moved on
+			// before this request read it: fetch the set after all.
+			ss, err := s.Cluster.Router.FetchExamples(ctx, id)
+			if err != nil {
+				return substitutesResponse{}, err
+			}
+			hash, examples = ss.Hash, ss.Examples
+		}
+		var feas *match.Feasibility
+		if ix := s.Comparer.Index; ix != nil {
+			feas = ix.Feasibility(target, s.Comparer.Mode)
+		}
+		avail := s.Registry.Available()
+		considered := 0
+		candidates := make([]string, 0, len(avail))
+		for _, m := range avail {
+			if m.ID == id {
+				continue
+			}
+			considered++
+			if !feas.Prunes(m.ID) {
+				candidates = append(candidates, m.ID)
+			}
+		}
+		if span != nil {
+			span.Annotate("candidates", strconv.Itoa(considered))
+			span.Annotate("feasible", strconv.Itoa(len(candidates)))
+			span.Annotate("shards", strings.Join(s.ownersOf(candidates), ","))
+		}
+		res, err := s.Cluster.Router.Substitutes(ctx, id, hash, examples, candidates)
+		if err != nil {
+			return substitutesResponse{}, err
+		}
+		return substitutesResponse{
+			Target: id, Hash: hash, Substitutes: res.Substitutes, Skipped: res.Skipped,
+			Partial: res.Partial, FailedShards: res.FailedShards,
+		}, nil
 	})
+}
+
+// fetchStatus is the status a failed read of an owner shard answers: the
+// owner's 404 passes through, anything else is a 502.
+func fetchStatus(err error) int {
+	if cluster.IsNotFound(err) {
+		return http.StatusNotFound
+	}
+	return http.StatusBadGateway
 }
 
 // ownersOf names, in membership order, the shards that own at least one

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -38,27 +39,41 @@ type fullCatalog struct {
 type shardCall struct{ shard, path string }
 
 // shardCalls is an http.RoundTripper that counts the calls each shard
-// receives, by shard and path.
+// receives, by shard and path, and those it answered 304.
 type shardCalls struct {
 	shardOf map[string]string // host:port → shard name
 	mu      sync.Mutex
 	got     map[shardCall]int
+	got304  map[shardCall]int
 }
 
 func (c *shardCalls) RoundTrip(req *http.Request) (*http.Response, error) {
+	call := shardCall{c.shardOf[req.URL.Host], strings.TrimPrefix(req.URL.Path, "/api")}
 	c.mu.Lock()
-	c.got[shardCall{c.shardOf[req.URL.Host], strings.TrimPrefix(req.URL.Path, "/api")}]++
+	c.got[call]++
 	c.mu.Unlock()
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusNotModified {
+		c.mu.Lock()
+		c.got304[call]++
+		c.mu.Unlock()
+	}
+	return resp, err
 }
 
 // take returns the calls counted since the last take and resets them.
 func (c *shardCalls) take() map[shardCall]int {
+	got, _ := c.takeAll()
+	return got
+}
+
+// takeAll is take that also returns the calls answered 304.
+func (c *shardCalls) takeAll() (got, got304 map[shardCall]int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	got := c.got
-	c.got = map[shardCall]int{}
-	return got
+	got, got304 = c.got, c.got304
+	c.got, c.got304 = map[shardCall]int{}, map[shardCall]int{}
+	return got, got304
 }
 
 // onPath picks the per-shard counts of one path out of taken calls.
@@ -109,7 +124,7 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := &shardCalls{shardOf: map[string]string{}, got: map[shardCall]int{}}
+	calls := &shardCalls{shardOf: map[string]string{}, got: map[shardCall]int{}, got304: map[shardCall]int{}}
 	for _, sh := range cfg.Shards {
 		calls.shardOf[strings.TrimPrefix(sh.URL, "http://")] = sh.Name
 	}
@@ -414,6 +429,119 @@ func TestClusterSubstitutesContactsFeasibleOwners(t *testing.T) {
 	if reach[0] == 0 {
 		t.Fatal("no target without feasible candidates — the zero-contact case went untested")
 	}
+}
+
+// TestClusterSubstitutesWarm: a warm scatter /substitutes answers from
+// kept bytes and crosses the network only to revalidate the target's
+// examples. Every target is asked of every shard twice; the second time
+// a shard owning the target makes no intra-cluster call, and any other
+// shard makes one, a GET of the target's examples that its owner answers
+// 304, and scatters nothing. Both answers equal the single node's. When
+// the owner stores a new set, a non-owning shard's next answer ranks it
+// and carries its hash; a partial answer, with a candidate's shard down,
+// is not kept, so the first answer after the shard recovers is complete.
+func TestClusterSubstitutesWarm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster scatter skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	get := func(name, id string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(fc.nodes[name].ts.URL + "/api/modules/" + id + "/substitutes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, resp.StatusCode, body)
+		}
+		return resp, body
+	}
+	oracle := func(id string) []byte {
+		t.Helper()
+		_, want := fetch(t, fc.oracle.ts.URL+"/api/modules/"+id+"/substitutes")
+		return want
+	}
+	for _, id := range fc.ids {
+		want := oracle(id)
+		owner := fc.ring.Owner(id)
+		for _, name := range fc.names {
+			for read := 0; read < 2; read++ {
+				fc.calls.take()
+				_, got := get(name, id)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("substitutes(%s) via %s (read %d) differs from the oracle:\n got: %s\nwant: %s", id, name, read, got, want)
+				}
+			}
+			calls, revalidated := fc.calls.takeAll()
+			wantCalls := map[shardCall]int{}
+			if name != owner {
+				wantCalls[shardCall{owner, "/modules/" + id + "/examples"}] = 1
+			}
+			if !reflect.DeepEqual(calls, wantCalls) || !reflect.DeepEqual(revalidated, wantCalls) {
+				t.Fatalf("warm substitutes(%s) via %s made calls %v (304: %v), want %v answered 304", id, name, calls, revalidated, wantCalls)
+			}
+		}
+	}
+
+	// A target with three examples or more and a feasible candidate on
+	// s3, asked of s2 while s1 owns it.
+	var target string
+	for _, id := range fc.ids {
+		set, _, _ := fc.nodes["s1"].st.Get(id)
+		if owners, _ := fc.feasibleOwners(t, id); fc.ring.Owner(id) == "s1" && owners["s3"] && len(set) > 2 {
+			target = id
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("no target on s1 with three examples and a feasible candidate on s3")
+	}
+	full, _, _ := fc.nodes["s1"].st.Get(target)
+	regenerate := func(n int) string {
+		t.Helper()
+		for _, st := range []*store.Store{fc.nodes["s1"].st, fc.oracle.st} {
+			if _, _, err := st.Put(target, full[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hash, _ := fc.oracle.st.Hash(target)
+		return hash
+	}
+	check := func(step, hash string) {
+		t.Helper()
+		fc.calls.take()
+		resp, got := get("s2", target)
+		var body substitutesResponse
+		mustUnmarshal(t, got, &body)
+		if want := oracle(target); body.Hash != hash || !bytes.Equal(got, want) || resp.Header.Get("ETag") == "" {
+			t.Fatalf("%s: substitutes(%s) via s2 carries hash %s and ETag %q, want %s and an ETag; body equals the oracle: %v",
+				step, target, body.Hash, resp.Header.Get("ETag"), hash, bytes.Equal(got, want))
+		}
+		if calls, revalidated := fc.calls.takeAll(); len(revalidated) != 0 || len(onPath(calls, "/cluster/substitutes")) == 0 {
+			t.Fatalf("%s: substitutes(%s) via s2 made calls %v (304: %v), want the new set fetched and a scatter", step, target, calls, revalidated)
+		}
+	}
+	check("new set", regenerate(1))
+
+	hash := regenerate(2)
+	rt := &shardOutage{host: strings.TrimPrefix(fc.nodes["s3"].ts.URL, "http://")}
+	fc.nodes["s2"].node.Router.Client = &http.Client{Transport: rt}
+	rt.down.Store(true)
+	resp, got := get("s2", target)
+	var partial substitutesResponse
+	mustUnmarshal(t, got, &partial)
+	if !partial.Partial || !reflect.DeepEqual(partial.FailedShards, []string{"s3"}) || resp.Header.Get("ETag") != "" {
+		t.Fatalf("substitutes(%s) via s2 with s3 down: partial %v, failed %v, ETag %q; want partial on s3 with no ETag",
+			target, partial.Partial, partial.FailedShards, resp.Header.Get("ETag"))
+	}
+	rt.down.Store(false)
+	fc.nodes["s2"].node.Router.Client = &http.Client{Transport: fc.calls}
+	check("after recovery", hash)
 }
 
 // TestClusterSubstitutesScatterSpan: the scatter records a

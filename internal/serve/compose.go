@@ -133,14 +133,18 @@ func (s *Server) handleCompose(w http.ResponseWriter, r *http.Request) {
 		chains = "hit"
 	}
 	span.Annotate("chains", chains)
-	span.Annotate("plans", strconv.Itoa(stats.Reused)+"/"+strconv.Itoa(stats.Built))
+	if span != nil {
+		span.Annotate("plans", strconv.Itoa(stats.Reused)+"/"+strconv.Itoa(stats.Built))
+	}
 	body, kept, err := composeBody(in, out, plans, failed)
 	if err != nil {
 		span.Fail(err)
 		writeError(w, http.StatusInternalServerError, "encoding compose response: %v", err)
 		return
 	}
-	span.Annotate("entries", strconv.Itoa(kept)+"/"+strconv.Itoa(len(plans)-kept))
+	if span != nil {
+		span.Annotate("entries", strconv.Itoa(kept)+"/"+strconv.Itoa(len(plans)-kept))
+	}
 	respond(w, http.StatusOK, answer{body: body})
 }
 

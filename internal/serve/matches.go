@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -274,23 +275,27 @@ type subsAnswer struct {
 	frags [][]byte
 }
 
-// warmedSubstitutes returns the target's substitute answer at key: the
-// memoised one while the key holds, otherwise a fresh search with set,
-// the stored examples key.hash names.
-func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, set dataexample.Set, key subsKey) (subsAnswer, error) {
-	memo := memoFor[subsKey, subsAnswer](&s.subs, target.ID)
+// warmedSubstitutes answers the /substitutes of target at key: 304 when
+// the request holds key's validator, otherwise the answer memoised at
+// key, which rank builds on a miss. A limit= below the ranking's length
+// splices the kept entries into a new body. A partial scatter, or a
+// ranking of a set other than the one key.hash names, reaches its
+// caller only: it carries no validator and is not kept.
+func (s *Server) warmedSubstitutes(w http.ResponseWriter, r *http.Request, target string, limit int, key subsKey, rank func() (substitutesResponse, error)) {
+	if notModified(w, r, key.etag()) {
+		return
+	}
+	memo := memoFor[subsKey, subsAnswer](&s.subs, target)
 	ans, hit, err := memo.get(key, func() (subsAnswer, bool, error) {
-		subs, err := s.Comparer.FindSubstitutesContext(r.Context(),
-			match.Unavailable{Signature: target, Examples: set}, s.Registry.Available())
+		resp, err := rank()
 		if err != nil {
 			return subsAnswer{}, false, err
 		}
-		ranked, skipped := substituteEntries(subs.Ranked, subs.Skipped)
 		// An empty ranking is nil: it encodes as null, and nothing is spliced.
+		ranked := resp.Substitutes
+		resp.Substitutes = ranked[:0]
 		a := subsAnswer{frags: make([][]byte, len(ranked))}
-		if a.skel, err = encodeJSONBody(substitutesResponse{
-			Target: target.ID, Hash: key.hash, Substitutes: ranked[:0], Skipped: skipped,
-		}); err != nil {
+		if a.skel, err = encodeJSONBody(resp); err != nil {
 			return subsAnswer{}, false, err
 		}
 		for i, e := range ranked {
@@ -298,9 +303,23 @@ func (s *Server) warmedSubstitutes(r *http.Request, target *module.Module, set d
 				return subsAnswer{}, false, err
 			}
 		}
-		a.answer = answer{body: splice(a.skel, "substitutes", 1, a.frags), etag: key.etag()}
-		return a, true, nil
+		a.body = splice(a.skel, "substitutes", 1, a.frags)
+		keep := !resp.Partial && resp.Hash == key.hash
+		if keep {
+			a.etag = key.etag()
+		}
+		return a, keep, nil
 	})
 	s.memoMetrics().subs.record(hit)
-	return ans, err
+	if err != nil {
+		writeError(w, fetchStatus(err), "substitute search for %s: %v", target, err)
+		return
+	}
+	if limit == 0 || limit >= len(ans.frags) {
+		respond(w, http.StatusOK, ans.answer)
+		return
+	}
+	// The kept fragments stay where they are: splice repoints a copy.
+	body := splice(ans.skel, "substitutes", 1, slices.Clone(ans.frags[:limit]))
+	respond(w, http.StatusOK, answer{body: body, etag: ans.etag})
 }

@@ -38,6 +38,15 @@ func (m *versioned[K, V]) get(key K, build func() (V, bool, error)) (V, bool, er
 	return v, false, err
 }
 
+// kept returns the key of the answer the memo keeps, and false when it
+// keeps none. A caller that revalidates the answer elsewhere sends what
+// the key names.
+func (m *versioned[K, V]) kept() (K, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.key, m.ok
+}
+
 // memoFor returns the memo kept for module id in m, adding an empty one
 // on first use. Each module has its own memo, so identical misses
 // arriving together collapse onto one build while builds for different

@@ -78,19 +78,17 @@ func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 }
 
 // encodeJSONBody renders v as every JSON body is rendered: the entry no
-// object encloses (depth -1), with a trailing newline. Its capacity is
-// exactly its length, since memos keep bodies as long as their keys hold
-// and appending to MarshalIndent's slice can leave spare capacity.
+// object encloses (depth -1), with a trailing newline. The slice may
+// have spare capacity: a memo that keeps the body keeps exact(body), and
+// a skeleton goes to splice, which builds an exact body itself.
 func encodeJSONBody(v any) ([]byte, error) {
 	body, err := encodeEntry(v, -1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(body)+1)
-	copy(out, body)
-	out[len(body)] = '\n'
-	return out, nil
+	return append(body, '\n'), err
 }
+
+// exact returns a copy of b whose capacity is its length, for memos that
+// keep bodies as long as their keys hold.
+func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // encodeEntry renders v, HTML-escaped, as one element of a list that
 // depth objects enclose (1 for a field of the body's own object), byte
@@ -105,13 +103,14 @@ func indent(depth int) string { return "        "[:2*depth] }
 
 // splice returns skel, encoded by encodeJSONBody with field an empty
 // list depth objects deep, with frags (by encodeEntry at depth) as the
-// list's elements: the whole encode of the value holding them. On return
+// list's elements: the whole encode of the value holding them, in a new
+// slice whose capacity is its length, with no fragments too. On return
 // each frags[i] points into the result, so kept fragments cost no second
 // copy; a caller that must not move its fragments passes a copy of the
-// slice. With no fragments the result is skel itself.
+// slice.
 func splice(skel []byte, field string, depth int, frags [][]byte) []byte {
 	if len(frags) == 0 {
-		return skel
+		return exact(skel)
 	}
 	// A raw newline never occurs inside an encoded string, so the empty
 	// list is found only at field itself.

@@ -10,9 +10,12 @@ import (
 // TestValidatorHeaders: every conditional route answers a 200 with
 // Content-Type application/json, an ETag and Cache-Control: no-cache,
 // and a revalidation with that ETag answers 304 carrying the same
-// validators; /generate's 200 carries them too. A partial cluster
-// /matches or /search carries neither, so it can never 304 against a
-// complete answer.
+// validators; /generate's 200 carries them too. On a shard, a complete
+// scatter /substitutes is validated like a single node's, and its
+// limit= answer, spliced from the kept entries, equals the single
+// node's byte for byte. A partial cluster /matches, /search or
+// /substitutes carries neither, so it can never 304 against a complete
+// answer.
 func TestValidatorHeaders(t *testing.T) {
 	f := newLifecycleFixture(t)
 	h := f.srv.Handler()
@@ -60,8 +63,33 @@ func TestValidatorHeaders(t *testing.T) {
 	withClusterSearch(t, w)
 	rt := &shardOutage{host: strings.TrimPrefix(w.cfg.ShardURL("s3"), "http://")}
 	w.nodes["s1"].node.Router.Client = &http.Client{Transport: rt}
+	// Every module has the same signature, so every target's ranking
+	// holds every other module; the first target s3 does not own stays
+	// cold for the outage below.
+	sh := w.nodes["s1"].srv.Handler()
+	var cold string
+	validated := 0
+	for _, id := range w.reg.IDs() {
+		if w.ring.Owner(id) == "s3" {
+			continue
+		}
+		if cold == "" {
+			cold = id
+			continue
+		}
+		subs := "/modules/" + id + "/substitutes"
+		wantConditional(t, sh, subs)
+		wantConditional(t, sh, subs+"?limit=1")
+		if got, want := serveGet(sh, subs+"?limit=1", "").Body.String(), serveGet(w.oracle.srv.Handler(), subs+"?limit=1", "").Body.String(); got != want {
+			t.Errorf("%s?limit=1 on s1 differs from the single node:\n got: %s\nwant: %s", subs, got, want)
+		}
+		validated++
+	}
+	if validated == 0 {
+		t.Fatal("s1 could validate no scatter /substitutes while keeping one target cold")
+	}
 	rt.down.Store(true)
-	for _, path := range []string{"/api/matches", "/api/search?q=module"} {
+	for _, path := range []string{"/api/matches", "/api/search?q=module", "/api/modules/" + cold + "/substitutes"} {
 		var body struct {
 			Partial bool `json:"partial"`
 		}

@@ -18,7 +18,9 @@
 //	POST /modules/{id}/generate?refresh=1 — force regeneration (content-hash no-op if stable)
 //	GET  /modules/{id}/substitutes     — rank live substitutes for a module from its
 //	                                     stored examples (the workflow-repair query);
-//	                                     warmed per target and ETag'd on the catalog state
+//	                                     warmed per target and ETag'd on the catalog state,
+//	                                     on a shard too (the target's set revalidated
+//	                                     by a conditional fetch from its owner)
 //	GET  /matches                      — the catalog-wide all-pairs verdict matrix over
 //	                                     stored annotations; ETag = catalog state key,
 //	                                     unchanged catalogs serve the cached build
@@ -45,7 +47,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -233,7 +234,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	cat, _, err := s.catalog.get(s.catalogVersion(), func() (answer, bool, error) {
 		body, err := encodeJSONBody(s.catalogListing())
 		sum := sha256.Sum256(body)
-		return answer{body: body, etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, true, err
+		return answer{body: exact(body), etag: `"` + hex.EncodeToString(sum[:16]) + `"`}, true, err
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding catalog: %v", err)
@@ -381,7 +382,7 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 		body, err := encodeJSONBody(examplesResponse{
 			Module: m.ID, Hash: hash, Version: version, Count: len(set), Examples: set,
 		})
-		return answer{body: body, etag: etag}, true, err
+		return answer{body: exact(body), etag: etag}, true, err
 	})
 	s.memoMetrics().examples.record(hit)
 	if err != nil {
@@ -471,6 +472,11 @@ func parseLimitParam(w http.ResponseWriter, q url.Values) (int, bool) {
 	return n, true
 }
 
+// handleSubstitutes answers a target's substitute ranking through
+// warmedSubstitutes, on a single node and on a shard alike: a single
+// node reads the target's stored set and ranks every available
+// candidate; a shard revalidates the set and scatters
+// (scatterSubstitutes).
 func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 	m, _, ok := s.lookup(w, r)
 	if !ok {
@@ -495,22 +501,16 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
 		return
 	}
-	key := s.subsKey(hash)
-	if notModified(w, r, key.etag()) {
-		return
-	}
-	ans, err := s.warmedSubstitutes(r, m, set, key)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "substitute search for %s: %v", m.ID, err)
-		return
-	}
-	if limit == 0 || limit >= len(ans.frags) {
-		respond(w, http.StatusOK, ans.answer)
-		return
-	}
-	// The kept fragments stay where they are: splice repoints a copy.
-	body := splice(ans.skel, "substitutes", 1, slices.Clone(ans.frags[:limit]))
-	respond(w, http.StatusOK, answer{body: body, etag: ans.etag})
+	s.warmedSubstitutes(w, r, m.ID, limit, s.subsKey(hash), func() (substitutesResponse, error) {
+		subs, err := s.Comparer.FindSubstitutesContext(r.Context(),
+			match.Unavailable{Signature: m, Examples: set}, s.Registry.Available())
+		if err != nil {
+			return substitutesResponse{}, err
+		}
+		resp := substitutesResponse{Target: m.ID, Hash: hash}
+		resp.Substitutes, resp.Skipped = substituteEntries(subs.Ranked, subs.Skipped)
+		return resp, nil
+	})
 }
 
 // substituteEntries renders ranked candidates and skipped ones in the
