@@ -12,16 +12,17 @@
 //     follower loop that tails it through the store's replicated apply
 //     path (feed.go, follower.go)
 //   - Router: fan-out, per-shard timeouts, partial-result degradation
-//     and deterministic merges for /substitutes and /search, and the
-//     state round and set gather a cluster /matches builds from
-//     (router.go)
+//     and deterministic merges for /substitutes (and the /search scatter
+//     kept for replay), the state round and set gather a cluster
+//     /matches builds from, and the revalidated summaries a shard
+//     answers /search with from its own index (router.go)
 //   - Checker: per-shard readiness probes behind resilient circuit
 //     breakers (health.go)
 //
 // The serving layer mounts the intra-cluster API (/cluster/info, /sets,
-// /substitutes, /search) and consults a Node for placement decisions;
-// storage is sharded but every process carries the full simulation
-// universe, so any shard can compare any candidate locally.
+// /substitutes, /summary, /search) and consults a Node for placement
+// decisions; storage is sharded but every process carries the full
+// simulation universe, so any shard can compare any candidate locally.
 package cluster
 
 import (

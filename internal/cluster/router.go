@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -20,14 +22,16 @@ import (
 )
 
 // Router is the scatter-gather side of the cluster: it fans a substitute
-// search out to the shards owning its candidates and a search out to
-// every shard, bounds each call with a per-shard timeout, degrades to a
-// partial result when shards fail (a down shard withholds its slice, it
-// does not take the answer down with it), and merges the slices
-// deterministically — the healthy-cluster merge is byte-identical to a
-// single node holding the whole catalog. For /matches it only gathers:
+// search out to the shards owning its candidates (and, in Search, a
+// search out to every shard), bounds each call with a per-shard timeout,
+// degrades to a partial result when shards fail (a down shard withholds
+// its slice, it does not take the answer down with it), and merges the
+// slices deterministically — the healthy-cluster merge is byte-identical
+// to a single node holding the whole catalog. For /matches it only gathers:
 // the state round (Matrix) and the shards' stored sets (Sets), from
-// which the serving layer builds the matrix locally.
+// which the serving layer builds the matrix locally. For /search it
+// only revalidates the other shards' summaries (SearchView), and the
+// serving layer answers from its own index.
 type Router struct {
 	Config Config
 	Ring   *Ring
@@ -42,6 +46,10 @@ type Router struct {
 	// APIPrefix is where the serving layer mounts its API on each shard
 	// (default "/api").
 	APIPrefix string
+
+	searchMu  sync.Mutex
+	summaries map[string]*Summary // shard name -> the last summary it sent
+	view      *SearchView         // merged from the summaries it names
 }
 
 // DefaultShardTimeout bounds one per-shard scatter call.
@@ -386,6 +394,93 @@ func (rt *Router) Search(ctx context.Context, rawQuery string, anchors []string)
 	sort.Strings(out.FailedShards)
 	search.SortHits(out.Hits)
 	return out, nil
+}
+
+// SearchView is what a shard answers /search with from its own index:
+// the other shards' summaries merged into one search.Overlay. Every
+// field derives from exactly the summaries the view was built from, so
+// an answer's hits and its state key agree.
+type SearchView struct {
+	Overlay *search.Overlay
+	// FailedShards names, sorted, the shards whose modules the overlay
+	// lacks: their hits are missing and the answer is partial.
+	FailedShards []string
+	keyParts     []string   // "name:generation" of every answering shard
+	summaries    []*Summary // per other shard in membership order, nil if failed
+}
+
+// StateKey is the cluster-wide state of an answer this node computed at
+// its own index generation gen: every answering shard's
+// "name:generation", sorted and comma-joined, so a page walk restarts
+// when any of those indexes moves.
+func (v *SearchView) StateKey(self string, gen uint64) string {
+	parts := append(slices.Clip(v.keyParts), self+":"+strconv.FormatUint(gen, 10))
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// SearchView revalidates every shard but self's search summary by one
+// conditional GET /cluster/summary each, which a shard whose index has
+// not moved answers 304, and returns them merged. The merged view is
+// kept while the summaries it names are current, so a warm search moves
+// and merges nothing. A shard that fails contributes no summary and is
+// listed in FailedShards.
+func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
+	others := make([]ShardConfig, 0, len(rt.Config.Shards))
+	for _, sh := range rt.Config.Shards {
+		if sh.Name != self {
+			others = append(others, sh)
+		}
+	}
+	results := fanOut(rt, ctx, others, "summary", func(ctx context.Context, sh ShardConfig) (*Summary, error) {
+		rt.searchMu.Lock()
+		held := rt.summaries[sh.Name]
+		rt.searchMu.Unlock()
+		etag := ""
+		if held != nil {
+			etag = `"` + strconv.FormatUint(held.Generation, 10) + `"`
+		}
+		fresh := new(Summary)
+		changed, err := rt.callIf(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/summary", etag, nil, fresh)
+		if err != nil {
+			return nil, err
+		}
+		if !changed {
+			return held, nil
+		}
+		rt.searchMu.Lock()
+		if rt.summaries == nil {
+			rt.summaries = map[string]*Summary{}
+		}
+		rt.summaries[sh.Name] = fresh
+		rt.searchMu.Unlock()
+		return fresh, nil
+	})
+	summaries := make([]*Summary, len(results))
+	for i, res := range results {
+		summaries[i] = res.reply
+	}
+	rt.searchMu.Lock()
+	defer rt.searchMu.Unlock()
+	if v := rt.view; v != nil && slices.Equal(v.summaries, summaries) {
+		return v
+	}
+	v := &SearchView{summaries: summaries}
+	docs := map[string]search.Remote{}
+	for i, sum := range summaries {
+		if sum == nil {
+			v.FailedShards = append(v.FailedShards, results[i].shard.Name)
+			continue
+		}
+		v.keyParts = append(v.keyParts, results[i].shard.Name+":"+strconv.FormatUint(sum.Generation, 10))
+		for id, r := range sum.Docs {
+			docs[id] = r
+		}
+	}
+	sort.Strings(v.FailedShards)
+	v.Overlay = search.NewOverlay(func(id string) bool { return rt.Ring.Owner(id) == self }, docs)
+	rt.view = v
+	return v
 }
 
 // verdictRank orders verdict strings by strength, mirroring the

@@ -73,6 +73,16 @@ type SubstitutesReply struct {
 	Skipped     []SkippedEntry    `json:"skipped,omitempty"`
 }
 
+// Summary is GET /cluster/summary: one shard's search-index generation
+// and, for every module it owns and indexes, the stored-annotation half
+// of its document. The generation is its ETag, so a shard whose index
+// has not moved answers a revalidation 304 and sends nothing.
+type Summary struct {
+	Shard      string                   `json:"shard"`
+	Generation uint64                   `json:"generation"`
+	Docs       map[string]search.Remote `json:"docs"`
+}
+
 // SearchRequest is POST /cluster/search, in one of two modes. With
 // Resolve set, the shard only maps the listed module IDs (behaves:
 // anchors it owns) to their behavior-class fingerprints. Otherwise the

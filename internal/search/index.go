@@ -231,9 +231,9 @@ func (ix *Index) Update(m *module.Module, set dataexample.Set, version uint64) {
 		}
 		post[m.ID] = true
 	}
+	ix.generation.Add(1)
 	ix.mu.Unlock()
 	ix.updates.Add(1)
-	ix.generation.Add(1)
 }
 
 // Remove drops a module from every posting list (a retired or quarantined
@@ -241,10 +241,12 @@ func (ix *Index) Update(m *module.Module, set dataexample.Set, version uint64) {
 func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	removed := ix.removeLocked(id)
+	if removed {
+		ix.generation.Add(1)
+	}
 	ix.mu.Unlock()
 	if removed {
 		ix.updates.Add(1)
-		ix.generation.Add(1)
 	}
 }
 
@@ -283,7 +285,9 @@ func (ix *Index) removeLocked(id string) bool {
 }
 
 // Generation returns the mutation counter. Every Update or effective
-// Remove bumps it; cursors and ETags key on it.
+// Remove bumps it under the write lock, so a reader holding the read
+// lock sees the documents of exactly the generation it reads; cursors
+// and ETags key on it.
 func (ix *Index) Generation() uint64 { return ix.generation.Load() }
 
 // Len returns the number of indexed documents.
@@ -315,6 +319,21 @@ func (ix *Index) BehaviorClass(id string) (string, bool) {
 		return "", false
 	}
 	return d.behavior, true
+}
+
+// Summary returns, with the generation it was read at, the Remote of
+// every indexed document owns claims: what a shard tells the others
+// about the modules it owns, so they can answer searches over them.
+func (ix *Index) Summary(owns func(id string) bool) (map[string]Remote, uint64) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	docs := map[string]Remote{}
+	for id, d := range ix.docs {
+		if owns(id) {
+			docs[id] = Remote{Examples: d.examples, Class: d.behavior}
+		}
+	}
+	return docs, ix.generation.Load()
 }
 
 // Stats is the index health block surfaced by GET /stats.

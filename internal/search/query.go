@@ -118,16 +118,55 @@ type Hit struct {
 	// Matched lists the query atoms this document matched, sorted.
 	Matched []string `json:"matched"`
 	// Examples and BehaviorClass describe the stored annotation backing
-	// the behavior posting (zero/empty on this node for unannotated or
-	// remotely-owned modules).
+	// the behavior posting: zero/empty for an unannotated module, and for
+	// a module another shard owns the owner's values, lent by an Overlay.
 	Examples      int    `json:"examples,omitempty"`
 	BehaviorClass string `json:"behaviorClass,omitempty"`
+}
+
+// Remote is the stored-annotation half of a document as the shard that
+// owns the module indexes it: the two Hit fields only the owner knows.
+type Remote struct {
+	Examples int    `json:"examples,omitempty"`
+	Class    string `json:"class,omitempty"`
+}
+
+// Overlay lends MatchOverlay what other shards know: every node indexes
+// the whole catalog's metadata, but stores example sets only for the
+// modules it owns.
+type Overlay struct {
+	local   func(id string) bool
+	docs    map[string]Remote
+	classes map[string][]string // behavior class -> remote module IDs
+}
+
+// NewOverlay builds the overlay of the remote modules' docs: for a module
+// local does not claim, the owner's Remote replaces the local document's
+// examples and class, and a module missing from docs (its owner does not
+// index it, or did not answer) is no hit. It indexes docs by behavior
+// class once, so a query reads the overlay's class postings without a
+// scan.
+func NewOverlay(local func(id string) bool, docs map[string]Remote) *Overlay {
+	ov := &Overlay{local: local, docs: docs, classes: map[string][]string{}}
+	for id, r := range docs {
+		if r.Class != "" {
+			ov.classes[r.Class] = append(ov.classes[r.Class], id)
+		}
+	}
+	return ov
 }
 
 // Match scores every document against the query and returns the full
 // ranked hit list plus the index generation it was computed at. Ranking
 // is deterministic: score descending, then module ID ascending.
-func (ix *Index) Match(q Query) ([]Hit, uint64) {
+func (ix *Index) Match(q Query) ([]Hit, uint64) { return ix.MatchOverlay(q, nil) }
+
+// MatchOverlay is Match with the stored annotations of other shards'
+// modules taken from ov (nil: this index's own). Keyword and concept
+// scores come from this index, whose catalog statistics every node
+// shares; behaves: anchors and class postings of remote modules, and
+// their hits' examples and class, come from ov.
+func (ix *Index) MatchOverlay(q Query, ov *Overlay) ([]Hit, uint64) {
 	start := time.Now()
 	ix.mu.RLock()
 	gen := ix.generation.Load()
@@ -201,27 +240,49 @@ func (ix *Index) Match(q Query) ([]Hit, uint64) {
 	}
 
 	// Behavior atoms: exact fingerprint equality with the anchor's class.
+	remote := func(id string) bool { return ov != nil && !ov.local(id) }
 	for _, anchor := range q.Behaves {
 		fp := q.AnchorFingerprints[anchor]
 		if fp == "" {
-			if d, ok := ix.docs[anchor]; ok {
+			if remote(anchor) {
+				fp = ov.docs[anchor].Class
+			} else if d, ok := ix.docs[anchor]; ok {
 				fp = d.behavior
 			}
 		}
 		if fp == "" {
 			continue
 		}
-		post := ix.behavior[fp]
-		for id := range post {
+		add := func(id string) {
 			a := get(id)
 			a.behavior += weightBehavior
 			a.matched = append(a.matched, "behaves:"+anchor)
+		}
+		for id := range ix.behavior[fp] {
+			if !remote(id) {
+				add(id)
+			}
+		}
+		if ov != nil {
+			for _, id := range ov.classes[fp] {
+				if _, ok := ix.docs[id]; ok {
+					add(id)
+				}
+			}
 		}
 	}
 
 	hits := make([]Hit, 0, len(accs))
 	for id, a := range accs {
 		d := ix.docs[id]
+		examples, class := d.examples, d.behavior
+		if remote(id) {
+			r, ok := ov.docs[id]
+			if !ok {
+				continue
+			}
+			examples, class = r.Examples, r.Class
+		}
 		sort.Strings(a.matched)
 		hits = append(hits, Hit{
 			ID:            id,
@@ -232,8 +293,8 @@ func (ix *Index) Match(q Query) ([]Hit, uint64) {
 			Concept:       a.concept,
 			Behavior:      a.behavior,
 			Matched:       a.matched,
-			Examples:      d.examples,
-			BehaviorClass: d.behavior,
+			Examples:      examples,
+			BehaviorClass: class,
 		})
 	}
 	ix.mu.RUnlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/module"
 )
 
 func TestParseQuery(t *testing.T) {
@@ -181,5 +182,67 @@ func TestPaginationCursorInvalidation(t *testing.T) {
 		if _, err := ix.Search(q, 10, bad); err == nil {
 			t.Errorf("cursor %q accepted", bad)
 		}
+	}
+}
+
+// TestMatchOverlay: two shards each index the whole catalog but store
+// the example sets of their own modules only. One shard matching over
+// the other's Summary ranks exactly as an index holding every set does;
+// a module the overlay lacks (its owner is down, or does not index it)
+// is no hit, and its behaves: anchor resolves to nothing.
+func TestMatchOverlay(t *testing.T) {
+	o := testOntology()
+	mods := []*module.Module{
+		mod("blastSearch", "BLAST homology search", "searches protein databases", "Prot", "Acc"),
+		mod("ssearch", "Smith-Waterman search", "optimal local alignment", "Prot", "Acc"),
+		mod("fastaSearch", "FASTA search", "k-mer heuristic search", "Prot", "Acc"),
+		mod("transcribe", "transcriber", "dna transcription", "DNA", "Seq"),
+	}
+	sets := map[string]dataexample.Set{
+		"blastSearch": {ex("MKTW", "sw-hit")},
+		"ssearch":     {ex("MKTW", "sw-hit")}, // blastSearch's class, on the other shard
+		"fastaSearch": {ex("MKTW", "kmer-hit"), ex("MKTT", "kmer-hit")},
+		"transcribe":  {ex("ACGT", "ACGU")},
+	}
+	local := func(id string) bool { return id == "blastSearch" || id == "transcribe" }
+	remote := func(id string) bool { return !local(id) }
+	whole, mine, theirs := New(o), New(o), New(o)
+	for _, m := range mods {
+		whole.Update(m, sets[m.ID], 1)
+		for _, ix := range []struct {
+			ix   *Index
+			owns func(string) bool
+		}{{mine, local}, {theirs, remote}} {
+			var set dataexample.Set
+			if ix.owns(m.ID) {
+				set = sets[m.ID]
+			}
+			ix.ix.Update(m, set, 1)
+		}
+	}
+	docs, _ := theirs.Summary(remote)
+	if len(docs) != 2 || docs["fastaSearch"].Examples != 2 || docs["ssearch"].Class != Fingerprint(sets["blastSearch"]) {
+		t.Fatalf("summary = %+v, want fastaSearch with 2 examples and ssearch in blastSearch's class", docs)
+	}
+	ov := NewOverlay(local, docs)
+	for _, raw := range []string{"search", "concept:Seq", "behaves:blastSearch", "behaves:ssearch", "search behaves:fastaSearch", "nosuchterm"} {
+		q, _ := ParseQuery(raw)
+		want, _ := whole.Match(q)
+		got, _ := mine.MatchOverlay(q, ov)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q over the overlay = %+v, want %+v", raw, got, want)
+		}
+	}
+
+	delete(docs, "ssearch") // its owner no longer answers for it
+	q, _ := ParseQuery("search behaves:ssearch")
+	got, _ := mine.MatchOverlay(q, NewOverlay(local, docs))
+	for _, h := range got {
+		if h.ID == "ssearch" || h.Behavior != 0 {
+			t.Fatalf("hit %+v: a module missing from the overlay must neither hit nor anchor", h)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %d hits, want blastSearch and fastaSearch", len(got))
 	}
 }

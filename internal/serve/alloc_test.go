@@ -164,3 +164,30 @@ func TestSubstitutesAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchAllocBudget: a warm single-node /search matches the query
+// against the index, windows the ranking and encodes the page on every
+// request. Each budget is the measured count (38 for the keyword query,
+// 39 for the behaves: query, on this three-module catalog) with under
+// 10% headroom; the counts grow with the hits a query matches.
+func TestSearchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	f := searchFixture(t)
+	for _, c := range []struct {
+		target string
+		budget float64
+	}{
+		{"/search?q=module", 41},
+		{"/search?q=behaves:alpha", 42},
+	} {
+		n, status := getAllocs(t, f.srv, c.target, "")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d", c.target, status)
+		}
+		if n > c.budget {
+			t.Errorf("warm %s allocates %.0f, budget %.0f", c.target, n, c.budget)
+		}
+	}
+}

@@ -24,14 +24,20 @@ import (
 //	GET  /cluster/info        — this node's identity and replication seq
 //	GET  /cluster/sets        — every annotation this shard stores
 //	POST /cluster/substitutes — rank a candidate slice against shipped examples
-//	POST /cluster/search      — rank this shard's hits, or resolve behaves: anchors
+//	GET  /cluster/summary     — this shard's index generation and the examples
+//	                            and behavior class of every module it owns;
+//	                            ETag = generation, If-None-Match answers 304
+//	POST /cluster/search      — rank this shard's hits, or resolve behaves:
+//	                            anchors (Router.Search's scatter, which the
+//	                            public /search no longer makes)
 //
 // and changes how the public query routes answer: /modules/{id}/substitutes
-// and /search scatter-gather across the ring through the cluster Router,
-// and /matches gathers every shard's sets and builds the matrix locally
-// (answers are byte-identical to a single node holding the whole
-// catalog; failed shards degrade the response to a partial one instead
-// of failing it), while /examples and /generate for a module another
+// scatter-gathers across the ring through the cluster Router, /search
+// answers from this node's index over the other shards' revalidated
+// summaries, and /matches gathers every shard's sets and builds the
+// matrix locally (answers are byte-identical to a single node holding
+// the whole catalog; failed shards degrade the response to a partial
+// one instead of failing it), while /examples and /generate for a module another
 // shard owns answer 307 to the owner. /substitutes keeps each target's
 // complete answer as a single node does and, warm, only revalidates the
 // target's examples with their owner by one conditional fetch. A
@@ -46,6 +52,7 @@ func (s *Server) clusterRoutes() []route {
 		rts = append(rts,
 			route{http.MethodGet, "/cluster/sets", s.handleClusterSets},
 			route{http.MethodPost, "/cluster/substitutes", s.handleClusterSubstitutes},
+			route{http.MethodGet, "/cluster/summary", s.handleClusterSummary},
 			route{http.MethodPost, "/cluster/search", s.handleClusterSearch},
 		)
 	}

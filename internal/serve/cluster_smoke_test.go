@@ -17,6 +17,7 @@ import (
 	"dexa/internal/cluster"
 	"dexa/internal/core"
 	"dexa/internal/match"
+	"dexa/internal/search"
 	"dexa/internal/simulation"
 	"dexa/internal/store"
 	"dexa/internal/telemetry"
@@ -741,5 +742,127 @@ func TestClusterMatchesSpan(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d", step.name, status, step.status)
 		}
 		check(step.name, attrs, map[string]string{"shards": "", "failed": "", "sets": "0"})
+	}
+}
+
+// withSearch gives every shard and the oracle a search index synced over
+// the full catalog, and returns their syncers by node name ("oracle"
+// for the oracle's), so a test that writes a store resyncs its index.
+func (fc *fullCatalog) withSearch(t *testing.T) map[string]*search.Syncer {
+	t.Helper()
+	syncers := map[string]*search.Syncer{}
+	for name, cn := range fc.nodes {
+		syncers[name] = &search.Syncer{Registry: cn.srv.Registry, Store: cn.st, Index: search.New(cn.srv.Comparer.Ont)}
+	}
+	o := fc.oracle.srv
+	syncers["oracle"] = &search.Syncer{Registry: o.Registry, Store: fc.oracle.st, Index: search.New(o.Comparer.Ont)}
+	for name, sync := range syncers {
+		sync.IndexAll()
+		if name == "oracle" {
+			o.SearchIndex = sync.Index
+		} else {
+			fc.nodes[name].srv.SearchIndex = sync.Index
+		}
+	}
+	return syncers
+}
+
+// TestClusterSearchLocal: a shard answers /search from its own index,
+// with the other shards' stored annotations lent by their summaries.
+// Every behaves: query of the full catalog, a keyword sample and a
+// concept: query equal the oracle's ranking from every shard; warm, each
+// search revalidates each other shard's summary by one call answered
+// 304 and scatters no query; after an owner stores a new set, the next
+// search refetches that owner's summary alone and ranks the new set.
+func TestClusterSearchLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster search skipped in -short mode")
+	}
+	fc := newFullCatalog(t)
+	syncers := fc.withSearch(t)
+	queries := []string{"sequence", "protein+blast", "kegg", "translate", "concept:" + simulation.CBioSequence}
+	for _, id := range fc.ids {
+		queries = append(queries, "behaves:"+id)
+	}
+	ask := func(base, q string) searchBody {
+		t.Helper()
+		status, raw := fetch(t, base+"/api/search?limit=300&q="+q)
+		if status != http.StatusOK {
+			t.Fatalf("search %q on %s: status %d: %s", q, base, status, raw)
+		}
+		var body searchBody
+		mustUnmarshal(t, raw, &body)
+		return body
+	}
+	// summaryCalls is one /cluster/summary call on every shard but name.
+	summaryCalls := func(name string) map[shardCall]int {
+		want := map[shardCall]int{}
+		for _, other := range fc.names {
+			if other != name {
+				want[shardCall{other, "/cluster/summary"}] = 1
+			}
+		}
+		return want
+	}
+	same := func(step, name, q string, got, want searchBody) {
+		t.Helper()
+		if got.Partial || !bytes.Equal(got.Hits, want.Hits) || got.Total != want.Total {
+			t.Fatalf("%s: search %q via %s (partial %v, total %d) differs from the oracle (total %d):\n got: %.400s\nwant: %.400s",
+				step, q, name, got.Partial, got.Total, want.Total, got.Hits, want.Hits)
+		}
+	}
+
+	hits := 0
+	for _, name := range fc.names {
+		ask(fc.nodes[name].ts.URL, queries[0]) // fetches every summary once
+		fc.calls.take()
+		for _, q := range queries {
+			want := ask(fc.oracle.ts.URL, q)
+			hits += want.Total
+			same("warm", name, q, ask(fc.nodes[name].ts.URL, q), want)
+			calls, revalidated := fc.calls.takeAll()
+			if want := summaryCalls(name); !reflect.DeepEqual(calls, want) || !reflect.DeepEqual(revalidated, want) {
+				t.Fatalf("search %q via %s made calls %v (304: %v), want %v answered 304", q, name, calls, revalidated, want)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no query matched anything: the comparison proves nothing")
+	}
+
+	// A module with two examples or more on s1, its set truncated to one
+	// on s1 and the oracle: s2 refetches s1's summary alone and ranks the
+	// new class.
+	var target string
+	for _, id := range fc.ids {
+		if set, _, _ := fc.nodes["s1"].st.Get(id); fc.ring.Owner(id) == "s1" && len(set) > 1 {
+			target = id
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("no module on s1 with two examples or more")
+	}
+	full, _, _ := fc.nodes["s1"].st.Get(target)
+	for _, name := range []string{"s1", "oracle"} {
+		sync := syncers[name]
+		if _, _, err := sync.Store.Put(target, full[:1]); err != nil {
+			t.Fatal(err)
+		}
+		sync.Resync()
+	}
+	q := "behaves:" + target
+	want := ask(fc.oracle.ts.URL, q)
+	fc.calls.take()
+	same("new set", "s2", q, ask(fc.nodes["s2"].ts.URL, q), want)
+	calls, revalidated := fc.calls.takeAll()
+	if want := summaryCalls("s2"); !reflect.DeepEqual(calls, want) ||
+		!reflect.DeepEqual(revalidated, map[shardCall]int{{"s3", "/cluster/summary"}: 1}) {
+		t.Fatalf("search after a write on s1 made calls %v (304: %v), want %v with only s3's answered 304", calls, revalidated, want)
+	}
+	var got []search.Hit
+	mustUnmarshal(t, want.Hits, &got)
+	if len(got) == 0 || got[0].ID != target || got[0].Examples != 1 {
+		t.Fatalf("behaves:%s after the write ranks %+v, want the target first with one example", target, got)
 	}
 }

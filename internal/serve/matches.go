@@ -275,6 +275,10 @@ type subsAnswer struct {
 	frags [][]byte
 }
 
+// keptBytes counts the body and the envelope; the fragments point into
+// the body.
+func (a subsAnswer) keptBytes() int { return len(a.body) + len(a.skel) }
+
 // warmedSubstitutes answers the /substitutes of target at key: 304 when
 // the request holds key's validator, otherwise the answer memoised at
 // key, which rank builds on a miss. A limit= below the ranking's length

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dexa/internal/telemetry"
 )
@@ -22,7 +23,13 @@ type versioned[K comparable, V any] struct {
 	ok  bool
 	key K
 	val V
+	// size is the bytes val keeps when V is a keptBytes, stored with val
+	// and read without the lock, so a scrape never waits on a build.
+	size atomic.Int64
 }
+
+// keptBytes is implemented by memoised values that hold encoded bytes.
+type keptBytes interface{ keptBytes() int }
 
 // get returns the answer at key and whether it came from the memo.
 func (m *versioned[K, V]) get(key K, build func() (V, bool, error)) (V, bool, error) {
@@ -34,6 +41,9 @@ func (m *versioned[K, V]) get(key K, build func() (V, bool, error)) (V, bool, er
 	v, keep, err := build()
 	if err == nil && keep {
 		m.ok, m.key, m.val = true, key, v
+		if b, ok := any(&m.val).(keptBytes); ok {
+			m.size.Store(int64(b.keptBytes()))
+		}
 	}
 	return v, false, err
 }
@@ -45,6 +55,16 @@ func (m *versioned[K, V]) kept() (K, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.key, m.ok
+}
+
+// memoBytes sums the bytes kept by the per-module memos in m.
+func memoBytes[K comparable, V any](m *sync.Map) float64 {
+	var n int64
+	m.Range(func(_, memo any) bool {
+		n += memo.(*versioned[K, V]).size.Load()
+		return true
+	})
+	return float64(n)
 }
 
 // memoFor returns the memo kept for module id in m, adding an empty one
@@ -73,7 +93,8 @@ func (c memoCounter) record(hit bool) {
 // memoCounters are the dexa_serve_memo_total handles of the /examples
 // and /substitutes memos, resolved once per Server so a warm request
 // records without a label lookup. A miss on /substitutes is a live
-// substitute search; a hit writes kept bytes.
+// substitute search; a hit writes kept bytes. The same once registers
+// dexa_serve_memo_bytes, the bytes both memos keep, summed on scrape.
 type memoCounters struct{ examples, subs memoCounter }
 
 func (s *Server) memoMetrics() *memoCounters {
@@ -81,6 +102,11 @@ func (s *Server) memoMetrics() *memoCounters {
 		v := s.Telemetry.CounterVec("dexa_serve_memo_total",
 			"Per-module /examples and /substitutes memo lookups: a hit writes kept bytes, a miss encodes afresh (on /substitutes after a live search).",
 			"memo", "result")
+		kept := s.Telemetry.GaugeVec("dexa_serve_memo_bytes",
+			"Bytes of encoded answers the per-module /examples and /substitutes memos keep, summed on scrape.",
+			"memo")
+		kept.Func(func() float64 { return memoBytes[examplesKey, answer](&s.examples) }, "examples")
+		kept.Func(func() float64 { return memoBytes[subsKey, subsAnswer](&s.subs) }, "substitutes")
 		s.memoStats = memoCounters{
 			examples: memoCounter{v.With("examples", "hit"), v.With("examples", "miss")},
 			subs:     memoCounter{v.With("substitutes", "hit"), v.With("substitutes", "miss")},

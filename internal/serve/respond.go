@@ -15,6 +15,8 @@ type answer struct {
 	etag string
 }
 
+func (a answer) keptBytes() int { return len(a.body) }
+
 // respond writes a with status: a body as JSON, and an etag with
 // Cache-Control: no-cache. A 304 is an answer with an etag and no body.
 func respond(w http.ResponseWriter, status int, a answer) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"strconv"
 
 	"dexa/internal/cluster"
 	"dexa/internal/search"
@@ -28,8 +29,9 @@ import (
 // revalidates with 304. A catalog mutation between pages answers 410
 // with {"restart": true} — the cursor is bound to the index generation
 // and silently resuming over a shifted ranking would skip or duplicate
-// hits. In cluster mode the query scatter-gathers across the ring;
-// otherwise it runs on the local index.
+// hits. In cluster mode the node answers from its own index too, with
+// the other shards' stored annotations lent by their summaries (see
+// handleSearch); no query crosses the network.
 
 // defaultSearchLimit pages /search when no ?limit= is given.
 const defaultSearchLimit = 20
@@ -88,29 +90,29 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	span.Annotate("query", raw)
 	defer span.End()
 
-	// In cluster mode behaves: anchors resolve on their owner shards, the
-	// query fans out with the anchors attached, each shard answers its
-	// owned slice against its full-catalog index — identical postings
-	// statistics on every shard — and the merged ranking equals the
-	// single-node one. It is paginated by the same cursor machinery, bound
-	// to the cluster-wide generation (every shard's index generation), so
-	// any shard's index moving between pages expires the walk as a local
-	// mutation would.
+	// In cluster mode this node's full-catalog index scores the query —
+	// every shard holds the same keyword and concept statistics — and the
+	// stored annotations of modules other shards own (examples, behavior
+	// class, behaves: anchors) come from their summaries, revalidated by
+	// one conditional call each, so the ranking equals the single-node
+	// one. It is paginated by the same cursor machinery, bound to the
+	// cluster-wide generation (every answering shard's index generation),
+	// so any shard's index moving between pages expires the walk as a
+	// local mutation would. A shard that does not answer withholds its
+	// modules and makes the answer partial.
 	var (
 		page  search.Page
 		state string // what the ETag binds to besides the page's query
 		resp  = searchResponse{Query: raw}
 	)
 	if s.clusterMode() {
-		var res *cluster.SearchResult
-		if res, err = s.Cluster.Router.Search(r.Context(), raw, q.Behaves); err != nil {
-			writeError(w, http.StatusBadGateway, "cluster search: %v", err)
-			return
-		}
+		view := s.Cluster.Router.SearchView(r.Context(), s.Cluster.Self)
+		hits, gen := s.SearchIndex.MatchOverlay(q, view.Overlay)
+		state = view.StateKey(s.Cluster.Self, gen)
 		h := fnv.New64a()
-		h.Write([]byte(res.StateKey))
-		page, err = search.PaginateHits(res.Hits, h.Sum64(), q.Key(), limit, cursor)
-		state, resp.Partial, resp.FailedShards = res.StateKey, res.Partial, res.FailedShards
+		h.Write([]byte(state))
+		page, err = search.PaginateHits(hits, h.Sum64(), q.Key(), limit, cursor)
+		resp.Partial, resp.FailedShards = len(view.FailedShards) > 0, view.FailedShards
 	} else {
 		page, err = s.SearchIndex.Search(q, limit, cursor)
 		state = fmt.Sprintf("%d", page.Generation)
@@ -137,12 +139,29 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	respondJSON(w, http.StatusOK, etag, resp)
 }
 
-// handleClusterSearch is the shard side of the scatter (POST
-// /cluster/search), in the two modes of cluster.SearchRequest: resolve
-// maps owned behaves: anchors to behavior-class fingerprints; query runs
-// the search against this shard's full-catalog index — identical keyword
-// and concept statistics on every shard — and returns the hits this
-// shard owns.
+// handleClusterSummary is GET /cluster/summary: this shard's index
+// generation and the examples and behavior class of every module it owns
+// and indexes, read together under the index's read lock. The
+// generation is the ETag, checked before anything is read or encoded.
+func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
+	if s.SearchIndex == nil {
+		writeError(w, http.StatusNotImplemented, "search is not enabled on this server")
+		return
+	}
+	if notModified(w, r, `"`+strconv.FormatUint(s.SearchIndex.Generation(), 10)+`"`) {
+		return
+	}
+	docs, gen := s.SearchIndex.Summary(s.Cluster.Owns)
+	respondJSON(w, http.StatusOK, `"`+strconv.FormatUint(gen, 10)+`"`,
+		cluster.Summary{Shard: s.Cluster.Self, Generation: gen, Docs: docs})
+}
+
+// handleClusterSearch is the shard side of Router.Search's scatter
+// (POST /cluster/search), which the public /search no longer makes, in
+// the two modes of cluster.SearchRequest: resolve maps owned behaves:
+// anchors to behavior-class fingerprints; query runs the search against
+// this shard's full-catalog index — identical keyword and concept
+// statistics on every shard — and returns the hits this shard owns.
 func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	if s.SearchIndex == nil {
 		writeError(w, http.StatusNotImplemented, "search is not enabled on this server")

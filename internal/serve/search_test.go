@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dexa/internal/search"
@@ -287,30 +288,55 @@ func TestClusterSearchEqualsOracle(t *testing.T) {
 }
 
 // TestClusterSearchPartialDegradation: a dead shard withholds its owned
-// hits — the ranking degrades to a flagged partial answer, never ETag'd.
+// hits — the ranking degrades to a flagged partial answer, never ETag'd,
+// that is the oracle's ranking without the dead shard's modules. With
+// every other shard dead the node still answers, from its own modules.
 func TestClusterSearchPartialDegradation(t *testing.T) {
 	w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
 	w.seed(t)
 	withClusterSearch(t, w)
 
+	queries := []string{"module", "concept:Seq"}
+	for _, id := range w.reg.IDs() {
+		if w.ring.Owner(id) == "s1" {
+			queries = append(queries, "behaves:"+id)
+		}
+	}
+	check := func(dead ...string) {
+		t.Helper()
+		for _, q := range queries {
+			resp, err := http.Get(w.nodes["s1"].ts.URL + "/api/search?q=" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("degraded search %q status %d: %s", q, resp.StatusCode, raw)
+			}
+			var got searchBody
+			mustUnmarshal(t, raw, &got)
+			if !got.Partial || !reflect.DeepEqual(got.FailedShards, dead) {
+				t.Fatalf("degraded search %q not flagged: partial=%v failed=%v, want failed %v", q, got.Partial, got.FailedShards, dead)
+			}
+			if resp.Header.Get("ETag") != "" {
+				t.Fatalf("partial search answer to %q carries an ETag", q)
+			}
+			var oracle searchBody
+			getJSON(t, w.oracle.ts.URL+"/api/search?q="+q, &oracle)
+			var want, hits []search.Hit
+			mustUnmarshal(t, oracle.Hits, &want)
+			mustUnmarshal(t, got.Hits, &hits)
+			want = slices.DeleteFunc(want, func(h search.Hit) bool { return slices.Contains(dead, w.ring.Owner(h.ID)) })
+			if len(want) == 0 || !reflect.DeepEqual(hits, want) {
+				t.Fatalf("degraded search %q with %v dead ranks %+v, want the oracle's %+v without their modules", q, dead, hits, want)
+			}
+		}
+	}
 	w.nodes["s3"].ts.Close()
-	resp, err := http.Get(w.nodes["s1"].ts.URL + "/api/search?q=module")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded search status %d: %s", resp.StatusCode, raw)
-	}
-	var got searchBody
-	mustUnmarshal(t, raw, &got)
-	if !got.Partial || !reflect.DeepEqual(got.FailedShards, []string{"s3"}) {
-		t.Fatalf("degraded search not flagged: partial=%v failed=%v", got.Partial, got.FailedShards)
-	}
-	if resp.Header.Get("ETag") != "" {
-		t.Fatal("partial search answer carries an ETag")
-	}
+	check("s3")
+	w.nodes["s2"].ts.Close()
+	check("s2", "s3")
 }
 
 // TestComposeEndpoint: synthesis over the annotated fixture — one-step

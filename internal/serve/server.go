@@ -27,7 +27,10 @@
 //	GET  /search                       — ranked behavior-aware repository search
 //	                                     (keywords, concept: expansion, behaves:
 //	                                     classes); paginated, ETag'd on the index
-//	                                     generation (see search.go)
+//	                                     generation; on a shard answered from its own
+//	                                     index over the other shards' summaries,
+//	                                     revalidated by one conditional call each
+//	                                     (see search.go)
 //	GET  /compose                      — constraint-guided workflow synthesis from an
 //	                                     input concept to an output concept, slots
 //	                                     disambiguated by data examples (see compose.go)

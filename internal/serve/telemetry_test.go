@@ -488,3 +488,62 @@ func TestComposePlanSpan(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoBytesGauge: dexa_serve_memo_bytes sums, on every scrape, the
+// bytes the /examples and /substitutes memos keep: each kept /examples
+// body, and each kept /substitutes body plus the envelope its limit=
+// splices into. A module whose set changes counts its new body, not
+// both.
+func TestMemoBytesGauge(t *testing.T) {
+	f := newFixture(t, "")
+	reg := telemetry.NewRegistry()
+	f.srv.Telemetry = reg
+	h := f.srv.Handler()
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		post(t, f.ts.URL+"/modules/"+id+"/generate")
+	}
+	scrape := func(memo string) float64 {
+		t.Helper()
+		var out strings.Builder
+		if err := reg.WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, out.String(), `dexa_serve_memo_bytes{memo="`+memo+`"}`)
+	}
+	bodyLen := func(target string) int {
+		t.Helper()
+		rec := serveGet(h, target, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", target, rec.Code)
+		}
+		return rec.Body.Len()
+	}
+
+	examples := bodyLen("/modules/alpha/examples") + bodyLen("/modules/beta/examples")
+	if got := scrape("examples"); got != float64(examples) {
+		t.Fatalf("examples memo keeps %v bytes, want %d", got, examples)
+	}
+	rec := serveGet(h, "/modules/alpha/substitutes", "")
+	var resp substitutesResponse
+	mustUnmarshal(t, rec.Body.Bytes(), &resp)
+	resp.Substitutes = resp.Substitutes[:0]
+	skel, err := encodeJSONBody(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := scrape("substitutes"), rec.Body.Len()+len(skel); got != float64(want) {
+		t.Fatalf("substitutes memo keeps %v bytes, want %d (body %d, envelope %d)", got, want, rec.Body.Len(), len(skel))
+	}
+
+	set, _, _ := f.st.Get("alpha")
+	if len(set) < 2 {
+		t.Fatalf("alpha stores %d examples; truncating it would change nothing", len(set))
+	}
+	if _, _, err := f.st.Put("alpha", set[:1]); err != nil {
+		t.Fatal(err)
+	}
+	examples = bodyLen("/modules/alpha/examples") + bodyLen("/modules/beta/examples")
+	if got := scrape("examples"); got != float64(examples) {
+		t.Fatalf("after a new set the examples memo keeps %v bytes, want %d", got, examples)
+	}
+}

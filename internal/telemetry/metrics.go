@@ -97,6 +97,7 @@ type series struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	fn     func() float64 // set by GaugeVec.Func; guarded by family.mu
 }
 
 // seriesSep joins label values into map keys; label values containing it
@@ -378,6 +379,19 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.with(values...).g
 }
 
+// Func makes the series for the given label values func-backed: fn is
+// evaluated at snapshot time in place of the series' stored value.
+// Registering the same label values again replaces the function.
+func (v *GaugeVec) Func(fn func() float64, values ...string) {
+	if v == nil {
+		return
+	}
+	s := v.f.with(values...)
+	v.f.mu.Lock()
+	s.fn = fn
+	v.f.mu.Unlock()
+}
+
 // GaugeFunc registers a func-backed gauge family evaluated at snapshot
 // time. Registering the same name again replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -568,10 +582,11 @@ func (f *family) snapshot() FamilySnapshot {
 	type keyed struct {
 		key string
 		s   *series
+		fn  func() float64
 	}
 	rows := make([]keyed, 0, len(f.series))
 	for k, s := range f.series {
-		rows = append(rows, keyed{k, s})
+		rows = append(rows, keyed{k, s, s.fn})
 	}
 	f.mu.RUnlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
@@ -586,7 +601,11 @@ func (f *family) snapshot() FamilySnapshot {
 		case kindCounter:
 			ss.Value = float64(row.s.c.Value())
 		case kindGauge:
-			ss.Value = row.s.g.Value()
+			if row.fn != nil {
+				ss.Value = row.fn()
+			} else {
+				ss.Value = row.s.g.Value()
+			}
 		case kindHistogram:
 			h := row.s.h
 			ss.Count = h.Count()

@@ -106,6 +106,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	reg.HistogramVec("vh_seconds", "", nil, "l").With("a").Observe(1)
 	reg.CounterFunc("f_total", "", func() float64 { return 1 })
 	reg.GaugeFunc("fg", "", func() float64 { return 1 })
+	reg.GaugeVec("vfg", "", "l").Func(func() float64 { return 1 }, "a")
 	if got := len(reg.Snapshot().Families); got != 0 {
 		t.Errorf("nil registry snapshot has %d families", got)
 	}
@@ -181,5 +182,34 @@ func TestRecordAllocations(t *testing.T) {
 	v.With("x", "y").Inc() // create the series outside the measurement
 	if n := testing.AllocsPerRun(1000, func() { v.With("x", "y").Inc() }); n > 1 {
 		t.Errorf("CounterVec.With(...).Inc allocates %v/op, want <= 1", n)
+	}
+}
+
+// TestGaugeVecFunc: a func-backed series of a labelled gauge is
+// evaluated on every snapshot, beside the family's stored series, and
+// registering it again replaces the function.
+func TestGaugeVecFunc(t *testing.T) {
+	reg := NewRegistry()
+	v := reg.GaugeVec("kept_bytes", "", "memo")
+	n := 3.0
+	v.Func(func() float64 { return n }, "a")
+	v.With("b").Set(7)
+	values := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, s := range reg.Snapshot().Families[0].Series {
+			out[s.Labels[0].Value] = s.Value
+		}
+		return out
+	}
+	if got := values(); got["a"] != 3 || got["b"] != 7 {
+		t.Fatalf("series = %v, want a=3 b=7", got)
+	}
+	n = 5
+	if got := values(); got["a"] != 5 {
+		t.Fatalf("func series read %v after its source moved to 5", got["a"])
+	}
+	v.Func(func() float64 { return 11 }, "a")
+	if got := values(); got["a"] != 11 {
+		t.Fatalf("re-registered func series read %v, want 11", got["a"])
 	}
 }
