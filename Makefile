@@ -84,13 +84,15 @@ race-cluster:
 # a feasible candidate (so a dead shard owning none leaves the answer
 # complete), a warm one must only revalidate the target's examples with
 # its owner (one 304, no scatter), a /search must answer every query
-# from the receiving shard's index equal to the oracle's, revalidating
-# each other shard's summary by one 304 and scattering no query, and
+# from the receiving shard's index equal to the oracle's with no
+# request-path call once its watch holds every other shard's summary
+# (a write reaching a peer through the watch, a drained shard turning
+# searches partial, a rebuilt index never taken for unchanged), and
 # dexa-load must produce a latency-percentile report from a two-shard
 # cluster on a tiny request budget. Gates results, not timings — safe on
 # any host.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan|TestClusterSubstitutesWarm|TestClusterSearchLocal|TestClusterMatchesContactsOnlyInfoWhenUnchanged|TestClusterMatchesSpan' -count=1 ./internal/serve/
+	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan|TestClusterSubstitutesWarm|TestClusterSearchLocal|TestClusterSearchWatched|TestClusterSearchRestartedPeer|TestClusterMatchesContactsOnlyInfoWhenUnchanged|TestClusterMatchesSpan' -count=1 ./internal/serve/
 	$(GO) test -run 'TestRun' -count=1 ./cmd/dexa-load/
 
 # Search concurrency: queries and pagination racing Update/Remove on the

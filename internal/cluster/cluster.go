@@ -14,7 +14,7 @@
 //   - Router: fan-out, per-shard timeouts, partial-result degradation
 //     and deterministic merges for /substitutes (and the /search scatter
 //     kept for replay), the state round and set gather a cluster
-//     /matches builds from, and the revalidated summaries a shard
+//     /matches builds from, and the watched summaries a shard
 //     answers /search with from its own index (router.go)
 //   - Checker: per-shard readiness probes behind resilient circuit
 //     breakers (health.go)

@@ -27,6 +27,10 @@ type Metrics struct {
 	ScatterRequests *telemetry.CounterVec // label: endpoint
 	ShardFailures   *telemetry.CounterVec // label: shard
 	ShardUp         *telemetry.GaugeVec   // label: shard
+
+	// Search summaries: revalidations of a held summary, by the watch's
+	// long-poll or by a call on a search's request path.
+	SummaryRevalidations *telemetry.CounterVec // labels: shard, via
 }
 
 // NewMetrics registers the cluster instruments on reg (nil reg yields
@@ -64,5 +68,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Per-shard scatter failures (timeout or error).", "shard"),
 		ShardUp: reg.GaugeVec("dexa_cluster_shard_up",
 			"Health-check verdict per shard (1 healthy, 0 down).", "shard"),
+		SummaryRevalidations: reg.CounterVec("dexa_cluster_summary_revalidations_total",
+			"Revalidations of another shard's search summary, by the watch (long-poll) or by a call on a search's request path.", "shard", "via"),
 	}
 }

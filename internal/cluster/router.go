@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -28,10 +27,12 @@ import (
 // its slice, it does not take the answer down with it), and merges the
 // slices deterministically — the healthy-cluster merge is byte-identical
 // to a single node holding the whole catalog. For /matches it only gathers:
-// the state round (Matrix) and the shards' stored sets (Sets), from
-// which the serving layer builds the matrix locally. For /search it
-// only revalidates the other shards' summaries (SearchView), and the
-// serving layer answers from its own index.
+// the state round (Matrix) and the other shards' stored sets (Sets), from
+// which the serving layer builds the matrix locally. For /search it only
+// holds the other shards' summaries (SearchView), and the serving layer
+// answers from its own index: Watch keeps one long-poll open per other
+// shard, so a search reads a watched summary without a call and calls
+// only a shard whose watch is down.
 type Router struct {
 	Config Config
 	Ring   *Ring
@@ -49,8 +50,22 @@ type Router struct {
 
 	searchMu  sync.Mutex
 	summaries map[string]*Summary // shard name -> the last summary it sent
+	watch     map[string]string   // shard name -> its watch state (Watch*)
 	view      *SearchView         // merged from the summaries it names
 }
+
+// Watch states of another shard's summary, as /stats reports them.
+const (
+	WatchPolling = "polling" // the watch started and has had no answer yet
+	WatchWatched = "watched" // the last long-poll answered: the summary is current
+	WatchFailed  = "failed"  // the last long-poll failed: searches call the shard
+)
+
+// Backoff bounds of a summary watch whose long-poll failed.
+const (
+	watchBackoffMin = 50 * time.Millisecond
+	watchBackoffMax = 2 * time.Second
+)
 
 // DefaultShardTimeout bounds one per-shard scatter call.
 const DefaultShardTimeout = 10 * time.Second
@@ -405,26 +420,27 @@ type SearchView struct {
 	// FailedShards names, sorted, the shards whose modules the overlay
 	// lacks: their hits are missing and the answer is partial.
 	FailedShards []string
-	keyParts     []string   // "name:generation" of every answering shard
+	keyParts     []string   // "name:nonce.generation" of every answering shard
 	summaries    []*Summary // per other shard in membership order, nil if failed
 }
 
-// StateKey is the cluster-wide state of an answer this node computed at
-// its own index generation gen: every answering shard's
-// "name:generation", sorted and comma-joined, so a page walk restarts
-// when any of those indexes moves.
-func (v *SearchView) StateKey(self string, gen uint64) string {
-	parts := append(slices.Clip(v.keyParts), self+":"+strconv.FormatUint(gen, 10))
+// StateKey is the cluster-wide state of an answer this node computed
+// with its own index at tag (search.Tag of its nonce and generation): every
+// answering shard's "name:nonce.generation", sorted and comma-joined, so
+// a page walk restarts when any of those indexes moves or is rebuilt.
+func (v *SearchView) StateKey(self, tag string) string {
+	parts := append(slices.Clip(v.keyParts), self+":"+tag)
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 
-// SearchView revalidates every shard but self's search summary by one
-// conditional GET /cluster/summary each, which a shard whose index has
-// not moved answers 304, and returns them merged. The merged view is
-// kept while the summaries it names are current, so a warm search moves
-// and merges nothing. A shard that fails contributes no summary and is
-// listed in FailedShards.
+// SearchView returns every shard but self's search summary merged. A
+// shard whose watch holds its summary current (see Watch) and whose
+// breaker is closed costs no call; any other is revalidated by one
+// conditional GET /cluster/summary, which a shard whose index has not
+// moved answers 304. The merged view is kept while the summaries it names
+// are current, so a warm search calls, moves and merges nothing. A shard
+// that fails contributes no summary and is listed in FailedShards.
 func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
 	others := make([]ShardConfig, 0, len(rt.Config.Shards))
 	for _, sh := range rt.Config.Shards {
@@ -432,33 +448,31 @@ func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
 			others = append(others, sh)
 		}
 	}
-	results := fanOut(rt, ctx, others, "summary", func(ctx context.Context, sh ShardConfig) (*Summary, error) {
-		rt.searchMu.Lock()
-		held := rt.summaries[sh.Name]
-		rt.searchMu.Unlock()
-		etag := ""
-		if held != nil {
-			etag = `"` + strconv.FormatUint(held.Generation, 10) + `"`
+	summaries := make([]*Summary, len(others))
+	var stale []int // indexes into others of the shards to call
+	rt.searchMu.Lock()
+	for i, sh := range others {
+		if sum := rt.summaries[sh.Name]; sum != nil && rt.watch[sh.Name] == WatchWatched && rt.Checker.Healthy(sh.Name) {
+			summaries[i] = sum
+		} else {
+			stale = append(stale, i)
 		}
-		fresh := new(Summary)
-		changed, err := rt.callIf(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/summary", etag, nil, fresh)
-		if err != nil {
-			return nil, err
+	}
+	rt.searchMu.Unlock()
+	if len(stale) > 0 {
+		calls := make([]ShardConfig, len(stale))
+		for k, i := range stale {
+			calls[k] = others[i]
 		}
-		if !changed {
-			return held, nil
+		results := fanOut(rt, ctx, calls, "summary", func(ctx context.Context, sh ShardConfig) (*Summary, error) {
+			rt.searchMu.Lock()
+			held := rt.summaries[sh.Name]
+			rt.searchMu.Unlock()
+			return rt.revalidate(ctx, sh, held, 0)
+		})
+		for k, res := range results {
+			summaries[stale[k]] = res.reply
 		}
-		rt.searchMu.Lock()
-		if rt.summaries == nil {
-			rt.summaries = map[string]*Summary{}
-		}
-		rt.summaries[sh.Name] = fresh
-		rt.searchMu.Unlock()
-		return fresh, nil
-	})
-	summaries := make([]*Summary, len(results))
-	for i, res := range results {
-		summaries[i] = res.reply
 	}
 	rt.searchMu.Lock()
 	defer rt.searchMu.Unlock()
@@ -469,10 +483,10 @@ func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
 	docs := map[string]search.Remote{}
 	for i, sum := range summaries {
 		if sum == nil {
-			v.FailedShards = append(v.FailedShards, results[i].shard.Name)
+			v.FailedShards = append(v.FailedShards, others[i].Name)
 			continue
 		}
-		v.keyParts = append(v.keyParts, results[i].shard.Name+":"+strconv.FormatUint(sum.Generation, 10))
+		v.keyParts = append(v.keyParts, others[i].Name+":"+sum.Tag())
 		for id, r := range sum.Docs {
 			docs[id] = r
 		}
@@ -481,6 +495,134 @@ func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
 	v.Overlay = search.NewOverlay(func(id string) bool { return rt.Ring.Owner(id) == self }, docs)
 	rt.view = v
 	return v
+}
+
+// revalidate brings the summary the caller holds of one shard up to date
+// by a GET /cluster/summary, conditional on held unless it is nil, and
+// returns the current summary (nil with the error when the call fails); a
+// changed one is kept for every later search. With wait > 0 the call is a
+// long-poll: the shard parks it until its index moves (200), the wait
+// ends (304) or it drains (503).
+func (rt *Router) revalidate(ctx context.Context, sh ShardConfig, held *Summary, wait time.Duration) (*Summary, error) {
+	etag := ""
+	if held != nil {
+		etag = `"` + held.Tag() + `"`
+	}
+	path, via := "/cluster/summary", "call"
+	if wait > 0 {
+		path, via = path+"?wait="+wait.String(), "watch"
+	}
+	if rt.Metrics != nil {
+		rt.Metrics.SummaryRevalidations.With(sh.Name, via).Inc()
+	}
+	fresh := new(Summary)
+	changed, err := rt.callIf(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), path, etag, nil, fresh)
+	if err != nil {
+		return nil, err
+	}
+	if !changed {
+		return held, nil
+	}
+	rt.searchMu.Lock()
+	if rt.summaries == nil {
+		rt.summaries = map[string]*Summary{}
+	}
+	// A call answered after a later one must not roll the summary back.
+	if kept := rt.summaries[sh.Name]; kept == nil || kept.Nonce != fresh.Nonce || kept.Generation < fresh.Generation {
+		rt.summaries[sh.Name] = fresh
+	}
+	rt.searchMu.Unlock()
+	return fresh, nil
+}
+
+// Watch keeps every shard but self's summary current until ctx ends: one
+// long-poll per shard, each waiting half the per-shard timeout, so a
+// shard's index moving reaches this node one loopback hop later. A shard
+// is watched after any answer, and not watched after any failure (a 503
+// from a draining shard included) until a later poll answers; the failed
+// watch backs off and retries. When Watch returns no shard is watched.
+func (rt *Router) Watch(ctx context.Context, self string) {
+	var wg sync.WaitGroup
+	for _, sh := range rt.Config.Shards {
+		if sh.Name == self {
+			continue
+		}
+		wg.Add(1)
+		go func(sh ShardConfig) {
+			defer wg.Done()
+			rt.watchShard(ctx, sh)
+		}(sh)
+	}
+	wg.Wait()
+}
+
+// watchShard is one shard's watch. Its first poll, and its first after a
+// failure, holds nothing and so is answered at once: the shard is watched
+// from then on, rather than after a poll parked on a summary it already
+// has.
+func (rt *Router) watchShard(ctx context.Context, sh ShardConfig) {
+	rt.setWatch(sh.Name, WatchPolling)
+	defer rt.setWatch(sh.Name, "")
+	var held *Summary
+	backoff := watchBackoffMin
+	for {
+		sum, err := rt.revalidate(ctx, sh, held, rt.timeout()/2)
+		if ctx.Err() != nil {
+			return
+		}
+		if err == nil {
+			held = sum
+			rt.setWatch(sh.Name, WatchWatched)
+			backoff = watchBackoffMin
+			continue
+		}
+		held = nil
+		rt.setWatch(sh.Name, WatchFailed)
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, watchBackoffMax)
+	}
+}
+
+func (rt *Router) setWatch(name, state string) {
+	rt.searchMu.Lock()
+	defer rt.searchMu.Unlock()
+	if rt.watch == nil {
+		rt.watch = map[string]string{}
+	}
+	rt.watch[name] = state
+}
+
+// HeldSummary is one other shard's summary as this node holds it, for
+// /stats: the index state it names and the state of its watch ("" before
+// the watch starts and after it stops).
+type HeldSummary struct {
+	Shard      string `json:"shard"`
+	Nonce      string `json:"nonce,omitempty"`
+	Generation uint64 `json:"generation"`
+	Watch      string `json:"watch,omitempty"`
+}
+
+// HeldSummaries reports every shard but self's held summary, in
+// membership order.
+func (rt *Router) HeldSummaries(self string) []HeldSummary {
+	rt.searchMu.Lock()
+	defer rt.searchMu.Unlock()
+	var out []HeldSummary
+	for _, sh := range rt.Config.Shards {
+		if sh.Name == self {
+			continue
+		}
+		h := HeldSummary{Shard: sh.Name, Watch: rt.watch[sh.Name]}
+		if sum := rt.summaries[sh.Name]; sum != nil {
+			h.Nonce, h.Generation = sum.Nonce, sum.Generation
+		}
+		out = append(out, h)
+	}
+	return out
 }
 
 // verdictRank orders verdict strings by strength, mirroring the
@@ -499,26 +641,41 @@ func verdictRank(v string) int {
 }
 
 // Matrix runs the state round of a cluster /matches: one /cluster/info
-// call per shard. The state key folds every answering shard's
-// replication sequence, so it moves exactly when some shard's stored
-// annotations do. The caller gathers sets (see Sets) only when the key
-// misses its cache, so revalidating an unchanged cluster costs this one
-// round and builds nothing.
-func (rt *Router) Matrix(ctx context.Context) (*MatrixState, error) {
-	infos := fanOut(rt, ctx, rt.Config.Shards, "info", func(ctx context.Context, sh ShardConfig) (Info, error) {
+// call per shard, except the shards the caller answers for in local (its
+// own, read from its store without a loopback call). The state key folds
+// every answering shard's replication sequence, so it moves exactly when
+// some shard's stored annotations do. The caller gathers sets (see Sets)
+// only when the key misses its cache, so revalidating an unchanged
+// cluster costs this one round and builds nothing.
+func (rt *Router) Matrix(ctx context.Context, local ...Info) (*MatrixState, error) {
+	seqs := map[string]uint64{}
+	var remote []ShardConfig
+	for _, sh := range rt.Config.Shards {
+		if i := slices.IndexFunc(local, func(in Info) bool { return in.Shard == sh.Name }); i >= 0 {
+			seqs[sh.Name] = local[i].Seq
+		} else {
+			remote = append(remote, sh)
+		}
+	}
+	infos := fanOut(rt, ctx, remote, "info", func(ctx context.Context, sh ShardConfig) (Info, error) {
 		var info Info
 		err := rt.call(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/info", nil, &info)
 		return info, err
 	})
 	out := &MatrixState{}
-	var keyParts []string
 	for _, res := range infos {
 		if res.err != nil {
 			out.FailedShards = append(out.FailedShards, res.shard.Name)
 			continue
 		}
-		out.Shards = append(out.Shards, res.shard)
-		keyParts = append(keyParts, fmt.Sprintf("%s:%d", res.shard.Name, res.reply.Seq))
+		seqs[res.shard.Name] = res.reply.Seq
+	}
+	var keyParts []string
+	for _, sh := range rt.Config.Shards {
+		if seq, ok := seqs[sh.Name]; ok {
+			out.Shards = append(out.Shards, sh)
+			keyParts = append(keyParts, fmt.Sprintf("%s:%d", sh.Name, seq))
+		}
 	}
 	if len(out.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shard reachable for matrix build")
@@ -531,14 +688,26 @@ func (rt *Router) Matrix(ctx context.Context) (*MatrixState, error) {
 
 // Sets gathers every annotation the listed shards store into one map
 // keyed by module ID — the whole catalog's sets when every shard
-// answers — and names, sorted, the shards that failed to send theirs.
-func (rt *Router) Sets(ctx context.Context, shards []ShardConfig) (map[string]StoredSet, []string, error) {
-	results := fanOut(rt, ctx, shards, "sets", func(ctx context.Context, sh ShardConfig) (SetsPayload, error) {
+// answers — and names, sorted, the shards that failed to send theirs. A
+// shard the caller answers for in local sends no call.
+func (rt *Router) Sets(ctx context.Context, shards []ShardConfig, local ...SetsPayload) (map[string]StoredSet, []string, error) {
+	sets := make(map[string]StoredSet)
+	var remote []ShardConfig
+	for _, sh := range shards {
+		i := slices.IndexFunc(local, func(p SetsPayload) bool { return p.Shard == sh.Name })
+		if i < 0 {
+			remote = append(remote, sh)
+			continue
+		}
+		for id, set := range local[i].Sets {
+			sets[id] = set
+		}
+	}
+	results := fanOut(rt, ctx, remote, "sets", func(ctx context.Context, sh ShardConfig) (SetsPayload, error) {
 		var payload SetsPayload
 		err := rt.call(ctx, http.MethodGet, strings.TrimSuffix(sh.URL, "/"), "/cluster/sets", nil, &payload)
 		return payload, err
 	})
-	sets := make(map[string]StoredSet)
 	var failed []string
 	for _, res := range results {
 		if res.err != nil {
@@ -549,7 +718,7 @@ func (rt *Router) Sets(ctx context.Context, shards []ShardConfig) (map[string]St
 			sets[id] = set
 		}
 	}
-	if len(failed) == len(results) {
+	if len(failed) == len(shards) {
 		return nil, nil, fmt.Errorf("cluster: no shard contributed sets for matrix build")
 	}
 	sort.Strings(failed)

@@ -73,15 +73,20 @@ type SubstitutesReply struct {
 	Skipped     []SkippedEntry    `json:"skipped,omitempty"`
 }
 
-// Summary is GET /cluster/summary: one shard's search-index generation
-// and, for every module it owns and indexes, the stored-annotation half
-// of its document. The generation is its ETag, so a shard whose index
-// has not moved answers a revalidation 304 and sends nothing.
+// Summary is GET /cluster/summary: one shard's search-index nonce and
+// generation and, for every module it owns and indexes, the
+// stored-annotation half of its document. Its Tag is the ETag, so a shard
+// whose index has not moved answers a revalidation 304 and sends nothing,
+// and a restarted shard, whose index has a new nonce, never does.
 type Summary struct {
 	Shard      string                   `json:"shard"`
+	Nonce      string                   `json:"nonce"`
 	Generation uint64                   `json:"generation"`
 	Docs       map[string]search.Remote `json:"docs"`
 }
+
+// Tag names the index state a summary was read at (see search.Tag).
+func (s *Summary) Tag() string { return search.Tag(s.Nonce, s.Generation) }
 
 // SearchRequest is POST /cluster/search, in one of two modes. With
 // Resolve set, the shard only maps the listed module IDs (behaves:

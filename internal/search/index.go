@@ -21,14 +21,18 @@
 // store writes and lifecycle availability flips are cheap to mirror. A
 // generation counter increments on every mutation; pagination cursors
 // embed it so a page walk either resumes consistently or is told to
-// restart (see query.go).
+// restart (see query.go). Changed lets a long-poll wait for the next
+// mutation, and a random per-instance nonce tells two indexes at the same
+// generation apart.
 package search
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,7 +69,11 @@ type Index struct {
 	concept  map[string]map[string]bool // concept -> docID set
 	behavior map[string]map[string]bool // fingerprint -> docID set
 	postings int                        // live keyword postings
+	// changed is closed when the generation moves, waking every Changed
+	// waiter; the next waiter allocates its successor.
+	changed chan struct{}
 
+	nonce      string
 	generation atomic.Uint64
 	queries    atomic.Uint64
 	updates    atomic.Uint64
@@ -75,8 +83,14 @@ type Index struct {
 
 // New builds an empty index over the ontology.
 func New(ont *ontology.Ontology) *Index {
+	// A failed read leaves the nonce zero: validators then only lose
+	// their protection across restarts (crypto/rand does not fail on the
+	// platforms dexa runs on).
+	var nonce [8]byte
+	_, _ = rand.Read(nonce[:])
 	return &Index{
 		ont:      ont,
+		nonce:    hex.EncodeToString(nonce[:]),
 		docs:     map[string]*doc{},
 		keyword:  map[string]map[string]int{},
 		concept:  map[string]map[string]bool{},
@@ -231,7 +245,7 @@ func (ix *Index) Update(m *module.Module, set dataexample.Set, version uint64) {
 		}
 		post[m.ID] = true
 	}
-	ix.generation.Add(1)
+	ix.bumpLocked()
 	ix.mu.Unlock()
 	ix.updates.Add(1)
 }
@@ -242,11 +256,21 @@ func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	removed := ix.removeLocked(id)
 	if removed {
-		ix.generation.Add(1)
+		ix.bumpLocked()
 	}
 	ix.mu.Unlock()
 	if removed {
 		ix.updates.Add(1)
+	}
+}
+
+// bumpLocked moves the generation and wakes every Changed waiter. The
+// caller holds the write lock.
+func (ix *Index) bumpLocked() {
+	ix.generation.Add(1)
+	if ix.changed != nil {
+		close(ix.changed)
+		ix.changed = nil
 	}
 }
 
@@ -289,6 +313,39 @@ func (ix *Index) removeLocked(id string) bool {
 // lock sees the documents of exactly the generation it reads; cursors
 // and ETags key on it.
 func (ix *Index) Generation() uint64 { return ix.generation.Load() }
+
+// Changed returns a channel that is closed once the generation is no
+// longer gen. When it already is not, the channel is already closed, so
+// a select never misses a mutation.
+func (ix *Index) Changed(gen uint64) <-chan struct{} {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.generation.Load() != gen {
+		return closed
+	}
+	if ix.changed == nil {
+		ix.changed = make(chan struct{})
+	}
+	return ix.changed
+}
+
+// closed is the channel Changed returns once the generation has moved.
+var closed = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Nonce is random per Index: a generation names a state of this index
+// only, so a validator built from it carries the nonce too, and an index
+// rebuilt after a restart never validates one the old index minted.
+func (ix *Index) Nonce() string { return ix.nonce }
+
+// Tag names one state of one index, "<nonce>.<generation>": what a
+// validator of an answer read at that state binds to.
+func Tag(nonce string, gen uint64) string {
+	return nonce + "." + strconv.FormatUint(gen, 10)
+}
 
 // Len returns the number of indexed documents.
 func (ix *Index) Len() int {

@@ -219,3 +219,49 @@ func TestSearchIndexConcurrent(t *testing.T) {
 	churners.Wait()
 	_ = ix.Stats()
 }
+
+// TestChangedWakesOnMutation: Changed(gen) stays open while the index
+// holds gen, is closed by the next Update or effective Remove (a no-op
+// Remove leaves it open), and is already closed for a generation the
+// index has moved past. Two indexes at the same generation carry
+// different nonces.
+func TestChangedWakesOnMutation(t *testing.T) {
+	o := testOntology()
+	ix := New(o)
+	isClosed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	gen := ix.Generation()
+	ch := ix.Changed(gen)
+	if isClosed(ch) {
+		t.Fatal("Changed closed before any mutation")
+	}
+	ix.Remove("nosuchmodule")
+	if isClosed(ch) {
+		t.Fatal("a Remove of an unindexed module closed Changed")
+	}
+	ix.Update(mod("align", "aligner", "", "Prot", "Acc"), dataexample.Set{ex("M", "h")}, 1)
+	if !isClosed(ch) {
+		t.Fatal("Update left Changed open")
+	}
+	if !isClosed(ix.Changed(gen)) {
+		t.Fatal("Changed of a past generation is open")
+	}
+	ch = ix.Changed(ix.Generation())
+	ix.Remove("align")
+	if !isClosed(ch) {
+		t.Fatal("Remove left Changed open")
+	}
+
+	other := New(o)
+	other.Update(mod("align", "aligner", "", "Prot", "Acc"), dataexample.Set{ex("M", "h")}, 1)
+	other.Remove("align")
+	if other.Generation() != ix.Generation() || other.Nonce() == ix.Nonce() || ix.Nonce() == "" {
+		t.Fatalf("two indexes at generation %d/%d share nonce %q/%q", ix.Generation(), other.Generation(), ix.Nonce(), other.Nonce())
+	}
+}

@@ -24,17 +24,22 @@ import (
 //	GET  /cluster/info        — this node's identity and replication seq
 //	GET  /cluster/sets        — every annotation this shard stores
 //	POST /cluster/substitutes — rank a candidate slice against shipped examples
-//	GET  /cluster/summary     — this shard's index generation and the examples
-//	                            and behavior class of every module it owns;
-//	                            ETag = generation, If-None-Match answers 304
+//	GET  /cluster/summary     — this shard's index nonce and generation and the
+//	                            examples and behavior class of every module it
+//	                            owns; ETag = "<nonce>.<generation>",
+//	                            If-None-Match answers 304
+//	GET  /cluster/summary?wait= — the same as a long-poll: a current
+//	                            If-None-Match parks until the index moves or
+//	                            the wait ends (304); 503 once draining
 //	POST /cluster/search      — rank this shard's hits, or resolve behaves:
 //	                            anchors (Router.Search's scatter, which the
 //	                            public /search no longer makes)
 //
 // and changes how the public query routes answer: /modules/{id}/substitutes
 // scatter-gathers across the ring through the cluster Router, /search
-// answers from this node's index over the other shards' revalidated
-// summaries, and /matches gathers every shard's sets and builds the
+// answers from this node's index over the other shards' summaries (held
+// current by one long-poll per shard, called for while a shard's watch is
+// down), and /matches gathers every other shard's sets and builds the
 // matrix locally (answers are byte-identical to a single node holding
 // the whole catalog; failed shards degrade the response to a partial
 // one instead of failing it), while /examples and /generate for a module another
@@ -112,6 +117,12 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClusterSets(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.setsPayload())
+}
+
+// setsPayload is every annotation this shard stores: GET /cluster/sets,
+// and this node's own part of a cluster /matches gather.
+func (s *Server) setsPayload() cluster.SetsPayload {
 	payload := cluster.SetsPayload{
 		Shard: s.Cluster.Self,
 		Seq:   s.Store.Seq(),
@@ -124,7 +135,7 @@ func (s *Server) handleClusterSets(w http.ResponseWriter, r *http.Request) {
 		}
 		payload.Sets[id] = cluster.StoredSet{Hash: hash, Version: version, Examples: set}
 	}
-	writeJSON(w, http.StatusOK, payload)
+	return payload
 }
 
 // handleClusterSubstitutes ranks this shard's slice of the candidate set
@@ -290,24 +301,25 @@ func (s *Server) ownersOf(ids []string) []string {
 }
 
 // clusterMatrixSource is the cluster-mode matrixSource. The state round
-// (Router.Matrix) reads every shard's replication sequence and the state
-// hashes that vector, so an unchanged cluster revalidates with one
-// /cluster/info call per shard and no set moves. load gathers the
-// answering shards' sets (Router.Sets) and interns them once into one
-// symbol table; the matrix is then built here by the single-node path,
-// so a healthy cluster's answer is byte-identical to one node holding
-// the whole catalog. A shard that fails either round contributes no
+// (Router.Matrix) reads every shard's replication sequence, this node's
+// from its own store, and the state hashes that vector, so an unchanged
+// cluster revalidates with one /cluster/info call per other shard and no
+// set moves. load gathers the answering shards' sets (Router.Sets), this
+// node's read locally, and interns them once into one symbol table; the
+// matrix is then built here by the single-node path, so a healthy
+// cluster's answer is byte-identical to one node holding the whole
+// catalog. A shard that fails either round contributes no
 // sets: its modules land in Missing and the answer is partial.
 func (s *Server) clusterMatrixSource(ctx context.Context) (*matrixSource, error) {
 	rt := s.Cluster.Router
-	st, err := rt.Matrix(ctx)
+	st, err := rt.Matrix(ctx, cluster.Info{Shard: s.Cluster.Self, Seq: s.Store.Seq()})
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256([]byte(st.StateKey))
 	src := &matrixSource{state: hex.EncodeToString(sum[:])[:32], failed: st.FailedShards}
 	src.load = func(ctx context.Context) (match.KeyedSource, error) {
-		sets, failed, err := rt.Sets(ctx, st.Shards)
+		sets, failed, err := rt.Sets(ctx, st.Shards, s.setsPayload())
 		if err != nil {
 			return nil, err
 		}
@@ -341,6 +353,9 @@ type clusterStats struct {
 	Shards []cluster.ShardHealth `json:"shards,omitempty"`
 	// Replication is the follower's tail position (follower role).
 	Replication *cluster.FollowerStatus `json:"replication,omitempty"`
+	// Summaries is every other shard's search summary as this node holds
+	// it, with the state of its watch (shard role).
+	Summaries []cluster.HeldSummary `json:"summaries,omitempty"`
 }
 
 func (s *Server) clusterStatsBlock() *clusterStats {
@@ -350,6 +365,9 @@ func (s *Server) clusterStatsBlock() *clusterStats {
 	cs := &clusterStats{Role: s.Cluster.Role, Self: s.Cluster.Self, Seq: s.Store.Seq()}
 	if s.Cluster.Checker != nil {
 		cs.Shards = s.Cluster.Checker.Status()
+	}
+	if s.clusterMode() {
+		cs.Summaries = s.Cluster.Router.HeldSummaries(s.Cluster.Self)
 	}
 	if s.Cluster.Follower != nil {
 		st := s.Cluster.Follower.Status()

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dexa/internal/cluster"
 	"dexa/internal/core"
@@ -36,30 +37,61 @@ type fullCatalog struct {
 }
 
 // shardCall is one intra-cluster call: the shard it reached and the API
-// path it asked for, without the /api mount prefix.
+// path it asked for, without the /api mount prefix. A long-poll, a call
+// carrying ?wait=, is a watch poll and counts under the path plus "?wait".
 type shardCall struct{ shard, path string }
 
 // shardCalls is an http.RoundTripper that counts the calls each shard
-// receives, by shard and path, and those it answered 304.
+// receives, by shard and path, and those it answered 304 or 200.
 type shardCalls struct {
 	shardOf map[string]string // host:port → shard name
 	mu      sync.Mutex
 	got     map[shardCall]int
 	got304  map[shardCall]int
+	got200  map[shardCall]int // reset by take200 only
 }
 
 func (c *shardCalls) RoundTrip(req *http.Request) (*http.Response, error) {
 	call := shardCall{c.shardOf[req.URL.Host], strings.TrimPrefix(req.URL.Path, "/api")}
+	if req.URL.Query().Has("wait") {
+		call.path += "?wait"
+	}
 	c.mu.Lock()
 	c.got[call]++
 	c.mu.Unlock()
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && resp.StatusCode == http.StatusNotModified {
+	if err == nil {
 		c.mu.Lock()
-		c.got304[call]++
+		switch resp.StatusCode {
+		case http.StatusNotModified:
+			c.got304[call]++
+		case http.StatusOK:
+			c.got200[call]++
+		}
 		c.mu.Unlock()
 	}
 	return resp, err
+}
+
+// take200 returns the calls answered 200 since the last take200 and
+// resets them.
+func (c *shardCalls) take200() map[shardCall]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	got := c.got200
+	c.got200 = map[shardCall]int{}
+	return got
+}
+
+// requestPath drops the watch's long-polls from taken calls, leaving the
+// calls made on a request's path.
+func requestPath(calls map[shardCall]int) map[shardCall]int {
+	for call := range calls {
+		if strings.HasSuffix(call.path, "?wait") {
+			delete(calls, call)
+		}
+	}
+	return calls
 }
 
 // take returns the calls counted since the last take and resets them.
@@ -125,7 +157,7 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := &shardCalls{shardOf: map[string]string{}, got: map[shardCall]int{}, got304: map[shardCall]int{}}
+	calls := &shardCalls{shardOf: map[string]string{}, got: map[shardCall]int{}, got304: map[shardCall]int{}, got200: map[shardCall]int{}}
 	for _, sh := range cfg.Shards {
 		calls.shardOf[strings.TrimPrefix(sh.URL, "http://")] = sh.Name
 	}
@@ -357,15 +389,16 @@ func TestComposeClusterGathersOncePerState(t *testing.T) {
 	}
 	fc.calls.take()
 	calls, view, _ := serve()
-	if want := perShard(fc.names, "/cluster/info", "/cluster/sets"); view != "built" || !reflect.DeepEqual(calls, want) {
+	others := []string{"s2", "s3"} // s1 reads its own seq and sets locally
+	if want := perShard(others, "/cluster/info", "/cluster/sets"); view != "built" || !reflect.DeepEqual(calls, want) {
 		t.Fatalf("cold /compose: view %q, calls %v; want built, %v", view, calls, want)
 	}
 	calls, view, _ = serve()
-	if want := perShard(fc.names, "/cluster/info"); view != "hit" || !reflect.DeepEqual(calls, want) {
+	if want := perShard(others, "/cluster/info"); view != "hit" || !reflect.DeepEqual(calls, want) {
 		t.Fatalf("repeat /compose: view %q, calls %v; want hit, %v", view, calls, want)
 	}
 
-	fc.nodes["s3"].ts.Close()
+	fc.nodes["s3"].kill()
 	var lost []string
 	for _, id := range fc.ids {
 		if fc.ring.Owner(id) == "s3" {
@@ -373,7 +406,7 @@ func TestComposeClusterGathersOncePerState(t *testing.T) {
 		}
 	}
 	calls, view, resp := serve()
-	want := perShard([]string{"s1", "s2"}, "/cluster/info", "/cluster/sets")
+	want := perShard([]string{"s2"}, "/cluster/info", "/cluster/sets")
 	want[shardCall{"s3", "/cluster/info"}] = 1 // attempted, refused
 	if view != "uncached" || !reflect.DeepEqual(calls, want) {
 		t.Fatalf("/compose with s3 down: view %q, calls %v; want uncached, %v", view, calls, want)
@@ -609,7 +642,7 @@ func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
 	}
 	fc := newFullCatalog(t)
 	const dead = "s3"
-	fc.nodes[dead].ts.Close()
+	fc.nodes[dead].kill()
 
 	var complete, partial int
 	for _, id := range fc.ids {
@@ -654,20 +687,23 @@ func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
 }
 
 // TestClusterMatchesContactsOnlyInfoWhenUnchanged: a cold cluster
-// /matches costs one /cluster/info and one /cluster/sets call per shard
-// and no other intra-cluster call; revalidating its ETag — even on
-// shards that never built the matrix — costs one /cluster/info call per
-// shard and gathers no set.
+// /matches costs one /cluster/info and one /cluster/sets call per other
+// shard and no other intra-cluster call — the serving shard reads its own
+// seq and sets locally; revalidating its ETag — even on shards that never
+// built the matrix — costs one /cluster/info call per other shard and
+// gathers no set.
 func TestClusterMatchesContactsOnlyInfoWhenUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-catalog cluster matrix skipped in -short mode")
 	}
 	fc := newFullCatalog(t)
-	perShard := func(paths ...string) map[shardCall]int {
+	perOtherShard := func(self string, paths ...string) map[shardCall]int {
 		want := map[shardCall]int{}
 		for _, name := range fc.names {
 			for _, path := range paths {
-				want[shardCall{name, path}] = 1
+				if name != self {
+					want[shardCall{name, path}] = 1
+				}
 			}
 		}
 		return want
@@ -678,7 +714,7 @@ func TestClusterMatchesContactsOnlyInfoWhenUnchanged(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || etag == "" {
 		t.Fatalf("cold /matches on s1: status %d, ETag %q", resp.StatusCode, etag)
 	}
-	if got, want := fc.calls.take(), perShard("/cluster/info", "/cluster/sets"); !reflect.DeepEqual(got, want) {
+	if got, want := fc.calls.take(), perOtherShard("s1", "/cluster/info", "/cluster/sets"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold /matches on s1 made calls %v, want %v", got, want)
 	}
 	for _, name := range []string{"s2", "s3"} {
@@ -686,7 +722,7 @@ func TestClusterMatchesContactsOnlyInfoWhenUnchanged(t *testing.T) {
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("revalidation on %s: status %d, want 304", name, resp.StatusCode)
 		}
-		if got, want := fc.calls.take(), perShard("/cluster/info"); !reflect.DeepEqual(got, want) {
+		if got, want := fc.calls.take(), perOtherShard(name, "/cluster/info"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("revalidation on %s made calls %v, want %v", name, got, want)
 		}
 	}
@@ -770,10 +806,11 @@ func (fc *fullCatalog) withSearch(t *testing.T) map[string]*search.Syncer {
 // TestClusterSearchLocal: a shard answers /search from its own index,
 // with the other shards' stored annotations lent by their summaries.
 // Every behaves: query of the full catalog, a keyword sample and a
-// concept: query equal the oracle's ranking from every shard; warm, each
-// search revalidates each other shard's summary by one call answered
-// 304 and scatters no query; after an owner stores a new set, the next
-// search refetches that owner's summary alone and ranks the new set.
+// concept: query equal the oracle's ranking from every shard; once the
+// shard's summary watch holds every other shard's summary, a search makes
+// no request-path call — it revalidates no summary and scatters no query;
+// after an owner stores a new set, the watch brings that owner's new
+// summary and the next search ranks the new set, still without a call.
 func TestClusterSearchLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-catalog cluster search skipped in -short mode")
@@ -783,26 +820,6 @@ func TestClusterSearchLocal(t *testing.T) {
 	queries := []string{"sequence", "protein+blast", "kegg", "translate", "concept:" + simulation.CBioSequence}
 	for _, id := range fc.ids {
 		queries = append(queries, "behaves:"+id)
-	}
-	ask := func(base, q string) searchBody {
-		t.Helper()
-		status, raw := fetch(t, base+"/api/search?limit=300&q="+q)
-		if status != http.StatusOK {
-			t.Fatalf("search %q on %s: status %d: %s", q, base, status, raw)
-		}
-		var body searchBody
-		mustUnmarshal(t, raw, &body)
-		return body
-	}
-	// summaryCalls is one /cluster/summary call on every shard but name.
-	summaryCalls := func(name string) map[shardCall]int {
-		want := map[shardCall]int{}
-		for _, other := range fc.names {
-			if other != name {
-				want[shardCall{other, "/cluster/summary"}] = 1
-			}
-		}
-		return want
 	}
 	same := func(step, name, q string, got, want searchBody) {
 		t.Helper()
@@ -814,15 +831,15 @@ func TestClusterSearchLocal(t *testing.T) {
 
 	hits := 0
 	for _, name := range fc.names {
-		ask(fc.nodes[name].ts.URL, queries[0]) // fetches every summary once
+		askSearch(t, fc.nodes[name].ts.URL, queries[0]) // starts the summary watch
+		fc.waitWatched(t, name)
 		fc.calls.take()
 		for _, q := range queries {
-			want := ask(fc.oracle.ts.URL, q)
+			want := askSearch(t, fc.oracle.ts.URL, q)
 			hits += want.Total
-			same("warm", name, q, ask(fc.nodes[name].ts.URL, q), want)
-			calls, revalidated := fc.calls.takeAll()
-			if want := summaryCalls(name); !reflect.DeepEqual(calls, want) || !reflect.DeepEqual(revalidated, want) {
-				t.Fatalf("search %q via %s made calls %v (304: %v), want %v answered 304", q, name, calls, revalidated, want)
+			same("warm", name, q, askSearch(t, fc.nodes[name].ts.URL, q), want)
+			if calls := requestPath(fc.calls.take()); len(calls) != 0 {
+				t.Fatalf("search %q via %s made request-path calls %v, want none", q, name, calls)
 			}
 		}
 	}
@@ -831,8 +848,52 @@ func TestClusterSearchLocal(t *testing.T) {
 	}
 
 	// A module with two examples or more on s1, its set truncated to one
-	// on s1 and the oracle: s2 refetches s1's summary alone and ranks the
-	// new class.
+	// on s1 and the oracle: s2's watch brings s1's new summary, and s2
+	// ranks the new class.
+	target := fc.truncateOnS1(t, syncers)
+	waitHeld(t, fc.nodes["s2"], "s1", func(h cluster.HeldSummary) bool { return h.Generation == syncers["s1"].Index.Generation() })
+	q := "behaves:" + target
+	want := askSearch(t, fc.oracle.ts.URL, q)
+	fc.calls.take()
+	same("new set", "s2", q, askSearch(t, fc.nodes["s2"].ts.URL, q), want)
+	if calls := requestPath(fc.calls.take()); len(calls) != 0 {
+		t.Fatalf("search after a write on s1 made request-path calls %v, want none", calls)
+	}
+	var got []search.Hit
+	mustUnmarshal(t, want.Hits, &got)
+	if len(got) == 0 || got[0].ID != target || got[0].Examples != 1 {
+		t.Fatalf("behaves:%s after the write ranks %+v, want the target first with one example", target, got)
+	}
+}
+
+// askSearch runs one /search on base and decodes its 200 answer.
+func askSearch(t *testing.T, base, q string) searchBody {
+	t.Helper()
+	status, raw := fetch(t, base+"/api/search?limit=300&q="+q)
+	if status != http.StatusOK {
+		t.Fatalf("search %q on %s: status %d: %s", q, base, status, raw)
+	}
+	var body searchBody
+	mustUnmarshal(t, raw, &body)
+	return body
+}
+
+// waitWatched waits until name's summary watch holds every other shard's
+// summary current.
+func (fc *fullCatalog) waitWatched(t *testing.T, name string) {
+	t.Helper()
+	for _, other := range fc.names {
+		if other != name {
+			waitHeld(t, fc.nodes[name], other, func(h cluster.HeldSummary) bool { return h.Watch == cluster.WatchWatched })
+		}
+	}
+}
+
+// truncateOnS1 picks a module s1 owns with two examples or more, stores
+// its set truncated to one on s1 and on the oracle, resyncs both indexes
+// and returns the module.
+func (fc *fullCatalog) truncateOnS1(t *testing.T, syncers map[string]*search.Syncer) string {
+	t.Helper()
 	var target string
 	for _, id := range fc.ids {
 		if set, _, _ := fc.nodes["s1"].st.Get(id); fc.ring.Owner(id) == "s1" && len(set) > 1 {
@@ -851,18 +912,78 @@ func TestClusterSearchLocal(t *testing.T) {
 		}
 		sync.Resync()
 	}
-	q := "behaves:" + target
-	want := ask(fc.oracle.ts.URL, q)
-	fc.calls.take()
-	same("new set", "s2", q, ask(fc.nodes["s2"].ts.URL, q), want)
-	calls, revalidated := fc.calls.takeAll()
-	if want := summaryCalls("s2"); !reflect.DeepEqual(calls, want) ||
-		!reflect.DeepEqual(revalidated, map[shardCall]int{{"s3", "/cluster/summary"}: 1}) {
-		t.Fatalf("search after a write on s1 made calls %v (304: %v), want %v with only s3's answered 304", calls, revalidated, want)
+	return target
+}
+
+// TestClusterSearchWatched: each shard keeps one long-poll open per other
+// shard on its /cluster/summary, so a warm search makes no request-path
+// summary call. A write on s1 reaches s2's held summary through its
+// watch, and s2 then answers as the oracle does, still without a call,
+// while s3's polls, whose index never moved, are never answered 200. A
+// shard with parked polls drains and closes in under a second, and once
+// s3 is gone s1's searches turn partial, naming s3, within 5 s.
+func TestClusterSearchWatched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog cluster search skipped in -short mode")
 	}
-	var got []search.Hit
-	mustUnmarshal(t, want.Hits, &got)
-	if len(got) == 0 || got[0].ID != target || got[0].Examples != 1 {
-		t.Fatalf("behaves:%s after the write ranks %+v, want the target first with one example", target, got)
+	fc := newFullCatalog(t)
+	syncers := fc.withSearch(t)
+	queries := []string{"sequence", "concept:" + simulation.CBioSequence, "behaves:" + fc.ids[0]}
+	for _, name := range fc.names {
+		askSearch(t, fc.nodes[name].ts.URL, queries[0]) // starts the summary watch
+	}
+	for _, name := range fc.names {
+		fc.waitWatched(t, name)
+	}
+	fc.calls.take()
+	fc.calls.take200()
+	for _, name := range fc.names {
+		for _, q := range queries {
+			got, want := askSearch(t, fc.nodes[name].ts.URL, q), askSearch(t, fc.oracle.ts.URL, q)
+			if got.Partial || !bytes.Equal(got.Hits, want.Hits) {
+				t.Fatalf("warm search %q via %s differs from the oracle", q, name)
+			}
+		}
+	}
+	if calls := onPath(requestPath(fc.calls.take()), "/cluster/summary"); len(calls) != 0 {
+		t.Fatalf("warm searches made request-path summary calls %v, want none", calls)
+	}
+
+	target := fc.truncateOnS1(t, syncers)
+	waitHeld(t, fc.nodes["s2"], "s1", func(h cluster.HeldSummary) bool {
+		return h.Generation == syncers["s1"].Index.Generation() && h.Watch == cluster.WatchWatched
+	})
+	q := "behaves:" + target
+	got, want := askSearch(t, fc.nodes["s2"].ts.URL, q), askSearch(t, fc.oracle.ts.URL, q)
+	if got.Partial || !bytes.Equal(got.Hits, want.Hits) || got.Total != want.Total {
+		t.Fatalf("search %q via s2 after the write differs from the oracle:\n got: %s\nwant: %s", q, got.Hits, want.Hits)
+	}
+	if calls := onPath(requestPath(fc.calls.take()), "/cluster/summary"); len(calls) != 0 {
+		t.Fatalf("searches around the write made request-path summary calls %v, want none", calls)
+	}
+	if n := fc.calls.take200()[shardCall{"s3", "/cluster/summary?wait"}]; n != 0 {
+		t.Fatalf("s3's index never moved, yet %d of its polls were answered 200", n)
+	}
+
+	start := time.Now()
+	fc.nodes["s3"].kill()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("BeginDrain and Close of s3 with parked polls took %v, want under 1s", d)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var body searchBody
+		resp := getWithETag(t, fc.nodes["s1"].ts.URL+"/api/search?q=sequence", "", &body)
+		if body.Partial {
+			if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(body.FailedShards, []string{"s3"}) || resp.Header.Get("ETag") != "" {
+				t.Fatalf("search on s1 with s3 gone: status %d, failed %v, ETag %q; want 200, [s3], none",
+					resp.StatusCode, body.FailedShards, resp.Header.Get("ETag"))
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("s1's searches still complete 5s after s3 drained and closed")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

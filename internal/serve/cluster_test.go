@@ -109,7 +109,14 @@ func (n *clusterNode) start(t *testing.T, ln net.Listener) {
 	n.mux.Handle("/api/", http.StripPrefix("/api", n.srv.Handler()))
 	n.ts = &httptest.Server{Listener: ln, Config: &http.Server{Handler: n.mux}}
 	n.ts.Start()
-	t.Cleanup(n.ts.Close)
+	t.Cleanup(n.kill)
+}
+
+// kill shuts the node down as dexa-serve does: BeginDrain answers its
+// parked long-polls and stops its summary watch, then the server closes.
+func (n *clusterNode) kill() {
+	n.srv.BeginDrain()
+	n.ts.Close()
 }
 
 func newClusterWorld(t *testing.T, shardNames []string, workers int) *clusterWorld {
@@ -386,7 +393,7 @@ func TestClusterPartialDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.nodes["s3"].ts.Close() // kill one shard
+	w.nodes["s3"].kill()
 
 	status, raw := fetch(t, w.nodes["s1"].ts.URL+"/api/matches")
 	if status != http.StatusOK {

@@ -121,6 +121,21 @@ func parseCursor(r *http.Request) (uint64, bool, error) {
 	return 0, false, nil
 }
 
+// parseWait reads a long-poll's ?wait= duration, def when absent, capped
+// at maxWatchWait; a malformed one answers 400 and reports false.
+func parseWait(w http.ResponseWriter, r *http.Request, def time.Duration) (time.Duration, bool) {
+	wait := def
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, "invalid wait %q", v)
+			return 0, false
+		}
+		wait = d
+	}
+	return min(wait, maxWatchWait), true
+}
+
 // handleWatch is the long-poll change feed: it answers immediately with
 // every event past the cursor, or blocks until one arrives or the wait
 // window closes (304, same ETag — the client re-polls with it, so the
@@ -132,17 +147,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	wait := defaultWatchWait
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "invalid wait %q", v)
-			return
-		}
-		wait = d
-	}
-	if wait > maxWatchWait {
-		wait = maxWatchWait
+	wait, ok := parseWait(w, r, defaultWatchWait)
+	if !ok {
+		return
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()

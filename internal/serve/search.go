@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,7 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"strconv"
+	"time"
 
 	"dexa/internal/cluster"
 	"dexa/internal/search"
@@ -93,29 +94,31 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// In cluster mode this node's full-catalog index scores the query —
 	// every shard holds the same keyword and concept statistics — and the
 	// stored annotations of modules other shards own (examples, behavior
-	// class, behaves: anchors) come from their summaries, revalidated by
-	// one conditional call each, so the ranking equals the single-node
-	// one. It is paginated by the same cursor machinery, bound to the
-	// cluster-wide generation (every answering shard's index generation),
-	// so any shard's index moving between pages expires the walk as a
-	// local mutation would. A shard that does not answer withholds its
-	// modules and makes the answer partial.
+	// class, behaves: anchors) come from their summaries, kept current by
+	// the router's watch (a shard whose watch is down is revalidated by
+	// one conditional call), so the ranking equals the single-node one.
+	// It is paginated by the same cursor machinery, bound to the
+	// cluster-wide state (every answering shard's index nonce and
+	// generation), so any shard's index moving or being rebuilt between
+	// pages expires the walk as a local mutation would. A shard that does
+	// not answer withholds its modules and makes the answer partial.
 	var (
 		page  search.Page
 		state string // what the ETag binds to besides the page's query
 		resp  = searchResponse{Query: raw}
 	)
 	if s.clusterMode() {
+		s.watchOnce.Do(s.watchSummaries)
 		view := s.Cluster.Router.SearchView(r.Context(), s.Cluster.Self)
 		hits, gen := s.SearchIndex.MatchOverlay(q, view.Overlay)
-		state = view.StateKey(s.Cluster.Self, gen)
+		state = view.StateKey(s.Cluster.Self, search.Tag(s.SearchIndex.Nonce(), gen))
 		h := fnv.New64a()
 		h.Write([]byte(state))
 		page, err = search.PaginateHits(hits, h.Sum64(), q.Key(), limit, cursor)
 		resp.Partial, resp.FailedShards = len(view.FailedShards) > 0, view.FailedShards
 	} else {
 		page, err = s.SearchIndex.Search(q, limit, cursor)
-		state = fmt.Sprintf("%d", page.Generation)
+		state = search.Tag(s.SearchIndex.Nonce(), page.Generation)
 	}
 	if errors.Is(err, search.ErrCursorExpired) {
 		writeCursorExpired(w)
@@ -139,21 +142,63 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	respondJSON(w, http.StatusOK, etag, resp)
 }
 
-// handleClusterSummary is GET /cluster/summary: this shard's index
-// generation and the examples and behavior class of every module it owns
-// and indexes, read together under the index's read lock. The
-// generation is the ETag, checked before anything is read or encoded.
+// handleClusterSummary is GET /cluster/summary: this shard's index nonce
+// and generation and the examples and behavior class of every module it
+// owns and indexes, read together under the index's read lock. Their Tag
+// is the ETag, checked before anything is read or encoded.
+//
+// With ?wait= (capped as /watch caps it) and an If-None-Match naming the
+// current state, the request is a long-poll: it parks until the index
+// moves (200), the wait ends (304) or the request ends. A draining server
+// answers every waiter 503 at once, parked or new, so a watching peer
+// learns that this shard is going away instead of holding its summary.
 func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
-	if s.SearchIndex == nil {
+	ix := s.SearchIndex
+	if ix == nil {
 		writeError(w, http.StatusNotImplemented, "search is not enabled on this server")
 		return
 	}
-	if notModified(w, r, `"`+strconv.FormatUint(s.SearchIndex.Generation(), 10)+`"`) {
+	wait, ok := parseWait(w, r, 0)
+	if !ok {
 		return
 	}
-	docs, gen := s.SearchIndex.Summary(s.Cluster.Owns)
-	respondJSON(w, http.StatusOK, `"`+strconv.FormatUint(gen, 10)+`"`,
-		cluster.Summary{Shard: s.Cluster.Self, Generation: gen, Docs: docs})
+	if wait > 0 {
+		gen := ix.Generation()
+		if etagMatches(r.Header.Get("If-None-Match"), `"`+search.Tag(ix.Nonce(), gen)+`"`) {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			select {
+			case <-ix.Changed(gen):
+			case <-timer.C:
+			case <-s.drainCh():
+			case <-r.Context().Done():
+				return
+			}
+		}
+		select {
+		case <-s.drainCh():
+			writeError(w, http.StatusServiceUnavailable, "draining: stop watching this shard")
+			return
+		default:
+		}
+	}
+	if notModified(w, r, `"`+search.Tag(ix.Nonce(), ix.Generation())+`"`) {
+		return
+	}
+	docs, gen := ix.Summary(s.Cluster.Owns)
+	respondJSON(w, http.StatusOK, `"`+search.Tag(ix.Nonce(), gen)+`"`,
+		cluster.Summary{Shard: s.Cluster.Self, Nonce: ix.Nonce(), Generation: gen, Docs: docs})
+}
+
+// watchSummaries starts the router's summary watch (see Router.Watch),
+// which BeginDrain stops.
+func (s *Server) watchSummaries() {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-s.drainCh()
+		cancel()
+	}()
+	go s.Cluster.Router.Watch(ctx, s.Cluster.Self)
 }
 
 // handleClusterSearch is the shard side of Router.Search's scatter

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
+	"dexa/internal/cluster"
 	"dexa/internal/search"
+	"dexa/internal/store"
 )
 
 // searchFixture is the single-node fixture with every module annotated
@@ -223,6 +227,24 @@ func withClusterSearch(t *testing.T, w *clusterWorld) {
 	w.oracle.srv.SearchIndex = sync.Index
 }
 
+// waitHeld waits, up to 5 s, until n's router holds peer's summary in a
+// state ok accepts.
+func waitHeld(t *testing.T, n *clusterNode, peer string, ok func(cluster.HeldSummary) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, h := range n.node.Router.HeldSummaries(n.name) {
+			if h.Shard == peer && ok(h) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s's summary of %s did not reach the awaited state within 5s: %+v", n.name, peer, n.node.Router.HeldSummaries(n.name))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestClusterSearchEqualsOracle: the scattered ranking — including
 // behaves: anchors resolved on their owner shard, and a query nothing
 // matches — equals the single-node ranking hit for hit, from every
@@ -333,9 +355,13 @@ func TestClusterSearchPartialDegradation(t *testing.T) {
 			}
 		}
 	}
-	w.nodes["s3"].ts.Close()
+	w.nodes["s3"].kill()
 	check("s3")
-	w.nodes["s2"].ts.Close()
+	w.nodes["s2"].kill()
+	// s1's first search started its summary watch: wait until the watch
+	// has seen s2 go, so the next search calls s2 instead of reading the
+	// summary the watch held.
+	waitHeld(t, w.nodes["s1"], "s2", func(h cluster.HeldSummary) bool { return h.Watch != cluster.WatchWatched })
 	check("s2", "s3")
 }
 
@@ -399,5 +425,77 @@ func TestComposeEndpoint(t *testing.T) {
 	}
 	if resp := getJSON(t, f.ts.URL+"/compose?in=Seq&out=Acc&depth=zero", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad depth status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClusterSearchRestartedPeer: a shard whose search index is rebuilt,
+// as a restart rebuilds it, up to the generation its peer holds but over
+// different content is never taken for unchanged. Its /cluster/summary
+// ETag and its /search ETags and cursors minted before no longer
+// validate, and the peer refetches its summary (200) and ranks the new
+// content as the oracle does.
+func TestClusterSearchRestartedPeer(t *testing.T) {
+	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
+	w.seed(t)
+	withClusterSearch(t, w)
+	s1, s2 := w.nodes["s1"], w.nodes["s2"]
+	var target string
+	for _, id := range w.reg.IDs() {
+		if set, _, _ := s1.st.Get(id); w.ring.Owner(id) == "s1" && len(set) > 1 {
+			target = id
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("no module on s1 with two examples or more")
+	}
+
+	// s2 holds s1's summary from one call; its watch is not started, so
+	// no poll is parked on s1 while the index is swapped.
+	if v := s2.node.Router.SearchView(context.Background(), "s2"); len(v.FailedShards) != 0 {
+		t.Fatalf("s2 could not fetch s1's summary: failed %v", v.FailedShards)
+	}
+	summaryETag := getWithETag(t, s1.ts.URL+"/api/cluster/summary", "", nil).Header.Get("ETag")
+	var page searchBody
+	resp := getWithETag(t, s1.ts.URL+"/api/search?q=module&limit=1", "", &page)
+	searchETag := resp.Header.Get("ETag")
+	if summaryETag == "" || searchETag == "" || page.NextCursor == "" {
+		t.Fatalf("s1 minted summary ETag %q, search ETag %q, cursor %q", summaryETag, searchETag, page.NextCursor)
+	}
+
+	// The restart: s1 stores one example of the target, on the oracle
+	// too, and a fresh index over s1's store reaches the old generation.
+	full, _, _ := s1.st.Get(target)
+	for _, st := range []*store.Store{s1.st, w.oracle.st} {
+		if _, _, err := st.Put(target, full[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	(&search.Syncer{Registry: w.reg, Store: w.oracle.st, Index: w.oracle.srv.SearchIndex}).Resync()
+	fresh := search.New(w.ont)
+	(&search.Syncer{Registry: w.reg, Store: s1.st, Index: fresh}).IndexAll()
+	if old := s1.srv.SearchIndex.Generation(); fresh.Generation() != old {
+		t.Fatalf("the rebuilt index is at generation %d, the old one at %d", fresh.Generation(), old)
+	}
+	s1.srv.SearchIndex = fresh
+
+	if resp := getWithETag(t, s1.ts.URL+"/api/cluster/summary", summaryETag, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("s1's summary revalidated with the old index's ETag: status %d, want 200", resp.StatusCode)
+	}
+	if resp := getWithETag(t, s1.ts.URL+"/api/search?q=module&limit=1", searchETag, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("s1's search revalidated with the old index's ETag: status %d, want 200", resp.StatusCode)
+	}
+	if resp := getWithETag(t, s1.ts.URL+"/api/search?q=module&limit=1&cursor="+page.NextCursor, "", nil); resp.StatusCode != http.StatusGone {
+		t.Fatalf("a cursor of the old index resumed on s1: status %d, want 410", resp.StatusCode)
+	}
+
+	q := "behaves:" + target
+	var got, want searchBody
+	getJSON(t, s2.ts.URL+"/api/search?q="+q, &got)
+	getJSON(t, w.oracle.ts.URL+"/api/search?q="+q, &want)
+	var hits []search.Hit
+	mustUnmarshal(t, got.Hits, &hits)
+	if got.Partial || string(got.Hits) != string(want.Hits) || len(hits) == 0 || hits[0].ID != target || hits[0].Examples != 1 {
+		t.Fatalf("s2 ranks %q after s1's restart as %s, want the oracle's %s with %s first at one example", q, got.Hits, want.Hits, target)
 	}
 }

@@ -27,9 +27,9 @@
 //	GET  /search                       — ranked behavior-aware repository search
 //	                                     (keywords, concept: expansion, behaves:
 //	                                     classes); paginated, ETag'd on the index
-//	                                     generation; on a shard answered from its own
+//	                                     nonce and generation; on a shard answered from its own
 //	                                     index over the other shards' summaries,
-//	                                     revalidated by one conditional call each
+//	                                     kept current by one long-poll per shard
 //	                                     (see search.go)
 //	GET  /compose                      — constraint-guided workflow synthesis from an
 //	                                     input concept to an output concept, slots
@@ -123,12 +123,17 @@ type Server struct {
 	memoOnce  sync.Once
 	memoStats memoCounters
 
-	// drain is closed by BeginDrain: long-poll handlers (/watch here, the
-	// cluster WAL feed in its own package) answer parked and new waiters
-	// immediately instead of holding the shutdown window open.
+	// drain is closed by BeginDrain: long-poll handlers (/watch and
+	// /cluster/summary here, the cluster WAL feed in its own package)
+	// answer parked and new waiters immediately instead of holding the
+	// shutdown window open, and the summary watch stops.
 	drainOnce sync.Once
 	drainLazy sync.Once
 	drain     chan struct{}
+
+	// watchOnce starts the cluster router's summary watch on the first
+	// cluster /search (see watchSummaries).
+	watchOnce sync.Once
 }
 
 // drainCh lazily allocates the drain channel.
@@ -138,8 +143,9 @@ func (s *Server) drainCh() chan struct{} {
 }
 
 // BeginDrain makes every long-poll waiter answer immediately, parked or
-// future. Wire it to http.Server.RegisterOnShutdown so a SIGTERM's
-// graceful drain is bounded by in-flight work, not poll timeouts.
+// future, and stops the summary watch this server's searches started.
+// Wire it to http.Server.RegisterOnShutdown so a SIGTERM's graceful
+// drain is bounded by in-flight work, not poll timeouts.
 func (s *Server) BeginDrain() {
 	ch := s.drainCh()
 	s.drainOnce.Do(func() { close(ch) })

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dexa/internal/cluster"
 	"dexa/internal/core"
 	"dexa/internal/instances"
 	"dexa/internal/module"
@@ -545,5 +546,49 @@ func TestMemoBytesGauge(t *testing.T) {
 	examples = bodyLen("/modules/alpha/examples") + bodyLen("/modules/beta/examples")
 	if got := scrape("examples"); got != float64(examples) {
 		t.Fatalf("after a new set the examples memo keeps %v bytes, want %d", got, examples)
+	}
+}
+
+// TestClusterSummaryTelemetry pins the summary watch's observability. A
+// shard's first cluster /search revalidates the other shard's summary by
+// one call on its request path, counted with via="call", and starts the
+// watch, whose long-polls count with via="watch". /stats then lists the
+// held summary with its nonce, generation and watch state.
+func TestClusterSummaryTelemetry(t *testing.T) {
+	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
+	w.seed(t)
+	withClusterSearch(t, w)
+	s1, s2 := w.nodes["s1"], w.nodes["s2"]
+	reg := telemetry.NewRegistry()
+	met := cluster.NewMetrics(reg)
+	s1.node.Metrics, s1.node.Router.Metrics = met, met
+
+	if resp := getJSON(t, s1.ts.URL+"/api/search?q=module", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search on s1: status %d", resp.StatusCode)
+	}
+	waitHeld(t, s1, "s2", func(h cluster.HeldSummary) bool { return h.Watch == cluster.WatchWatched })
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if n := metricValue(t, out.String(), `dexa_cluster_summary_revalidations_total{shard="s2",via="call"}`); n != 1 {
+		t.Errorf("request-path revalidations of s2's summary: %v, want 1", n)
+	}
+	if n := metricValue(t, out.String(), `dexa_cluster_summary_revalidations_total{shard="s2",via="watch"}`); n < 1 {
+		t.Errorf("watch revalidations of s2's summary: %v, want at least 1", n)
+	}
+
+	var stats struct {
+		Cluster struct {
+			Summaries []cluster.HeldSummary `json:"summaries"`
+		} `json:"cluster"`
+	}
+	if resp := getJSON(t, s1.ts.URL+"/api/stats", &stats); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/stats status %d", resp.StatusCode)
+	}
+	ix := s2.srv.SearchIndex
+	want := []cluster.HeldSummary{{Shard: "s2", Nonce: ix.Nonce(), Generation: ix.Generation(), Watch: cluster.WatchWatched}}
+	if !reflect.DeepEqual(stats.Cluster.Summaries, want) {
+		t.Fatalf("/stats summaries %+v, want %+v", stats.Cluster.Summaries, want)
 	}
 }
