@@ -56,12 +56,13 @@ race-match:
 	$(GO) test -race -count=2 -run 'TestCatalogIndex|TestMatchMatrix|TestFindSubstitutes|TestIncrementalMatrix' ./internal/match/
 
 # Lifecycle concurrency: concurrent probe sweeps, /watch long-pollers
-# racing log appends, repair-queue approvals racing enqueues, and
-# /catalog and /modules/{id} reads (the /catalog memo among them) racing
-# availability flips, with more iterations than the catch-all race run
-# gives them.
+# racing log appends (through the shared change signal, park and drain
+# latch of internal/longpoll), repair-queue approvals racing enqueues,
+# and /catalog and /modules/{id} reads (the /catalog memo among them)
+# racing availability flips, with more iterations than the catch-all
+# race run gives them.
 race-lifecycle:
-	$(GO) test -race -count=2 ./internal/lifecycle/
+	$(GO) test -race -count=2 ./internal/lifecycle/ ./internal/longpoll/
 	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop|TestCatalog' ./internal/serve/
 
 # Columnar concurrency: the shared symbol table hammered from parallel
@@ -72,10 +73,12 @@ race-columnar:
 
 # Cluster concurrency: WAL feed long-pollers racing appends and drains,
 # follower tails racing leader truncation/reset, scatter-gather rounds
-# racing shard failures, and the store's replication cursor, with more
-# iterations than the catch-all race run gives them.
+# racing shard failures, the store's replication cursor, and the
+# change signal, park, drain latch and backoff of internal/longpoll
+# they all share, with more iterations than the catch-all race run
+# gives them.
 race-cluster:
-	$(GO) test -race -count=2 ./internal/cluster/
+	$(GO) test -race -count=2 ./internal/cluster/ ./internal/longpoll/
 	$(GO) test -race -count=2 -run 'TestCluster|TestWatchDrain|TestReplication|TestTail|TestApplyReplicated|TestResetReplicated' ./internal/serve/ ./internal/store/
 
 # Serving-tier gate: the full 252-module catalog sharded three ways must

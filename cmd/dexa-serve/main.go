@@ -102,8 +102,6 @@ func main() {
 	clusterConfig := flag.String("cluster-config", "", "membership file making this instance one shard of a cluster (requires -cluster-self)")
 	clusterSelf := flag.String("cluster-self", "", "this instance's shard name in -cluster-config (or its instance name with -follow)")
 	follow := flag.String("follow", "", "run as a read-only follower tailing this leader's /wal feed")
-	followWait := flag.Duration("follow-wait", 0, "long-poll window per replication round (0 = the feed's default)")
-	walBatchWindow := flag.Duration("wal-batch-window", 0, "how long a /wal answer that already has records waits to fold in trailing commits (0 = the feed's default, negative disables batching)")
 	lagMax := flag.Uint64("replication-lag-max", 1024, "follower readiness gate: /readyz answers 503 above this many unapplied records (0 disables)")
 	flag.Parse()
 	if *version {
@@ -280,7 +278,6 @@ func main() {
 			os.Exit(1)
 		}
 		feed = cluster.NewFeed(st, node.Metrics)
-		feed.BatchWindow = *walBatchWindow
 		node.Feed = feed
 		api.Cluster = node
 		go node.Checker.Run(ctx)
@@ -299,7 +296,6 @@ func main() {
 		follower = &cluster.Follower{
 			Leader:  strings.TrimSuffix(*follow, "/"),
 			Store:   st,
-			Wait:    *followWait,
 			Metrics: cluster.NewMetrics(metrics),
 			Logger:  logger,
 		}

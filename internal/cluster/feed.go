@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"compress/flate"
 	"encoding/json"
 	"fmt"
@@ -8,9 +9,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"dexa/internal/longpoll"
 	"dexa/internal/store"
 )
 
@@ -50,12 +51,6 @@ import (
 // absent; a catching-up follower simply polls again.
 const DefaultFeedLimit = 512
 
-// maxFeedWait bounds how long one /wal request may hold a connection.
-const maxFeedWait = 30 * time.Second
-
-// defaultFeedWait is the long-poll window when ?wait= is absent.
-const defaultFeedWait = 25 * time.Second
-
 // DefaultBatchWindow is how long an answer that already has records
 // stays open for more, when Feed.BatchWindow is zero. Small enough to
 // be invisible in replication lag, large enough to absorb a group
@@ -78,9 +73,7 @@ type Feed struct {
 	// negative disables batching).
 	BatchWindow time.Duration
 
-	drainOnce sync.Once
-	drain     chan struct{}
-	drainInit sync.Once
+	drain longpoll.Latch
 }
 
 // NewFeed wraps st as a replication feed. met may be nil.
@@ -88,18 +81,10 @@ func NewFeed(st *store.Store, met *Metrics) *Feed {
 	return &Feed{Store: st, Metrics: met}
 }
 
-func (f *Feed) drainCh() chan struct{} {
-	f.drainInit.Do(func() { f.drain = make(chan struct{}) })
-	return f.drain
-}
-
 // BeginDrain releases every parked long-poll waiter and makes new ones
 // answer immediately. Wire it to http.Server.RegisterOnShutdown so
 // followers detach at the start of a graceful shutdown.
-func (f *Feed) BeginDrain() {
-	ch := f.drainCh()
-	f.drainOnce.Do(func() { close(ch) })
-}
+func (f *Feed) BeginDrain() { f.drain.Close() }
 
 func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -110,13 +95,14 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.Metrics != nil {
 		f.Metrics.FeedRequests.Inc()
 	}
-	cursor, err := parseUintParam(r, "from")
+	q := r.URL.Query()
+	cursor, err := strconv.ParseUint(cmp.Or(q.Get("from"), "0"), 10, 64)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("invalid from %q", q.Get("from")), http.StatusBadRequest)
 		return
 	}
 	limit := DefaultFeedLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, fmt.Sprintf("invalid limit %q", v), http.StatusBadRequest)
@@ -126,66 +112,45 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 	}
-	wait := defaultFeedWait
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			http.Error(w, fmt.Sprintf("invalid wait %q", v), http.StatusBadRequest)
-			return
-		}
-		wait = d
-	}
-	if wait > maxFeedWait {
-		wait = maxFeedWait
+	wait, err := longpoll.ParseWait(q.Get("wait"), longpoll.DefaultWait)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 
 	recs, next, reset := f.Store.TailSince(cursor, limit)
 	if len(recs) == 0 && !reset {
 		// At the head: park until the log grows, the wait window closes,
 		// the request dies, or the server starts draining.
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-f.Store.ReplicationChanged(cursor):
+		switch longpoll.Park(r.Context(), f.Store.ReplicationChanged(cursor), f.drain.Done(), wait) {
+		case longpoll.Changed:
 			recs, next, reset = f.Store.TailSince(cursor, limit)
-		case <-timer.C:
-		case <-r.Context().Done():
+		case longpoll.Cancelled:
 			return
-		case <-f.drainCh():
 		}
 	}
 
 	// Batch window: the answer has records — hold it open briefly so a
 	// burst of commits rides one response instead of one per wakeup.
-	window := f.BatchWindow
-	if window == 0 {
-		window = DefaultBatchWindow
-	}
-	if window > 0 && !reset && len(recs) > 0 && len(recs) < limit {
-		timer := time.NewTimer(window)
-	accumulate:
+	if window := cmp.Or(f.BatchWindow, DefaultBatchWindow); window > 0 && !reset && len(recs) > 0 && len(recs) < limit {
+		deadline := time.Now().Add(window)
 		for len(recs) < limit {
-			select {
-			case <-f.Store.ReplicationChanged(next):
-				more, n2, r2 := f.Store.TailSince(next, limit-len(recs))
-				if r2 || len(more) == 0 {
-					// The window moved under us (or a spurious wake):
-					// answer with what we have; the follower's next
-					// round sorts it out.
-					break accumulate
-				}
-				recs = append(recs, more...)
-				next = n2
-			case <-timer.C:
-				break accumulate
-			case <-r.Context().Done():
-				timer.Stop()
+			out := longpoll.Park(r.Context(), f.Store.ReplicationChanged(next), f.drain.Done(), time.Until(deadline))
+			if out == longpoll.Cancelled {
 				return
-			case <-f.drainCh():
-				break accumulate
 			}
+			if out != longpoll.Changed {
+				break
+			}
+			more, n2, r2 := f.Store.TailSince(next, limit-len(recs))
+			if r2 || len(more) == 0 {
+				// The window moved under us (or a spurious wake): answer
+				// with what we have; the follower's next round sorts it out.
+				break
+			}
+			recs = append(recs, more...)
+			next = n2
 		}
-		timer.Stop()
 	}
 
 	w.Header().Set("X-Dexa-Wal-Next", strconv.FormatUint(next, 10))
@@ -279,18 +244,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func parseUintParam(r *http.Request, name string) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid %s %q", name, v)
-	}
-	return n, nil
 }
 
 // DecodeFrameStream decodes records straight off a frame stream — the

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dexa/internal/longpoll"
 	"dexa/internal/store"
 )
 
@@ -38,7 +39,7 @@ type Follower struct {
 	Leader string
 	Store  *store.Store
 	// Client issues the feed requests; its Timeout must exceed Wait.
-	// nil selects a client sized to the wait window.
+	// nil selects a client that outlasts any wait.
 	Client *http.Client
 	// Wait is the long-poll window per request (0 selects the feed's
 	// default by omitting the parameter).
@@ -67,7 +68,7 @@ type feedAnswer struct {
 // applies, the fetch for the next one is already in flight.
 func (f *Follower) Run(ctx context.Context) error {
 	client := f.client()
-	backoff := 50 * time.Millisecond
+	backoff := longpoll.Backoff{Max: 5 * time.Second}
 	var pending *pendingFetch
 	defer func() {
 		if pending != nil {
@@ -113,31 +114,22 @@ func (f *Follower) Run(ctx context.Context) error {
 			if f.Logger != nil {
 				f.Logger.Warn("cluster: tail round failed", "leader", f.Leader, "err", err)
 			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
+			if !backoff.Sleep(ctx) {
 				return nil
-			}
-			if backoff *= 2; backoff > 5*time.Second {
-				backoff = 5 * time.Second
 			}
 			continue
 		}
-		backoff = 50 * time.Millisecond
+		backoff.Reset()
 	}
 }
 
-// client returns the configured HTTP client or one sized to the wait
-// window.
+// client returns the configured HTTP client or one whose timeout
+// outlasts the longest wait the feed holds a request for.
 func (f *Follower) client() *http.Client {
 	if f.Client != nil {
 		return f.Client
 	}
-	wait := f.Wait
-	if wait <= 0 {
-		wait = defaultFeedWait
-	}
-	return &http.Client{Timeout: wait + 10*time.Second}
+	return &http.Client{Timeout: longpoll.MaxWait + 10*time.Second}
 }
 
 // TailOnce performs one feed round trip and applies its records.

@@ -20,17 +20,8 @@ import (
 // so a dead shard costs nothing per query instead of a timeout each.
 type Checker struct {
 	// Shards to probe; readiness is GET <url>/readyz.
-	Shards []ShardConfig
-	// Interval between probe rounds (default 2s).
-	Interval time.Duration
-	// Timeout per probe (default 1s).
-	Timeout time.Duration
-	// Client issues the probes; nil selects one sized to Timeout.
-	Client  *http.Client
+	Shards  []ShardConfig
 	Metrics *Metrics
-	// Breaker tunes the per-shard circuit breaker; the zero value selects
-	// a 3-failure threshold with the probe interval as cool-down.
-	Breaker resilient.BreakerConfig
 
 	mu       sync.Mutex
 	breakers map[string]*resilient.Breaker
@@ -48,17 +39,20 @@ type ShardHealth struct {
 	LastSeen  time.Time `json:"lastSeen,omitempty"`
 }
 
+// Probe settings: a round every probeInterval, each probe bounded by
+// probeTimeout; probeFailures consecutive failed probes open a shard's
+// breaker, which admits a half-open re-probe one interval later.
+const (
+	probeInterval = 2 * time.Second
+	probeTimeout  = time.Second
+	probeFailures = 3
+)
+
 func (c *Checker) init() {
 	if c.breakers != nil {
 		return
 	}
-	cfg := c.Breaker
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = c.interval()
-	}
+	cfg := resilient.BreakerConfig{FailureThreshold: probeFailures, Cooldown: probeInterval}
 	c.breakers = make(map[string]*resilient.Breaker, len(c.Shards))
 	c.lastErr = make(map[string]string, len(c.Shards))
 	c.lastSeen = make(map[string]time.Time, len(c.Shards))
@@ -67,17 +61,10 @@ func (c *Checker) init() {
 	}
 }
 
-func (c *Checker) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 2 * time.Second
-}
-
 // Run probes until ctx is cancelled. One round runs immediately so the
 // first routing decisions are informed.
 func (c *Checker) Run(ctx context.Context) {
-	ticker := time.NewTicker(c.interval())
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	c.CheckOnce(ctx)
 	for {
@@ -95,14 +82,7 @@ func (c *Checker) CheckOnce(ctx context.Context) {
 	c.mu.Lock()
 	c.init()
 	c.mu.Unlock()
-	client := c.Client
-	if client == nil {
-		timeout := c.Timeout
-		if timeout <= 0 {
-			timeout = time.Second
-		}
-		client = &http.Client{Timeout: timeout}
-	}
+	client := &http.Client{Timeout: probeTimeout}
 	var wg sync.WaitGroup
 	for _, sh := range c.Shards {
 		wg.Add(1)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/longpoll"
 	"dexa/internal/match"
 	"dexa/internal/search"
 )
@@ -38,15 +39,10 @@ type Router struct {
 	Ring   *Ring
 	// Client issues the intra-cluster calls; nil selects a default.
 	Client *http.Client
-	// Timeout bounds each per-shard call (default 10s).
-	Timeout time.Duration
 	// Checker, when set, lets the router skip breaker-open shards without
 	// paying a timeout for each.
 	Checker *Checker
 	Metrics *Metrics
-	// APIPrefix is where the serving layer mounts its API on each shard
-	// (default "/api").
-	APIPrefix string
 
 	searchMu  sync.Mutex
 	summaries map[string]*Summary // shard name -> the last summary it sent
@@ -61,14 +57,15 @@ const (
 	WatchFailed  = "failed"  // the last long-poll failed: searches call the shard
 )
 
-// Backoff bounds of a summary watch whose long-poll failed.
-const (
-	watchBackoffMin = 50 * time.Millisecond
-	watchBackoffMax = 2 * time.Second
-)
+// watchBackoffMax caps the retry delay of a summary watch whose
+// long-poll failed.
+const watchBackoffMax = 2 * time.Second
 
-// DefaultShardTimeout bounds one per-shard scatter call.
-const DefaultShardTimeout = 10 * time.Second
+// shardTimeout bounds one per-shard scatter call.
+const shardTimeout = 10 * time.Second
+
+// APIPrefix is where the serving layer mounts its API on every shard.
+const APIPrefix = "/api"
 
 // SubstitutesResult is the merged cluster-wide ranking. With Partial
 // set, FailedShards lists the shards whose candidate slices are missing
@@ -102,25 +99,11 @@ func (rt *Router) Owner(moduleID string) ShardConfig {
 	return ShardConfig{}
 }
 
-func (rt *Router) prefix() string {
-	if rt.APIPrefix != "" {
-		return rt.APIPrefix
-	}
-	return "/api"
-}
-
 func (rt *Router) client() *http.Client {
 	if rt.Client != nil {
 		return rt.Client
 	}
 	return http.DefaultClient
-}
-
-func (rt *Router) timeout() time.Duration {
-	if rt.Timeout > 0 {
-		return rt.Timeout
-	}
-	return DefaultShardTimeout
 }
 
 // call performs one bounded JSON round trip against a shard's API.
@@ -133,7 +116,7 @@ func (rt *Router) call(ctx context.Context, method, base, path string, in, out a
 // request carries If-None-Match, and a 304 reports modified false and
 // leaves out untouched.
 func (rt *Router) callIf(ctx context.Context, method, base, path, etag string, in, out any) (modified bool, err error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.timeout())
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	var body io.Reader
 	if in != nil {
@@ -143,7 +126,7 @@ func (rt *Router) callIf(ctx context.Context, method, base, path, etag string, i
 		}
 		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+rt.prefix()+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, base+APIPrefix+path, body)
 	if err != nil {
 		return false, err
 	}
@@ -564,26 +547,23 @@ func (rt *Router) watchShard(ctx context.Context, sh ShardConfig) {
 	rt.setWatch(sh.Name, WatchPolling)
 	defer rt.setWatch(sh.Name, "")
 	var held *Summary
-	backoff := watchBackoffMin
+	backoff := longpoll.Backoff{Max: watchBackoffMax}
 	for {
-		sum, err := rt.revalidate(ctx, sh, held, rt.timeout()/2)
+		sum, err := rt.revalidate(ctx, sh, held, shardTimeout/2)
 		if ctx.Err() != nil {
 			return
 		}
 		if err == nil {
 			held = sum
 			rt.setWatch(sh.Name, WatchWatched)
-			backoff = watchBackoffMin
+			backoff.Reset()
 			continue
 		}
 		held = nil
 		rt.setWatch(sh.Name, WatchFailed)
-		select {
-		case <-ctx.Done():
+		if !backoff.Sleep(ctx) {
 			return
-		case <-time.After(backoff):
 		}
-		backoff = min(2*backoff, watchBackoffMax)
 	}
 }
 

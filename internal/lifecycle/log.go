@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dexa/internal/longpoll"
 	"dexa/internal/store"
 )
 
@@ -18,15 +19,14 @@ type Log struct {
 	mu     sync.Mutex
 	events []Event
 	j      *store.Journal
-	// notify is closed and replaced whenever an event is appended — a
-	// broadcast to every blocked watcher.
-	notify chan struct{}
+	// changed wakes every blocked watcher when an event is appended.
+	changed longpoll.Signal
 }
 
 // OpenLog opens (or creates) the event log at path, replaying any
 // existing events. An empty path yields a memory-only log.
 func OpenLog(path string) (*Log, error) {
-	l := &Log{notify: make(chan struct{})}
+	l := &Log{}
 	j, err := store.OpenJournal(path, func(payload []byte) error {
 		var ev Event
 		if err := json.Unmarshal(payload, &ev); err != nil {
@@ -55,8 +55,7 @@ func (l *Log) Append(ev Event) (Event, error) {
 		return Event{}, err
 	}
 	l.events = append(l.events, ev)
-	close(l.notify)
-	l.notify = make(chan struct{})
+	l.changed.Fire()
 	return ev, nil
 }
 
@@ -89,12 +88,7 @@ func (l *Log) Since(cursor uint64, limit int) ([]Event, uint64) {
 func (l *Log) Changed(cursor uint64) <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if uint64(len(l.events)) > cursor {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	return l.notify
+	return l.changed.Wait(uint64(len(l.events)) > cursor)
 }
 
 // Flush forces appended events to stable storage.

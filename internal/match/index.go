@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dexa/internal/longpoll"
 	"dexa/internal/module"
 	"dexa/internal/ontology"
 	"dexa/internal/telemetry"
@@ -62,6 +63,7 @@ type CatalogIndex struct {
 	outPostings map[string][]uint64
 
 	generation atomic.Uint64
+	nonce      string
 	builds     atomic.Uint64
 	lastBuild  atomic.Int64 // nanoseconds of the last rebuild
 
@@ -131,7 +133,7 @@ func signatureOf(m *module.Module) *moduleSig {
 
 // NewCatalogIndex builds the index over the given modules' signatures.
 func NewCatalogIndex(ont *ontology.Ontology, mods []*module.Module) *CatalogIndex {
-	ix := &CatalogIndex{ont: ont, sigs: make(map[string]*moduleSig, len(mods))}
+	ix := &CatalogIndex{ont: ont, sigs: make(map[string]*moduleSig, len(mods)), nonce: longpoll.Nonce()}
 	for _, m := range mods {
 		ix.sigs[m.ID] = signatureOf(m)
 	}
@@ -208,6 +210,16 @@ func (ix *CatalogIndex) Generation() uint64 {
 		return 0
 	}
 	return ix.generation.Load()
+}
+
+// Nonce is random per index: a generation names a state of this index
+// only, so a validator built from it carries the nonce too. A nil index
+// has none.
+func (ix *CatalogIndex) Nonce() string {
+	if ix == nil {
+		return ""
+	}
+	return ix.nonce
 }
 
 // Len returns the number of indexed modules.

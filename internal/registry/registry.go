@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/longpoll"
 	"dexa/internal/module"
 )
 
@@ -46,7 +47,8 @@ type Registry struct {
 	availWatchers    []func(id string, available bool)
 	// gen counts catalog changes: one per Register and one per
 	// availability flip, bumped under mu with the change itself.
-	gen atomic.Uint64
+	gen   atomic.Uint64
+	nonce string
 }
 
 // Generation returns a counter that moves on every Register and on every
@@ -56,6 +58,10 @@ type Registry struct {
 // sees at least the changes counted: a cache keyed on the generation
 // read before its build never serves a catalog older than its key.
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
+
+// Nonce is random per Registry: a generation names a state of this
+// registry only, so a validator built from it carries the nonce too.
+func (r *Registry) Nonce() string { return r.nonce }
 
 // OnAvailabilityChange registers a callback invoked whenever a module's
 // availability actually flips — by SetAvailable, RetireProvider, or the
@@ -87,7 +93,7 @@ func (r *Registry) notifyAvailability(id string, available bool) {
 
 // New creates an empty registry.
 func New() *Registry {
-	return &Registry{entries: make(map[string]*Entry)}
+	return &Registry{entries: make(map[string]*Entry), nonce: longpoll.Nonce()}
 }
 
 // Register validates and adds a module, initially available. It rejects

@@ -27,7 +27,6 @@
 package search
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
@@ -39,6 +38,7 @@ import (
 	"unicode"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/longpoll"
 	"dexa/internal/module"
 	"dexa/internal/ontology"
 	"dexa/internal/telemetry"
@@ -69,9 +69,8 @@ type Index struct {
 	concept  map[string]map[string]bool // concept -> docID set
 	behavior map[string]map[string]bool // fingerprint -> docID set
 	postings int                        // live keyword postings
-	// changed is closed when the generation moves, waking every Changed
-	// waiter; the next waiter allocates its successor.
-	changed chan struct{}
+	// changed wakes every Changed waiter when the generation moves.
+	changed longpoll.Signal
 
 	nonce      string
 	generation atomic.Uint64
@@ -83,14 +82,9 @@ type Index struct {
 
 // New builds an empty index over the ontology.
 func New(ont *ontology.Ontology) *Index {
-	// A failed read leaves the nonce zero: validators then only lose
-	// their protection across restarts (crypto/rand does not fail on the
-	// platforms dexa runs on).
-	var nonce [8]byte
-	_, _ = rand.Read(nonce[:])
 	return &Index{
 		ont:      ont,
-		nonce:    hex.EncodeToString(nonce[:]),
+		nonce:    longpoll.Nonce(),
 		docs:     map[string]*doc{},
 		keyword:  map[string]map[string]int{},
 		concept:  map[string]map[string]bool{},
@@ -268,10 +262,7 @@ func (ix *Index) Remove(id string) {
 // caller holds the write lock.
 func (ix *Index) bumpLocked() {
 	ix.generation.Add(1)
-	if ix.changed != nil {
-		close(ix.changed)
-		ix.changed = nil
-	}
+	ix.changed.Fire()
 }
 
 func (ix *Index) removeLocked(id string) bool {
@@ -320,21 +311,8 @@ func (ix *Index) Generation() uint64 { return ix.generation.Load() }
 func (ix *Index) Changed(gen uint64) <-chan struct{} {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.generation.Load() != gen {
-		return closed
-	}
-	if ix.changed == nil {
-		ix.changed = make(chan struct{})
-	}
-	return ix.changed
+	return ix.changed.Wait(ix.generation.Load() != gen)
 }
-
-// closed is the channel Changed returns once the generation has moved.
-var closed = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // Nonce is random per Index: a generation names a state of this index
 // only, so a validator built from it carries the nonce too, and an index

@@ -322,8 +322,9 @@ type Page struct {
 	Hits  []Hit
 	Total int
 	// NextCursor resumes after the last hit of this page ("" on the final
-	// page). Cursors bind to the query and the index generation.
+	// page). Cursors bind to the query and the state the hits were read at.
 	NextCursor string
+	// Generation is the index generation Search read the hits at.
 	Generation uint64
 }
 
@@ -334,14 +335,16 @@ var ErrCursorExpired = errors.New("search: cursor expired: index changed, restar
 
 const cursorVersion = "v1"
 
+// queryHash is the FNV-1a hash a cursor stores of a key: the query's,
+// and the Tag Search binds its cursors to.
 func queryHash(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return h.Sum64()
 }
 
-// cursor is the decoded resume position: the index generation and query
-// hash it binds to, and the (score, id) of the last hit served.
+// cursor is the decoded resume position: the hashes of the state (gen)
+// and the query it binds to, and the (score, id) of the last hit served.
 type cursor struct {
 	gen   uint64
 	query uint64
@@ -386,10 +389,11 @@ func decodeCursor(s string) (cursor, error) {
 // so the cluster scatter path can window a merged ranking exactly the
 // way a single node windows its own.
 //
-// A cursor minted at a different index generation returns
-// ErrCursorExpired; one minted for a different query is a plain error.
-func PaginateHits(hits []Hit, gen uint64, queryKey string, limit int, cur string) (Page, error) {
-	page := Page{Total: len(hits), Generation: gen}
+// state is a 64-bit hash of the state the hits were read at. A cursor
+// minted at a different state returns ErrCursorExpired; one minted for a
+// different query is a plain error.
+func PaginateHits(hits []Hit, state uint64, queryKey string, limit int, cur string) (Page, error) {
+	page := Page{Total: len(hits)}
 	start := 0
 	if cur != "" {
 		c, err := decodeCursor(cur)
@@ -399,7 +403,7 @@ func PaginateHits(hits []Hit, gen uint64, queryKey string, limit int, cur string
 		if c.query != queryHash(queryKey) {
 			return Page{}, fmt.Errorf("search: cursor belongs to a different query")
 		}
-		if c.gen != gen {
+		if c.gen != state {
 			return Page{}, ErrCursorExpired
 		}
 		// Resume strictly after (score, id) in ranking order.
@@ -417,14 +421,17 @@ func PaginateHits(hits []Hit, gen uint64, queryKey string, limit int, cur string
 	page.Hits = hits[start:end]
 	if end < len(hits) && len(page.Hits) > 0 {
 		last := page.Hits[len(page.Hits)-1]
-		page.NextCursor = encodeCursor(cursor{gen: gen, query: queryHash(queryKey), score: last.Score, id: last.ID})
+		page.NextCursor = encodeCursor(cursor{gen: state, query: queryHash(queryKey), score: last.Score, id: last.ID})
 	}
 	return page, nil
 }
 
-// Search runs the query and windows the result: the single-node read
-// path behind GET /search.
+// Search runs the query and windows the result, its cursors bound to
+// the index's Tag: a cursor minted by another index at the same
+// generation (one rebuilt after a restart) expires.
 func (ix *Index) Search(q Query, limit int, cur string) (Page, error) {
 	hits, gen := ix.Match(q)
-	return PaginateHits(hits, gen, q.Key(), limit, cur)
+	page, err := PaginateHits(hits, queryHash(Tag(ix.nonce, gen)), q.Key(), limit, cur)
+	page.Generation = gen
+	return page, err
 }

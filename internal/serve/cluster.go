@@ -88,11 +88,7 @@ func (s *Server) redirectToOwner(w http.ResponseWriter, r *http.Request, id stri
 	if base == "" {
 		return false
 	}
-	prefix := "/api"
-	if n.Router != nil && n.Router.APIPrefix != "" {
-		prefix = n.Router.APIPrefix
-	}
-	loc := strings.TrimSuffix(base, "/") + prefix + r.URL.Path
+	loc := strings.TrimSuffix(base, "/") + cluster.APIPrefix + r.URL.Path
 	if q := r.URL.RawQuery; q != "" {
 		loc += "?" + q
 	}
@@ -216,18 +212,19 @@ func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, targ
 		}
 		key.hash, examples = hash, set
 	} else {
-		// Only an answer kept at this key's generations can be served
-		// after a 304; for any other the set must move.
-		held := ""
-		if k, ok := memoFor[subsKey, subsAnswer](&s.subs, id).kept(); ok && k.registry == key.registry && k.index == key.index {
-			held = k.hash
+		// Only an answer kept at this key's registry and index states can
+		// be served after a 304, so only its hash is revalidated; for any
+		// other the set must move.
+		if k, ok := memoFor[subsKey, subsAnswer](&s.subs, id).kept(); ok {
+			if key.hash = k.hash; k != key {
+				key.hash = ""
+			}
 		}
-		ss, changed, err := s.Cluster.Router.FetchExamplesIfChanged(ctx, id, held)
+		ss, changed, err := s.Cluster.Router.FetchExamplesIfChanged(ctx, id, key.hash)
 		if err != nil {
 			writeError(w, fetchStatus(err), "%v", err)
 			return
 		}
-		key.hash = held
 		if changed {
 			key.hash, examples = ss.Hash, ss.Examples
 		}

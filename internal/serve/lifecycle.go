@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dexa/internal/lifecycle"
+	"dexa/internal/longpoll"
 )
 
 // Lifecycle endpoints, mounted only when Server.Lifecycle is set:
@@ -21,12 +22,6 @@ import (
 //	                          If-None-Match ETag), 304 on timeout
 //	GET  /repairs           — the repair-proposal queue (?state= filters)
 //	POST /repairs/{id}      — approve or reject one proposal
-
-// maxWatchWait bounds how long one /watch request may hold a connection.
-const maxWatchWait = 30 * time.Second
-
-// defaultWatchWait is the long-poll window when ?wait= is absent.
-const defaultWatchWait = 25 * time.Second
 
 func (s *Server) lifecycleRoutes() []route {
 	return []route{
@@ -70,27 +65,25 @@ type eventsResponse struct {
 func lifecycleETag(cursor uint64) string { return fmt.Sprintf(`"lc-%d"`, cursor) }
 
 // cursorFromETag parses an If-None-Match header produced by
-// lifecycleETag; ok is false for anything else.
-func cursorFromETag(header string) (uint64, bool) {
+// lifecycleETag; anything else is cursor 0.
+func cursorFromETag(header string) uint64 {
 	for _, part := range strings.Split(header, ",") {
 		part = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(part), "W/"))
 		part = strings.Trim(part, `"`)
 		if !strings.HasPrefix(part, "lc-") {
 			continue
 		}
-		n, err := strconv.ParseUint(part[3:], 10, 64)
-		if err == nil {
-			return n, true
+		if n, err := strconv.ParseUint(part[3:], 10, 64); err == nil {
+			return n
 		}
 	}
-	return 0, false
+	return 0
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	log := s.Lifecycle.Log()
-	cursor, _, err := parseCursor(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	cursor, ok := parseCursor(w, r)
+	if !ok {
 		return
 	}
 	limit, ok := parseLimitParam(w, r.URL.Query())
@@ -106,34 +99,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseCursor reads the resume cursor from ?cursor=, falling back to an
-// lc-style If-None-Match tag.
-func parseCursor(r *http.Request) (uint64, bool, error) {
-	if v := r.URL.Query().Get("cursor"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return 0, false, fmt.Errorf("invalid cursor %q", v)
-		}
-		return n, true, nil
+// lc-style If-None-Match tag; a malformed one answers 400 and reports
+// false.
+func parseCursor(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	v := r.URL.Query().Get("cursor")
+	if v == "" {
+		return cursorFromETag(r.Header.Get("If-None-Match")), true
 	}
-	if n, ok := cursorFromETag(r.Header.Get("If-None-Match")); ok {
-		return n, true, nil
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid cursor %q", v)
 	}
-	return 0, false, nil
+	return n, err == nil
 }
 
-// parseWait reads a long-poll's ?wait= duration, def when absent, capped
-// at maxWatchWait; a malformed one answers 400 and reports false.
+// parseWait reads a long-poll's ?wait= duration (see longpoll.ParseWait);
+// a malformed one answers 400 and reports false.
 func parseWait(w http.ResponseWriter, r *http.Request, def time.Duration) (time.Duration, bool) {
-	wait := def
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			writeError(w, http.StatusBadRequest, "invalid wait %q", v)
-			return 0, false
-		}
-		wait = d
+	wait, err := longpoll.ParseWait(r.URL.Query().Get("wait"), def)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return 0, false
 	}
-	return min(wait, maxWatchWait), true
+	return wait, true
 }
 
 // handleWatch is the long-poll change feed: it answers immediately with
@@ -142,30 +130,20 @@ func parseWait(w http.ResponseWriter, r *http.Request, def time.Duration) (time.
 // cursor survives the round trip).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	log := s.Lifecycle.Log()
-	cursor, _, err := parseCursor(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	wait, ok := parseWait(w, r, defaultWatchWait)
+	cursor, ok := parseCursor(w, r)
 	if !ok {
 		return
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	quiet := false
-	select {
-	case <-log.Changed(cursor):
-	case <-timer.C:
-		quiet = true
-	case <-s.drainCh():
-		// Shutting down: answer like a quiet window so the client re-polls
-		// (and lands on another instance) instead of holding the drain open.
-		quiet = true
-	case <-r.Context().Done():
+	wait, ok := parseWait(w, r, longpoll.DefaultWait)
+	if !ok {
 		return
 	}
-	if quiet {
+	switch longpoll.Park(r.Context(), log.Changed(cursor), s.drain.Done(), wait) {
+	case longpoll.Cancelled:
+		return
+	case longpoll.Timeout, longpoll.Drained:
+		// A drain answers like a quiet window, so the client re-polls (and
+		// lands on another instance) instead of holding the drain open.
 		respond(w, http.StatusNotModified, answer{etag: lifecycleETag(cursor)})
 		return
 	}

@@ -58,18 +58,18 @@ func (s *Server) matrixStateKey() string {
 	return key
 }
 
-// contentStateKey derives the matrix state key from content: the
-// mapping mode, the index generation (signature churn), and each
-// registered module's stored-annotation content hash. Modules without a
-// stored set contribute their absence, so annotating one later changes
-// the key. Content-derived, it agrees across a leader, its followers and
-// a restarted node holding the same catalog.
+// contentStateKey derives the matrix state key: the mapping mode, the
+// index nonce and generation (signature churn), and each registered
+// module's stored-annotation content hash. Modules without a stored set
+// contribute their absence, so annotating one later changes the key.
+// The nonce is per index instance, so a key minted before a restart
+// never matches one after it, even at the same generation.
 func (s *Server) contentStateKey(indexGen uint64) string {
 	// One buffer hashed at once: a string written to the hash one by one
 	// is copied to the heap each time.
 	buf := append([]byte(s.Comparer.Mode.String()), 0)
 	if s.Comparer.Index != nil {
-		buf = fmt.Appendf(buf, "g%d", indexGen)
+		buf = fmt.Appendf(buf, "g%s.%d", s.Comparer.Index.Nonce(), indexGen)
 		buf = append(buf, 0)
 	}
 	for _, id := range s.Registry.IDs() {
@@ -87,26 +87,29 @@ func (s *Server) contentStateKey(indexGen uint64) string {
 // target's stored-set hash, the registry generation (every Register and
 // availability flip; candidates are invoked live, so their availability,
 // not their stored annotations, is what the ranking reads) and the
-// signature index generation. The store's sequence is left out on
-// purpose: writes to other modules' annotations do not change the
-// ranking, and under a steady write load they would evict it on almost
-// every request.
+// signature index generation, each generation with its owner's nonce.
+// The store's sequence is left out on purpose: writes to other modules'
+// annotations do not change the ranking, and under a steady write load
+// they would evict it on almost every request.
 type subsKey struct {
-	hash            string
-	registry, index uint64
+	hash                      string
+	registry, index           uint64
+	registryNonce, indexNonce string
 }
 
 func (s *Server) subsKey(targetHash string) subsKey {
-	k := subsKey{hash: targetHash, registry: s.Registry.Generation()}
-	if s.Comparer.Index != nil {
-		k.index = s.Comparer.Index.Generation()
+	return subsKey{
+		hash:          targetHash,
+		registry:      s.Registry.Generation(),
+		index:         s.Comparer.Index.Generation(),
+		registryNonce: s.Registry.Nonce(),
+		indexNonce:    s.Comparer.Index.Nonce(),
 	}
-	return k
 }
 
 // etag renders the key as the target's /substitutes validator.
 func (k subsKey) etag() string {
-	return fmt.Sprintf(`"%s.%d.%d"`, k.hash, k.registry, k.index)
+	return fmt.Sprintf(`"%s.%s.%d.%s.%d"`, k.hash, k.registryNonce, k.registry, k.indexNonce, k.index)
 }
 
 // matrixSource is where one /matches answer comes from. state keys its

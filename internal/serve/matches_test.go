@@ -164,3 +164,53 @@ func TestSubstitutesWarmAndETagged(t *testing.T) {
 		}
 	}
 }
+
+// TestValidatorsAcrossRestart: the /substitutes and /matches validators
+// bind to process-local counters (the registry and signature-index
+// generations), which restart at zero. A server reopened over the same
+// store directory, whose flips bring both counters back to the values
+// they had but with another module retired, must not answer an old
+// validator 304.
+func TestValidatorsAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(retire string) (*fixture, map[string]string) {
+		f := newFixture(t, dir)
+		f.srv.Comparer.Index = match.NewCatalogIndex(f.ont, f.reg.Modules())
+		SyncIndex(f.reg, f.srv.Comparer.Index)
+		for _, id := range f.reg.IDs() {
+			e, _ := f.reg.Get(id)
+			if _, _, err := f.source.Generate(e.Module); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.reg.SetAvailable(retire, false); err != nil {
+			t.Fatal(err)
+		}
+		etags := map[string]string{}
+		for _, path := range []string{"/modules/alpha/substitutes", "/matches"} {
+			resp := getWithETag(t, f.ts.URL+path, "", nil)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == "" {
+				t.Fatalf("GET %s: status %d, ETag %q", path, resp.StatusCode, resp.Header.Get("ETag"))
+			}
+			etags[path] = resp.Header.Get("ETag")
+		}
+		return f, etags
+	}
+	before, old := boot("beta")
+	regGen, ixGen := before.reg.Generation(), before.srv.Comparer.Index.Generation()
+	before.ts.Close()
+	if err := before.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	after, _ := boot("gamma")
+	if after.reg.Generation() != regGen || after.srv.Comparer.Index.Generation() != ixGen {
+		t.Fatalf("counters after the restart at %d/%d, before at %d/%d",
+			after.reg.Generation(), after.srv.Comparer.Index.Generation(), regGen, ixGen)
+	}
+	for path, etag := range old {
+		if resp := getWithETag(t, after.ts.URL+path, etag, nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s with the ETag minted before the restart: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+}

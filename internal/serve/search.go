@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,9 +8,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"time"
 
 	"dexa/internal/cluster"
+	"dexa/internal/longpoll"
 	"dexa/internal/search"
 	"dexa/internal/telemetry"
 )
@@ -26,11 +25,11 @@ import (
 //	?cursor=  opaque resume cursor from a previous page's nextCursor
 //
 // Responses are ranked deterministically (score desc, module ID asc) and
-// ETag'd on the index generation plus the query, so an unchanged catalog
-// revalidates with 304. A catalog mutation between pages answers 410
-// with {"restart": true} — the cursor is bound to the index generation
-// and silently resuming over a shifted ranking would skip or duplicate
-// hits. In cluster mode the node answers from its own index too, with
+// ETag'd on the index nonce and generation plus the query, so an
+// unchanged catalog revalidates with 304. A catalog mutation between
+// pages, or a rebuilt index, answers 410 with {"restart": true} — the
+// cursor is bound to the same state as the ETag, and silently resuming
+// over a shifted ranking would skip or duplicate hits. In cluster mode the node answers from its own index too, with
 // the other shards' stored annotations lent by their summaries (see
 // handleSearch); no query crosses the network.
 
@@ -103,23 +102,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// pages expires the walk as a local mutation would. A shard that does
 	// not answer withholds its modules and makes the answer partial.
 	var (
-		page  search.Page
-		state string // what the ETag binds to besides the page's query
+		hits  []search.Hit
+		gen   uint64
+		state string // what the cursor and the ETag bind to besides the query
 		resp  = searchResponse{Query: raw}
 	)
 	if s.clusterMode() {
 		s.watchOnce.Do(s.watchSummaries)
 		view := s.Cluster.Router.SearchView(r.Context(), s.Cluster.Self)
-		hits, gen := s.SearchIndex.MatchOverlay(q, view.Overlay)
+		hits, gen = s.SearchIndex.MatchOverlay(q, view.Overlay)
 		state = view.StateKey(s.Cluster.Self, search.Tag(s.SearchIndex.Nonce(), gen))
-		h := fnv.New64a()
-		h.Write([]byte(state))
-		page, err = search.PaginateHits(hits, h.Sum64(), q.Key(), limit, cursor)
 		resp.Partial, resp.FailedShards = len(view.FailedShards) > 0, view.FailedShards
 	} else {
-		page, err = s.SearchIndex.Search(q, limit, cursor)
-		state = search.Tag(s.SearchIndex.Nonce(), page.Generation)
+		hits, gen = s.SearchIndex.Match(q)
+		state = search.Tag(s.SearchIndex.Nonce(), gen)
 	}
+	h := fnv.New64a()
+	h.Write([]byte(state))
+	page, err := search.PaginateHits(hits, h.Sum64(), q.Key(), limit, cursor)
 	if errors.Is(err, search.ErrCursorExpired) {
 		writeCursorExpired(w)
 		return
@@ -129,7 +129,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Hits, resp.Count, resp.Total = page.Hits, len(page.Hits), page.Total
-	resp.NextCursor, resp.Generation = page.NextCursor, page.Generation
+	resp.NextCursor, resp.Generation = page.NextCursor, gen
 	// A partial ranking must not 304 against a complete one, so only
 	// complete results carry the validator.
 	etag := ""
@@ -164,22 +164,13 @@ func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	if wait > 0 {
 		gen := ix.Generation()
-		if etagMatches(r.Header.Get("If-None-Match"), `"`+search.Tag(ix.Nonce(), gen)+`"`) {
-			timer := time.NewTimer(wait)
-			defer timer.Stop()
-			select {
-			case <-ix.Changed(gen):
-			case <-timer.C:
-			case <-s.drainCh():
-			case <-r.Context().Done():
-				return
-			}
+		if etagMatches(r.Header.Get("If-None-Match"), `"`+search.Tag(ix.Nonce(), gen)+`"`) &&
+			longpoll.Park(r.Context(), ix.Changed(gen), s.drain.Done(), wait) == longpoll.Cancelled {
+			return
 		}
-		select {
-		case <-s.drainCh():
+		if s.drain.Closed() {
 			writeError(w, http.StatusServiceUnavailable, "draining: stop watching this shard")
 			return
-		default:
 		}
 	}
 	if notModified(w, r, `"`+search.Tag(ix.Nonce(), ix.Generation())+`"`) {
@@ -192,14 +183,7 @@ func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 
 // watchSummaries starts the router's summary watch (see Router.Watch),
 // which BeginDrain stops.
-func (s *Server) watchSummaries() {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-s.drainCh()
-		cancel()
-	}()
-	go s.Cluster.Router.Watch(ctx, s.Cluster.Self)
-}
+func (s *Server) watchSummaries() { go s.Cluster.Router.Watch(s.drain.Context(), s.Cluster.Self) }
 
 // handleClusterSearch is the shard side of Router.Search's scatter
 // (POST /cluster/search), which the public /search no longer makes, in

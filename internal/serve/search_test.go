@@ -211,6 +211,38 @@ func TestSearchPaginationRestart(t *testing.T) {
 	}
 }
 
+// TestSearchCursorRebuiltIndex: a cursor binds to the index that minted
+// it, not to a bare generation. An index rebuilt (as after a restart)
+// over a different stored set reaches the same generation, and the old
+// cursor must expire there instead of resuming over another ranking.
+func TestSearchCursorRebuiltIndex(t *testing.T) {
+	f := searchFixture(t)
+	var page1 searchBody
+	if resp := getJSON(t, f.ts.URL+"/search?q=module&limit=1", &page1); resp.StatusCode != http.StatusOK || page1.NextCursor == "" {
+		t.Fatalf("page 1 status %d, cursor %q", resp.StatusCode, page1.NextCursor)
+	}
+	set, _, _ := f.st.Get("gamma")
+	if _, _, err := f.st.Put("gamma", set[:1]); err != nil {
+		t.Fatal(err)
+	}
+	fresh := search.New(f.ont)
+	(&search.Syncer{Registry: f.reg, Store: f.st, Index: fresh}).IndexAll()
+	if old := f.srv.SearchIndex.Generation(); fresh.Generation() != old {
+		t.Fatalf("the rebuilt index is at generation %d, the old one at %d", fresh.Generation(), old)
+	}
+	f.srv.SearchIndex = fresh
+	if resp := getJSON(t, f.ts.URL+"/search?q=module&limit=1&cursor="+page1.NextCursor, nil); resp.StatusCode != http.StatusGone {
+		t.Fatalf("a cursor of the old index resumed on the rebuilt one: status %d, want 410", resp.StatusCode)
+	}
+	q, err := search.ParseQuery("module")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Search(q, 1, page1.NextCursor); err != search.ErrCursorExpired {
+		t.Fatalf("Index.Search resumed another index's cursor: %v", err)
+	}
+}
+
 // withClusterSearch wires a synced search index into every node of a
 // cluster world (and its oracle). Every index covers the full registry —
 // keyword and concept statistics must be identical on every shard — but

@@ -58,6 +58,7 @@ import (
 	"dexa/internal/core"
 	"dexa/internal/dataexample"
 	"dexa/internal/lifecycle"
+	"dexa/internal/longpoll"
 	"dexa/internal/match"
 	"dexa/internal/module"
 	"dexa/internal/registry"
@@ -127,29 +128,18 @@ type Server struct {
 	// /cluster/summary here, the cluster WAL feed in its own package)
 	// answer parked and new waiters immediately instead of holding the
 	// shutdown window open, and the summary watch stops.
-	drainOnce sync.Once
-	drainLazy sync.Once
-	drain     chan struct{}
+	drain longpoll.Latch
 
 	// watchOnce starts the cluster router's summary watch on the first
 	// cluster /search (see watchSummaries).
 	watchOnce sync.Once
 }
 
-// drainCh lazily allocates the drain channel.
-func (s *Server) drainCh() chan struct{} {
-	s.drainLazy.Do(func() { s.drain = make(chan struct{}) })
-	return s.drain
-}
-
 // BeginDrain makes every long-poll waiter answer immediately, parked or
 // future, and stops the summary watch this server's searches started.
 // Wire it to http.Server.RegisterOnShutdown so a SIGTERM's graceful
 // drain is bounded by in-flight work, not poll timeouts.
-func (s *Server) BeginDrain() {
-	ch := s.drainCh()
-	s.drainOnce.Do(func() { close(ch) })
-}
+func (s *Server) BeginDrain() { s.drain.Close() }
 
 // route is one API endpoint: the mux pattern, its method (for the 405
 // Allow header on the bare path) and the handler.

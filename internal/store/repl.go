@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"dexa/internal/longpoll"
 )
 
 // Replication: the store exposes its mutation stream so a follower can
@@ -41,10 +43,9 @@ type repl struct {
 	// resets counts wholesale replacements (resetTo): a reset may move
 	// head back to a sequence the store held before, with other content.
 	resets uint64
-	// notify is closed and replaced on every push — a broadcast to every
-	// blocked tailer, the lifecycle log's idiom.
-	notify chan struct{}
-	window int
+	// changed wakes every blocked tailer when head or resets moves.
+	changed longpoll.Signal
+	window  int
 }
 
 func (r *repl) init(seq uint64) {
@@ -52,7 +53,6 @@ func (r *repl) init(seq uint64) {
 	defer r.mu.Unlock()
 	r.low, r.head = seq, seq
 	r.recs = nil
-	r.notify = make(chan struct{})
 	r.window = defaultReplWindow
 }
 
@@ -78,8 +78,7 @@ func (r *repl) pushBatch(recs []Record) {
 		r.recs = append(r.recs, rec)
 	}
 	r.head = recs[len(recs)-1].Seq
-	close(r.notify)
-	r.notify = make(chan struct{})
+	r.changed.Fire()
 }
 
 // resetTo empties the window after a wholesale state replacement.
@@ -89,8 +88,7 @@ func (r *repl) resetTo(seq uint64) {
 	r.recs = nil
 	r.low, r.head = seq, seq
 	r.resets++
-	close(r.notify)
-	r.notify = make(chan struct{})
+	r.changed.Fire()
 }
 
 // Seq returns the sequence number of the newest mutation (0 when the
@@ -122,12 +120,7 @@ func (s *Store) ContentVersion() (resets, seq uint64) {
 func (s *Store) ReplicationChanged(cursor uint64) <-chan struct{} {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
-	if s.repl.head > cursor {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	return s.repl.notify
+	return s.repl.changed.Wait(s.repl.head > cursor)
 }
 
 // TailSince returns the mutation records with sequence > cursor, up to
