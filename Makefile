@@ -76,9 +76,11 @@ race-columnar:
 # racing shard failures, the store's replication cursor, and the
 # change signal, park, drain latch and backoff of internal/longpoll
 # they all share, with more iterations than the catch-all race run
-# gives them.
+# gives them; the summary watch's health verdicts (down peers found in
+# time, a recovered one up again) ten times over.
 race-cluster:
 	$(GO) test -race -count=2 ./internal/cluster/ ./internal/longpoll/
+	$(GO) test -race -count=10 -run TestWatchJudgesPeerHealth ./internal/cluster/
 	$(GO) test -race -count=2 -run 'TestCluster|TestWatchDrain|TestReplication|TestTail|TestApplyReplicated|TestResetReplicated' ./internal/serve/ ./internal/store/
 
 # Serving-tier gate: the full 252-module catalog sharded three ways must

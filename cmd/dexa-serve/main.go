@@ -60,7 +60,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -260,8 +259,9 @@ func main() {
 	go searchSync.Watch(ctx)
 
 	// Cluster wiring: a shard node leads its slice of the catalog (WAL
-	// feed at /wal, scatter-gather queries, per-shard health checks); a
-	// follower tails a leader and serves its replicated slice read-only.
+	// feed at /wal, scatter-gather queries, one summary watch per peer
+	// that is also its health check); a follower tails a leader and
+	// serves its replicated slice read-only.
 	var (
 		feed     *cluster.Feed
 		follower *cluster.Follower
@@ -336,13 +336,12 @@ func main() {
 	// Liveness vs readiness: /healthz says the process is up (restart me
 	// if this fails), /readyz says it should receive traffic (route away
 	// while draining or while a follower is too far behind its leader).
-	var draining atomic.Bool
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "ok: %s, %d modules available, %d annotated in store\n",
 			buildinfo.String(), len(u.Registry.Available()), st.Len())
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if draining.Load() {
+		if api.Draining() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -364,11 +363,11 @@ func main() {
 		len(u.Registry.Available()), ln.Addr())
 
 	httpSrv := &http.Server{Handler: mux}
-	// The moment graceful shutdown begins: flip readiness, release every
-	// parked long-poll (/api/watch, /wal) so the drain window is bounded
-	// by in-flight work, not poll timeouts.
+	// The moment graceful shutdown begins: flip readiness (/readyz reads
+	// the API's drain latch), release every parked long-poll (/api/watch,
+	// /api/cluster/summary, /wal) so the drain window is bounded by
+	// in-flight work, not poll timeouts.
 	httpSrv.RegisterOnShutdown(func() {
-		draining.Store(true)
 		api.BeginDrain()
 		if feed != nil {
 			feed.BeginDrain()

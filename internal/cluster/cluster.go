@@ -16,8 +16,9 @@
 //     kept for replay), the state round and set gather a cluster
 //     /matches builds from, and the watched summaries a shard
 //     answers /search with from its own index (router.go)
-//   - Checker: per-shard readiness probes behind resilient circuit
-//     breakers (health.go)
+//   - Watch / Checker: one summary long-poll per peer, whose outcome is
+//     also the peer's health: a fan-out fails a peer whose last poll
+//     failed without calling it (health.go)
 //
 // The serving layer mounts the intra-cluster API (/cluster/info, /sets,
 // /substitutes, /summary, /search) and consults a Node for placement
@@ -58,8 +59,9 @@ type Node struct {
 }
 
 // NewShardNode assembles a shard member: ring from the config, router
-// and health checker over the full membership. The returned node still
-// needs its Feed wired to the local store by the caller.
+// over the full membership, and the checker whose Run starts the router's
+// watch of every peer. The returned node still needs its Feed wired to
+// the local store by the caller.
 func NewShardNode(cfg Config, self string, reg *telemetry.Registry) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -72,20 +74,15 @@ func NewShardNode(cfg Config, self string, reg *telemetry.Registry) (*Node, erro
 		return nil, err
 	}
 	met := NewMetrics(reg)
-	checker := &Checker{Shards: cfg.Shards, Metrics: met}
+	rt := &Router{Config: cfg, Ring: ring, Metrics: met}
 	return &Node{
 		Config:  cfg,
 		Ring:    ring,
 		Self:    self,
 		Role:    RoleShard,
-		Checker: checker,
+		Router:  rt,
+		Checker: &Checker{Router: rt, Self: self},
 		Metrics: met,
-		Router: &Router{
-			Config:  cfg,
-			Ring:    ring,
-			Checker: checker,
-			Metrics: met,
-		},
 	}, nil
 }
 

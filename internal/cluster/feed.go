@@ -69,8 +69,7 @@ type Feed struct {
 	Metrics *Metrics
 
 	// BatchWindow is how long an answer that already carries records
-	// waits for more before closing (0 selects DefaultBatchWindow,
-	// negative disables batching).
+	// waits for more before closing (0 selects DefaultBatchWindow).
 	BatchWindow time.Duration
 
 	drain longpoll.Latch
@@ -132,8 +131,8 @@ func (f *Feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Batch window: the answer has records — hold it open briefly so a
 	// burst of commits rides one response instead of one per wakeup.
-	if window := cmp.Or(f.BatchWindow, DefaultBatchWindow); window > 0 && !reset && len(recs) > 0 && len(recs) < limit {
-		deadline := time.Now().Add(window)
+	if !reset && len(recs) > 0 && len(recs) < limit {
+		deadline := time.Now().Add(cmp.Or(f.BatchWindow, DefaultBatchWindow))
 		for len(recs) < limit {
 			out := longpoll.Park(r.Context(), f.Store.ReplicationChanged(next), f.drain.Done(), time.Until(deadline))
 			if out == longpoll.Cancelled {

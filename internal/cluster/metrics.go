@@ -67,7 +67,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ShardFailures: reg.CounterVec("dexa_cluster_shard_failures_total",
 			"Per-shard scatter failures (timeout or error).", "shard"),
 		ShardUp: reg.GaugeVec("dexa_cluster_shard_up",
-			"Health-check verdict per shard (1 healthy, 0 down).", "shard"),
+			"Health of each member as its summary watch sees it: 1 from an answered poll (and for self), 0 after a failed one.", "shard"),
 		SummaryRevalidations: reg.CounterVec("dexa_cluster_summary_revalidations_total",
 			"Revalidations of another shard's search summary, by the watch (long-poll) or by a call on a search's request path.", "shard", "via"),
 	}

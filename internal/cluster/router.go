@@ -16,50 +16,36 @@ import (
 	"time"
 
 	"dexa/internal/dataexample"
-	"dexa/internal/longpoll"
 	"dexa/internal/match"
 	"dexa/internal/search"
 )
 
-// Router is the scatter-gather side of the cluster: it fans a substitute
-// search out to the shards owning its candidates (and, in Search, a
-// search out to every shard), bounds each call with a per-shard timeout,
-// degrades to a partial result when shards fail (a down shard withholds
-// its slice, it does not take the answer down with it), and merges the
-// slices deterministically — the healthy-cluster merge is byte-identical
-// to a single node holding the whole catalog. For /matches it only gathers:
-// the state round (Matrix) and the other shards' stored sets (Sets), from
-// which the serving layer builds the matrix locally. For /search it only
-// holds the other shards' summaries (SearchView), and the serving layer
-// answers from its own index: Watch keeps one long-poll open per other
-// shard, so a search reads a watched summary without a call and calls
-// only a shard whose watch is down.
+// Router is the scatter-gather side of the cluster and its one link to
+// every other shard. It fans a substitute search out to the shards owning
+// its candidates (and, in Search, a search out to every shard), bounds
+// each call with a per-shard timeout, degrades to a partial result when
+// shards fail (a down shard withholds its slice, it does not take the
+// answer down with it), and merges the slices deterministically — the
+// healthy-cluster merge is byte-identical to a single node holding the
+// whole catalog. For /matches it only gathers: the state round (Matrix)
+// and the other shards' stored sets (Sets), from which the serving layer
+// builds the matrix locally. For /search it only holds the other shards'
+// summaries (SearchView), and the serving layer answers from its own
+// index. Watch keeps one long-poll open per other shard: it keeps that
+// shard's summary current, so a search reads it without a call, and its
+// outcome is the shard's health, so a fan-out fails a down shard without
+// calling it (see health.go).
 type Router struct {
 	Config Config
 	Ring   *Ring
 	// Client issues the intra-cluster calls; nil selects a default.
-	Client *http.Client
-	// Checker, when set, lets the router skip breaker-open shards without
-	// paying a timeout for each.
-	Checker *Checker
+	Client  *http.Client
 	Metrics *Metrics
 
-	searchMu  sync.Mutex
-	summaries map[string]*Summary // shard name -> the last summary it sent
-	watch     map[string]string   // shard name -> its watch state (Watch*)
-	view      *SearchView         // merged from the summaries it names
+	mu    sync.Mutex
+	peers map[string]*peer // shard name -> what this node knows of it
+	view  *SearchView      // merged from the summaries it names
 }
-
-// Watch states of another shard's summary, as /stats reports them.
-const (
-	WatchPolling = "polling" // the watch started and has had no answer yet
-	WatchWatched = "watched" // the last long-poll answered: the summary is current
-	WatchFailed  = "failed"  // the last long-poll failed: searches call the shard
-)
-
-// watchBackoffMax caps the retry delay of a summary watch whose
-// long-poll failed.
-const watchBackoffMax = 2 * time.Second
 
 // shardTimeout bounds one per-shard scatter call.
 const shardTimeout = 10 * time.Second
@@ -179,8 +165,8 @@ type shardResult[T any] struct {
 }
 
 // fanOut runs fn against every listed shard concurrently, pre-failing
-// breaker-open shards. An empty shard list contacts nothing and counts
-// no scatter.
+// the shards the watch found down with the poll error that did. An empty
+// shard list contacts nothing and counts no scatter.
 func fanOut[T any](rt *Router, ctx context.Context, shards []ShardConfig, endpoint string, fn func(ctx context.Context, sh ShardConfig) (T, error)) []shardResult[T] {
 	if len(shards) == 0 {
 		return nil
@@ -192,8 +178,8 @@ func fanOut[T any](rt *Router, ctx context.Context, shards []ShardConfig, endpoi
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		results[i].shard = sh
-		if !rt.Checker.Healthy(sh.Name) {
-			results[i].err = fmt.Errorf("shard %s is unhealthy (breaker open)", sh.Name)
+		if err := rt.down(sh.Name); err != nil {
+			results[i].err = err
 			continue
 		}
 		wg.Add(1)
@@ -418,8 +404,9 @@ func (v *SearchView) StateKey(self, tag string) string {
 }
 
 // SearchView returns every shard but self's search summary merged. A
-// shard whose watch holds its summary current (see Watch) and whose
-// breaker is closed costs no call; any other is revalidated by one
+// shard whose watch holds its summary current (see Watch) costs no call,
+// a shard the watch found down is failed without one, and any other (no
+// watch runs, or it has had no answer yet) is revalidated by one
 // conditional GET /cluster/summary, which a shard whose index has not
 // moved answers 304. The merged view is kept while the summaries it names
 // are current, so a warm search calls, moves and merges nothing. A shard
@@ -433,32 +420,32 @@ func (rt *Router) SearchView(ctx context.Context, self string) *SearchView {
 	}
 	summaries := make([]*Summary, len(others))
 	var stale []int // indexes into others of the shards to call
-	rt.searchMu.Lock()
+	rt.mu.Lock()
 	for i, sh := range others {
-		if sum := rt.summaries[sh.Name]; sum != nil && rt.watch[sh.Name] == WatchWatched && rt.Checker.Healthy(sh.Name) {
-			summaries[i] = sum
+		if p := rt.peer(sh.Name); p.summary != nil && p.watch == WatchWatched {
+			summaries[i] = p.summary
 		} else {
 			stale = append(stale, i)
 		}
 	}
-	rt.searchMu.Unlock()
+	rt.mu.Unlock()
 	if len(stale) > 0 {
 		calls := make([]ShardConfig, len(stale))
 		for k, i := range stale {
 			calls[k] = others[i]
 		}
 		results := fanOut(rt, ctx, calls, "summary", func(ctx context.Context, sh ShardConfig) (*Summary, error) {
-			rt.searchMu.Lock()
-			held := rt.summaries[sh.Name]
-			rt.searchMu.Unlock()
+			rt.mu.Lock()
+			held := rt.peer(sh.Name).summary
+			rt.mu.Unlock()
 			return rt.revalidate(ctx, sh, held, 0)
 		})
 		for k, res := range results {
 			summaries[stale[k]] = res.reply
 		}
 	}
-	rt.searchMu.Lock()
-	defer rt.searchMu.Unlock()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if v := rt.view; v != nil && slices.Equal(v.summaries, summaries) {
 		return v
 	}
@@ -506,103 +493,13 @@ func (rt *Router) revalidate(ctx context.Context, sh ShardConfig, held *Summary,
 	if !changed {
 		return held, nil
 	}
-	rt.searchMu.Lock()
-	if rt.summaries == nil {
-		rt.summaries = map[string]*Summary{}
-	}
+	rt.mu.Lock()
 	// A call answered after a later one must not roll the summary back.
-	if kept := rt.summaries[sh.Name]; kept == nil || kept.Nonce != fresh.Nonce || kept.Generation < fresh.Generation {
-		rt.summaries[sh.Name] = fresh
+	if p := rt.peer(sh.Name); p.summary == nil || p.summary.Nonce != fresh.Nonce || p.summary.Generation < fresh.Generation {
+		p.summary = fresh
 	}
-	rt.searchMu.Unlock()
+	rt.mu.Unlock()
 	return fresh, nil
-}
-
-// Watch keeps every shard but self's summary current until ctx ends: one
-// long-poll per shard, each waiting half the per-shard timeout, so a
-// shard's index moving reaches this node one loopback hop later. A shard
-// is watched after any answer, and not watched after any failure (a 503
-// from a draining shard included) until a later poll answers; the failed
-// watch backs off and retries. When Watch returns no shard is watched.
-func (rt *Router) Watch(ctx context.Context, self string) {
-	var wg sync.WaitGroup
-	for _, sh := range rt.Config.Shards {
-		if sh.Name == self {
-			continue
-		}
-		wg.Add(1)
-		go func(sh ShardConfig) {
-			defer wg.Done()
-			rt.watchShard(ctx, sh)
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// watchShard is one shard's watch. Its first poll, and its first after a
-// failure, holds nothing and so is answered at once: the shard is watched
-// from then on, rather than after a poll parked on a summary it already
-// has.
-func (rt *Router) watchShard(ctx context.Context, sh ShardConfig) {
-	rt.setWatch(sh.Name, WatchPolling)
-	defer rt.setWatch(sh.Name, "")
-	var held *Summary
-	backoff := longpoll.Backoff{Max: watchBackoffMax}
-	for {
-		sum, err := rt.revalidate(ctx, sh, held, shardTimeout/2)
-		if ctx.Err() != nil {
-			return
-		}
-		if err == nil {
-			held = sum
-			rt.setWatch(sh.Name, WatchWatched)
-			backoff.Reset()
-			continue
-		}
-		held = nil
-		rt.setWatch(sh.Name, WatchFailed)
-		if !backoff.Sleep(ctx) {
-			return
-		}
-	}
-}
-
-func (rt *Router) setWatch(name, state string) {
-	rt.searchMu.Lock()
-	defer rt.searchMu.Unlock()
-	if rt.watch == nil {
-		rt.watch = map[string]string{}
-	}
-	rt.watch[name] = state
-}
-
-// HeldSummary is one other shard's summary as this node holds it, for
-// /stats: the index state it names and the state of its watch ("" before
-// the watch starts and after it stops).
-type HeldSummary struct {
-	Shard      string `json:"shard"`
-	Nonce      string `json:"nonce,omitempty"`
-	Generation uint64 `json:"generation"`
-	Watch      string `json:"watch,omitempty"`
-}
-
-// HeldSummaries reports every shard but self's held summary, in
-// membership order.
-func (rt *Router) HeldSummaries(self string) []HeldSummary {
-	rt.searchMu.Lock()
-	defer rt.searchMu.Unlock()
-	var out []HeldSummary
-	for _, sh := range rt.Config.Shards {
-		if sh.Name == self {
-			continue
-		}
-		h := HeldSummary{Shard: sh.Name, Watch: rt.watch[sh.Name]}
-		if sum := rt.summaries[sh.Name]; sum != nil {
-			h.Nonce, h.Generation = sum.Nonce, sum.Generation
-		}
-		out = append(out, h)
-	}
-	return out
 }
 
 // verdictRank orders verdict strings by strength, mirroring the

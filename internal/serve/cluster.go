@@ -346,7 +346,8 @@ type clusterStats struct {
 	Role string `json:"role"`
 	Self string `json:"self"`
 	Seq  uint64 `json:"seq"`
-	// Shards carries the health checker's per-shard verdicts (shard role).
+	// Shards carries every member's health verdict, as the summary watch
+	// judges it (shard role).
 	Shards []cluster.ShardHealth `json:"shards,omitempty"`
 	// Replication is the follower's tail position (follower role).
 	Replication *cluster.FollowerStatus `json:"replication,omitempty"`
@@ -360,10 +361,8 @@ func (s *Server) clusterStatsBlock() *clusterStats {
 		return nil
 	}
 	cs := &clusterStats{Role: s.Cluster.Role, Self: s.Cluster.Self, Seq: s.Store.Seq()}
-	if s.Cluster.Checker != nil {
-		cs.Shards = s.Cluster.Checker.Status()
-	}
 	if s.clusterMode() {
+		cs.Shards = s.Cluster.Router.Status()
 		cs.Summaries = s.Cluster.Router.HeldSummaries(s.Cluster.Self)
 	}
 	if s.Cluster.Follower != nil {

@@ -831,7 +831,7 @@ func TestClusterSearchLocal(t *testing.T) {
 
 	hits := 0
 	for _, name := range fc.names {
-		askSearch(t, fc.nodes[name].ts.URL, queries[0]) // starts the summary watch
+		fc.nodes[name].watch()
 		fc.waitWatched(t, name)
 		fc.calls.take()
 		for _, q := range queries {
@@ -930,7 +930,7 @@ func TestClusterSearchWatched(t *testing.T) {
 	syncers := fc.withSearch(t)
 	queries := []string{"sequence", "concept:" + simulation.CBioSequence, "behaves:" + fc.ids[0]}
 	for _, name := range fc.names {
-		askSearch(t, fc.nodes[name].ts.URL, queries[0]) // starts the summary watch
+		fc.nodes[name].watch()
 	}
 	for _, name := range fc.names {
 		fc.waitWatched(t, name)

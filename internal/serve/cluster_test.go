@@ -39,6 +39,8 @@ type clusterNode struct {
 	srv    *Server
 	mux    *http.ServeMux
 	ts     *httptest.Server
+	// stopWatch, set by watch, stops the node's summary watch.
+	stopWatch func()
 }
 
 // clusterWorld is a multi-shard cluster plus a single-node oracle over
@@ -112,9 +114,28 @@ func (n *clusterNode) start(t *testing.T, ln net.Listener) {
 	t.Cleanup(n.kill)
 }
 
-// kill shuts the node down as dexa-serve does: BeginDrain answers its
-// parked long-polls and stops its summary watch, then the server closes.
+// watch starts the node's summary watch of every other shard, as
+// dexa-serve does at boot; kill stops it. Only a node with a search
+// index is watched: a peer without one answers 501 and is judged down.
+func (n *clusterNode) watch() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.node.Checker.Run(ctx)
+	}()
+	n.stopWatch = func() {
+		cancel()
+		<-done
+	}
+}
+
+// kill shuts the node down as dexa-serve does: its summary watch stops,
+// BeginDrain answers its parked long-polls, then the server closes.
 func (n *clusterNode) kill() {
+	if n.stopWatch != nil {
+		n.stopWatch()
+	}
 	n.srv.BeginDrain()
 	n.ts.Close()
 }

@@ -94,8 +94,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// every shard holds the same keyword and concept statistics — and the
 	// stored annotations of modules other shards own (examples, behavior
 	// class, behaves: anchors) come from their summaries, kept current by
-	// the router's watch (a shard whose watch is down is revalidated by
-	// one conditional call), so the ranking equals the single-node one.
+	// the router's watch (a shard not yet watched is revalidated by one
+	// conditional call), so the ranking equals the single-node one.
 	// It is paginated by the same cursor machinery, bound to the
 	// cluster-wide state (every answering shard's index nonce and
 	// generation), so any shard's index moving or being rebuilt between
@@ -108,7 +108,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp  = searchResponse{Query: raw}
 	)
 	if s.clusterMode() {
-		s.watchOnce.Do(s.watchSummaries)
 		view := s.Cluster.Router.SearchView(r.Context(), s.Cluster.Self)
 		hits, gen = s.SearchIndex.MatchOverlay(q, view.Overlay)
 		state = view.StateKey(s.Cluster.Self, search.Tag(s.SearchIndex.Nonce(), gen))
@@ -180,10 +179,6 @@ func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 	respondJSON(w, http.StatusOK, `"`+search.Tag(ix.Nonce(), gen)+`"`,
 		cluster.Summary{Shard: s.Cluster.Self, Nonce: ix.Nonce(), Generation: gen, Docs: docs})
 }
-
-// watchSummaries starts the router's summary watch (see Router.Watch),
-// which BeginDrain stops.
-func (s *Server) watchSummaries() { go s.Cluster.Router.Watch(s.drain.Context(), s.Cluster.Self) }
 
 // handleClusterSearch is the shard side of Router.Search's scatter
 // (POST /cluster/search), which the public /search no longer makes, in

@@ -349,6 +349,7 @@ func TestClusterSearchPartialDegradation(t *testing.T) {
 	w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
 	w.seed(t)
 	withClusterSearch(t, w)
+	w.nodes["s1"].watch()
 
 	queries := []string{"module", "concept:Seq"}
 	for _, id := range w.reg.IDs() {
@@ -390,9 +391,8 @@ func TestClusterSearchPartialDegradation(t *testing.T) {
 	w.nodes["s3"].kill()
 	check("s3")
 	w.nodes["s2"].kill()
-	// s1's first search started its summary watch: wait until the watch
-	// has seen s2 go, so the next search calls s2 instead of reading the
-	// summary the watch held.
+	// Wait until s1's summary watch has seen s2 go, so the next search
+	// fails s2 instead of reading the summary the watch held.
 	waitHeld(t, w.nodes["s1"], "s2", func(h cluster.HeldSummary) bool { return h.Watch != cluster.WatchWatched })
 	check("s2", "s3")
 }

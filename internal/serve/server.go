@@ -127,19 +127,17 @@ type Server struct {
 	// drain is closed by BeginDrain: long-poll handlers (/watch and
 	// /cluster/summary here, the cluster WAL feed in its own package)
 	// answer parked and new waiters immediately instead of holding the
-	// shutdown window open, and the summary watch stops.
+	// shutdown window open.
 	drain longpoll.Latch
-
-	// watchOnce starts the cluster router's summary watch on the first
-	// cluster /search (see watchSummaries).
-	watchOnce sync.Once
 }
 
 // BeginDrain makes every long-poll waiter answer immediately, parked or
-// future, and stops the summary watch this server's searches started.
-// Wire it to http.Server.RegisterOnShutdown so a SIGTERM's graceful
-// drain is bounded by in-flight work, not poll timeouts.
+// future. Wire it to http.Server.RegisterOnShutdown so a SIGTERM's
+// graceful drain is bounded by in-flight work, not poll timeouts.
 func (s *Server) BeginDrain() { s.drain.Close() }
+
+// Draining reports whether BeginDrain has been called.
+func (s *Server) Draining() bool { return s.drain.Closed() }
 
 // route is one API endpoint: the mux pattern, its method (for the 405
 // Allow header on the bare path) and the handler.

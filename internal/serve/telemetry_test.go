@@ -550,10 +550,11 @@ func TestMemoBytesGauge(t *testing.T) {
 }
 
 // TestClusterSummaryTelemetry pins the summary watch's observability. A
-// shard's first cluster /search revalidates the other shard's summary by
-// one call on its request path, counted with via="call", and starts the
-// watch, whose long-polls count with via="watch". /stats then lists the
-// held summary with its nonce, generation and watch state.
+// shard's cluster /search before its watch starts revalidates the other
+// shard's summary by one call on its request path, counted with
+// via="call", and the watch's long-polls count with via="watch". /stats
+// then lists the held summary with its nonce, generation and watch
+// state.
 func TestClusterSummaryTelemetry(t *testing.T) {
 	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
 	w.seed(t)
@@ -566,6 +567,7 @@ func TestClusterSummaryTelemetry(t *testing.T) {
 	if resp := getJSON(t, s1.ts.URL+"/api/search?q=module", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("search on s1: status %d", resp.StatusCode)
 	}
+	s1.watch()
 	waitHeld(t, s1, "s2", func(h cluster.HeldSummary) bool { return h.Watch == cluster.WatchWatched })
 	var out strings.Builder
 	if err := reg.WritePrometheus(&out); err != nil {
