@@ -85,10 +85,12 @@ race-cluster:
 
 # Serving-tier gate: the full 252-module catalog sharded three ways must
 # answer /matches and /substitutes byte-identically to a single-node
-# oracle, a scatter /substitutes must contact exactly the shards owning
-# a feasible candidate (so a dead shard owning none leaves the answer
-# complete), a warm one must only revalidate the target's examples with
-# its owner (one 304, no scatter), a /search must answer every query
+# oracle, a cold /substitutes must rank on the receiving shard (no
+# /cluster/substitutes call, one examples fetch from the owner of a
+# target it does not own, the oracle's match.find_substitutes counts),
+# a dead shard must leave every target it does not own complete, a
+# warm /substitutes must only revalidate the target's examples with its
+# owner (one 304), a /search must answer every query
 # from the receiving shard's index equal to the oracle's with no
 # request-path call once its watch holds every other shard's summary
 # (a write reaching a peer through the watch, a drained shard turning
@@ -97,7 +99,7 @@ race-cluster:
 # cluster on a tiny request budget. Gates results, not timings — safe on
 # any host.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesContactsFeasibleOwners|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan|TestClusterSubstitutesWarm|TestClusterSearchLocal|TestClusterSearchWatched|TestClusterSearchRestartedPeer|TestClusterMatchesContactsOnlyInfoWhenUnchanged|TestClusterMatchesSpan' -count=1 ./internal/serve/
+	$(GO) test -run 'TestClusterSmokeFullCatalog|TestClusterSubstitutesRanksLocally|TestClusterSubstitutesDeadShardWithoutFeasibleCandidates|TestClusterSubstitutesScatterSpan|TestClusterSubstitutesWarm|TestClusterSearchLocal|TestClusterSearchWatched|TestClusterSearchRestartedPeer|TestClusterMatchesContactsOnlyInfoWhenUnchanged|TestClusterMatchesSpan' -count=1 ./internal/serve/
 	$(GO) test -run 'TestRun' -count=1 ./cmd/dexa-load/
 
 # Search concurrency: queries and pagination racing Update/Remove on the

@@ -259,7 +259,7 @@ func main() {
 	go searchSync.Watch(ctx)
 
 	// Cluster wiring: a shard node leads its slice of the catalog (WAL
-	// feed at /wal, scatter-gather queries, one summary watch per peer
+	// feed at /wal, cross-shard reads, one summary watch per peer
 	// that is also its health check); a follower tails a leader and
 	// serves its replicated slice read-only.
 	var (

@@ -1,8 +1,9 @@
 // Package cluster is the scale-out serving tier: a consistent-hash ring
 // that shards the annotation catalog across dexa-serve instances, WAL
 // streaming replication so read replicas tail a leader's store, and a
-// scatter-gather router whose merged query results are byte-identical
-// to a single node holding the whole catalog.
+// router that reads the other shards for the query answers a shard
+// builds itself, byte-identical to a single node holding the whole
+// catalog.
 //
 // The pieces compose rather than couple:
 //
@@ -11,11 +12,12 @@
 //   - Feed / Follower: the leader-side GET /wal long-poll feed and the
 //     follower loop that tails it through the store's replicated apply
 //     path (feed.go, follower.go)
-//   - Router: fan-out, per-shard timeouts, partial-result degradation
-//     and deterministic merges for /substitutes (and the /search scatter
-//     kept for replay), the state round and set gather a cluster
-//     /matches builds from, and the watched summaries a shard
-//     answers /search with from its own index (router.go)
+//   - Router: fan-out, per-shard timeouts and partial-result
+//     degradation for the state round and set gather a cluster /matches
+//     builds from, the owner fetch of a target's examples for
+//     /substitutes, the watched summaries a shard answers /search with
+//     from its own index, and the /substitutes and /search scatters kept
+//     for replay (router.go)
 //   - Watch / Checker: one summary long-poll per peer, whose outcome is
 //     also the peer's health: a fan-out fails a peer whose last poll
 //     failed without calling it (health.go)
@@ -40,7 +42,7 @@ const (
 
 // Node is one process's view of the cluster: the shared membership, the
 // placement ring, and this node's own identity. A shard node carries a
-// Router (it answers public queries by scattering) and a Feed (its
+// Router (it reads the other shards for public queries) and a Feed (its
 // store is a replication leader); a follower node carries a Follower
 // tailing its leader and serves read-only.
 type Node struct {

@@ -29,7 +29,7 @@ type ShardHealth struct {
 	URL       string    `json:"url"`
 	Healthy   bool      `json:"healthy"`
 	LastError string    `json:"lastError,omitempty"`
-	LastSeen  time.Time `json:"lastSeen,omitempty"`
+	LastSeen  time.Time `json:"lastSeen,omitzero"` // absent until a poll answers
 }
 
 // peer is everything a shard knows of another: the summary it last sent,

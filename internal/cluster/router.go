@@ -20,21 +20,21 @@ import (
 	"dexa/internal/search"
 )
 
-// Router is the scatter-gather side of the cluster and its one link to
-// every other shard. It fans a substitute search out to the shards owning
-// its candidates (and, in Search, a search out to every shard), bounds
-// each call with a per-shard timeout, degrades to a partial result when
-// shards fail (a down shard withholds its slice, it does not take the
-// answer down with it), and merges the slices deterministically — the
-// healthy-cluster merge is byte-identical to a single node holding the
-// whole catalog. For /matches it only gathers: the state round (Matrix)
-// and the other shards' stored sets (Sets), from which the serving layer
-// builds the matrix locally. For /search it only holds the other shards'
-// summaries (SearchView), and the serving layer answers from its own
-// index. Watch keeps one long-poll open per other shard: it keeps that
-// shard's summary current, so a search reads it without a call, and its
-// outcome is the shard's health, so a fan-out fails a down shard without
-// calling it (see health.go).
+// Router is the cluster's one link to every other shard. It bounds
+// each call with a per-shard timeout and degrades to a partial result
+// when shards fail: a down shard withholds its part, it does not take
+// the answer down with it. For /substitutes it fetches a target's
+// examples from their owner (FetchExamplesIfChanged), and the serving
+// layer ranks them locally. For /matches it only gathers: the state round
+// (Matrix) and the other shards' stored sets (Sets), from which the
+// serving layer builds the matrix locally. For /search it only holds the
+// other shards' summaries (SearchView), and the serving layer answers
+// from its own index. Substitutes and Search, scatters that merge
+// per-shard slices, stay for e2ebench's traced replay only. Watch keeps
+// one long-poll open per other shard: it keeps that shard's summary
+// current, so a search reads it without a call, and its outcome is the
+// shard's health, so a fan-out fails a down shard without calling it
+// (see health.go).
 type Router struct {
 	Config Config
 	Ring   *Ring
@@ -53,7 +53,7 @@ const shardTimeout = 10 * time.Second
 // APIPrefix is where the serving layer mounts its API on every shard.
 const APIPrefix = "/api"
 
-// SubstitutesResult is the merged cluster-wide ranking. With Partial
+// SubstitutesResult is Router.Substitutes' merged ranking. With Partial
 // set, FailedShards lists the shards whose candidate slices are missing
 // from the ranking.
 type SubstitutesResult struct {
@@ -233,8 +233,11 @@ func (rt *Router) FetchExamplesIfChanged(ctx context.Context, moduleID, hash str
 	return StoredSet{Hash: resp.Hash, Version: resp.Version, Examples: resp.Examples}, changed, nil
 }
 
-// Substitutes scatter-gathers a substitute search: the candidate list is
-// partitioned by ring owner, every shard owning a candidate ranks its
+// Substitutes scatter-gathers a substitute search. Only e2ebench's
+// traced replay calls it: the public /substitutes ranks on the receiving
+// shard (serve.handleSubstitutes), which holds every candidate's
+// executor and signature. The candidate list is partitioned by ring
+// owner, every shard owning a candidate ranks its
 // own slice against the target's examples (shipped in the request body;
 // a shard owning none is not contacted, so an empty list contacts no
 // shard and yields an empty, complete result), and the slices merge
@@ -502,8 +505,8 @@ func (rt *Router) revalidate(ctx context.Context, sh ShardConfig, held *Summary,
 	return fresh, nil
 }
 
-// verdictRank orders verdict strings by strength, mirroring the
-// match.Verdict ordinals the single-node ranking sorts by.
+// verdictRank orders verdict strings by strength for Substitutes' merge,
+// mirroring the match.Verdict ordinals the single-node ranking sorts by.
 func verdictRank(v string) int {
 	switch v {
 	case match.Equivalent.String():

@@ -38,11 +38,10 @@ type SetsPayload struct {
 	Sets  map[string]StoredSet `json:"sets"`
 }
 
-// SubstitutesRequest is POST /cluster/substitutes: rank this shard's
-// slice of the candidate set against the target's examples. The target's
-// examples ride in the body because only the owner shard stores them;
-// the receiving shard compares them against its assigned candidates by
-// invoking those candidates through its own executors.
+// SubstitutesRequest is POST /cluster/substitutes, Router.Substitutes'
+// replay-only scatter: rank this shard's slice of the candidate set
+// against the target's examples, which ride in the body, by invoking
+// those candidates through the shard's own executors.
 type SubstitutesRequest struct {
 	Target     string          `json:"target"`
 	Hash       string          `json:"hash"`
@@ -66,7 +65,7 @@ type SkippedEntry struct {
 	Reason string `json:"reason"`
 }
 
-// SubstitutesReply is the shard's slice of the ranking.
+// SubstitutesReply is the shard's slice of a replayed scatter's ranking.
 type SubstitutesReply struct {
 	Shard       string            `json:"shard"`
 	Substitutes []SubstituteEntry `json:"substitutes"`

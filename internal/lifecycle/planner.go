@@ -28,10 +28,11 @@ type Planner struct {
 	// nil/empty when no repository is being tracked.
 	Repairer  *workflow.Repairer
 	Workflows []*workflow.Workflow
-	// MaxSubstitutes caps the ranked candidates listed in the module-level
-	// proposal; <= 0 means 5.
-	MaxSubstitutes int
 }
+
+// maxSubstitutes caps the ranked candidates listed in the module-level
+// proposal.
+const maxSubstitutes = 5
 
 // Plan computes the proposals for one retired module. The returned
 // proposals are unstamped (no ID/state); the caller enqueues them.
@@ -85,12 +86,8 @@ func (p *Planner) modulePlan(ctx context.Context, moduleID string) Proposal {
 		prop.Reason = err.Error()
 		return prop
 	}
-	limit := p.MaxSubstitutes
-	if limit <= 0 {
-		limit = 5
-	}
 	for _, c := range subs.Ranked {
-		if len(prop.Substitutes) >= limit {
+		if len(prop.Substitutes) >= maxSubstitutes {
 			break
 		}
 		prop.Substitutes = append(prop.Substitutes, SubstituteRef{

@@ -8,14 +8,12 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"dexa/internal/cluster"
 	"dexa/internal/dataexample"
 	"dexa/internal/match"
 	"dexa/internal/module"
-	"dexa/internal/telemetry"
 )
 
 // Cluster endpoints and behaviour, active only when Server.Cluster is
@@ -23,7 +21,6 @@ import (
 //
 //	GET  /cluster/info        — this node's identity and replication seq
 //	GET  /cluster/sets        — every annotation this shard stores
-//	POST /cluster/substitutes — rank a candidate slice against shipped examples
 //	GET  /cluster/summary     — this shard's index nonce and generation and the
 //	                            examples and behavior class of every module it
 //	                            owns; ETag = "<nonce>.<generation>",
@@ -31,23 +28,26 @@ import (
 //	GET  /cluster/summary?wait= — the same as a long-poll: a current
 //	                            If-None-Match parks until the index moves or
 //	                            the wait ends (304); 503 once draining
+//	POST /cluster/substitutes — rank a candidate slice against shipped
+//	                            examples (replay only: Router.Substitutes'
+//	                            scatter)
 //	POST /cluster/search      — rank this shard's hits, or resolve behaves:
-//	                            anchors (Router.Search's scatter, which the
-//	                            public /search no longer makes)
+//	                            anchors (replay only: Router.Search's
+//	                            scatter)
 //
-// and changes how the public query routes answer: /modules/{id}/substitutes
-// scatter-gathers across the ring through the cluster Router, /search
-// answers from this node's index over the other shards' summaries (held
-// current by one long-poll per shard, called for while a shard's watch is
-// down), and /matches gathers every other shard's sets and builds the
-// matrix locally (answers are byte-identical to a single node holding
-// the whole catalog; failed shards degrade the response to a partial
-// one instead of failing it), while /examples and /generate for a module another
-// shard owns answer 307 to the owner. /substitutes keeps each target's
-// complete answer as a single node does and, warm, only revalidates the
-// target's examples with their owner by one conditional fetch. A
-// follower node mounts /cluster/info only and serves its replicated
-// slice read-only.
+// and changes how the public query routes answer. Every node holds the
+// whole registry, its executors and the signature index, so no public
+// query scatters. /modules/{id}/substitutes ranks on the receiving
+// shard; only a target another shard owns has its examples read from
+// the owner, by one conditional fetch that a warm answer's 304 settles.
+// /search answers from this node's index over the other shards'
+// summaries (held current by one long-poll per shard, called for while
+// a shard's watch is down). /matches gathers every other shard's sets
+// and builds the matrix locally; a failed shard degrades it to a partial
+// answer instead of failing it. Healthy answers are byte-identical to a
+// single node holding the whole catalog. /examples and /generate for a
+// module another shard owns answer 307 to the owner. A follower node
+// mounts /cluster/info only and serves its replicated slice read-only.
 
 func (s *Server) clusterRoutes() []route {
 	rts := []route{
@@ -64,8 +64,8 @@ func (s *Server) clusterRoutes() []route {
 	return rts
 }
 
-// clusterMode reports whether public queries scatter-gather: only shard
-// nodes route; followers answer from their replicated slice.
+// clusterMode reports whether public queries read other shards: only
+// shard nodes route; followers answer from their replicated slice.
 func (s *Server) clusterMode() bool {
 	return s.Cluster != nil && s.Cluster.Role == cluster.RoleShard && s.Cluster.Router != nil
 }
@@ -134,11 +134,11 @@ func (s *Server) setsPayload() cluster.SetsPayload {
 	return payload
 }
 
-// handleClusterSubstitutes ranks this shard's slice of the candidate set
-// against the target's examples (shipped in the body — only the owner
-// shard stores them). Candidates run through the same FindSubstitutes
-// path the single-node search uses, so each slice carries exactly the
-// entries the oracle would have produced for those candidates.
+// handleClusterSubstitutes is the shard side of Router.Substitutes'
+// scatter (POST /cluster/substitutes), which only e2ebench's traced
+// replay still makes. It ranks this shard's slice of the candidate set
+// against the target's examples shipped in the body, through the same
+// FindSubstitutes path the public /substitutes uses.
 func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request) {
 	if s.Comparer == nil {
 		writeError(w, http.StatusNotImplemented, "substitute search is not enabled on this server")
@@ -175,101 +175,31 @@ func (s *Server) handleClusterSubstitutes(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// scatterSubstitutes is the cluster-mode /modules/{id}/substitutes. It
-// answers through the single node's warmedSubstitutes, on the same
-// subsKey: the ranking reads only the target's stored set and live
-// invocations of candidates chosen from this node's registry and
-// signature index, never this shard's store. The target's hash comes
-// from the local store (owned) or its owner shard (not owned), where
-// the hash of the kept answer is revalidated by one conditional fetch:
-// a 304 moves no set, and the kept bytes answer without a scatter. The
-// owner is asked warm or cold, so a dead owner fails the request with
-// 502 rather than serve a ranking it could not revalidate.
-//
-// On a miss the candidate catalog is pruned feasibility-first before it
-// is partitioned by ring owner. Signatures are catalog metadata every
-// node holds, so this node's CatalogIndex prunes exactly the candidates
-// each shard's own FindSubstitutes would — candidates that could only
-// come back Incomparable, which neither rank nor skip — and only shards
-// owning a feasible candidate are contacted (none when no candidate is
-// feasible). The merged ranking is byte-identical to the single-node
-// search when every contacted shard answers; a failed shard degrades
-// the response to a partial ranking flagged as such, which is neither
-// validated nor kept, and a dead shard that owns no feasible candidate
-// does not degrade it at all.
-func (s *Server) scatterSubstitutes(w http.ResponseWriter, r *http.Request, target *module.Module, limit int) {
-	id := target.ID
-	ctx, span := telemetry.StartSpan(r.Context(), "cluster.substitutes")
-	defer span.End()
-	span.Annotate("target", id)
+// ownerExamples is the one step of /substitutes that is a shard's own,
+// for a target another shard owns: it returns the key the answer is kept
+// at and, when the set moved, the set. Only an answer kept at this key's
+// registry and index states can be served after a 304, so only its hash
+// is sent to the owner as a validator; for any other the set must move.
+// A 304 moves no set, and the kept bytes answer. The owner is asked warm
+// or cold, so a dead owner fails the request with 502 rather than serve
+// a ranking it could not revalidate.
+func (s *Server) ownerExamples(w http.ResponseWriter, r *http.Request, id string) (subsKey, dataexample.Set, bool) {
 	key := s.subsKey("")
-	var examples dataexample.Set
-	if s.Cluster.Owns(id) {
-		set, hash, ok := s.Store.Get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", id)
-			return
-		}
-		key.hash, examples = hash, set
-	} else {
-		// Only an answer kept at this key's registry and index states can
-		// be served after a 304, so only its hash is revalidated; for any
-		// other the set must move.
-		if k, ok := memoFor[subsKey, subsAnswer](&s.subs, id).kept(); ok {
-			if key.hash = k.hash; k != key {
-				key.hash = ""
-			}
-		}
-		ss, changed, err := s.Cluster.Router.FetchExamplesIfChanged(ctx, id, key.hash)
-		if err != nil {
-			writeError(w, fetchStatus(err), "%v", err)
-			return
-		}
-		if changed {
-			key.hash, examples = ss.Hash, ss.Examples
+	if k, ok := memoFor[subsKey, subsAnswer](&s.subs, id).kept(); ok {
+		if key.hash = k.hash; k != key {
+			key.hash = ""
 		}
 	}
-	s.warmedSubstitutes(w, r, id, limit, key, func() (substitutesResponse, error) {
-		hash := key.hash
-		if examples == nil {
-			// The owner confirmed the kept hash, but the memo moved on
-			// before this request read it: fetch the set after all.
-			ss, err := s.Cluster.Router.FetchExamples(ctx, id)
-			if err != nil {
-				return substitutesResponse{}, err
-			}
-			hash, examples = ss.Hash, ss.Examples
-		}
-		var feas *match.Feasibility
-		if ix := s.Comparer.Index; ix != nil {
-			feas = ix.Feasibility(target, s.Comparer.Mode)
-		}
-		avail := s.Registry.Available()
-		considered := 0
-		candidates := make([]string, 0, len(avail))
-		for _, m := range avail {
-			if m.ID == id {
-				continue
-			}
-			considered++
-			if !feas.Prunes(m.ID) {
-				candidates = append(candidates, m.ID)
-			}
-		}
-		if span != nil {
-			span.Annotate("candidates", strconv.Itoa(considered))
-			span.Annotate("feasible", strconv.Itoa(len(candidates)))
-			span.Annotate("shards", strings.Join(s.ownersOf(candidates), ","))
-		}
-		res, err := s.Cluster.Router.Substitutes(ctx, id, hash, examples, candidates)
-		if err != nil {
-			return substitutesResponse{}, err
-		}
-		return substitutesResponse{
-			Target: id, Hash: hash, Substitutes: res.Substitutes, Skipped: res.Skipped,
-			Partial: res.Partial, FailedShards: res.FailedShards,
-		}, nil
-	})
+	ss, changed, err := s.Cluster.Router.FetchExamplesIfChanged(r.Context(), id, key.hash)
+	if err != nil {
+		writeError(w, fetchStatus(err), "%v", err)
+		return subsKey{}, nil, false
+	}
+	var set dataexample.Set
+	if changed {
+		key.hash, set = ss.Hash, ss.Examples
+	}
+	return key, set, true
 }
 
 // fetchStatus is the status a failed read of an owner shard answers: the
@@ -279,22 +209,6 @@ func fetchStatus(err error) int {
 		return http.StatusNotFound
 	}
 	return http.StatusBadGateway
-}
-
-// ownersOf names, in membership order, the shards that own at least one
-// of the modules — the shards a scatter over them contacts.
-func (s *Server) ownersOf(ids []string) []string {
-	owned := make(map[string]bool)
-	for _, id := range ids {
-		owned[s.Cluster.Ring.Owner(id)] = true
-	}
-	var names []string
-	for _, sh := range s.Cluster.Config.Shards {
-		if owned[sh.Name] {
-			names = append(names, sh.Name)
-		}
-	}
-	return names
 }
 
 // clusterMatrixSource is the cluster-mode matrixSource. The state round

@@ -208,9 +208,8 @@ func newFullCatalog(t *testing.T) *fullCatalog {
 }
 
 // feasibleOwners names the shards owning at least one of target's
-// feasible candidates, computed from the oracle's own CatalogIndex, and
-// counts those candidates.
-func (fc *fullCatalog) feasibleOwners(t *testing.T, target string) (map[string]bool, int) {
+// feasible candidates, computed from the oracle's own CatalogIndex.
+func (fc *fullCatalog) feasibleOwners(t *testing.T, target string) map[string]bool {
 	t.Helper()
 	srv := fc.oracle.srv
 	e, ok := srv.Registry.Get(target)
@@ -219,14 +218,12 @@ func (fc *fullCatalog) feasibleOwners(t *testing.T, target string) (map[string]b
 	}
 	feas := srv.Comparer.Index.Feasibility(e.Module, srv.Comparer.Mode)
 	owners := map[string]bool{}
-	n := 0
 	for _, m := range srv.Registry.Available() {
 		if m.ID != target && !feas.Prunes(m.ID) {
 			owners[fc.ring.Owner(m.ID)] = true
-			n++
 		}
 	}
-	return owners, n
+	return owners
 }
 
 // TestClusterSmokeFullCatalog is the acceptance smoke for the serving
@@ -416,67 +413,55 @@ func TestComposeClusterGathersOncePerState(t *testing.T) {
 	}
 }
 
-// TestClusterSubstitutesContactsFeasibleOwners: a scatter /substitutes
-// contacts exactly the shards owning a feasible candidate of the target —
-// the owners of the candidates the oracle's own CatalogIndex leaves
-// unpruned — once each, from whichever shard the query lands on. A
-// target with no feasible candidate contacts no shard, counts no
-// scatter, and still answers 200.
-func TestClusterSubstitutesContactsFeasibleOwners(t *testing.T) {
+// TestClusterSubstitutesRanksLocally: a cold /substitutes ranks on the
+// shard it lands on. Over the full catalog, asked of every shard, it
+// makes no /cluster/substitutes call and counts no scatter; a shard that
+// does not own the target makes one call, a GET of the target's examples
+// from its owner, and the owner makes none. Every body equals the
+// oracle's.
+func TestClusterSubstitutesRanksLocally(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-catalog cluster scatter skipped in -short mode")
+		t.Skip("full-catalog cluster substitutes skipped in -short mode")
 	}
 	fc := newFullCatalog(t)
 	fc.calls.take()
-	reach := map[int]int{} // shards contacted → targets
-	feasible := 0
 	for _, id := range fc.ids {
-		owners, n := fc.feasibleOwners(t, id)
-		feasible += n
-		reach[len(owners)]++
+		path := "/api/modules/" + id + "/substitutes"
+		_, want := fetch(t, fc.oracle.ts.URL+path)
+		owner := fc.ring.Owner(id)
 		for _, name := range fc.names {
 			scatters := fc.nodes[name].node.Metrics.ScatterRequests.With("substitutes")
 			before := scatters.Value()
-			status, body := fetch(t, fc.nodes[name].ts.URL+"/api/modules/"+id+"/substitutes")
-			if status != http.StatusOK {
-				t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, status, body)
+			status, got := fetch(t, fc.nodes[name].ts.URL+path)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("substitutes(%s) via %s: status %d, body differs from the oracle:\n got: %s\nwant: %s", id, name, status, got, want)
 			}
-			got := onPath(fc.calls.take(), "/cluster/substitutes")
-			if len(got) != len(owners) {
-				t.Fatalf("substitutes(%s) via %s contacted %v, want the feasible owners %v", id, name, got, owners)
+			wantCalls := map[shardCall]int{}
+			if name != owner {
+				wantCalls[shardCall{owner, "/modules/" + id + "/examples"}] = 1
 			}
-			for shard, calls := range got {
-				if !owners[shard] || calls != 1 {
-					t.Fatalf("substitutes(%s) via %s contacted %v, want the feasible owners %v once each", id, name, got, owners)
-				}
+			if calls := fc.calls.take(); !reflect.DeepEqual(calls, wantCalls) {
+				t.Fatalf("cold substitutes(%s) via %s made calls %v, want %v", id, name, calls, wantCalls)
 			}
-			wantScatters := uint64(0)
-			if n > 0 {
-				wantScatters = 1
-			}
-			if d := scatters.Value() - before; d != wantScatters {
-				t.Fatalf("substitutes(%s) via %s (%d feasible) counted %d scatters, want %d", id, name, n, d, wantScatters)
+			if d := scatters.Value() - before; d != 0 {
+				t.Fatalf("cold substitutes(%s) via %s counted %d scatters, want none", id, name, d)
 			}
 		}
 	}
-	t.Logf("%d feasible candidates over %d targets; targets by shards contacted: %v", feasible, len(fc.ids), reach)
-	if reach[0] == 0 {
-		t.Fatal("no target without feasible candidates — the zero-contact case went untested")
-	}
 }
 
-// TestClusterSubstitutesWarm: a warm scatter /substitutes answers from
+// TestClusterSubstitutesWarm: a warm cluster /substitutes answers from
 // kept bytes and crosses the network only to revalidate the target's
 // examples. Every target is asked of every shard twice; the second time
 // a shard owning the target makes no intra-cluster call, and any other
 // shard makes one, a GET of the target's examples that its owner answers
-// 304, and scatters nothing. Both answers equal the single node's. When
-// the owner stores a new set, a non-owning shard's next answer ranks it
-// and carries its hash; a partial answer, with a candidate's shard down,
-// is not kept, so the first answer after the shard recovers is complete.
+// 304. Both answers equal the single node's. When the owner stores a new
+// set, a non-owning shard's next answer fetches and ranks it and carries
+// its hash; with a shard that owns a candidate but not the target dead,
+// the answer is still complete and kept.
 func TestClusterSubstitutesWarm(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-catalog cluster scatter skipped in -short mode")
+		t.Skip("full-catalog cluster substitutes skipped in -short mode")
 	}
 	fc := newFullCatalog(t)
 	get := func(name, id string) (*http.Response, []byte) {
@@ -527,7 +512,7 @@ func TestClusterSubstitutesWarm(t *testing.T) {
 	var target string
 	for _, id := range fc.ids {
 		set, _, _ := fc.nodes["s1"].st.Get(id)
-		if owners, _ := fc.feasibleOwners(t, id); fc.ring.Owner(id) == "s1" && owners["s3"] && len(set) > 2 {
+		if owners := fc.feasibleOwners(t, id); fc.ring.Owner(id) == "s1" && owners["s3"] && len(set) > 2 {
 			target = id
 			break
 		}
@@ -556,86 +541,78 @@ func TestClusterSubstitutesWarm(t *testing.T) {
 			t.Fatalf("%s: substitutes(%s) via s2 carries hash %s and ETag %q, want %s and an ETag; body equals the oracle: %v",
 				step, target, body.Hash, resp.Header.Get("ETag"), hash, bytes.Equal(got, want))
 		}
-		if calls, revalidated := fc.calls.takeAll(); len(revalidated) != 0 || len(onPath(calls, "/cluster/substitutes")) == 0 {
-			t.Fatalf("%s: substitutes(%s) via s2 made calls %v (304: %v), want the new set fetched and a scatter", step, target, calls, revalidated)
+		fetched := map[shardCall]int{{"s1", "/modules/" + target + "/examples"}: 1}
+		if calls, revalidated := fc.calls.takeAll(); len(revalidated) != 0 || !reflect.DeepEqual(calls, fetched) {
+			t.Fatalf("%s: substitutes(%s) via s2 made calls %v (304: %v), want only the new set fetched, %v", step, target, calls, revalidated, fetched)
+		}
+		// The answer was kept: the next one revalidates and moves no set.
+		if _, again := get("s2", target); !bytes.Equal(again, got) {
+			t.Fatalf("%s: repeat substitutes(%s) via s2 differs from the first answer", step, target)
+		}
+		if calls, revalidated := fc.calls.takeAll(); !reflect.DeepEqual(calls, fetched) || !reflect.DeepEqual(revalidated, fetched) {
+			t.Fatalf("%s: repeat substitutes(%s) via s2 made calls %v (304: %v), want %v answered 304", step, target, calls, revalidated, fetched)
 		}
 	}
 	check("new set", regenerate(1))
 
 	hash := regenerate(2)
-	rt := &shardOutage{host: strings.TrimPrefix(fc.nodes["s3"].ts.URL, "http://")}
-	fc.nodes["s2"].node.Router.Client = &http.Client{Transport: rt}
-	rt.down.Store(true)
-	resp, got := get("s2", target)
-	var partial substitutesResponse
-	mustUnmarshal(t, got, &partial)
-	if !partial.Partial || !reflect.DeepEqual(partial.FailedShards, []string{"s3"}) || resp.Header.Get("ETag") != "" {
-		t.Fatalf("substitutes(%s) via s2 with s3 down: partial %v, failed %v, ETag %q; want partial on s3 with no ETag",
-			target, partial.Partial, partial.FailedShards, resp.Header.Get("ETag"))
-	}
-	rt.down.Store(false)
-	fc.nodes["s2"].node.Router.Client = &http.Client{Transport: fc.calls}
-	check("after recovery", hash)
+	fc.nodes["s3"].kill()
+	check("s3 dead", hash)
 }
 
-// TestClusterSubstitutesScatterSpan: the scatter records a
-// cluster.substitutes span naming the candidates it considered, how many
-// survived the prune, and the shards it contacted.
+// TestClusterSubstitutesScatterSpan: a cold cluster /substitutes records
+// the match.find_substitutes span of a ranking made on the receiving
+// shard, over every available candidate: for every target asked of s1,
+// its candidates, compared and pruned equal the oracle's.
 func TestClusterSubstitutesScatterSpan(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-catalog cluster scatter skipped in -short mode")
+		t.Skip("full-catalog cluster substitutes skipped in -short mode")
 	}
 	fc := newFullCatalog(t)
-	srv := fc.nodes["s1"].srv
-	for _, id := range fc.ids {
-		owners, n := fc.feasibleOwners(t, id)
-		if len(owners) < 2 {
-			continue
-		}
+	spanOf := func(srv *Server, id string) map[string]string {
+		t.Helper()
 		tracer := telemetry.NewTracer(4)
-		m, _, _ := srv.Registry.Lookup(id)
 		req := httptest.NewRequest(http.MethodGet, "/modules/"+id+"/substitutes", nil)
+		req.SetPathValue("id", id)
 		req = req.WithContext(telemetry.WithTracer(req.Context(), tracer))
 		rec := httptest.NewRecorder()
-		srv.scatterSubstitutes(rec, req, m, 0)
+		srv.handleSubstitutes(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("substitutes(%s): status %d: %s", id, rec.Code, rec.Body)
 		}
 		traces := tracer.Recent()
-		if len(traces) != 1 || traces[0].Name != "cluster.substitutes" {
-			t.Fatalf("substitutes(%s) recorded %+v, want one cluster.substitutes span", id, traces)
+		if len(traces) != 1 || traces[0].Name != "match.find_substitutes" {
+			t.Fatalf("substitutes(%s) recorded %+v, want one match.find_substitutes span", id, traces)
 		}
 		attrs := map[string]string{}
 		for _, a := range traces[0].Attrs {
 			attrs[a.Key] = a.Value
 		}
-		var shards []string
-		for _, name := range fc.names {
-			if owners[name] {
-				shards = append(shards, name)
-			}
-		}
-		want := map[string]string{
-			"target":     id,
-			"candidates": strconv.Itoa(len(srv.Registry.Available()) - 1),
-			"feasible":   strconv.Itoa(n),
-			"shards":     strings.Join(shards, ","),
-		}
-		for k, v := range want {
-			if attrs[k] != v {
-				t.Errorf("substitutes(%s) span %s = %q, want %q (attrs %v)", id, k, attrs[k], v, attrs)
-			}
-		}
-		return
+		return attrs
 	}
-	t.Fatal("no target reaches two shards")
+	remote := 0
+	for _, id := range fc.ids {
+		if fc.ring.Owner(id) != "s1" {
+			remote++
+		}
+		got, want := spanOf(fc.nodes["s1"].srv, id), spanOf(fc.oracle.srv, id)
+		for _, k := range []string{"target", "candidates", "compared", "pruned"} {
+			if got[k] == "" || got[k] != want[k] {
+				t.Fatalf("substitutes(%s) span %s = %q, oracle %q (attrs %v)", id, k, got[k], want[k], got)
+			}
+		}
+	}
+	if remote == 0 {
+		t.Fatal("s1 owns every target: the owner fetch went untested")
+	}
 }
 
 // TestClusterSubstitutesDeadShardWithoutFeasibleCandidates: with one
-// shard of the full catalog dead, a target whose examples are reachable
-// and whose feasible candidates all live on live shards answers complete
-// and byte-identical to the oracle; a target with a feasible candidate on
-// the dead shard answers partial, naming that shard.
+// shard of the full catalog dead, every target it does not own answers
+// complete, byte-identical to the oracle and with an ETag, from every
+// live shard, also a target with a feasible candidate on the dead shard:
+// a shard ranks every candidate itself, so a dead shard withholds only
+// the examples of the targets it owns.
 func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-catalog cluster degradation skipped in -short mode")
@@ -644,45 +621,40 @@ func TestClusterSubstitutesDeadShardWithoutFeasibleCandidates(t *testing.T) {
 	const dead = "s3"
 	fc.nodes[dead].kill()
 
-	var complete, partial int
+	var answers, onDead int
 	for _, id := range fc.ids {
 		if fc.ring.Owner(id) == dead {
 			continue // its examples are unreachable
 		}
-		owners, _ := fc.feasibleOwners(t, id)
+		owners := fc.feasibleOwners(t, id)
 		path := "/api/modules/" + id + "/substitutes"
 		_, want := fetch(t, fc.oracle.ts.URL+path)
 		for _, name := range fc.names {
 			if name == dead {
 				continue
 			}
-			status, got := fetch(t, fc.nodes[name].ts.URL+path)
-			if status != http.StatusOK {
-				t.Fatalf("substitutes(%s) via %s: status %d: %s", id, name, status, got)
+			resp, err := http.Get(fc.nodes[name].ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !owners[dead] {
-				if !bytes.Equal(want, got) {
-					t.Fatalf("substitutes(%s) via %s with no feasible candidate on %s differs from oracle:\n got: %s\nwant: %s",
-						id, name, dead, got, want)
-				}
-				complete++
-				continue
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			var body struct {
-				Partial      bool     `json:"partial"`
-				FailedShards []string `json:"failedShards"`
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(want, got) || resp.Header.Get("ETag") == "" {
+				t.Fatalf("substitutes(%s) via %s with %s dead: status %d, ETag %q, body differs from the oracle:\n got: %s\nwant: %s",
+					id, name, dead, resp.StatusCode, resp.Header.Get("ETag"), got, want)
 			}
-			mustUnmarshal(t, got, &body)
-			if !body.Partial || len(body.FailedShards) != 1 || body.FailedShards[0] != dead {
-				t.Fatalf("substitutes(%s) via %s with a feasible candidate on %s: partial=%v failed=%v",
-					id, name, dead, body.Partial, body.FailedShards)
+			answers++
+			if owners[dead] {
+				onDead++
 			}
-			partial++
 		}
 	}
-	t.Logf("with %s dead: %d complete answers, %d partial", dead, complete, partial)
-	if complete == 0 || partial == 0 {
-		t.Fatalf("only one case exercised: %d complete, %d partial", complete, partial)
+	t.Logf("with %s dead: %d complete answers, %d of them with a feasible candidate on it", dead, answers, onDead)
+	if onDead == 0 {
+		t.Fatalf("no target with a feasible candidate on %s: the case a scatter answered partial went untested", dead)
 	}
 }
 

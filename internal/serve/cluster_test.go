@@ -395,8 +395,10 @@ func TestClusterRedirects(t *testing.T) {
 	}
 }
 
-// TestClusterPartialDegradation: a dead shard withholds its slice — the
-// answer degrades to a flagged partial result instead of failing.
+// TestClusterPartialDegradation: a dead shard withholds its sets — the
+// /matches answer degrades to a flagged partial result instead of
+// failing — while a /substitutes of a target it does not own stays
+// complete.
 func TestClusterPartialDegradation(t *testing.T) {
 	w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
 	w.seed(t)
@@ -438,8 +440,9 @@ func TestClusterPartialDegradation(t *testing.T) {
 			len(partial.Cells), len(full.Matrix.Cells))
 	}
 
-	// Substitute search degrades the same way when the dead shard owned
-	// candidates. Pick a target s1 owns so its examples stay reachable.
+	// Substitute search does not degrade: the serving shard ranks every
+	// candidate itself, so for a target s1 owns the answer is complete,
+	// equal to the oracle and kept.
 	var local string
 	for _, id := range w.reg.IDs() {
 		if w.ring.Owner(id) == "s1" {
@@ -450,19 +453,31 @@ func TestClusterPartialDegradation(t *testing.T) {
 	if local == "" {
 		t.Skip("ring placed nothing on s1")
 	}
-	status, raw = fetch(t, w.nodes["s1"].ts.URL+"/api/modules/"+local+"/substitutes")
-	if status != http.StatusOK {
-		t.Fatalf("degraded substitutes status %d: %s", status, raw)
-	}
-	var subs struct {
-		Partial      bool     `json:"partial"`
-		FailedShards []string `json:"failedShards"`
-	}
-	if err := json.Unmarshal(raw, &subs); err != nil {
+	path := "/api/modules/" + local + "/substitutes"
+	_, want := fetch(t, w.oracle.ts.URL+path)
+	resp, err := http.Get(w.nodes["s1"].ts.URL + path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !subs.Partial || len(subs.FailedShards) != 1 || subs.FailedShards[0] != "s3" {
-		t.Fatalf("degraded substitutes not flagged: %+v", subs)
+	raw, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || string(raw) != string(want) || etag == "" {
+		t.Fatalf("substitutes(%s) with s3 dead: status %d, ETag %q, body differs from the oracle:\n got: %s\nwant: %s",
+			local, resp.StatusCode, etag, raw, want)
+	}
+	req, _ := http.NewRequest(http.MethodGet, w.nodes["s1"].ts.URL+path, nil)
+	req.Header.Set("If-None-Match", etag)
+	reval, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reval.Body.Close()
+	if reval.StatusCode != http.StatusNotModified {
+		t.Fatalf("revalidating substitutes(%s) with s3 dead: status %d, want 304", local, reval.StatusCode)
 	}
 }
 
@@ -670,30 +685,68 @@ func TestClusterFollowerServesReplicated(t *testing.T) {
 }
 
 // TestClusterStatsShardBlock: a shard's /stats names its role, itself
-// and every member's health verdict.
+// and every member's health verdict. lastSeen is absent for self and for
+// a peer no poll has answered, and present once one has.
 func TestClusterStatsShardBlock(t *testing.T) {
-	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
-	var stats struct {
-		Cluster struct {
-			Role   string `json:"role"`
-			Self   string `json:"self"`
-			Shards []struct {
-				Shard   string `json:"shard"`
-				Healthy bool   `json:"healthy"`
-			} `json:"shards"`
-		} `json:"cluster"`
-	}
-	if resp := getJSON(t, w.nodes["s2"].ts.URL+"/api/stats", &stats); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats status %d", resp.StatusCode)
-	}
-	c := stats.Cluster
-	if c.Role != cluster.RoleShard || c.Self != "s2" || len(c.Shards) != 2 {
-		t.Fatalf("stats cluster block = %+v", c)
-	}
-	for _, sh := range c.Shards {
-		if !sh.Healthy {
-			t.Errorf("shard %s reported unhealthy without any probe failing", sh.Shard)
+	w := newClusterWorld(t, []string{"s1", "s2", "s3"}, 2)
+	stats := func() map[string]map[string]json.RawMessage {
+		t.Helper()
+		var stats struct {
+			Cluster struct {
+				Role   string                       `json:"role"`
+				Self   string                       `json:"self"`
+				Shards []map[string]json.RawMessage `json:"shards"`
+			} `json:"cluster"`
 		}
+		if resp := getJSON(t, w.nodes["s2"].ts.URL+"/api/stats", &stats); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/stats status %d", resp.StatusCode)
+		}
+		c := stats.Cluster
+		if c.Role != cluster.RoleShard || c.Self != "s2" || len(c.Shards) != 3 {
+			t.Fatalf("stats cluster block = %+v", c)
+		}
+		byName := map[string]map[string]json.RawMessage{}
+		for _, sh := range c.Shards {
+			var name string
+			mustUnmarshal(t, sh["shard"], &name)
+			byName[name] = sh
+		}
+		return byName
+	}
+	for name, sh := range stats() {
+		if string(sh["healthy"]) != "true" {
+			t.Errorf("shard %s reported unhealthy without any poll failing", name)
+		}
+		if seen, ok := sh["lastSeen"]; ok {
+			t.Errorf("shard %s lists lastSeen %s before any poll answered", name, seen)
+		}
+	}
+
+	// s2 watches s1, which answers, and s3, dead since before the watch.
+	withClusterSearch(t, w)
+	w.nodes["s3"].kill()
+	w.nodes["s2"].watch()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := stats()
+		_, s1Seen := got["s1"]["lastSeen"]
+		if s1Seen && string(got["s3"]["healthy"]) == "false" {
+			for _, name := range []string{"s2", "s3"} {
+				if seen, ok := got[name]["lastSeen"]; ok {
+					t.Errorf("shard %s lists lastSeen %s, want it absent: no poll of it answered", name, seen)
+				}
+			}
+			var seen time.Time
+			mustUnmarshal(t, got["s1"]["lastSeen"], &seen)
+			if seen.IsZero() {
+				t.Errorf("s1 lastSeen is the zero time after its poll answered")
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("s2's watch did not see s1 answer and s3 fail within 5 s: %v", got)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -285,9 +285,9 @@ func (a subsAnswer) keptBytes() int { return len(a.body) + len(a.skel) }
 // warmedSubstitutes answers the /substitutes of target at key: 304 when
 // the request holds key's validator, otherwise the answer memoised at
 // key, which rank builds on a miss. A limit= below the ranking's length
-// splices the kept entries into a new body. A partial scatter, or a
-// ranking of a set other than the one key.hash names, reaches its
-// caller only: it carries no validator and is not kept.
+// splices the kept entries into a new body. A ranking of a set other
+// than the one key.hash names reaches its caller only: it carries no
+// validator and is not kept.
 func (s *Server) warmedSubstitutes(w http.ResponseWriter, r *http.Request, target string, limit int, key subsKey, rank func() (substitutesResponse, error)) {
 	if notModified(w, r, key.etag()) {
 		return
@@ -311,7 +311,7 @@ func (s *Server) warmedSubstitutes(w http.ResponseWriter, r *http.Request, targe
 			}
 		}
 		a.body = splice(a.skel, "substitutes", 1, a.frags)
-		keep := !resp.Partial && resp.Hash == key.hash
+		keep := resp.Hash == key.hash
 		if keep {
 			a.etag = key.etag()
 		}

@@ -10,12 +10,12 @@ import (
 // TestValidatorHeaders: every conditional route answers a 200 with
 // Content-Type application/json, an ETag and Cache-Control: no-cache,
 // and a revalidation with that ETag answers 304 carrying the same
-// validators; /generate's 200 carries them too. On a shard, a complete
-// scatter /substitutes is validated like a single node's, and its
-// limit= answer, spliced from the kept entries, equals the single
-// node's byte for byte. A partial cluster /matches, /search or
-// /substitutes carries neither, so it can never 304 against a complete
-// answer.
+// validators; /generate's 200 carries them too. On a shard, a
+// /substitutes is validated like a single node's, and its limit= answer,
+// spliced from the kept entries, equals the single node's byte for byte;
+// with a shard that does not own the target down, a cold one is still
+// complete and validated. A partial cluster /matches or /search carries
+// neither, so it can never 304 against a complete answer.
 func TestValidatorHeaders(t *testing.T) {
 	f := newLifecycleFixture(t)
 	h := f.srv.Handler()
@@ -86,10 +86,15 @@ func TestValidatorHeaders(t *testing.T) {
 		validated++
 	}
 	if validated == 0 {
-		t.Fatal("s1 could validate no scatter /substitutes while keeping one target cold")
+		t.Fatal("s1 could validate no cluster /substitutes while keeping one target cold")
 	}
 	rt.down.Store(true)
-	for _, path := range []string{"/api/matches", "/api/search?q=module", "/api/modules/" + cold + "/substitutes"} {
+	subs := "/modules/" + cold + "/substitutes"
+	wantConditional(t, sh, subs)
+	if got, want := serveGet(sh, subs, "").Body.String(), serveGet(w.oracle.srv.Handler(), subs, "").Body.String(); got != want {
+		t.Errorf("%s on s1 with s3 down differs from the single node:\n got: %s\nwant: %s", subs, got, want)
+	}
+	for _, path := range []string{"/api/matches", "/api/search?q=module"} {
 		var body struct {
 			Partial bool `json:"partial"`
 		}
@@ -143,8 +148,7 @@ func wantValidators(t *testing.T, what string, rec *httptest.ResponseRecorder) s
 
 // TestSubstitutesBadLimitBeforeLookup: a malformed limit= answers 400
 // on a single node and on a shard alike, also for a module that has no
-// stored examples — the single node reads limit= before the store, as
-// the scatter does.
+// stored examples — every node reads limit= before the target's set.
 func TestSubstitutesBadLimitBeforeLookup(t *testing.T) {
 	f := newFixture(t, "")
 	w := newClusterWorld(t, []string{"s1", "s2"}, 2)

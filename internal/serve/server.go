@@ -91,8 +91,11 @@ type Server struct {
 
 	// Cluster, when set, makes this server one node of a sharded serving
 	// tier: the intra-cluster endpoints (/cluster/*) are mounted, /matches
-	// and /substitutes scatter-gather across the ring, and reads of
-	// modules another shard owns redirect to their owner. See cluster.go.
+	// gathers the other shards' sets and builds the matrix here, a
+	// /substitutes for a module another shard owns reads its examples
+	// from the owner and ranks them here, /search reads the other shards'
+	// held summaries, and reads of modules another shard owns redirect to
+	// their owner. See cluster.go.
 	Cluster *cluster.Node
 
 	// SearchIndex, when set, mounts GET /search (behavior-aware catalog
@@ -447,11 +450,6 @@ type substitutesResponse struct {
 	Hash        string                    `json:"hash"`
 	Substitutes []cluster.SubstituteEntry `json:"substitutes"`
 	Skipped     []cluster.SkippedEntry    `json:"skipped,omitempty"`
-	// Cluster mode only: a scatter with failed shards degrades to a
-	// partial ranking instead of failing. Absent on healthy answers, so
-	// the healthy-cluster body stays byte-identical to a single node's.
-	Partial      bool     `json:"partial,omitempty"`
-	FailedShards []string `json:"failedShards,omitempty"`
 }
 
 // parseLimitParam reads limit= from the request's parsed query (0 =
@@ -469,11 +467,12 @@ func parseLimitParam(w http.ResponseWriter, q url.Values) (int, bool) {
 	return n, true
 }
 
-// handleSubstitutes answers a target's substitute ranking through
-// warmedSubstitutes, on a single node and on a shard alike: a single
-// node reads the target's stored set and ranks every available
-// candidate; a shard revalidates the set and scatters
-// (scatterSubstitutes).
+// handleSubstitutes answers a target's substitute ranking by one path on
+// every node. Only where the target's hash and set come from differs: a
+// single node, a follower and the owning shard read their own store; any
+// other shard asks the owner (ownerExamples). Every node holds the whole
+// registry, its executors and the signature index, so it then ranks
+// every available candidate itself through warmedSubstitutes.
 func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 	m, _, ok := s.lookup(w, r)
 	if !ok {
@@ -483,22 +482,40 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "substitute search is not enabled on this server")
 		return
 	}
-	// limit= is read before the cluster branch, so a malformed one
-	// answers 400 on a single node and a shard alike.
+	// limit= is read before the target's set, so a malformed one answers
+	// 400 on a single node and a shard alike.
 	limit, ok := parseLimitParam(w, r.URL.Query())
 	if !ok {
 		return
 	}
-	if s.clusterMode() {
-		s.scatterSubstitutes(w, r, m, limit)
-		return
+	var (
+		key subsKey
+		set dataexample.Set
+	)
+	remote := s.clusterMode() && !s.Cluster.Owns(m.ID)
+	if remote {
+		if key, set, ok = s.ownerExamples(w, r, m.ID); !ok {
+			return
+		}
+	} else {
+		var hash string
+		if set, hash, ok = s.Store.Get(m.ID); !ok {
+			writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
+			return
+		}
+		key = s.subsKey(hash)
 	}
-	set, hash, ok := s.Store.Get(m.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no stored examples for module %q (POST .../generate first)", m.ID)
-		return
-	}
-	s.warmedSubstitutes(w, r, m.ID, limit, s.subsKey(hash), func() (substitutesResponse, error) {
+	s.warmedSubstitutes(w, r, m.ID, limit, key, func() (substitutesResponse, error) {
+		hash := key.hash
+		if remote && set == nil {
+			// The owner confirmed the kept hash, but the memo moved on
+			// before this request read it: fetch the set after all.
+			ss, err := s.Cluster.Router.FetchExamples(r.Context(), m.ID)
+			if err != nil {
+				return substitutesResponse{}, err
+			}
+			hash, set = ss.Hash, ss.Examples
+		}
 		subs, err := s.Comparer.FindSubstitutesContext(r.Context(),
 			match.Unavailable{Signature: m, Examples: set}, s.Registry.Available())
 		if err != nil {
