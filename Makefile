@@ -59,10 +59,11 @@ race-match:
 # racing log appends (through the shared change signal, park and drain
 # latch of internal/longpoll), repair-queue approvals racing enqueues,
 # and /catalog and /modules/{id} reads (the /catalog memo among them)
-# racing availability flips, with more iterations than the catch-all
-# race run gives them.
+# racing availability flips, and one resilient executor (and breaker)
+# shared by many callers, with more iterations than the catch-all race
+# run gives them.
 race-lifecycle:
-	$(GO) test -race -count=2 ./internal/lifecycle/ ./internal/longpoll/
+	$(GO) test -race -count=2 ./internal/lifecycle/ ./internal/longpoll/ ./internal/resilient/
 	$(GO) test -race -count=2 -run 'TestLifecycle|TestWatch|TestRepairs|TestSubstitutesCache|TestServePreStop|TestCatalog' ./internal/serve/
 
 # Columnar concurrency: the shared symbol table hammered from parallel
@@ -151,7 +152,7 @@ bench-e2e:
 # one target at a time (go test -fuzz takes one target per run). Tier-1
 # runs only their seed corpora; a failing input lands under the
 # package's testdata/fuzz/ and becomes a permanent seed once committed.
-# Twelve targets take about six minutes, so ci does not run it.
+# Fourteen targets take about seven minutes, so ci does not run it.
 fuzz:
 	for dir in $$(grep -rl --include='*_test.go' --exclude-dir=e2ebench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
 		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \

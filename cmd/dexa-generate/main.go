@@ -16,8 +16,8 @@
 //
 // Chaos mode injects seeded transient faults into every invocation, and
 // -resilient interposes the production executor stack (retry with
-// backoff + jitter, per-module circuit breaker, registry health
-// tracking) between the generator and the faulty modules:
+// backoff + jitter, per-module circuit breaker) between the generator
+// and the faulty modules:
 //
 //	dexa-generate -module getUniprotRecord -chaos 0.3 -report            # naive under faults
 //	dexa-generate -module getUniprotRecord -chaos 0.3 -resilient -report # recovered
@@ -52,7 +52,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault stream")
 	useResilient := flag.Bool("resilient", false, "invoke through the resilient executor stack (retry/backoff/breaker)")
 	maxAttempts := flag.Int("max-attempts", 0, "resilient stack: attempts per invocation (default policy when 0)")
-	failureThreshold := flag.Int("failure-threshold", 5, "auto-retire a module after this many consecutive transient failures (0 disables)")
 	workers := flag.Int("workers", 0, "concurrent generations for -all (0 = GOMAXPROCS); results are deterministic, but with -chaos the fault placement follows goroutine scheduling at widths > 1")
 	storeDir := flag.String("store", "", "persist annotations to (and reuse them from) this example-store directory")
 	metricsOut := flag.String("metrics", "", "dump the run's metrics as Prometheus text exposition to this file on exit (\"-\" for stderr)")
@@ -86,11 +85,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaos enabled: %.0f%% transient faults, seed %d\n", 100*profile.TransientRate(), *chaosSeed)
 	}
 	if *useResilient {
-		u.Registry.SetFailureThreshold(*failureThreshold)
 		opts := resilient.Options{
-			Policy:   resilient.Policy{MaxAttempts: *maxAttempts, Seed: *chaosSeed},
-			Reporter: u.Registry,
-			Metrics:  metrics,
+			Policy:  resilient.Policy{MaxAttempts: *maxAttempts, Seed: *chaosSeed},
+			Metrics: metrics,
 		}
 		for _, e := range u.Catalog.Entries {
 			m := e.Module
@@ -165,12 +162,6 @@ func main() {
 				fmt.Printf("transient faults: %d retried, %d combinations lost to persistent faults\n",
 					rep.TransientRetries, rep.TransientFailures)
 			}
-		}
-	}
-	if lines := u.Registry.HealthSummary(); *report && len(lines) > 0 {
-		fmt.Fprintln(os.Stderr, "module health:")
-		for _, l := range lines {
-			fmt.Fprintf(os.Stderr, "  %s\n", l)
 		}
 	}
 	if *out != "" {

@@ -154,10 +154,10 @@ func main() {
 	cmp.Index.Instrument(metrics)
 	cmp.Metrics = metrics
 	// The registry's availability hook is the one route from a flip
-	// (manual retirement, health auto-retire, lifecycle quarantine,
-	// retirement or re-admission) to the derived views: it bumps the
-	// index generation that keys the cached /matches and /substitutes
-	// bodies, so they never keep ranking a retired module.
+	// (manual retirement, lifecycle quarantine, retirement or
+	// re-admission) to the derived views: it bumps the index generation
+	// that keys the cached /matches and /substitutes bodies, so they
+	// never keep ranking a retired module.
 	serve.SyncIndex(u.Registry, cmp.Index)
 
 	// Repository search: the inverted index over catalog metadata and

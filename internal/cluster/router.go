@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -523,16 +524,19 @@ func verdictRank(v string) int {
 // Matrix runs the state round of a cluster /matches: one /cluster/info
 // call per shard, except the shards the caller answers for in local (its
 // own, read from its store without a loopback call). The state key folds
-// every answering shard's replication sequence, so it moves exactly when
-// some shard's stored annotations do. The caller gathers sets (see Sets)
-// only when the key misses its cache, so revalidating an unchanged
-// cluster costs this one round and builds nothing.
+// every answering shard's store nonce and replication sequence, so it
+// moves exactly when some shard's stored annotations do, and when a
+// restarted shard reaches an old sequence again over other content. The
+// caller gathers sets (see Sets) only when the key misses its cache, so
+// revalidating an unchanged cluster costs this one round and builds
+// nothing.
 func (rt *Router) Matrix(ctx context.Context, local ...Info) (*MatrixState, error) {
-	seqs := map[string]uint64{}
+	states := map[string]string{}
+	state := func(in Info) string { return in.Nonce + "." + strconv.FormatUint(in.Seq, 10) }
 	var remote []ShardConfig
 	for _, sh := range rt.Config.Shards {
 		if i := slices.IndexFunc(local, func(in Info) bool { return in.Shard == sh.Name }); i >= 0 {
-			seqs[sh.Name] = local[i].Seq
+			states[sh.Name] = state(local[i])
 		} else {
 			remote = append(remote, sh)
 		}
@@ -548,13 +552,13 @@ func (rt *Router) Matrix(ctx context.Context, local ...Info) (*MatrixState, erro
 			out.FailedShards = append(out.FailedShards, res.shard.Name)
 			continue
 		}
-		seqs[res.shard.Name] = res.reply.Seq
+		states[res.shard.Name] = state(res.reply)
 	}
 	var keyParts []string
 	for _, sh := range rt.Config.Shards {
-		if seq, ok := seqs[sh.Name]; ok {
+		if st, ok := states[sh.Name]; ok {
 			out.Shards = append(out.Shards, sh)
-			keyParts = append(keyParts, fmt.Sprintf("%s:%d", sh.Name, seq))
+			keyParts = append(keyParts, sh.Name+":"+st)
 		}
 	}
 	if len(out.Shards) == 0 {

@@ -13,9 +13,12 @@ import (
 // Info is GET /cluster/info: one node's identity and replication
 // position, cheap enough to poll per scatter round.
 type Info struct {
-	Shard   string `json:"shard"`
-	Role    string `json:"role"` // "shard" or "follower"
-	Seq     uint64 `json:"seq"`
+	Shard string `json:"shard"`
+	Role  string `json:"role"` // "shard" or "follower"
+	Seq   uint64 `json:"seq"`
+	// Nonce names this open of the node's store (store.Store.Nonce), so
+	// a seq reached again after a restart reads as a new state.
+	Nonce   string `json:"nonce"`
 	Modules int    `json:"modules"` // stored annotations on this node
 	// Follower-only: the leader being tailed and the observed lag.
 	Leader    string `json:"leader,omitempty"`

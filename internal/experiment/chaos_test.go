@@ -134,15 +134,11 @@ func TestChaosBreakerLifecycleOverREST(t *testing.T) {
 	defer srv.Close()
 
 	clock := resilient.NewFakeClock()
-	healthReg := registry.New()
-	healthReg.MustRegister(m)
-	healthReg.SetFailureThreshold(3)
 	ex := resilient.Wrap("echo", &transport.RESTExecutor{BaseURL: srv.URL, ModuleID: "echo"},
 		resilient.Options{
-			Policy:   resilient.Policy{MaxAttempts: 1, Seed: 1},
-			Breaker:  resilient.BreakerConfig{FailureThreshold: 3, Cooldown: 10 * time.Second},
-			Clock:    clock,
-			Reporter: healthReg,
+			Policy:  resilient.Policy{MaxAttempts: 1, Seed: 1},
+			Breaker: resilient.BreakerConfig{FailureThreshold: 3, Cooldown: 10 * time.Second},
+			Clock:   clock,
 		})
 	in := map[string]typesys.Value{"seq": typesys.Str("ACGT")}
 
@@ -154,10 +150,6 @@ func TestChaosBreakerLifecycleOverREST(t *testing.T) {
 	}
 	if got := ex.Breaker().State(); got != resilient.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open after threshold", got)
-	}
-	// Health tracking fed Available: the registry auto-retired the module.
-	if e, _ := healthReg.Get("echo"); e.Available {
-		t.Fatal("registry did not auto-retire after consecutive failures")
 	}
 
 	// While open, calls fail fast without touching the server.
@@ -176,7 +168,7 @@ func TestChaosBreakerLifecycleOverREST(t *testing.T) {
 	}
 
 	// The provider heals; the half-open probe succeeds and closes the
-	// breaker, and the success report revives the registry entry.
+	// breaker.
 	failing.Store(false)
 	outs, err := ex.Invoke(in)
 	if err != nil {
@@ -187,12 +179,6 @@ func TestChaosBreakerLifecycleOverREST(t *testing.T) {
 	}
 	if got := ex.Breaker().State(); got != resilient.BreakerClosed {
 		t.Fatalf("breaker state = %v, want closed after good probe", got)
-	}
-	if e, _ := healthReg.Get("echo"); !e.Available {
-		t.Fatal("successful probe did not revive the auto-retired module")
-	}
-	if h, _ := healthReg.HealthOf("echo"); h.TotalFailures < 3 || h.TotalSuccesses < 1 {
-		t.Fatalf("health = %+v", h)
 	}
 }
 

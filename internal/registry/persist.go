@@ -34,22 +34,10 @@ type wireModule struct {
 	Outputs     []wireParam `json:"outputs"`
 }
 
-type wireHealth struct {
-	ConsecutiveFailures int    `json:"consecutiveFailures,omitempty"`
-	TotalFailures       int    `json:"totalFailures,omitempty"`
-	TotalSuccesses      int    `json:"totalSuccesses,omitempty"`
-	LastError           string `json:"lastError,omitempty"`
-	AutoRetired         bool   `json:"autoRetired,omitempty"`
-}
-
 type wireEntry struct {
 	Module    wireModule      `json:"module"`
 	Examples  dataexample.Set `json:"examples,omitempty"`
 	Available bool            `json:"available"`
-	// Health is persisted so a reloaded registry remembers provider decay
-	// observed in earlier runs; absent in files from before health
-	// tracking, which load with a zero health record.
-	Health *wireHealth `json:"health,omitempty"`
 }
 
 type wireRegistry struct {
@@ -70,17 +58,7 @@ func (r *Registry) Save(w io.Writer) error {
 			r.mu.RUnlock()
 			return err
 		}
-		we := wireEntry{Module: wm, Examples: e.Examples, Available: e.Available}
-		if e.Health != (Health{}) {
-			we.Health = &wireHealth{
-				ConsecutiveFailures: e.Health.ConsecutiveFailures,
-				TotalFailures:       e.Health.TotalFailures,
-				TotalSuccesses:      e.Health.TotalSuccesses,
-				LastError:           e.Health.LastError,
-				AutoRetired:         e.Health.AutoRetired,
-			}
-		}
-		doc.Entries = append(doc.Entries, we)
+		doc.Entries = append(doc.Entries, wireEntry{Module: wm, Examples: e.Examples, Available: e.Available})
 	}
 	r.mu.RUnlock()
 	enc := json.NewEncoder(w)
@@ -114,15 +92,6 @@ func Load(rd io.Reader, binder Binder) (*Registry, error) {
 		}
 		r.entries[m.ID].Examples = we.Examples
 		r.entries[m.ID].Available = we.Available
-		if we.Health != nil {
-			r.entries[m.ID].Health = Health{
-				ConsecutiveFailures: we.Health.ConsecutiveFailures,
-				TotalFailures:       we.Health.TotalFailures,
-				TotalSuccesses:      we.Health.TotalSuccesses,
-				LastError:           we.Health.LastError,
-				AutoRetired:         we.Health.AutoRetired,
-			}
-		}
 	}
 	return r, nil
 }

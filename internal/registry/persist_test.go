@@ -2,7 +2,7 @@ package registry
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -49,14 +49,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := r.SetAvailable("down", false); err != nil {
 		t.Fatal(err)
 	}
-	// Accumulate health state on one module: failures, an error message,
-	// and some successes on another.
-	r.SetFailureThreshold(100) // keep "down" from auto-retiring twice
-	for i := 0; i < 3; i++ {
-		r.RecordFailure("down", errors.New("connection refused"))
-	}
-	r.RecordSuccess("up")
-	r.RecordSuccess("up")
 
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
@@ -119,22 +111,6 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Error("down should load unavailable")
 	}
 
-	// Health state survives: the decay record from earlier runs.
-	h, ok := loaded.HealthOf("down")
-	if !ok {
-		t.Fatal("down missing")
-	}
-	if h.ConsecutiveFailures != 3 || h.TotalFailures != 3 || h.LastError != "connection refused" {
-		t.Errorf("health lost on load: %+v", h)
-	}
-	if hu, _ := loaded.HealthOf("up"); hu.TotalSuccesses != 2 {
-		t.Errorf("success count lost: %+v", hu)
-	}
-	// A module with zero health history must not grow a health blob.
-	if strings.Count(buf.String(), `"health"`) != 2 {
-		t.Errorf("expected exactly 2 health blobs in the wire form:\n%s", buf.String())
-	}
-
 	// A second save of the loaded registry is byte-identical: persistence
 	// is idempotent.
 	var buf2 bytes.Buffer
@@ -144,33 +120,33 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("save/load/save is not idempotent")
 	}
-}
 
-func TestPersistAutoRetiredRoundTrip(t *testing.T) {
-	r := New()
-	r.MustRegister(persistModule("flaky"))
-	r.SetFailureThreshold(3)
-	var retired bool
-	for i := 0; i < 10 && !retired; i++ {
-		retired = r.RecordFailure("flaky", fmt.Errorf("boom %d", i))
-	}
-	if !retired {
-		t.Fatal("module never auto-retired")
-	}
-	var buf bytes.Buffer
-	if err := r.Save(&buf); err != nil {
+	// Files written while the registry kept a per-module health record
+	// carry a "health" object in each entry. They still load, and save
+	// back to the same bytes: same availability, no health key.
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, nil)
+	for _, e := range doc["entries"].([]any) {
+		e.(map[string]any)["health"] = map[string]any{
+			"consecutiveFailures": 3, "totalFailures": 3, "lastError": "connection refused", "autoRetired": true,
+		}
+	}
+	old, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := loaded.HealthOf("flaky")
-	if !h.AutoRetired {
-		t.Errorf("auto-retirement flag lost: %+v", h)
+	fromOld, err := Load(bytes.NewReader(old), nil)
+	if err != nil {
+		t.Fatalf("a file with the old health key does not load: %v", err)
 	}
-	if e, _ := loaded.Get("flaky"); e.Available {
-		t.Error("auto-retired module loaded as available")
+	var buf3 bytes.Buffer
+	if err := fromOld.Save(&buf3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf3.Bytes()) {
+		t.Errorf("a file with the old health key saves back as\n%s\nwant\n%s", buf3.String(), buf.String())
 	}
 }
 

@@ -29,10 +29,6 @@ type Entry struct {
 	// Unavailable modules keep their signature and examples — that is what
 	// makes data-example-based substitution possible.
 	Available bool
-	// Health accumulates invocation outcomes reported by the resilient
-	// execution layer; consecutive transient failures can auto-retire the
-	// module (see Registry.SetFailureThreshold).
-	Health Health
 }
 
 // Registry stores module entries keyed by module ID.
@@ -42,9 +38,8 @@ type Registry struct {
 	// ordered holds the same entries sorted by module ID, maintained by
 	// Register, so every ID-ordered listing is a walk instead of a
 	// collect-and-sort.
-	ordered          []*Entry
-	failureThreshold int
-	availWatchers    []func(id string, available bool)
+	ordered       []*Entry
+	availWatchers []func(id string, available bool)
 	// gen counts catalog changes: one per Register and one per
 	// availability flip, bumped under mu with the change itself.
 	gen   atomic.Uint64
@@ -52,11 +47,11 @@ type Registry struct {
 }
 
 // Generation returns a counter that moves on every Register and on every
-// availability flip (SetAvailable, RetireProvider, auto-retire, revive),
-// once per module. It is bumped under the registry lock with the change
-// itself, so a caller that reads the generation and then the catalog
-// sees at least the changes counted: a cache keyed on the generation
-// read before its build never serves a catalog older than its key.
+// availability flip (SetAvailable, RetireProvider), once per module. It
+// is bumped under the registry lock with the change itself, so a caller
+// that reads the generation and then the catalog sees at least the
+// changes counted: a cache keyed on the generation read before its build
+// never serves a catalog older than its key.
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Nonce is random per Registry: a generation names a state of this
@@ -64,16 +59,16 @@ func (r *Registry) Generation() uint64 { return r.gen.Load() }
 func (r *Registry) Nonce() string { return r.nonce }
 
 // OnAvailabilityChange registers a callback invoked whenever a module's
-// availability actually flips — by SetAvailable, RetireProvider, or the
-// auto-retire/revive paths in RecordFailure/RecordSuccess. Every flipper,
-// the lifecycle manager included, goes through those, so this hook is
-// the one route from a flip to the derived views: serve.SyncIndex keeps
-// the match.CatalogIndex (whose generation keys the cached /matches and
-// /substitutes bodies) in sync, and search.Syncer.HookAvailability the
-// search index. Callbacks run outside the registry lock (they may call
-// back into the registry) and synchronously on the goroutine that caused
-// the flip, so a flip's caller sees the views updated when it returns;
-// they must be cheap and must not block.
+// availability actually flips — by SetAvailable or RetireProvider. Every
+// flipper, the lifecycle manager included, goes through those, so this
+// hook is the one route from a flip to the derived views: serve.SyncIndex
+// keeps the match.CatalogIndex (whose generation keys the cached
+// /matches and /substitutes bodies) in sync, and
+// search.Syncer.HookAvailability the search index. Callbacks run outside
+// the registry lock (they may call back into the registry) and
+// synchronously on the goroutine that caused the flip, so a flip's
+// caller sees the views updated when it returns; they must be cheap and
+// must not block.
 func (r *Registry) OnAvailabilityChange(fn func(id string, available bool)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -239,10 +234,6 @@ func (r *Registry) SetAvailable(id string, avail bool) error {
 	e.Available = avail
 	if changed {
 		r.gen.Add(1)
-	}
-	if avail {
-		e.Health.AutoRetired = false
-		e.Health.ConsecutiveFailures = 0
 	}
 	r.mu.Unlock()
 	if changed {

@@ -308,8 +308,8 @@ func TestListingsStayInIDOrder(t *testing.T) {
 }
 
 // TestGenerationCountsEachChange: Register and every availability flip —
-// manual, provider-wide, auto-retire and revive — move Generation once
-// per module; calls that flip nothing leave it alone.
+// manual and provider-wide — move Generation once per module; calls
+// that flip nothing leave it alone.
 func TestGenerationCountsEachChange(t *testing.T) {
 	r := New()
 	step := func(what string, want uint64, fn func()) {
@@ -329,10 +329,5 @@ func TestGenerationCountsEachChange(t *testing.T) {
 	step("RetireProvider of two", 2, func() { r.RetireProvider("KEGG") })
 	step("RetireProvider of none", 0, func() { r.RetireProvider("KEGG") })
 	step("SetAvailable(true)", 1, func() { _ = r.SetAvailable("b", true) })
-	r.SetFailureThreshold(2)
-	step("first failure", 0, func() { r.RecordFailure("b", nil) })
-	step("auto-retire", 1, func() { r.RecordFailure("b", nil) })
-	step("revive", 1, func() { r.RecordSuccess("b") })
-	step("healthy success", 0, func() { r.RecordSuccess("b") })
 	step("SetExamples", 0, func() { _ = r.SetExamples("b", nil) })
 }

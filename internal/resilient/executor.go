@@ -3,8 +3,8 @@
 // modules: per-attempt timeouts, bounded retry with exponential backoff
 // and full jitter, and a per-module circuit breaker. Its companion is the
 // error taxonomy of package module — only *transient* transport faults
-// (module.TransientError) are retried and counted against provider
-// health; execution errors are the module's own verdict on an input
+// (module.TransientError) are retried and counted by the breaker;
+// execution errors are the module's own verdict on an input
 // combination and pass through untouched, so the paper's §3.2 generation
 // heuristic keeps its semantics under an unreliable network.
 package resilient
@@ -22,17 +22,6 @@ import (
 	"dexa/internal/telemetry"
 	"dexa/internal/typesys"
 )
-
-// Reporter receives per-call provider-health verdicts. The registry's
-// health tracker implements it; a nil reporter is ignored.
-type Reporter interface {
-	// RecordSuccess notes a healthy round-trip to the module's provider.
-	RecordSuccess(moduleID string)
-	// RecordFailure notes a transient transport failure; the return
-	// reports whether the failure retired the module (the resilient layer
-	// ignores it).
-	RecordFailure(moduleID string, err error) (retired bool)
-}
 
 // Stats counts what the resilient layer did, with atomic counters safe
 // for concurrent readers.
@@ -62,8 +51,6 @@ type Options struct {
 	// Clock abstracts time for backoff sleeps and breaker cool-downs; nil
 	// means the system clock.
 	Clock Clock
-	// Reporter receives health verdicts; nil disables reporting.
-	Reporter Reporter
 	// Metrics, when set, exports per-module resilience counters
 	// (dexa_resilient_{attempts,retries,recovered,exhausted,
 	// short_circuits}_total{module=...}), the breaker position as
@@ -104,7 +91,6 @@ type Executor struct {
 	policy   Policy
 	breaker  *Breaker
 	clock    Clock
-	reporter Reporter
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -133,7 +119,6 @@ func Wrap(moduleID string, inner module.Executor, opts Options) *Executor {
 		policy:   pol,
 		breaker:  NewBreaker(opts.Breaker, clock),
 		clock:    clock,
-		reporter: opts.Reporter,
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	if r := opts.Metrics; r != nil {
@@ -204,7 +189,6 @@ func (e *Executor) InvokeContext(ctx context.Context, inputs map[string]typesys.
 		outs, err := e.invokeOnce(ctx, inputs)
 		if err == nil {
 			e.breaker.OnSuccess()
-			e.report(nil)
 			if faulted {
 				e.Stats.Recovered.Add(1)
 				e.met.recovered.Inc()
@@ -215,7 +199,6 @@ func (e *Executor) InvokeContext(ctx context.Context, inputs map[string]typesys.
 			// The provider answered; the module itself rejected the inputs
 			// (or the caller misused the API). That is a *healthy* provider.
 			e.breaker.OnSuccess()
-			e.report(nil)
 			if faulted {
 				e.Stats.Recovered.Add(1)
 				e.met.recovered.Inc()
@@ -224,7 +207,6 @@ func (e *Executor) InvokeContext(ctx context.Context, inputs map[string]typesys.
 		}
 		faulted = true
 		e.breaker.OnFailure()
-		e.report(err)
 		lastErr = e.stamp(err)
 	}
 	e.Stats.Exhausted.Add(1)
@@ -264,15 +246,4 @@ func (e *Executor) stamp(err error) error {
 		te.ModuleID = e.moduleID
 	}
 	return err
-}
-
-func (e *Executor) report(err error) {
-	if e.reporter == nil {
-		return
-	}
-	if err == nil {
-		e.reporter.RecordSuccess(e.moduleID)
-	} else {
-		e.reporter.RecordFailure(e.moduleID, err)
-	}
 }

@@ -2,7 +2,9 @@ package resilient
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,5 +222,76 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed, different total backoff: %v vs %v", a, b)
+	}
+}
+
+// flakyExec answers from a seeded stream: a transient fault, an
+// execution error or a success. It counts the calls that reach it.
+type flakyExec struct {
+	mu    sync.Mutex
+	rng   *rand.Rand
+	calls int
+}
+
+func (f *flakyExec) Invoke(in map[string]typesys.Value) (map[string]typesys.Value, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls++
+	switch r := f.rng.Float64(); {
+	case r < 0.5:
+		return nil, module.Transient("", module.FaultUnavailable, errors.New("injected"))
+	case r < 0.6:
+		return nil, errors.New("rejected input")
+	}
+	return map[string]typesys.Value{"out": typesys.Str("ok")}, nil
+}
+
+// TestExecutorConcurrent: one Executor, and so one breaker, shared by
+// many goroutines over a flaky provider, as the chaos sweeps share them
+// across workers. Every loop turn of every call is counted exactly once,
+// as an attempt or as a short circuit; every attempt reaches the
+// provider; and each call ends at most once recovered or exhausted.
+func TestExecutorConcurrent(t *testing.T) {
+	inner := &flakyExec{rng: rand.New(rand.NewSource(11))}
+	ex := Wrap("m1", inner, Options{
+		Policy:  Policy{MaxAttempts: 3, Seed: 7},
+		Breaker: BreakerConfig{FailureThreshold: 3, Cooldown: 20 * time.Millisecond},
+		Clock:   NewFakeClock(),
+	})
+	const workers, calls = 16, 200
+	var wg sync.WaitGroup
+	var transient atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := ex.Invoke(nil); module.IsTransient(err) {
+					transient.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := &ex.Stats
+	if got := st.Calls.Load(); got != workers*calls {
+		t.Fatalf("Calls = %d, want %d", got, workers*calls)
+	}
+	if a, s, c, r := st.Attempts.Load(), st.ShortCircuited.Load(), st.Calls.Load(), st.Retries.Load(); a+s != c+r {
+		t.Errorf("Attempts %d + ShortCircuited %d != Calls %d + Retries %d", a, s, c, r)
+	}
+	if r, x, c := st.Recovered.Load(), st.Exhausted.Load(), st.Calls.Load(); r+x > c {
+		t.Errorf("Recovered %d + Exhausted %d > Calls %d", r, x, c)
+	}
+	if got := int64(inner.calls); got != st.Attempts.Load() {
+		t.Errorf("provider saw %d calls, Attempts = %d", got, st.Attempts.Load())
+	}
+	if transient.Load() != st.Exhausted.Load() {
+		t.Errorf("%d calls returned a transient error, Exhausted = %d", transient.Load(), st.Exhausted.Load())
+	}
+	if st.ShortCircuited.Load() == 0 || st.Recovered.Load() == 0 || st.Exhausted.Load() == 0 {
+		t.Errorf("the run missed a path: %d short circuits, %d recovered, %d exhausted",
+			st.ShortCircuited.Load(), st.Recovered.Load(), st.Exhausted.Load())
 	}
 }

@@ -11,11 +11,11 @@ import (
 // Syncer keeps an Index consistent with the registry and the example
 // store, incrementally on both of the catalog's change seams:
 //
-//   - availability flips (SetAvailable, RetireProvider, health
-//     auto-retire, lifecycle quarantine, retirement and re-admission)
-//     arrive through registry.OnAvailabilityChange, the same hook
-//     serve.SyncIndex uses for the match.CatalogIndex, and translate to
-//     a single Remove or Update;
+//   - availability flips (SetAvailable, RetireProvider, lifecycle
+//     quarantine, retirement and re-admission) arrive through
+//     registry.OnAvailabilityChange, the same hook serve.SyncIndex uses
+//     for the match.CatalogIndex, and translate to a single Remove or
+//     Update;
 //   - store writes (generation, refresh, replication) arrive through the
 //     store's replication cursor; Resync re-indexes only the documents
 //     whose store version moved.

@@ -101,6 +101,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 		Shard:   s.Cluster.Self,
 		Role:    s.Cluster.Role,
 		Seq:     s.Store.Seq(),
+		Nonce:   s.Store.Nonce(),
 		Modules: s.Store.Len(),
 	}
 	if f := s.Cluster.Follower; f != nil {
@@ -212,10 +213,10 @@ func fetchStatus(err error) int {
 }
 
 // clusterMatrixSource is the cluster-mode matrixSource. The state round
-// (Router.Matrix) reads every shard's replication sequence, this node's
-// from its own store, and the state hashes that vector, so an unchanged
-// cluster revalidates with one /cluster/info call per other shard and no
-// set moves. load gathers the answering shards' sets (Router.Sets), this
+// (Router.Matrix) reads every shard's store nonce and replication
+// sequence, this node's from its own store, and the state hashes that
+// vector, so an unchanged cluster revalidates with one /cluster/info call
+// per other shard and no set moves. load gathers the answering shards' sets (Router.Sets), this
 // node's read locally, and interns them once into one symbol table; the
 // matrix is then built here by the single-node path, so a healthy
 // cluster's answer is byte-identical to one node holding the whole
@@ -223,7 +224,7 @@ func fetchStatus(err error) int {
 // sets: its modules land in Missing and the answer is partial.
 func (s *Server) clusterMatrixSource(ctx context.Context) (*matrixSource, error) {
 	rt := s.Cluster.Router
-	st, err := rt.Matrix(ctx, cluster.Info{Shard: s.Cluster.Self, Seq: s.Store.Seq()})
+	st, err := rt.Matrix(ctx, cluster.Info{Shard: s.Cluster.Self, Seq: s.Store.Seq(), Nonce: s.Store.Nonce()})
 	if err != nil {
 		return nil, err
 	}

@@ -6,11 +6,11 @@ import (
 )
 
 // SyncIndex wires registry availability changes into the catalog index:
-// a module going unavailable (manual retirement, RetireProvider, the
-// health tracker's auto-retire, lifecycle quarantine or retirement) is
-// removed from the index, and a module coming back (revival, lifecycle
-// re-admission) is re-indexed — each flip bumps the index generation
-// exactly once. It is the index's only availability input.
+// a module going unavailable (manual retirement, RetireProvider,
+// lifecycle quarantine or retirement) is removed from the index, and a
+// module coming back (SetAvailable, lifecycle re-admission) is
+// re-indexed — each flip bumps the index generation exactly once. It is
+// the index's only availability input.
 //
 // That generation is part of the key of every catalog-derived answer the
 // serving layer memoises: the /matches state key and body, the /catalog

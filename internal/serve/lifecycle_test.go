@@ -312,7 +312,7 @@ func TestRepairsEndpointsAndDecision(t *testing.T) {
 
 // TestSubstitutesCacheInvalidatedByAvailabilityFlip is the stale-cache
 // regression test: an availability flip that never touches stored
-// annotations (here the health tracker auto-retiring a provider) must
+// annotations (here SetAvailable retiring a provider) must
 // change the /substitutes cache key, so clients re-polling with the old
 // ETag see the shrunken candidate set instead of a cached 304.
 func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
@@ -342,11 +342,10 @@ func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
 		t.Fatalf("substitutes for alpha = %v, want beta ranked", ids)
 	}
 
-	// The provider health tracker retires beta: no store write, no
-	// signature change — only availability flips.
-	f.reg.SetFailureThreshold(1)
-	if retired := f.reg.RecordFailure("beta", errors.New("connection refused")); !retired {
-		t.Fatal("RecordFailure did not auto-retire beta")
+	// beta is retired: no store write, no signature change — only
+	// availability flips.
+	if err := f.reg.SetAvailable("beta", false); err != nil {
+		t.Fatal(err)
 	}
 
 	req, _ := http.NewRequest(http.MethodGet, url, nil)
@@ -373,7 +372,9 @@ func TestSubstitutesCacheInvalidatedByAvailabilityFlip(t *testing.T) {
 	}
 
 	// Recovery flips it back, through the same watcher.
-	f.reg.RecordSuccess("beta")
+	if err := f.reg.SetAvailable("beta", true); err != nil {
+		t.Fatal(err)
+	}
 	body.Substitutes = nil
 	getJSON(t, url, &body)
 	if ids := subIDs(&body); len(ids) == 0 || ids[0] != "beta" {

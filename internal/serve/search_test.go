@@ -531,3 +531,68 @@ func TestClusterSearchRestartedPeer(t *testing.T) {
 		t.Fatalf("s2 ranks %q after s1's restart as %s, want the oracle's %s with %s first at one example", q, got.Hits, want.Hits, target)
 	}
 }
+
+// TestClusterMatchesRestartedPeer: a memory-only shard restarts at seq
+// 0, so a fresh store can reach the sequence its peers saw before the
+// restart over different content. The cluster /matches state is never
+// taken for unchanged: an ETag minted before the restart no longer
+// validates, and the new answer equals the oracle's over the new content.
+func TestClusterMatchesRestartedPeer(t *testing.T) {
+	w := newClusterWorld(t, []string{"s1", "s2"}, 2)
+	w.seed(t)
+	s1, s2 := w.nodes["s1"], w.nodes["s2"]
+	var target string
+	for _, id := range w.reg.IDs() {
+		if set, _, ok := s2.st.Get(id); ok && len(set) > 1 {
+			target = id
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("no module on s2 with two examples or more")
+	}
+
+	resp := getWithETag(t, s1.ts.URL+"/api/matches", "", nil)
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || etag == "" {
+		t.Fatalf("/matches on s1: status %d, ETag %q", resp.StatusCode, etag)
+	}
+
+	// The restart: a fresh store on s2 takes s2's sets again, the target
+	// with one example fewer (on the oracle too), and reaches the old seq.
+	fresh, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fresh.Close() })
+	for _, id := range w.reg.IDs() {
+		set, _, ok := s2.st.Get(id)
+		if !ok {
+			continue
+		}
+		if id == target {
+			set = set[:len(set)-1]
+			if _, _, err := w.oracle.st.Put(id, set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := fresh.Put(id, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh.Seq() != s2.st.Seq() {
+		t.Fatalf("the fresh store is at seq %d, the old one at %d", fresh.Seq(), s2.st.Seq())
+	}
+	s2.st, s2.srv.Store = fresh, fresh
+
+	var got, want matchesBody
+	resp = getWithETag(t, s1.ts.URL+"/api/matches", etag, &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("s1's /matches revalidated an ETag minted before s2's restart: status %d, want 200", resp.StatusCode)
+	}
+	getJSON(t, w.oracle.ts.URL+"/api/matches", &want)
+	if got.Partial || len(got.FailedShards) != 0 || string(got.Matrix) != string(want.Matrix) {
+		t.Fatalf("s1's /matches after s2's restart differs from the oracle (partial %v, failed %v)\n got: %.300s\nwant: %.300s",
+			got.Partial, got.FailedShards, got.Matrix, want.Matrix)
+	}
+}

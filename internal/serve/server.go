@@ -293,15 +293,6 @@ type moduleInfo struct {
 	Examples    int         `json:"examples"`
 	Hash        string      `json:"hash,omitempty"`
 	Version     uint64      `json:"version,omitempty"`
-	Health      *healthInfo `json:"health,omitempty"`
-}
-
-type healthInfo struct {
-	ConsecutiveFailures int    `json:"consecutiveFailures"`
-	TotalFailures       int    `json:"totalFailures"`
-	TotalSuccesses      int    `json:"totalSuccesses"`
-	LastError           string `json:"lastError,omitempty"`
-	AutoRetired         bool   `json:"autoRetired,omitempty"`
 }
 
 func params(ps []module.Parameter) []paramInfo {
@@ -327,15 +318,6 @@ func (s *Server) handleModule(w http.ResponseWriter, r *http.Request) {
 		info.Examples = len(set)
 		info.Hash = hash
 		info.Version = version
-	}
-	if h, ok := s.Registry.HealthOf(m.ID); ok && h != (registry.Health{}) {
-		info.Health = &healthInfo{
-			ConsecutiveFailures: h.ConsecutiveFailures,
-			TotalFailures:       h.TotalFailures,
-			TotalSuccesses:      h.TotalSuccesses,
-			LastError:           h.LastError,
-			AutoRetired:         h.AutoRetired,
-		}
 	}
 	writeJSON(w, http.StatusOK, info)
 }

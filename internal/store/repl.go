@@ -100,6 +100,11 @@ func (s *Store) Seq() uint64 {
 	return s.repl.head
 }
 
+// Nonce is random per Open: a memory-only store restarts at seq 0 and
+// can reach a sequence it held before over other content, so a
+// validator built from Seq carries the nonce too.
+func (s *Store) Nonce() string { return s.nonce }
+
 // ContentVersion identifies the store's content: the number of wholesale
 // resets (ResetReplicated) and the newest mutation's sequence. Every
 // committed Put, PutBatch and Delete and every applied replicated record

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"dexa/internal/dataexample"
+	"dexa/internal/longpoll"
 	"dexa/internal/telemetry"
 )
 
@@ -162,12 +163,14 @@ type Store struct {
 	// recent mutation records that followers tail over the WAL feed. See
 	// repl.go.
 	repl repl
+
+	nonce string
 }
 
 // Open opens (or creates) a store rooted at dir. With dir == "" the
 // store is memory-only: fully functional, nothing persisted.
 func Open(dir string, opts Options) (*Store, error) {
-	s := &Store{dir: dir, opts: opts, symtab: dataexample.NewSymbolTable(), met: newStoreMetrics(opts.Metrics)}
+	s := &Store{dir: dir, opts: opts, symtab: dataexample.NewSymbolTable(), met: newStoreMetrics(opts.Metrics), nonce: longpoll.Nonce()}
 	for i := range s.shards {
 		s.shards[i].recs = make(map[string]*record)
 	}

@@ -177,7 +177,7 @@ func (h *HTTPInstrument) Route(route string, next http.Handler) http.Handler {
 			sp.End()
 		}
 		if h.opts.Logger != nil {
-			h.opts.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
+			attrs := []slog.Attr{
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.String("route", route),
@@ -186,7 +186,13 @@ func (h *HTTPInstrument) Route(route string, next http.Handler) http.Handler {
 				slog.Duration("duration", elapsed),
 				slog.String("requestId", rid),
 				slog.String("remote", r.RemoteAddr),
-			)
+			}
+			// The root span's ID, as /debug/traces prints it in "trace",
+			// so a logged request leads to its trace.
+			if sp != nil {
+				attrs = append(attrs, slog.Uint64("trace", sp.traceID))
+			}
+			h.opts.Logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,20 +79,31 @@ func TestRouteMetricsAndRequestID(t *testing.T) {
 	}
 }
 
+// TestRouteAccessLog: one structured line per request; with a tracer
+// wired it also names the request's root span by the ID /debug/traces
+// prints in "trace".
 func TestRouteAccessLog(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	ins := NewHTTPInstrument(HTTPOptions{Logger: logger})
-	h := ins.Route("/ping", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("pong"))
-	}))
-	req := httptest.NewRequest("GET", "/ping", nil)
-	req.Header.Set(RequestIDHeader, "rid-1")
-	h.ServeHTTP(httptest.NewRecorder(), req)
-	line := buf.String()
-	for _, want := range []string{"method=GET", "route=/ping", "status=200", "requestId=rid-1", "bytes=4"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("access log missing %q: %s", want, line)
+	for _, tr := range []*Tracer{nil, NewTracer(8)} {
+		var buf bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&buf, nil))
+		ins := NewHTTPInstrument(HTTPOptions{Logger: logger, Tracer: tr})
+		h := ins.Route("/ping", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("pong"))
+		}))
+		req := httptest.NewRequest("GET", "/ping", nil)
+		req.Header.Set(RequestIDHeader, "rid-1")
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		line := buf.String()
+		want := []string{"method=GET", "route=/ping", "status=200", "requestId=rid-1", "bytes=4"}
+		if tr != nil {
+			want = append(want, "trace="+strconv.FormatUint(tr.Recent()[0].Trace, 10)+"\n")
+		} else if strings.Contains(line, "trace=") {
+			t.Errorf("access log names a trace with no tracer wired: %s", line)
+		}
+		for _, w := range want {
+			if !strings.Contains(line, w) {
+				t.Errorf("access log missing %q: %s", w, line)
+			}
 		}
 	}
 }
