@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-e2e build test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-e2e fuzz experiments
+.PHONY: ci fmt vet vet-e2e build deadcode test race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench bench-smoke bench-overhead bench-e2e fuzz experiments
 
-ci: fmt vet vet-e2e build race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead
+ci: fmt vet vet-e2e build deadcode race race-store race-match race-lifecycle race-columnar race-cluster race-search cluster-smoke bench-smoke bench-overhead
 
 # Fails when any Go file is not gofmt-formatted.
 fmt:
@@ -19,6 +19,15 @@ vet-e2e:
 
 build:
 	$(GO) build ./...
+
+# Reachability guard: TestDeadCode type-checks every package and
+# e2ebench's non-test files and fails on any non-test declaration that
+# no shipping root reaches and testdata/deadcode/allowlist.txt does not
+# name with a reason; TestDeadCodeRules checks its rules on a small
+# module under testdata/deadcode/. Both skip under -race, and ci runs no
+# plain go test, so this target runs them once.
+deadcode:
+	$(GO) test -run '^TestDeadCode' -count=1 .
 
 test:
 	$(GO) test ./...

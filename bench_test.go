@@ -116,7 +116,7 @@ func BenchmarkGenerateExamplesPerCatalog(b *testing.B) {
 		}
 	})
 	b.Run("sweep", func(b *testing.B) {
-		sweep := core.NewSweepGenerator(core.NewGenerator(s.U.Ont, s.U.Pool))
+		sweep := &core.SweepGenerator{Gen: core.NewGenerator(s.U.Ont, s.U.Pool)}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, r := range sweep.Sweep(mods) {

@@ -115,9 +115,14 @@ func TestAnnotateThenGenerate(t *testing.T) {
 		return map[string]typesys.Value{"go_term_list": typesys.MustList(typesys.StringType, items...)}, nil
 	}))
 
+	// The curator accepts each top suggestion scoring at least 0.55.
 	a := annotate.NewAnnotator(u.Ont)
-	if n := a.AnnotateModule(raw, 0.55); n != 2 {
-		t.Fatalf("annotated %d parameters, want 2", n)
+	for _, ps := range [][]module.Parameter{raw.Inputs, raw.Outputs} {
+		for i := range ps {
+			if sug := a.Suggest(ps[i].Name, 1); len(sug) == 1 && sug[0].Score >= 0.55 {
+				ps[i].Semantic = sug[0].Concept
+			}
+		}
 	}
 	if raw.Inputs[0].Semantic != simulation.CUniprotAcc {
 		t.Fatalf("input annotated %q", raw.Inputs[0].Semantic)
@@ -144,9 +149,9 @@ func TestAnnotateThenGenerate(t *testing.T) {
 	}
 }
 
-// TestAnnotationStatePersistence round-trips the complete annotation
-// state — registry with examples plus provenance corpus — and verifies
-// matching works from the reloaded artefacts alone.
+// TestAnnotationStatePersistence round-trips the saved annotation state
+// — registry with examples, and the workflow — and verifies matching
+// works from the reloaded artefacts alone.
 func TestAnnotationStatePersistence(t *testing.T) {
 	u := integrationUniverse(t)
 
@@ -185,11 +190,8 @@ func TestAnnotationStatePersistence(t *testing.T) {
 	}
 
 	// Persist everything.
-	var regBuf, corpusBuf, wfBuf bytes.Buffer
+	var regBuf, wfBuf bytes.Buffer
 	if err := reg.Save(&regBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := corpus.Save(&corpusBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := wf.Save(&wfBuf); err != nil {
@@ -206,10 +208,6 @@ func TestAnnotationStatePersistence(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus2, err := provenance.Load(&corpusBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +240,13 @@ func TestAnnotationStatePersistence(t *testing.T) {
 		t.Errorf("reloaded examples failed to identify the substitute: %v", cands)
 	}
 
-	// Reloaded provenance still reconstructs examples for the decayed
-	// module, and the reloaded workflow references it.
-	if got := corpus2.ExamplesFor("getUniprotRecord"); len(got) == 0 {
-		t.Error("reloaded corpus reconstructs no examples")
+	// Provenance still reconstructs examples for the decayed module, and
+	// the reloaded workflow references it.
+	if got := corpus.ExamplesFor("getUniprotRecord"); len(got) == 0 {
+		t.Error("corpus reconstructs no examples")
 	}
-	ids := wf2.ModuleIDs()
-	if len(ids) != 2 || ids[1] != "getUniprotRecord" {
-		t.Errorf("reloaded workflow modules = %v", ids)
+	if len(wf2.Steps) != 2 || wf2.Steps[1].ModuleID != "getUniprotRecord" {
+		t.Errorf("reloaded workflow steps = %+v", wf2.Steps)
 	}
 }
 

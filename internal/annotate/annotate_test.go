@@ -6,9 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dexa/internal/module"
 	"dexa/internal/ontology"
-	"dexa/internal/typesys"
 )
 
 func TestTokenize(t *testing.T) {
@@ -140,50 +138,5 @@ func TestSuggest(t *testing.T) {
 	sug = a.Suggest("uniprot protein record", 1)
 	if sug[0].Concept != "UniprotRecord" {
 		t.Errorf("label match = %+v", sug[0])
-	}
-}
-
-func TestSuggestSynonyms(t *testing.T) {
-	a := NewAnnotator(testOntology(t))
-	if err := a.AddSynonym("Accession", "acc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AddSynonym("nope", "x"); err == nil {
-		t.Error("unknown concept should fail")
-	}
-	sug := a.Suggest("acc", 1)
-	if sug[0].Concept != "Accession" || sug[0].Score != 1 {
-		t.Errorf("synonym match = %+v", sug[0])
-	}
-}
-
-func TestAnnotateModule(t *testing.T) {
-	a := NewAnnotator(testOntology(t))
-	m := &module.Module{
-		ID: "m", Name: "m",
-		Inputs: []module.Parameter{
-			{Name: "protein_sequence", Struct: typesys.StringType},
-			{Name: "zqxwv", Struct: typesys.StringType},                           // matches nothing well
-			{Name: "dna_sequence", Struct: typesys.StringType, Semantic: "Fixed"}, // already annotated
-		},
-		Outputs: []module.Parameter{
-			{Name: "accession_number", Struct: typesys.StringType},
-		},
-	}
-	n := a.AnnotateModule(m, 0.6)
-	if n != 2 {
-		t.Errorf("annotated = %d, want 2", n)
-	}
-	if m.Inputs[0].Semantic != "ProteinSequence" {
-		t.Errorf("input annotation = %q", m.Inputs[0].Semantic)
-	}
-	if m.Inputs[1].Semantic != "" {
-		t.Errorf("low-confidence parameter should stay unannotated, got %q", m.Inputs[1].Semantic)
-	}
-	if m.Inputs[2].Semantic != "Fixed" {
-		t.Error("existing annotation overwritten")
-	}
-	if m.Outputs[0].Semantic != "Accession" {
-		t.Errorf("output annotation = %q", m.Outputs[0].Semantic)
 	}
 }

@@ -1,10 +1,8 @@
 package annotate
 
 import (
-	"fmt"
 	"sort"
 
-	"dexa/internal/module"
 	"dexa/internal/ontology"
 )
 
@@ -17,28 +15,16 @@ type Suggestion struct {
 // Annotator suggests ontology concepts for module parameters.
 type Annotator struct {
 	ont *ontology.Ontology
-	// synonyms maps concept IDs to alternative surface names that the
-	// matcher also scores against (e.g. "acc" for Accession).
-	synonyms map[string][]string
 }
 
 // NewAnnotator builds an annotator over the given ontology.
 func NewAnnotator(ont *ontology.Ontology) *Annotator {
-	return &Annotator{ont: ont, synonyms: map[string][]string{}}
-}
-
-// AddSynonym registers an extra surface name for a concept.
-func (a *Annotator) AddSynonym(concept, name string) error {
-	if !a.ont.Has(concept) {
-		return fmt.Errorf("annotate: unknown concept %q", concept)
-	}
-	a.synonyms[concept] = append(a.synonyms[concept], name)
-	return nil
+	return &Annotator{ont: ont}
 }
 
 // Suggest returns the k best concept suggestions for the given parameter
-// name, ordered by descending score. Each concept is scored by the best
-// similarity across its ID, label and synonyms.
+// name, ordered by descending score. Each concept is scored by the better
+// similarity of its ID and its label.
 func (a *Annotator) Suggest(paramName string, k int) []Suggestion {
 	if k <= 0 {
 		return nil
@@ -49,11 +35,6 @@ func (a *Annotator) Suggest(paramName string, k int) []Suggestion {
 		best := Similarity(paramName, id)
 		if c.Label != "" {
 			if s := Similarity(paramName, c.Label); s > best {
-				best = s
-			}
-		}
-		for _, syn := range a.synonyms[id] {
-			if s := Similarity(paramName, syn); s > best {
 				best = s
 			}
 		}
@@ -69,30 +50,4 @@ func (a *Annotator) Suggest(paramName string, k int) []Suggestion {
 		out = out[:k]
 	}
 	return out
-}
-
-// AnnotateModule fills in the Semantic field of every unannotated
-// parameter whose top suggestion scores at least threshold, and returns
-// how many parameters were annotated. Already-annotated parameters are
-// left untouched.
-func (a *Annotator) AnnotateModule(m *module.Module, threshold float64) int {
-	n := 0
-	n += a.annotateParams(m.Inputs, threshold)
-	n += a.annotateParams(m.Outputs, threshold)
-	return n
-}
-
-func (a *Annotator) annotateParams(ps []module.Parameter, threshold float64) int {
-	n := 0
-	for i := range ps {
-		if ps[i].Semantic != "" {
-			continue
-		}
-		sug := a.Suggest(ps[i].Name, 1)
-		if len(sug) == 1 && sug[0].Score >= threshold {
-			ps[i].Semantic = sug[0].Concept
-			n++
-		}
-	}
-	return n
 }

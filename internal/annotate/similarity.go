@@ -4,14 +4,12 @@
 // using schema-matching techniques (name tokenisation plus string
 // similarity), in the style of Meteor-S and Radiant.
 //
-// The curator remains in the loop: Suggest returns ranked candidates, and
-// AnnotateModule applies the top suggestion only above a confidence
-// threshold. The generation heuristic (package core) consumes the
-// resulting annotations.
+// The curator remains in the loop: Suggest returns ranked candidates,
+// and the curator decides which to apply. The generation heuristic
+// (package core) consumes the resulting annotations.
 package annotate
 
 import (
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -191,25 +189,4 @@ func Similarity(a, b string) float64 {
 	na := strings.Join(Tokenize(a), " ")
 	nb := strings.Join(Tokenize(b), " ")
 	return 0.5*DiceBigram(na, nb) + 0.2*LevenshteinSimilarity(na, nb) + 0.3*TokenJaccard(a, b)
-}
-
-// rank sorts candidate names by similarity to the query, descending,
-// ties broken lexicographically.
-func rank(query string, names []string) []scored {
-	out := make([]scored, len(names))
-	for i, n := range names {
-		out[i] = scored{name: n, score: Similarity(query, n)}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].name < out[j].name
-	})
-	return out
-}
-
-type scored struct {
-	name  string
-	score float64
 }

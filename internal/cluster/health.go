@@ -156,10 +156,6 @@ func (rt *Router) down(name string) error {
 	return nil
 }
 
-// Healthy reports whether fanOut calls the shard: false only while its
-// watch's last poll failed.
-func (rt *Router) Healthy(name string) bool { return rt.down(name) == nil }
-
 // Status reports every member's verdict, sorted by name. Self, which no
 // watch polls, is listed as healthy.
 func (rt *Router) Status() []ShardHealth {

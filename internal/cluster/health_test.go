@@ -94,7 +94,7 @@ func TestWatchJudgesPeerHealth(t *testing.T) {
 	// awaitDown returns how long after the watch started name went down.
 	awaitDown := func(name string, within time.Duration) time.Duration {
 		t.Helper()
-		for rt.Healthy(name) {
+		for rt.down(name) == nil {
 			if time.Since(start) > within {
 				t.Fatalf("%s still healthy %v after the watch started, want down within %v", name, time.Since(start), within)
 			}
@@ -141,7 +141,7 @@ func TestWatchJudgesPeerHealth(t *testing.T) {
 			}
 			continue
 		}
-		if !st.Healthy || st.LastError != "" || !rt.Healthy(st.Shard) {
+		if !st.Healthy || st.LastError != "" || rt.down(st.Shard) != nil {
 			t.Errorf("%s status %+v, want healthy without an error", st.Shard, st)
 		}
 		if up := met.ShardUp.With(st.Shard).Value(); up != 1 {

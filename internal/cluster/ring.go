@@ -100,6 +100,3 @@ func (r *Ring) Owner(moduleID string) string {
 	}
 	return r.points[i].shard
 }
-
-// Shards returns the sorted member names.
-func (r *Ring) Shards() []string { return r.shards }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dexa/internal/dataexample"
-	"dexa/internal/module"
-)
+import "dexa/internal/dataexample"
 
 // BatchResult is the outcome of generating examples for one module in a
 // batch run.
@@ -12,13 +9,4 @@ type BatchResult struct {
 	Examples dataexample.Set
 	Report   *Report
 	Err      error
-}
-
-// GenerateAll runs the heuristic over many modules concurrently and
-// returns per-module results ordered by module ID. It is a convenience
-// front for SweepGenerator, which documents the determinism and
-// concurrency contract; workers <= 0 selects the sweep default
-// (GOMAXPROCS).
-func (g *Generator) GenerateAll(mods []*module.Module, workers int) []BatchResult {
-	return (&SweepGenerator{Gen: g, Workers: workers}).Sweep(mods)
 }

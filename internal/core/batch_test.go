@@ -21,7 +21,7 @@ func TestGenerateAll(t *testing.T) {
 	mods[2].ID = "b-broken"
 	mods[2].Inputs[0].Semantic = "" // unannotated: generation fails
 
-	results := g.GenerateAll(mods, 4)
+	results := (&SweepGenerator{Gen: g, Workers: 4}).Sweep(mods)
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -49,7 +49,7 @@ func TestGenerateAllMatchesSequential(t *testing.T) {
 		m.ID = string(rune('a'+i)) + "-mod"
 		mods = append(mods, m)
 	}
-	parallel := g.GenerateAll(mods, 5)
+	parallel := (&SweepGenerator{Gen: g, Workers: 5}).Sweep(mods)
 	for i, m := range mods {
 		want, _, err := g.Generate(m)
 		if err != nil {
@@ -78,10 +78,10 @@ func TestGenerateAllMatchesSequential(t *testing.T) {
 func TestGenerateAllDefaults(t *testing.T) {
 	f := newFixture(t)
 	g := NewGenerator(f.ont, f.pool)
-	if got := g.GenerateAll(nil, 0); len(got) != 0 {
+	if got := (&SweepGenerator{Gen: g}).Sweep(nil); len(got) != 0 {
 		t.Errorf("empty batch = %v", got)
 	}
-	one := g.GenerateAll([]*module.Module{f.getAccession()}, -3)
+	one := (&SweepGenerator{Gen: g, Workers: -3}).Sweep([]*module.Module{f.getAccession()})
 	if len(one) != 1 || one[0].Err != nil {
 		t.Errorf("single batch = %+v", one)
 	}

@@ -17,7 +17,7 @@ import (
 // The memoization key is the module ID, so the cache assumes a module's
 // definition, binding and the generator configuration stay fixed for the
 // cache's lifetime — which holds for a single experiment run or CLI
-// invocation. Discard the cache (or call Forget) after rebinding a module.
+// invocation. Discard the cache after rebinding a module.
 //
 // Callers MUST treat the returned example set and report as read-only:
 // unlike Generator.Generate, the same underlying slices are handed to
@@ -52,9 +52,6 @@ func NewCachedGenerator(g *Generator) *CachedGenerator {
 	return &CachedGenerator{gen: g, entries: make(map[string]*cacheEntry)}
 }
 
-// Generator returns the underlying uncached generator.
-func (c *CachedGenerator) Generator() *Generator { return c.gen }
-
 // Generate returns the memoized result for m, generating it on first use.
 func (c *CachedGenerator) Generate(m *module.Module) (dataexample.Set, *Report, error) {
 	return c.GenerateContext(context.Background(), m)
@@ -76,19 +73,4 @@ func (c *CachedGenerator) GenerateContext(ctx context.Context, m *module.Module)
 		e.set, e.rep, e.err = c.gen.GenerateContext(ctx, m)
 	})
 	return e.set, e.rep, e.err
-}
-
-// Forget drops the memoized result for the module ID, so the next Generate
-// reruns the heuristic (use after rebinding a module's executor).
-func (c *CachedGenerator) Forget(moduleID string) {
-	c.mu.Lock()
-	delete(c.entries, moduleID)
-	c.mu.Unlock()
-}
-
-// Len reports how many modules currently have a memoized result.
-func (c *CachedGenerator) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -260,8 +262,14 @@ func TestGenerateOutputClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := set.OutputConcepts("acc"); !reflect.DeepEqual(got, []string{"NucAccession", "ProtAccession"}) {
-		t.Errorf("OutputConcepts = %v", got)
+	var got []string
+	for _, e := range set {
+		if c := e.OutputPartitions["acc"]; c != "" && !slices.Contains(got, c) {
+			got = append(got, c)
+		}
+	}
+	if sort.Strings(got); !reflect.DeepEqual(got, []string{"NucAccession", "ProtAccession"}) {
+		t.Errorf("output partitions = %v", got)
 	}
 	// Output partitions identified: Accession + 2 children; Accession
 	// itself is never produced, so output coverage is 2/3.

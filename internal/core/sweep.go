@@ -74,11 +74,6 @@ type SweepGenerator struct {
 	Metrics *telemetry.Registry
 }
 
-// NewSweepGenerator returns a sweep over g with the default worker count.
-func NewSweepGenerator(g *Generator) *SweepGenerator {
-	return &SweepGenerator{Gen: g}
-}
-
 func (s *SweepGenerator) workers(jobs int) int {
 	w := s.Workers
 	if w <= 0 {

@@ -133,56 +133,6 @@ func (s Set) ByInputKey() map[string]Example {
 	return idx
 }
 
-// InputConcepts returns the sorted set of distinct input partition concepts
-// mentioned across the set for the given parameter.
-func (s Set) InputConcepts(param string) []string {
-	seen := map[string]bool{}
-	for _, e := range s {
-		if c, ok := e.InputPartitions[param]; ok && c != "" {
-			seen[c] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OutputConcepts returns the sorted set of distinct output partition
-// concepts recorded across the set for the given parameter.
-func (s Set) OutputConcepts(param string) []string {
-	seen := map[string]bool{}
-	for _, e := range s {
-		if c, ok := e.OutputPartitions[param]; ok && c != "" {
-			seen[c] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dedup returns the set with examples having identical input AND output
-// values collapsed, preserving first occurrences in order.
-func (s Set) Dedup() Set {
-	seen := map[string]bool{}
-	out := make(Set, 0, len(s))
-	for _, e := range s {
-		k := e.InputKey() + "\x00" + e.OutputKey()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	return out
-}
-
 // wireExample is the JSON persistence form.
 type wireExample struct {
 	Inputs           map[string]json.RawMessage `json:"inputs"`

@@ -78,36 +78,6 @@ func TestByInputKey(t *testing.T) {
 	}
 }
 
-func TestConceptAccessors(t *testing.T) {
-	s := Set{
-		{InputPartitions: map[string]string{"in": "DNASequence"}, OutputPartitions: map[string]string{"out": "FastaRecord"}},
-		{InputPartitions: map[string]string{"in": "RNASequence"}, OutputPartitions: map[string]string{"out": "FastaRecord"}},
-		{InputPartitions: map[string]string{"in": "DNASequence"}},
-	}
-	if got := s.InputConcepts("in"); !reflect.DeepEqual(got, []string{"DNASequence", "RNASequence"}) {
-		t.Errorf("InputConcepts = %v", got)
-	}
-	if got := s.OutputConcepts("out"); !reflect.DeepEqual(got, []string{"FastaRecord"}) {
-		t.Errorf("OutputConcepts = %v", got)
-	}
-	if got := s.InputConcepts("missing"); len(got) != 0 {
-		t.Errorf("missing param should give empty, got %v", got)
-	}
-}
-
-func TestDedup(t *testing.T) {
-	a := ex(map[string]typesys.Value{"x": typesys.Str("a")}, map[string]typesys.Value{"o": typesys.Intv(1)})
-	b := ex(map[string]typesys.Value{"x": typesys.Str("a")}, map[string]typesys.Value{"o": typesys.Intv(2)})
-	s := Set{a, b, a, b, a}
-	got := s.Dedup()
-	if len(got) != 2 {
-		t.Fatalf("Dedup len = %d", len(got))
-	}
-	if !got[0].Equal(a) || !got[1].Equal(b) {
-		t.Error("Dedup should preserve first-occurrence order")
-	}
-}
-
 func randValue(r *rand.Rand) typesys.Value {
 	switch r.Intn(4) {
 	case 0:

@@ -108,9 +108,6 @@ func (k *KeyedSet) InputKey(i int) string { return k.inKeys[i] }
 // OutputKey returns the interned canonical output key of the i-th example.
 func (k *KeyedSet) OutputKey(i int) string { return k.outKeys[i] }
 
-// PartitionKey returns the interned partition key of the i-th example.
-func (k *KeyedSet) PartitionKey(i int) string { return k.partKeys[i] }
-
 // Table returns the symbol table the set's ID columns were interned in,
 // or nil for a string-only KeyedSet. ID comparisons are meaningful only
 // between sets sharing a table.
@@ -123,10 +120,6 @@ func (k *KeyedSet) InputID(i int) uint32 { return k.inIDs[i] }
 // OutputID returns the symbol ID of the i-th example's output key. Valid
 // only on an interned set.
 func (k *KeyedSet) OutputID(i int) uint32 { return k.outIDs[i] }
-
-// PartitionID returns the symbol ID of the i-th example's partition key.
-// Valid only on an interned set.
-func (k *KeyedSet) PartitionID(i int) uint32 { return k.partIDs[i] }
 
 // IndexByInput returns the index of the first example whose input key
 // equals key.

@@ -61,3 +61,10 @@ func TestKeyedSetInternsKeys(t *testing.T) {
 		t.Error("distinct input keys reported non-unique")
 	}
 }
+
+// PartitionKey returns the interned partition key of the i-th example.
+func (k *KeyedSet) PartitionKey(i int) string { return k.partKeys[i] }
+
+// PartitionID returns the symbol ID of the i-th example's partition key.
+// Valid only on an interned set.
+func (k *KeyedSet) PartitionID(i int) uint32 { return k.partIDs[i] }

@@ -55,16 +55,6 @@ func (t *SymbolTable) Lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
-// SymbolString returns the string a symbol ID was assigned to.
-func (t *SymbolTable) SymbolString(id uint32) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if int(id) >= len(t.strs) {
-		return "", false
-	}
-	return t.strs[id], true
-}
-
 // Len returns the number of distinct symbols interned.
 func (t *SymbolTable) Len() int {
 	t.mu.RLock()

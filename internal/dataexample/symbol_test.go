@@ -145,3 +145,13 @@ func TestKeyedInternedEmptySet(t *testing.T) {
 		t.Error("nil-table interning should produce a string-only KeyedSet")
 	}
 }
+
+// SymbolString returns the string a symbol ID was assigned to.
+func (t *SymbolTable) SymbolString(id uint32) (string, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if int(id) >= len(t.strs) {
+		return "", false
+	}
+	return t.strs[id], true
+}

@@ -128,23 +128,6 @@ func Detect(set dataexample.Set, opts Options) Result {
 	return res
 }
 
-// Prune returns the example set with redundant members removed, keeping
-// each cluster's first example.
-func Prune(set dataexample.Set, opts Options) dataexample.Set {
-	res := Detect(set, opts)
-	drop := map[int]bool{}
-	for _, i := range res.Redundant {
-		drop[i] = true
-	}
-	out := make(dataexample.Set, 0, len(set)-len(drop))
-	for i, e := range set {
-		if !drop[i] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // fingerprint flattens an example's outputs into comparable string
 // fields, optionally masking verbatim input echoes.
 func fingerprint(e dataexample.Example, maskInputs bool) []string {

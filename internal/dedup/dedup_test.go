@@ -101,21 +101,6 @@ func TestDetectListsAndRecords(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	set := dataexample.Set{
-		ex("A", "T kind=1 of A!"),
-		ex("B", "T kind=1 of B!"),
-		ex("C", "completely different output shape"),
-	}
-	got := Prune(set, DefaultOptions())
-	if len(got) != 2 {
-		t.Fatalf("pruned = %d", len(got))
-	}
-	if !got[0].Equal(set[0]) || !got[1].Equal(set[2]) {
-		t.Errorf("wrong survivors")
-	}
-}
-
 func TestFieldSimilarityProperties(t *testing.T) {
 	pairs := []struct {
 		a, b string

@@ -211,17 +211,6 @@ func (i *Injector) sleep(d time.Duration) {
 // Profile returns the profile governing moduleID.
 func (i *Injector) Profile(moduleID string) Profile { return i.plan.For(moduleID) }
 
-// Counts returns a copy of the per-fault decision counts.
-func (i *Injector) Counts() map[Fault]int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[Fault]int, len(i.counts))
-	for f, n := range i.counts {
-		out[f] = n
-	}
-	return out
-}
-
 // Injected returns how many calls were given a fault other than none.
 func (i *Injector) Injected() int {
 	i.mu.Lock()

@@ -117,24 +117,6 @@ func (p *Pool) Direct(concept string) []Instance {
 	return out
 }
 
-// Under returns all instances of the concept in the broad sense: direct
-// instances plus instances of every descendant concept, ordered by concept
-// ID then insertion order.
-func (p *Pool) Under(concept string) []Instance {
-	if !p.ont.Has(concept) {
-		return nil
-	}
-	ids := append([]string{concept}, p.ont.Descendants(concept)...)
-	sort.Strings(ids)
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var out []Instance
-	for _, id := range ids {
-		out = append(out, p.byConcept[id]...)
-	}
-	return out
-}
-
 // Realization returns the idx-th instance that realises concept c with a
 // structural grounding compatible with str: an instance annotated with
 // exactly c (instances annotated with strict subconcepts are instances of
@@ -156,20 +138,6 @@ func (p *Pool) Realization(c string, str typesys.Type, idx int) (Instance, bool)
 		}
 	}
 	return Instance{}, false
-}
-
-// RealizationCount returns how many structurally compatible realizations
-// of c the pool holds.
-func (p *Pool) RealizationCount(c string, str typesys.Type) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	for _, in := range p.byConcept[c] {
-		if typesys.Conforms(in.Value, str) {
-			n++
-		}
-	}
-	return n
 }
 
 // Classify returns the most specific concept(s), at or below the given
@@ -226,39 +194,5 @@ func (p *Pool) RegisterClassifier(root string, cl Classifier) error {
 		p.classifiers = make(map[string]Classifier)
 	}
 	p.classifiers[root] = cl
-	return nil
-}
-
-// Merge copies every instance of other into p. Concepts unknown to p's
-// ontology are reported as an error after the compatible instances have
-// been merged.
-func (p *Pool) Merge(other *Pool) error {
-	other.mu.RLock()
-	snapshot := make(map[string][]Instance, len(other.byConcept))
-	for c, ins := range other.byConcept {
-		snapshot[c] = append([]Instance(nil), ins...)
-	}
-	other.mu.RUnlock()
-
-	var unknown []string
-	concepts := make([]string, 0, len(snapshot))
-	for c := range snapshot {
-		concepts = append(concepts, c)
-	}
-	sort.Strings(concepts)
-	for _, c := range concepts {
-		if !p.ont.Has(c) {
-			unknown = append(unknown, c)
-			continue
-		}
-		for _, in := range snapshot[c] {
-			if err := p.Add(c, in.Value, in.Source); err != nil {
-				return err
-			}
-		}
-	}
-	if len(unknown) > 0 {
-		return fmt.Errorf("instances: merge skipped unknown concepts %v", unknown)
-	}
 	return nil
 }

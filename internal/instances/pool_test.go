@@ -42,7 +42,7 @@ func TestAddAndLen(t *testing.T) {
 	}
 }
 
-func TestDirectAndUnder(t *testing.T) {
+func TestDirect(t *testing.T) {
 	p := NewPool(testOntology(t))
 	p.MustAdd("DNA", typesys.Str("ACGT"), "")
 	p.MustAdd("Sequence", typesys.Str("NNNN"), "")
@@ -51,17 +51,6 @@ func TestDirectAndUnder(t *testing.T) {
 
 	if got := p.Direct("DNA"); len(got) != 1 || !got[0].Value.Equal(typesys.Str("ACGT")) {
 		t.Errorf("Direct(DNA) = %v", got)
-	}
-	under := p.Under("Sequence")
-	if len(under) != 3 {
-		t.Fatalf("Under(Sequence) = %v", under)
-	}
-	// Ordered by concept ID: DNA < Protein < Sequence.
-	if under[0].Concept != "DNA" || under[1].Concept != "Protein" || under[2].Concept != "Sequence" {
-		t.Errorf("Under order wrong: %v", under)
-	}
-	if p.Under("Nope") != nil {
-		t.Error("unknown concept should return nil")
 	}
 }
 
@@ -95,9 +84,6 @@ func TestRealization(t *testing.T) {
 	}
 	if _, ok := p.Realization("RNA", typesys.StringType, 0); ok {
 		t.Error("no RNA instances")
-	}
-	if got := p.RealizationCount("DNA", typesys.StringType); got != 2 {
-		t.Errorf("RealizationCount = %d", got)
 	}
 }
 
@@ -169,38 +155,6 @@ func TestClassifierFallback(t *testing.T) {
 	}
 	if err := p.RegisterClassifier("Nope", nil); err == nil {
 		t.Error("unknown concept should fail")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	ont := testOntology(t)
-	a := NewPool(ont)
-	b := NewPool(ont)
-	a.MustAdd("DNA", typesys.Str("ACGT"), "")
-	b.MustAdd("DNA", typesys.Str("ACGT"), "") // duplicate across pools
-	b.MustAdd("RNA", typesys.Str("ACGU"), "")
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 2 {
-		t.Errorf("merged Len = %d, want 2", a.Len())
-	}
-
-	// Merging from a pool over a larger ontology reports unknown concepts.
-	big := ontology.New("big")
-	big.MustAddConcept("Data", "")
-	big.MustAddConcept("Sequence", "", "Data")
-	big.MustAddConcept("DNA", "", "Sequence")
-	big.MustAddConcept("Exotic", "", "Data")
-	c := NewPool(big)
-	c.MustAdd("DNA", typesys.Str("TT"), "")
-	c.MustAdd("Exotic", typesys.Str("zz"), "")
-	err := a.Merge(c)
-	if err == nil {
-		t.Fatal("expected unknown-concept error")
-	}
-	if a.RealizationCount("DNA", typesys.StringType) != 2 {
-		t.Error("compatible instances should still be merged")
 	}
 }
 

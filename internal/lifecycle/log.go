@@ -91,8 +91,5 @@ func (l *Log) Changed(cursor uint64) <-chan struct{} {
 	return l.changed.Wait(uint64(len(l.events)) > cursor)
 }
 
-// Flush forces appended events to stable storage.
-func (l *Log) Flush() error { return l.j.Sync() }
-
 // Close flushes and closes the backing journal.
 func (l *Log) Close() error { return l.j.Close() }

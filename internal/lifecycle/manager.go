@@ -274,18 +274,6 @@ func (m *Manager) TrackAll() int {
 	return len(m.mods)
 }
 
-// Tracked returns the tracked module IDs, sorted.
-func (m *Manager) Tracked() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.mods))
-	for id := range m.mods {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // StateOf returns the lifecycle state of a tracked module.
 func (m *Manager) StateOf(id string) (State, bool) {
 	m.mu.Lock()

@@ -170,17 +170,6 @@ func (q *Queue) Resolve(id string, approve bool, at time.Time) (Proposal, error)
 	return *p, nil
 }
 
-// Get returns a copy of the proposal with the given ID.
-func (q *Queue) Get(id string) (Proposal, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	p, ok := q.byID[id]
-	if !ok {
-		return Proposal{}, false
-	}
-	return *p, true
-}
-
 // List returns proposals in enqueue order; state filters when non-empty.
 func (q *Queue) List(state ProposalState) []Proposal {
 	q.mu.Lock()
@@ -222,13 +211,6 @@ func (q *Queue) Pending() int {
 		}
 	}
 	return n
-}
-
-// Len returns the total number of proposals ever enqueued (and retained).
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.order)
 }
 
 // Instrument exports queue metrics into the registry.

@@ -57,8 +57,8 @@ func TestQueueEnqueueResolveList(t *testing.T) {
 	if _, err := q.Resolve(p3.ID, false, at); err != nil {
 		t.Fatal(err)
 	}
-	if q.Pending() != 1 || q.Len() != 3 {
-		t.Fatalf("pending %d / len %d, want 1 / 3", q.Pending(), q.Len())
+	if q.Pending() != 1 || len(q.order) != 3 {
+		t.Fatalf("pending %d / len %d, want 1 / 3", q.Pending(), len(q.order))
 	}
 	if got := q.List(ProposalRejected); len(got) != 1 || got[0].ID != p3.ID {
 		t.Fatalf("List(rejected) = %+v", got)

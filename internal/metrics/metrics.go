@@ -73,16 +73,6 @@ func CoveredClasses(set dataexample.Set, oracle BehaviorOracle) []string {
 	return out
 }
 
-// Completeness returns #classesCovered(∆, m) / #classes(m). A module with
-// no declared classes scores 1 vacuously.
-func Completeness(set dataexample.Set, oracle BehaviorOracle) float64 {
-	total := len(oracle.Classes())
-	if total == 0 {
-		return 1
-	}
-	return float64(len(CoveredClasses(set, oracle))) / float64(total)
-}
-
 // RedundantExamples counts the examples that are redundant: within each
 // behaviour class, every example beyond the first describes behaviour
 // already illustrated. Examples whose inputs the oracle cannot classify are
@@ -101,15 +91,6 @@ func RedundantExamples(set dataexample.Set, oracle BehaviorOracle) int {
 		}
 	}
 	return redundant
-}
-
-// Conciseness returns 1 - #redundantExamples(∆, m) / #∆(m). An empty set
-// scores 1 vacuously.
-func Conciseness(set dataexample.Set, oracle BehaviorOracle) float64 {
-	if len(set) == 0 {
-		return 1
-	}
-	return 1 - float64(RedundantExamples(set, oracle))/float64(len(set))
 }
 
 // Evaluate computes all measures in one pass.

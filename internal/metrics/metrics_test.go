@@ -62,12 +62,12 @@ func TestCompleteness(t *testing.T) {
 		{exOf("Z1"), 0}, // unclassifiable example covers nothing
 	}
 	for i, c := range cases {
-		if got := Completeness(c.set, seqOracle); got != c.want {
+		if got := Evaluate(c.set, seqOracle).Completeness; got != c.want {
 			t.Errorf("case %d: Completeness = %v, want %v", i, got, c.want)
 		}
 	}
 	empty := OracleFunc{Fn: func(map[string]typesys.Value) (string, bool) { return "", false }}
-	if Completeness(exOf("A1"), empty) != 1 {
+	if Evaluate(exOf("A1"), empty).Completeness != 1 {
 		t.Error("no-class oracle should give vacuous completeness 1")
 	}
 }
@@ -78,11 +78,11 @@ func TestRedundancyAndConciseness(t *testing.T) {
 	if got := RedundantExamples(set, seqOracle); got != 2 {
 		t.Errorf("Redundant = %d", got)
 	}
-	if got := Conciseness(set, seqOracle); got != 0.5 {
+	if got := Evaluate(set, seqOracle).Conciseness; got != 0.5 {
 		t.Errorf("Conciseness = %v", got)
 	}
 	// All distinct classes: fully concise.
-	if got := Conciseness(exOf("A1", "B1", "C1"), seqOracle); got != 1 {
+	if got := Evaluate(exOf("A1", "B1", "C1"), seqOracle).Conciseness; got != 1 {
 		t.Errorf("Conciseness = %v", got)
 	}
 	// Unclassifiable examples never count as redundant.
@@ -90,7 +90,7 @@ func TestRedundancyAndConciseness(t *testing.T) {
 		t.Errorf("Redundant unclassifiable = %d", got)
 	}
 	// Empty set is vacuously concise.
-	if got := Conciseness(nil, seqOracle); got != 1 {
+	if got := Evaluate(nil, seqOracle).Conciseness; got != 1 {
 		t.Errorf("Conciseness(empty) = %v", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestPaperDistributionShapes(t *testing.T) {
 			return "c" + string(s[0]), true
 		},
 	}
-	if got := Completeness(exOf("1", "2", "3"), fourClass); got != 0.75 {
+	if got := Evaluate(exOf("1", "2", "3"), fourClass).Completeness; got != 0.75 {
 		t.Errorf("0.75 row: got %v", got)
 	}
 
@@ -136,7 +136,7 @@ func TestPaperDistributionShapes(t *testing.T) {
 		Fn:  func(map[string]typesys.Value) (string, bool) { return "only", true },
 	}
 	set := exOf("a", "b", "c", "d", "e", "f", "g", "h", "i", "j")
-	if got := Conciseness(set, oneClass); !approx(got, 0.1) {
+	if got := Evaluate(set, oneClass).Conciseness; !approx(got, 0.1) {
 		t.Errorf("0.1 row: got %v", got)
 	}
 }

@@ -182,20 +182,6 @@ func findParam(ps []Parameter, name string) (Parameter, bool) {
 	return Parameter{}, false
 }
 
-// InputNames returns the input parameter names in declaration order.
-func (m *Module) InputNames() []string { return paramNames(m.Inputs) }
-
-// OutputNames returns the output parameter names in declaration order.
-func (m *Module) OutputNames() []string { return paramNames(m.Outputs) }
-
-func paramNames(ps []Parameter) []string {
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // Validate checks the module declaration: non-empty ID and name, at least
 // one input and one output, unique parameter names per side, valid
 // structural types, and defaults conforming to their parameter types.

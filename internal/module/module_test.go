@@ -222,10 +222,4 @@ func TestParamAccessors(t *testing.T) {
 	if p, ok := m.Output("out"); !ok || p.Semantic != "BioSequence" {
 		t.Errorf("Output(out) = %+v, %v", p, ok)
 	}
-	if got := m.InputNames(); len(got) != 2 || got[0] != "in" || got[1] != "limit" {
-		t.Errorf("InputNames = %v", got)
-	}
-	if got := m.OutputNames(); len(got) != 1 || got[0] != "out" {
-		t.Errorf("OutputNames = %v", got)
-	}
 }

@@ -53,11 +53,11 @@ func TestCacheMatchesWalks(t *testing.T) {
 			t.Errorf("Descendants(%s) = %v, want %v", id, got, wantDesc)
 		}
 		wantAnc := walkClosure(c, func(c *Concept) []*Concept { return c.parents })
-		if got := o.Ancestors(id); !reflect.DeepEqual(got, wantAnc) {
+		if got := o.AncestorsView(id); !reflect.DeepEqual(got, wantAnc) {
 			t.Errorf("Ancestors(%s) = %v, want %v", id, got, wantAnc)
 		}
 	}
-	if o.Descendants("Nope") != nil || o.Ancestors("Nope") != nil {
+	if o.Descendants("Nope") != nil || o.AncestorsView("Nope") != nil {
 		t.Error("unknown concept must yield nil closures")
 	}
 	if parts, _ := o.Partitions("Ann"); !reflect.DeepEqual(parts, []string{"GO", "Leafy", "Shared"}) {
@@ -184,7 +184,7 @@ func TestConcurrentReasoning(t *testing.T) {
 					errs <- fmt.Sprintf("Partitions: %v %v", parts, err)
 					return
 				}
-				if len(o.Descendants("Root")) != o.Len()-1 {
+				if len(o.Descendants("Root")) != len(o.concepts)-1 {
 					errs <- "bad descendant count"
 					return
 				}

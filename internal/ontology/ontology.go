@@ -40,21 +40,6 @@ type Concept struct {
 	children []*Concept
 }
 
-// Parents returns the IDs of the direct superconcepts in sorted order.
-func (c *Concept) Parents() []string { return idsOf(c.parents) }
-
-// Children returns the IDs of the direct subconcepts in sorted order.
-func (c *Concept) Children() []string { return idsOf(c.children) }
-
-func idsOf(cs []*Concept) []string {
-	ids := make([]string, len(cs))
-	for i, c := range cs {
-		ids[i] = c.ID
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Ontology is a mutable concept DAG. The zero value is not usable; call New.
 //
 // Concurrency: an Ontology is not safe for concurrent mutation, and
@@ -85,12 +70,6 @@ type Ontology struct {
 func New(name string) *Ontology {
 	return &Ontology{name: name, concepts: make(map[string]*Concept)}
 }
-
-// Name returns the ontology name.
-func (o *Ontology) Name() string { return o.name }
-
-// Len returns the number of concepts.
-func (o *Ontology) Len() int { return len(o.concepts) }
 
 // AddConcept inserts a concept under the given parent IDs (none for a
 // root). It returns an error if the ID is empty or already present, if a

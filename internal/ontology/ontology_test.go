@@ -71,10 +71,10 @@ func TestDescendantsAncestors(t *testing.T) {
 		t.Errorf("Descendants = %v, want %v", got, wantDesc)
 	}
 	wantAnc := []string{"BioSequence", "BioinformaticsData", "NucleotideSequence"}
-	if got := o.Ancestors("DNASequence"); !reflect.DeepEqual(got, wantAnc) {
+	if got := o.AncestorsView("DNASequence"); !reflect.DeepEqual(got, wantAnc) {
 		t.Errorf("Ancestors = %v, want %v", got, wantAnc)
 	}
-	if o.Descendants("nope") != nil || o.Ancestors("nope") != nil {
+	if o.Descendants("nope") != nil || o.AncestorsView("nope") != nil {
 		t.Error("unknown concepts should return nil")
 	}
 	if got := o.Descendants("DNASequence"); len(got) != 0 {
@@ -124,26 +124,6 @@ func TestDAGMultipleParents(t *testing.T) {
 	}
 	if err := o.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestLeastCommonAncestors(t *testing.T) {
-	o := buildMyGridFragment(t)
-	cases := []struct {
-		a, b string
-		want []string
-	}{
-		{"DNASequence", "RNASequence", []string{"NucleotideSequence"}},
-		{"DNASequence", "ProtSequence", []string{"BioSequence"}},
-		{"DNASequence", "UniprotRecord", []string{"BioinformaticsData"}},
-		{"DNASequence", "DNASequence", []string{"DNASequence"}},
-		{"DNASequence", "NucleotideSequence", []string{"NucleotideSequence"}},
-		{"DNASequence", "nope", nil},
-	}
-	for _, c := range cases {
-		if got := o.LeastCommonAncestors(c.a, c.b); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("LCA(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
-		}
 	}
 }
 

@@ -107,40 +107,12 @@ func TestDescendantAncestorDualityProperty(t *testing.T) {
 		a, b := pick(r, o), pick(r, o)
 		// b ∈ Descendants(a) ⇔ a ∈ Ancestors(b).
 		inDesc := contains(o.Descendants(a), b)
-		inAnc := contains(o.Ancestors(b), a)
+		inAnc := contains(o.AncestorsView(b), a)
 		if inDesc != inAnc {
 			return false
 		}
 		// And both are equivalent to strict subsumption.
 		return inDesc == o.StrictlySubsumes(a, b)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLCACommutesProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	prop := func() bool {
-		o := randomOntology(r, 3+r.Intn(20))
-		a, b := pick(r, o), pick(r, o)
-		ab := o.LeastCommonAncestors(a, b)
-		ba := o.LeastCommonAncestors(b, a)
-		if len(ab) != len(ba) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != ba[i] {
-				return false
-			}
-		}
-		// Every LCA subsumes both arguments.
-		for _, l := range ab {
-			if !o.Subsumes(l, a) || !o.Subsumes(l, b) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -155,7 +127,7 @@ func TestSerialisationPreservesSemanticsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if o2.Len() != o.Len() {
+		if len(o2.concepts) != len(o.concepts) {
 			return false
 		}
 		// Subsumption is preserved on sampled pairs.

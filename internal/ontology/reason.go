@@ -59,24 +59,11 @@ func (o *Ontology) Descendants(id string) []string {
 	return copyOf(r.descIDs[i])
 }
 
-// Ancestors returns the IDs of all strict superconcepts of id in sorted
-// order. It returns nil for an unknown concept. The result is a fresh copy
-// of the cached closure; callers may keep or modify it.
-func (o *Ontology) Ancestors(id string) []string {
-	r := o.reach()
-	i, ok := r.index[id]
-	if !ok {
-		return nil
-	}
-	return copyOf(r.ancIDs[i])
-}
-
-// AncestorsView is Ancestors without the defensive copy: it returns the
-// cached closure slice itself, sorted, valid until the next mutation.
-// Callers MUST treat the result as read-only — it is shared with every
-// other caller and with the cache. Index builders that walk the closure
-// of every concept use this to avoid one allocation per concept; all
-// other callers should prefer Ancestors.
+// AncestorsView returns the IDs of all strict superconcepts of id in
+// sorted order, or nil for an unknown concept. It returns the cached
+// closure slice itself, valid until the next mutation: callers MUST treat
+// the result as read-only — it is shared with every other caller and
+// with the cache.
 func (o *Ontology) AncestorsView(id string) []string {
 	r := o.reach()
 	i, ok := r.index[id]
@@ -124,50 +111,6 @@ func (o *Ontology) Depth(id string) int {
 		depth++
 	}
 	return depth // unreachable in an acyclic ontology
-}
-
-// LeastCommonAncestors returns the set of minimal common superconcepts of a
-// and b (there may be several in a DAG), sorted. A concept is its own
-// ancestor for this purpose, so LCA(c, c) = {c}. It returns nil if either
-// concept is unknown or no common ancestor exists.
-func (o *Ontology) LeastCommonAncestors(aID, bID string) []string {
-	if !o.Has(aID) || !o.Has(bID) {
-		return nil
-	}
-	up := func(id string) map[string]bool {
-		s := map[string]bool{id: true}
-		for _, a := range o.Ancestors(id) {
-			s[a] = true
-		}
-		return s
-	}
-	common := []string{}
-	bUp := up(bID)
-	for id := range up(aID) {
-		if bUp[id] {
-			common = append(common, id)
-		}
-	}
-	// Keep only the minimal elements: drop any common ancestor that strictly
-	// subsumes another common ancestor.
-	minimal := common[:0]
-	for _, c := range common {
-		isMin := true
-		for _, d := range common {
-			if c != d && o.StrictlySubsumes(c, d) {
-				isMin = false
-				break
-			}
-		}
-		if isMin {
-			minimal = append(minimal, c)
-		}
-	}
-	sort.Strings(minimal)
-	if len(minimal) == 0 {
-		return nil
-	}
-	return minimal
 }
 
 // Partitions returns the equivalence partitions induced by annotating a

@@ -24,7 +24,7 @@ func TestClosureViews(t *testing.T) {
 		return m
 	}
 	for _, id := range []string{"Data", "Seq", "DNA", "Prot"} {
-		wantUp := asSet(o.Ancestors(id))
+		wantUp := asSet(o.AncestorsView(id))
 		gotUp := asSet(o.AncestorsView(id))
 		if len(wantUp) != len(gotUp) {
 			t.Errorf("%s: ancestors view = %v, want %v", id, gotUp, wantUp)

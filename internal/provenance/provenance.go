@@ -15,9 +15,7 @@
 package provenance
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -60,38 +58,6 @@ func (c *Corpus) Records() []workflow.InvocationRecord {
 	out := make([]workflow.InvocationRecord, len(c.records))
 	copy(out, c.records)
 	return out
-}
-
-// ModuleIDs returns the distinct module IDs observed, sorted.
-func (c *Corpus) ModuleIDs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	seen := map[string]bool{}
-	for _, r := range c.records {
-		seen[r.ModuleID] = true
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// WorkflowIDs returns the distinct workflow IDs observed, sorted.
-func (c *Corpus) WorkflowIDs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	seen := map[string]bool{}
-	for _, r := range c.records {
-		seen[r.WorkflowID] = true
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Harvest builds a pool of annotated instances from every successful
@@ -189,97 +155,4 @@ func (c *Corpus) ExamplesFor(moduleID string) dataexample.Set {
 func (c *Corpus) Source(moduleID string) (dataexample.Set, bool) {
 	set := c.ExamplesFor(moduleID)
 	return set, len(set) > 0
-}
-
-// wireRecord is the JSON persistence form of one invocation record.
-type wireRecord struct {
-	WorkflowID     string                     `json:"workflow"`
-	StepID         string                     `json:"step"`
-	ModuleID       string                     `json:"module"`
-	Seq            int                        `json:"seq"`
-	Inputs         map[string]json.RawMessage `json:"inputs,omitempty"`
-	Outputs        map[string]json.RawMessage `json:"outputs,omitempty"`
-	InputConcepts  map[string]string          `json:"inputConcepts,omitempty"`
-	OutputConcepts map[string]string          `json:"outputConcepts,omitempty"`
-	Failed         bool                       `json:"failed,omitempty"`
-	Error          string                     `json:"error,omitempty"`
-}
-
-// Save writes the corpus as JSON.
-func (c *Corpus) Save(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]wireRecord, 0, len(c.records))
-	for _, r := range c.records {
-		wr := wireRecord{
-			WorkflowID: r.WorkflowID, StepID: r.StepID, ModuleID: r.ModuleID, Seq: r.Seq,
-			InputConcepts: r.InputConcepts, OutputConcepts: r.OutputConcepts,
-			Failed: r.Failed, Error: r.Error,
-		}
-		var err error
-		if wr.Inputs, err = encodeValues(r.Inputs); err != nil {
-			return err
-		}
-		if wr.Outputs, err = encodeValues(r.Outputs); err != nil {
-			return err
-		}
-		out = append(out, wr)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// Load reads a corpus saved by Save.
-func Load(r io.Reader) (*Corpus, error) {
-	var wrs []wireRecord
-	if err := json.NewDecoder(r).Decode(&wrs); err != nil {
-		return nil, fmt.Errorf("provenance: decoding: %w", err)
-	}
-	c := NewCorpus()
-	for _, wr := range wrs {
-		rec := workflow.InvocationRecord{
-			WorkflowID: wr.WorkflowID, StepID: wr.StepID, ModuleID: wr.ModuleID, Seq: wr.Seq,
-			InputConcepts: wr.InputConcepts, OutputConcepts: wr.OutputConcepts,
-			Failed: wr.Failed, Error: wr.Error,
-		}
-		var err error
-		if rec.Inputs, err = decodeValues(wr.Inputs); err != nil {
-			return nil, err
-		}
-		if rec.Outputs, err = decodeValues(wr.Outputs); err != nil {
-			return nil, err
-		}
-		c.records = append(c.records, rec)
-	}
-	return c, nil
-}
-
-func encodeValues(vals map[string]typesys.Value) (map[string]json.RawMessage, error) {
-	if vals == nil {
-		return nil, nil
-	}
-	out := make(map[string]json.RawMessage, len(vals))
-	for n, v := range vals {
-		data, err := typesys.MarshalValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("provenance: encoding %s: %w", n, err)
-		}
-		out[n] = data
-	}
-	return out, nil
-}
-
-func decodeValues(raw map[string]json.RawMessage) (map[string]typesys.Value, error) {
-	if raw == nil {
-		return nil, nil
-	}
-	out := make(map[string]typesys.Value, len(raw))
-	for n, data := range raw {
-		v, err := typesys.UnmarshalValue(data)
-		if err != nil {
-			return nil, fmt.Errorf("provenance: decoding %s: %w", n, err)
-		}
-		out[n] = v
-	}
-	return out, nil
 }

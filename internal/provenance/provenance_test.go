@@ -1,9 +1,7 @@
 package provenance
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -38,12 +36,6 @@ func TestCorpusBasics(t *testing.T) {
 	c.OnInvocation(rec("wf2", "s2", "identify", 2, "P3", "R3"))
 	if c.Len() != 3 {
 		t.Errorf("Len = %d", c.Len())
-	}
-	if got := c.ModuleIDs(); !reflect.DeepEqual(got, []string{"getRecord", "identify"}) {
-		t.Errorf("ModuleIDs = %v", got)
-	}
-	if got := c.WorkflowIDs(); !reflect.DeepEqual(got, []string{"wf1", "wf2"}) {
-		t.Errorf("WorkflowIDs = %v", got)
 	}
 	recs := c.Records()
 	recs[0].ModuleID = "mutated"
@@ -119,47 +111,6 @@ func TestExamplesFor(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	c := NewCorpus()
-	c.OnInvocation(rec("wf1", "s1", "m", 1, "P1", "R1"))
-	failed := rec("wf1", "s2", "m", 2, "P2", "")
-	failed.Failed = true
-	failed.Outputs = nil
-	failed.Error = "boom"
-	c.OnInvocation(failed)
-
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("Len = %d", got.Len())
-	}
-	recs := got.Records()
-	if !recs[0].Inputs["acc"].Equal(typesys.Str("P1")) {
-		t.Errorf("inputs lost: %+v", recs[0])
-	}
-	if recs[0].InputConcepts["acc"] != "Accession" {
-		t.Errorf("concepts lost: %+v", recs[0])
-	}
-	if !recs[1].Failed || recs[1].Error != "boom" || recs[1].Outputs != nil {
-		t.Errorf("failure record lost: %+v", recs[1])
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte(`{`))); err == nil {
-		t.Error("malformed JSON should fail")
-	}
-	if _, err := Load(bytes.NewReader([]byte(`[{"inputs":{"x":{"kind":"??"}}}]`))); err == nil {
-		t.Error("bad value should fail")
-	}
-}
-
 func TestCorpusConcurrency(t *testing.T) {
 	c := NewCorpus()
 	var wg sync.WaitGroup
@@ -171,7 +122,7 @@ func TestCorpusConcurrency(t *testing.T) {
 				c.OnInvocation(rec(fmt.Sprintf("wf%d", g), "s", "m", i, fmt.Sprintf("P%d-%d", g, i), "R"))
 				c.Len()
 				c.ExamplesFor("m")
-				c.ModuleIDs()
+				c.Records()
 			}
 		}(g)
 	}

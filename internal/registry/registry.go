@@ -47,7 +47,7 @@ type Registry struct {
 }
 
 // Generation returns a counter that moves on every Register and on every
-// availability flip (SetAvailable, RetireProvider), once per module. It
+// availability flip (SetAvailable), once per module. It
 // is bumped under the registry lock with the change itself, so a caller
 // that reads the generation and then the catalog sees at least the
 // changes counted: a cache keyed on the generation read before its build
@@ -59,9 +59,9 @@ func (r *Registry) Generation() uint64 { return r.gen.Load() }
 func (r *Registry) Nonce() string { return r.nonce }
 
 // OnAvailabilityChange registers a callback invoked whenever a module's
-// availability actually flips — by SetAvailable or RetireProvider. Every
-// flipper, the lifecycle manager included, goes through those, so this
-// hook is the one route from a flip to the derived views: serve.SyncIndex
+// availability actually flips — by SetAvailable. Every flipper, the
+// lifecycle manager included, goes through it, so this hook is the one
+// route from a flip to the derived views: serve.SyncIndex
 // keeps the match.CatalogIndex (whose generation keys the cached
 // /matches and /substitutes bodies) in sync, and
 // search.Syncer.HookAvailability the search index. Callbacks run outside
@@ -173,20 +173,6 @@ func (r *Registry) Modules() []*module.Module {
 // order.
 func (r *Registry) Available() []*module.Module { return r.filter(true) }
 
-// UnavailableIDs returns the IDs of modules whose providers stopped
-// supplying them, sorted.
-func (r *Registry) UnavailableIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var ids []string
-	for _, e := range r.ordered {
-		if !e.Available {
-			ids = append(ids, e.Module.ID)
-		}
-	}
-	return ids
-}
-
 func (r *Registry) filter(avail bool) []*module.Module {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -240,27 +226,6 @@ func (r *Registry) SetAvailable(id string, avail bool) error {
 		r.notifyAvailability(id, avail)
 	}
 	return nil
-}
-
-// RetireProvider marks every module of the given provider unavailable and
-// returns how many were affected. This models a third party interrupting
-// its supply (e.g. the KEGG SOAP services in §6).
-func (r *Registry) RetireProvider(provider string) int {
-	r.mu.Lock()
-	var retired []string
-	for id, e := range r.entries {
-		if e.Module.Provider == provider && e.Available {
-			e.Available = false
-			r.gen.Add(1)
-			retired = append(retired, id)
-		}
-	}
-	r.mu.Unlock()
-	sort.Strings(retired)
-	for _, id := range retired {
-		r.notifyAvailability(id, false)
-	}
-	return len(retired)
 }
 
 // ByKind returns the available-or-not modules of the given kind, ID order.

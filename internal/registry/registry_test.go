@@ -60,14 +60,10 @@ func TestAvailability(t *testing.T) {
 	r.MustRegister(mod("kegg2", "KEGG", module.KindMapping))
 	r.MustRegister(mod("ebi1", "EBI", module.KindRetrieval))
 
-	if n := r.RetireProvider("KEGG"); n != 2 {
-		t.Errorf("retired = %d", n)
-	}
-	if n := r.RetireProvider("KEGG"); n != 0 {
-		t.Errorf("re-retire = %d", n)
-	}
-	if got := r.UnavailableIDs(); !reflect.DeepEqual(got, []string{"kegg1", "kegg2"}) {
-		t.Errorf("unavailable = %v", got)
+	for _, id := range []string{"kegg1", "kegg2"} {
+		if err := r.SetAvailable(id, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := r.Available(); len(got) != 1 || got[0].ID != "ebi1" {
 		t.Errorf("available = %v", got)
@@ -147,7 +143,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := r.SetExamples("a", set); err != nil {
 		t.Fatal(err)
 	}
-	r.RetireProvider("KEGG")
+	if err := r.SetAvailable("b", false); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
@@ -251,14 +249,14 @@ func TestRegistryConcurrency(t *testing.T) {
 
 // TestListingsStayInIDOrder: the ID-ordered listings walk the slice
 // Register maintains, so out-of-order registration, availability flips
-// and a Save/Load round trip must all leave IDs, Modules, Available and
-// UnavailableIDs sorted and current.
+// and a Save/Load round trip must all leave IDs, Modules and Available
+// sorted and current.
 func TestListingsStayInIDOrder(t *testing.T) {
 	r := New()
 	for _, id := range []string{"m", "c", "x", "a", "k", "b"} {
 		r.MustRegister(mod(id, "EBI", module.KindRetrieval))
 	}
-	check := func(r *Registry, wantAvail, wantUnavail []string) {
+	check := func(r *Registry, wantAvail []string) {
 		t.Helper()
 		all := []string{"a", "b", "c", "k", "m", "x"}
 		if got := r.IDs(); !reflect.DeepEqual(got, all) {
@@ -278,18 +276,15 @@ func TestListingsStayInIDOrder(t *testing.T) {
 		if !reflect.DeepEqual(avail, wantAvail) {
 			t.Errorf("Available = %v, want %v", avail, wantAvail)
 		}
-		if got := r.UnavailableIDs(); !reflect.DeepEqual(got, wantUnavail) {
-			t.Errorf("UnavailableIDs = %v, want %v", got, wantUnavail)
-		}
 	}
-	check(r, []string{"a", "b", "c", "k", "m", "x"}, nil)
+	check(r, []string{"a", "b", "c", "k", "m", "x"})
 
 	for _, id := range []string{"x", "b"} {
 		if err := r.SetAvailable(id, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check(r, []string{"a", "c", "k", "m"}, []string{"b", "x"})
+	check(r, []string{"a", "c", "k", "m"})
 
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
@@ -299,17 +294,17 @@ func TestListingsStayInIDOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(loaded, []string{"a", "c", "k", "m"}, []string{"b", "x"})
+	check(loaded, []string{"a", "c", "k", "m"})
 
 	if err := loaded.SetAvailable("b", true); err != nil {
 		t.Fatal(err)
 	}
-	check(loaded, []string{"a", "b", "c", "k", "m"}, []string{"x"})
+	check(loaded, []string{"a", "b", "c", "k", "m"})
 }
 
-// TestGenerationCountsEachChange: Register and every availability flip —
-// manual and provider-wide — move Generation once per module; calls
-// that flip nothing leave it alone.
+// TestGenerationCountsEachChange: Register and every availability flip
+// move Generation once per module; calls that flip nothing leave it
+// alone.
 func TestGenerationCountsEachChange(t *testing.T) {
 	r := New()
 	step := func(what string, want uint64, fn func()) {
@@ -326,8 +321,7 @@ func TestGenerationCountsEachChange(t *testing.T) {
 	step("SetAvailable(false)", 1, func() { _ = r.SetAvailable("a", false) })
 	step("SetAvailable(false) again", 0, func() { _ = r.SetAvailable("a", false) })
 	step("SetAvailable(true)", 1, func() { _ = r.SetAvailable("a", true) })
-	step("RetireProvider of two", 2, func() { r.RetireProvider("KEGG") })
-	step("RetireProvider of none", 0, func() { r.RetireProvider("KEGG") })
-	step("SetAvailable(true)", 1, func() { _ = r.SetAvailable("b", true) })
+	step("SetAvailable(false) of b", 1, func() { _ = r.SetAvailable("b", false) })
+	step("SetAvailable(true) of b", 1, func() { _ = r.SetAvailable("b", true) })
 	step("SetExamples", 0, func() { _ = r.SetExamples("b", nil) })
 }

@@ -206,11 +206,3 @@ func (b *Breaker) Opens() int {
 	defer b.mu.Unlock()
 	return b.openCount
 }
-
-// ShortCircuits returns how many calls the breaker rejected without
-// touching the provider.
-func (b *Breaker) ShortCircuits() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.shortCircuit
-}

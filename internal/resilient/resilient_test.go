@@ -295,3 +295,11 @@ func TestExecutorConcurrent(t *testing.T) {
 			st.ShortCircuited.Load(), st.Recovered.Load(), st.Exhausted.Load())
 	}
 }
+
+// ShortCircuits returns how many calls the breaker rejected without
+// touching the provider.
+func (b *Breaker) ShortCircuits() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shortCircuit
+}

@@ -11,8 +11,8 @@ import (
 // Syncer keeps an Index consistent with the registry and the example
 // store, incrementally on both of the catalog's change seams:
 //
-//   - availability flips (SetAvailable, RetireProvider, lifecycle
-//     quarantine, retirement and re-admission) arrive through
+//   - availability flips (SetAvailable, lifecycle quarantine,
+//     retirement and re-admission) arrive through
 //     registry.OnAvailabilityChange, the same hook serve.SyncIndex uses
 //     for the match.CatalogIndex, and translate to a single Remove or
 //     Update;

@@ -6,8 +6,8 @@ import (
 )
 
 // SyncIndex wires registry availability changes into the catalog index:
-// a module going unavailable (manual retirement, RetireProvider,
-// lifecycle quarantine or retirement) is removed from the index, and a
+// a module going unavailable (manual retirement, lifecycle quarantine
+// or retirement) is removed from the index, and a
 // module coming back (SetAvailable, lifecycle re-admission) is
 // re-indexed — each flip bumps the index generation exactly once. It is
 // the index's only availability input.

@@ -11,7 +11,6 @@ import (
 	"dexa/internal/dataexample"
 	"dexa/internal/lifecycle"
 	"dexa/internal/match"
-	"dexa/internal/module"
 	"dexa/internal/resilient"
 	"dexa/internal/simulation"
 	"dexa/internal/store"
@@ -89,7 +88,7 @@ func runLifecycleScenario(t *testing.T) (eventsJSON, proposalsJSON []byte) {
 		return &workflow.Repairer{Reg: u.Registry, Exact: exact, Relaxed: relaxed, Examples: stored}
 	}
 	wfEntry, _ := u.Registry.Get(drifter)
-	wf := simulation.ComposeWorkflow("wf-live-1", "live pipeline", []*module.Module{wfEntry.Module})
+	wf := oneStepWorkflow("wf-live-1", "live pipeline", wfEntry.Module)
 
 	log, err := lifecycle.OpenLog("")
 	if err != nil {
@@ -126,10 +125,10 @@ func runLifecycleScenario(t *testing.T) (eventsJSON, proposalsJSON []byte) {
 	// minutes in.
 	decayAt := start.Add(90 * time.Second)
 	recoverAt := start.Add(10 * time.Minute)
-	sched, err := simulation.NewDecaySchedule(u, start, []simulation.DecayEvent{
-		{After: 90 * time.Second, ModuleID: drifter, Mode: simulation.DecayDrift},
-		{After: 90 * time.Second, ModuleID: deadOne, Mode: simulation.DecayDeath},
-		{After: 10 * time.Minute, ModuleID: deadOne, Mode: simulation.DecayRecover},
+	sched, err := newDecaySchedule(u, start, []decayEvent{
+		{After: 90 * time.Second, ModuleID: drifter, Mode: decayDrift},
+		{After: 90 * time.Second, ModuleID: deadOne, Mode: decayDeath},
+		{After: 10 * time.Minute, ModuleID: deadOne, Mode: decayRecover},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,13 +146,13 @@ func runLifecycleScenario(t *testing.T) (eventsJSON, proposalsJSON []byte) {
 		if next.After(clock.Now()) {
 			clock.Advance(next.Sub(clock.Now()))
 		}
-		sched.CatchUp(clock.Now())
+		sched.catchUp(clock.Now())
 		if _, err := mgr.RunDue(ctx); err != nil {
 			t.Fatalf("RunDue: %v", err)
 		}
 	}
-	if sched.Remaining() != 0 {
-		t.Fatalf("%d scripted decay events never fired", sched.Remaining())
+	if sched.remaining() != 0 {
+		t.Fatalf("%d scripted decay events never fired", sched.remaining())
 	}
 
 	// Final states: the drifter is retired, the dead-then-recovered

@@ -65,8 +65,7 @@ type LegacyWorld struct {
 // Counts of the legacy population, mirroring Figure 8's workload.
 const (
 	legacyEquivalent  = 16
-	legacyOverlapping = 23
-	legacyUsable      = 6 // subset of overlapping
+	legacyOverlapping = 23 // 6 of them usable in context
 	legacyNoMatch     = 33
 	legacyTraced      = legacyEquivalent + legacyOverlapping + legacyNoMatch // 72
 	legacyUntraced    = 80
@@ -458,4 +457,29 @@ func reverseString(s string) string {
 		r[i], r[j] = r[j], r[i]
 	}
 	return string(r)
+}
+
+// MutantExecutor wraps inner so every output is defaced the way the
+// legacy behavioural mutants are (§6's silent format change): strings are
+// prefixed with "LEGACY-FORMAT\n", floats shifted by +10000. The module
+// still answers — only data examples can tell it drifted.
+func MutantExecutor(inner module.Executor) module.ExecFunc {
+	return func(in map[string]typesys.Value) (map[string]typesys.Value, error) {
+		outs, err := inner.Invoke(in)
+		if err != nil {
+			return nil, err
+		}
+		mutated := make(map[string]typesys.Value, len(outs))
+		for name, v := range outs {
+			switch w := v.(type) {
+			case typesys.StringValue:
+				mutated[name] = typesys.Str("LEGACY-FORMAT\n" + string(w))
+			case typesys.FloatValue:
+				mutated[name] = typesys.Floatv(float64(w) + 10000)
+			default:
+				mutated[name] = v
+			}
+		}
+		return mutated, nil
+	}
 }

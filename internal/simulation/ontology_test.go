@@ -12,8 +12,8 @@ func TestBuildOntologyValidates(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.Len() < 60 {
-		t.Errorf("ontology has only %d concepts", o.Len())
+	if len(o.Concepts()) < 60 {
+		t.Errorf("ontology has only %d concepts", len(o.Concepts()))
 	}
 	if got := o.Roots(); len(got) != 1 || got[0] != CRoot {
 		t.Errorf("roots = %v", got)
@@ -29,8 +29,8 @@ func TestBuildOntologySerialisationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, o.String())
 	}
-	if o2.Len() != o.Len() {
-		t.Fatalf("concept count changed: %d vs %d", o2.Len(), o.Len())
+	if len(o2.Concepts()) != len(o.Concepts()) {
+		t.Fatalf("concept count changed: %d vs %d", len(o2.Concepts()), len(o.Concepts()))
 	}
 	for _, concept := range o.Concepts() {
 		p1, err1 := o.Partitions(concept)

@@ -29,7 +29,7 @@ func TestGetKeyedInternedAndStable(t *testing.T) {
 	if !ok || k1 == nil || k1.Len() != 3 {
 		t.Fatalf("GetKeyed = %v, %q, %v", k1, hash1, ok)
 	}
-	if k1.Table() != s.Symbols() {
+	if k1.Table() != s.symtab {
 		t.Error("keyed set not interned in the store's shared table")
 	}
 	if got, gotHash, _ := s.Get("m1"); gotHash != hash1 || !reflect.DeepEqual(got, k1.Examples()) {
@@ -77,11 +77,11 @@ func TestGetKeyedInternedAndStable(t *testing.T) {
 	if !reflect.DeepEqual(k5.Examples(), k4.Examples()) {
 		t.Error("hydrated keyed examples diverge from the written set")
 	}
-	if k5.Table() != s2.Symbols() || s2.Stats().Symbols == 0 {
+	if k5.Table() != s2.symtab || s2.Stats().Symbols == 0 {
 		t.Error("hydration did not intern into the reopened store's table")
 	}
 	for i := 0; i < k5.Len(); i++ {
-		if id, ok := s2.Symbols().Lookup(k5.InputKey(i)); !ok || id != k5.InputID(i) {
+		if id, ok := s2.symtab.Lookup(k5.InputKey(i)); !ok || id != k5.InputID(i) {
 			t.Errorf("example %d: input ID %d does not resolve through the table", i, k5.InputID(i))
 		}
 	}
@@ -121,7 +121,7 @@ func TestStoreParallelPut(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	tab := s.Symbols()
+	tab := s.symtab
 	for w := 0; w < writers; w++ {
 		for i := 0; i < distinct; i++ {
 			id := fmt.Sprintf("mod-%d-%d", w, i)

@@ -123,7 +123,7 @@ func runHistory(t *testing.T, seed int64, syncOnPut bool, steps int) {
 		h.pull()
 	}
 	assertMirrors(t, h.store, h.follower)
-	dir := h.follower.Dir()
+	dir := h.follower.dir
 	if err := h.follower.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 func (h *history) walSize() int64 {
-	return fileSize(h.t, filepath.Join(h.store.Dir(), walFileName))
+	return fileSize(h.t, filepath.Join(h.store.dir, walFileName))
 }
 
 // step runs one random leader call and advances the model to match.
@@ -347,7 +347,7 @@ func (h *history) pull() {
 // crashCheck copies the leader's directory, cuts the copied WAL at a
 // random offset and reopens it.
 func (h *history) crashCheck() {
-	src := h.store.Dir()
+	src := h.store.dir
 	dst, err := os.MkdirTemp(h.root, "crash-")
 	if err != nil {
 		h.t.Fatal(err)

@@ -93,17 +93,3 @@ func (j *Journal) Close() error {
 	}
 	return nil
 }
-
-// Records returns the number of records replayed plus appended.
-func (j *Journal) Records() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.w.records
-}
-
-// TailTruncated reports whether opening discarded a torn or corrupt tail.
-func (j *Journal) TailTruncated() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.truncated
-}

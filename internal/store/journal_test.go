@@ -144,3 +144,17 @@ func TestJournalMemoryOnly(t *testing.T) {
 		t.Fatal("Append after Close succeeded")
 	}
 }
+
+// Records returns the number of records replayed plus appended.
+func (j *Journal) Records() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.w.records
+}
+
+// TailTruncated reports whether opening discarded a torn or corrupt tail.
+func (j *Journal) TailTruncated() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.truncated
+}

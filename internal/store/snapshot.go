@@ -108,7 +108,7 @@ func writeSnapshot(path string, doc snapshotDoc) error {
 // records array included, is a hard error — the snapshot is the
 // compacted history and silently dropping it would silently lose data.
 // Records of a damaged document may reach onRecord before the error;
-// callers drop them with it (Open fails, readSnapshot returns nothing).
+// callers drop them with it (Open fails).
 func loadSnapshot(path string, onRecord func(*snapshotRecord)) (seq uint64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -212,19 +212,4 @@ func loadSnapshot(path string, onRecord func(*snapshotRecord)) (seq uint64, err 
 		return 0, fmt.Errorf("store: snapshot %s checksum mismatch (have %s, want %s)", path, got, wantCRC)
 	}
 	return seq, nil
-}
-
-// readSnapshot loads and verifies a snapshot into one document — the
-// non-streaming convenience over loadSnapshot, kept for callers that
-// want the whole array (tests, tooling).
-func readSnapshot(path string) (snapshotDoc, error) {
-	doc := snapshotDoc{Version: snapshotVersion}
-	seq, err := loadSnapshot(path, func(rec *snapshotRecord) {
-		doc.Records = append(doc.Records, *rec)
-	})
-	if err != nil {
-		return snapshotDoc{}, err
-	}
-	doc.Seq = seq
-	return doc, nil
 }

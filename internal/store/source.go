@@ -38,9 +38,6 @@ func NewSource(st *Store, gen core.ExampleGenerator) *Source {
 	return &Source{st: st, gen: gen}
 }
 
-// Store returns the backing store.
-func (s *Source) Store() *Store { return s.st }
-
 // Runs reports how many underlying generator runs have happened — the
 // observable for singleflight and warm-store tests, and a serving-layer
 // statistic.
@@ -104,18 +101,13 @@ func (s *Source) GenerateStored(ctx context.Context, m *module.Module) (dataexam
 	return set, hash, rep, err
 }
 
-// Refresh regenerates the module's examples unconditionally (bypassing
-// the store read path, still deduplicating concurrent refreshes) and
-// persists the result. It reports whether the stored content actually
-// changed — re-annotation of a stable module is a content-hash no-op.
-func (s *Source) Refresh(m *module.Module) (set dataexample.Set, rep *core.Report, changed bool, err error) {
-	set, _, rep, changed, err = s.RefreshStored(context.Background(), m)
-	return set, rep, changed, err
-}
-
-// RefreshStored is Refresh with a context, also returning the content
-// hash of the record the refresh wrote (see GenerateStored). It is
-// recorded as a "store.refresh" span when a tracer is attached.
+// RefreshStored regenerates the module's examples unconditionally
+// (bypassing the store read path, still deduplicating concurrent
+// refreshes) and persists the result. It reports whether the stored
+// content actually changed — re-annotation of a stable module is a
+// content-hash no-op — and the content hash of the record the refresh
+// wrote (see GenerateStored). It is recorded as a "store.refresh" span
+// when a tracer is attached.
 func (s *Source) RefreshStored(ctx context.Context, m *module.Module) (set dataexample.Set, hash string, rep *core.Report, changed bool, err error) {
 	ctx, span := telemetry.StartSpan(ctx, "store.refresh")
 	span.Annotate("module", m.ID)

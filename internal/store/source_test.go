@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -160,7 +161,7 @@ func TestRefreshRegeneratesAndDetectsChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same behaviour: a refresh runs the generator but changes nothing.
-	_, rep, changed, err := src.Refresh(m)
+	_, _, rep, changed, err := src.RefreshStored(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestRefreshRegeneratesAndDetectsChange(t *testing.T) {
 	}
 	// Behaviour drifts: the refresh lands the new content.
 	gen.out = func(mm *module.Module) dataexample.Set { return testSet(t, mm.ID+"-v2", 2) }
-	_, _, changed, err = src.Refresh(m)
+	_, _, _, changed, err = src.RefreshStored(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,11 @@
 //     free ETags.
 //
 // Concurrency: any number of readers may call Get/GetVersioned/Hash/
-// Version/IDs/Len/Stats concurrently with writers. Writers (Put/Delete/Snapshot/Flush)
-// are serialized internally on the log mutex, so WAL order, sequence
-// numbers and the index always agree. Callers must treat returned
-// example sets as read-only; the store hands out the same backing slice
-// to every reader.
+// Version/IDs/Len/Stats concurrently with writers. Writers (Put/
+// PutBatch/Delete/Snapshot) are serialized internally on the log mutex,
+// so WAL order, sequence numbers and the index always agree. Callers
+// must treat returned example sets as read-only; the store hands out the
+// same backing slice to every reader.
 package store
 
 import (
@@ -59,7 +59,7 @@ type Options struct {
 	CompactEvery int
 	// SyncOnPut fsyncs the WAL after every commit batch, and mutations
 	// do not return until their batch is on stable storage. Durable but
-	// slower than the default, which syncs on Flush/Snapshot/Close and
+	// slower than the default, which syncs on Snapshot and Close and
 	// accepts losing unsynced tail records on a hard crash. Group commit
 	// amortises the fsync across every caller in the batch.
 	SyncOnPut bool
@@ -212,7 +212,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.recovered = s.wal.records
 	s.appends = int(s.wal.records)
 	// Everything recovered came off stable storage: the durable
-	// baseline for Flush's redundant-sync elision.
+	// baseline Stats reports as LastSyncedSeq.
 	s.lastSynced = s.seq
 	s.met.walBytes.Set(float64(s.wal.bytes))
 	// Replication starts at the recovered sequence: followers whose
@@ -292,9 +292,6 @@ func (s *Store) shard(id string) *shard {
 	return &s.shards[h%numShards]
 }
 
-// Dir returns the store's directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
-
 // Put stores the example set for a module, returning its content hash
 // and whether anything changed. A set identical (by content hash) to the
 // stored one is a no-op that touches neither the WAL nor the index. It
@@ -367,10 +364,6 @@ func (s *Store) GetKeyed(id string) (*dataexample.KeyedSet, string, bool) {
 	s.hits.Add(1)
 	return r.keyed, r.hash, true
 }
-
-// Symbols returns the store's shared symbol table (all stored sets
-// intern their canonical keys into it).
-func (s *Store) Symbols() *dataexample.SymbolTable { return s.symtab }
 
 // Hash returns just the content hash — the cheap change-detection probe.
 func (s *Store) Hash(id string) (string, bool) {
@@ -488,29 +481,6 @@ func (s *Store) Stats() Stats {
 	}
 	s.logMu.Unlock()
 	return st
-}
-
-// Flush forces the WAL to stable storage. Examples written before a
-// Flush survive any crash; unsynced tail records may not. When the
-// tail is already durable — every record reached disk through a
-// SyncOnPut batch or an earlier Flush — the redundant fsync (and its
-// dexa_store_wal_syncs_total increment) is skipped.
-func (s *Store) Flush() error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.closed || s.wal == nil {
-		return nil
-	}
-	if s.unsynced == 0 {
-		return nil
-	}
-	if err := s.wal.sync(); err != nil {
-		return err
-	}
-	s.met.walSyncs.Inc()
-	s.lastSynced = s.seq
-	s.unsynced = 0
-	return nil
 }
 
 // Snapshot compacts the store: it atomically writes the full state to

@@ -79,12 +79,6 @@ const RequestIDHeader = "X-Request-ID"
 // values are replaced, not truncated, so IDs stay opaque.
 const maxRequestIDLen = 128
 
-// RequestIDFrom returns the request ID assigned by the middleware, or "".
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
 // newRequestID mints a process-unique request ID.
 func (h *HTTPInstrument) newRequestID() string {
 	return h.ridPrefix + "-" + strconv.FormatUint(h.ridSeq.Add(1), 16)

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +17,7 @@ func TestRouteMetricsAndRequestID(t *testing.T) {
 
 	var sawID string
 	h := ins.Route("/things/{id}", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sawID = RequestIDFrom(r.Context())
+		sawID, _ = r.Context().Value(requestIDKey{}).(string)
 		if SpanFrom(r.Context()) == nil {
 			t.Error("no span in handler context")
 		}
@@ -155,11 +154,5 @@ func TestUsableRequestID(t *testing.T) {
 		if got := usableRequestID(id); got != want {
 			t.Errorf("usableRequestID(%q) = %v, want %v", id, got, want)
 		}
-	}
-}
-
-func TestRequestIDFromEmptyContext(t *testing.T) {
-	if got := RequestIDFrom(context.Background()); got != "" {
-		t.Errorf("RequestIDFrom(empty) = %q", got)
 	}
 }

@@ -21,9 +21,9 @@ import (
 // Kind enumerates the structural kinds a parameter type can have.
 type Kind int
 
-// The supported structural kinds.
+// The supported structural kinds. The zero Kind is invalid.
 const (
-	Invalid Kind = iota
+	_ Kind = iota
 	String
 	Int
 	Float
@@ -54,7 +54,7 @@ func (k Kind) String() string {
 }
 
 // Type is a structural data type. A Type is immutable once constructed;
-// the zero Type is Invalid.
+// the zero Type is invalid.
 type Type struct {
 	Kind   Kind
 	Elem   *Type   // element type when Kind == List
@@ -98,7 +98,7 @@ func RecordOf(fields ...Field) Type {
 	return Type{Kind: Record, Fields: fs}
 }
 
-// IsValid reports whether t is a well-formed type (non-Invalid kind and
+// IsValid reports whether t is a well-formed type (a non-zero kind and
 // well-formed components).
 func (t Type) IsValid() bool {
 	switch t.Kind {
@@ -139,19 +139,6 @@ func (t Type) Equal(u Type) bool {
 	default:
 		return true
 	}
-}
-
-// Field returns the type of the named record field and whether it exists.
-// It returns false for non-record types.
-func (t Type) Field(name string) (Type, bool) {
-	if t.Kind != Record {
-		return Type{}, false
-	}
-	i := sort.Search(len(t.Fields), func(i int) bool { return t.Fields[i].Name >= name })
-	if i < len(t.Fields) && t.Fields[i].Name == name {
-		return t.Fields[i].Type, true
-	}
-	return Type{}, false
 }
 
 // String renders the type in the grammar accepted by Parse, for example
@@ -209,15 +196,6 @@ func Parse(s string) (Type, error) {
 		return Type{}, fmt.Errorf("typesys: trailing input at offset %d in %q", p.pos, s)
 	}
 	return t, nil
-}
-
-// MustParse is Parse but panics on error; intended for static declarations.
-func MustParse(s string) Type {
-	t, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 type typeParser struct {

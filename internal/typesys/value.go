@@ -150,9 +150,6 @@ func (r RecordValue) Get(name string) (Value, bool) {
 	return nil, false
 }
 
-// Len returns the number of fields.
-func (r RecordValue) Len() int { return len(r.fields) }
-
 // Names returns the field names in sorted order.
 func (r RecordValue) Names() []string {
 	names := make([]string, len(r.fields))
@@ -176,7 +173,7 @@ func (FloatValue) Type() Type { return FloatType }
 // Type returns BoolType.
 func (BoolValue) Type() Type { return BoolType }
 
-// Type returns an Invalid type: null has no structural type of its own.
+// Type returns the zero, invalid Type: null has no structural type of its own.
 func (NullValue) Type() Type { return Type{} }
 
 // Type returns list<Elem>.

@@ -76,8 +76,8 @@ func TestRecordValue(t *testing.T) {
 		RecordEntry{Name: "score", Val: Floatv(0.9)},
 		RecordEntry{Name: "acc", Val: Str("P12345")},
 	)
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.fields) != 2 {
+		t.Fatalf("Len = %d", len(r.fields))
 	}
 	if got := r.Names(); !reflect.DeepEqual(got, []string{"acc", "score"}) {
 		t.Errorf("Names = %v", got)

@@ -32,12 +32,6 @@ type Recorder interface {
 	OnInvocation(rec InvocationRecord)
 }
 
-// RecorderFunc adapts a function to the Recorder interface.
-type RecorderFunc func(rec InvocationRecord)
-
-// OnInvocation calls f.
-func (f RecorderFunc) OnInvocation(rec InvocationRecord) { f(rec) }
-
 // Enactor executes workflows against a module registry.
 type Enactor struct {
 	Reg *registry.Registry

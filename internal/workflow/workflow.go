@@ -89,21 +89,6 @@ func findPort(ps []Port, name string) (Port, bool) {
 	return Port{}, false
 }
 
-// ModuleIDs returns the distinct module IDs referenced by the workflow,
-// sorted.
-func (w *Workflow) ModuleIDs() []string {
-	seen := map[string]bool{}
-	for _, s := range w.Steps {
-		seen[s.ModuleID] = true
-	}
-	ids := make([]string, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // incomingLinks returns the links feeding each step, keyed by step ID,
 // plus the links feeding workflow outputs under the "" key.
 func (w *Workflow) incomingLinks() map[string][]Link {
